@@ -92,9 +92,10 @@ class ReplicaGroup:
         epoch and prefill shapes; when their simulators price identically
         (equal ``pricing_signature``) and their engines use the same
         admission knobs, the first replica to price a shape serves it for
-        all of them.  Prefill plans are always safe to share (placement
-        depends only on the shape and the KV budget).  Priced epochs are
-        shared only when the simulator's pricing is *shape-pure*
+        all of them.  Priced prefills are always safe to share (placement
+        depends only on the shape and the KV budget, and equal signatures
+        mean equal link bandwidth).  Priced epochs are shared only when
+        the simulator's pricing is *shape-pure*
         (``pricing_is_shape_pure``): ALISA's warm-started schedule search
         seeds from its own replica-local solver history, so its priced
         epochs stay per replica unless the exact schedule policy is in

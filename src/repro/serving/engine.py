@@ -65,10 +65,13 @@ Decode epochs are priced **vectorized**: one
 :meth:`~repro.systems.simulator.InferenceSimulator.epoch_timings` call
 prices all steps of a fixed-composition epoch as NumPy arrays, the epoch
 boundary (first completion or first admissible arrival) falls out of a
-cumulative sum plus ``searchsorted``, and priced epochs are memoized by
+running sum plus a binary search, and priced epochs are memoized by
 ``(batch, context, steps, shard shape)`` so repeated epoch shapes —
 fixed-length traces, rate sweeps, replica groups sharing a workload mix —
-skip planning and pricing entirely.  This is behaviour-preserving: traces
+skip planning and pricing entirely.  Prefill passes and chunks are
+memoized the same way, per ``(batch, input, output)`` shape, as their
+priced time, communication time and PCIe byte counts; a hit replays the
+bytes onto the serve's link ledger.  This is behaviour-preserving: traces
 are bit-identical to the per-step loop, which remains available by
 constructing the simulator with ``exact_stepping=True`` (mirroring
 ``SchedulePolicy(exact=True)``) and is pinned against the fast path in
@@ -102,8 +105,10 @@ the paper's own cost model):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import accumulate
 from time import perf_counter
 
 import numpy as np
@@ -118,7 +123,7 @@ from repro.serving.trace import (
     ServingTrace,
     normalize_class_slos,
 )
-from repro.systems.memory import MemoryHierarchy
+from repro.systems.memory import MemoryHierarchy, PCIeLink
 from repro.systems.simulator import EpochTimings, InferenceSimulator
 from repro.workloads.arrivals import SLO_CLASSES, Request, RequestStream
 from repro.workloads.descriptors import Workload
@@ -137,7 +142,22 @@ def _accumulate(start: float, values: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate(((start,), values)))[1:]
 
 
-@dataclass
+def _epoch_shape(running: list["_RunningRequest"]) -> tuple[int, int, int]:
+    """``(batch, longest context, fewest remaining steps)`` of a batch —
+    the decode epoch's ``Workload`` shape, found in one pass."""
+    context = 0
+    steps = None
+    for wrapper in running:
+        request = wrapper.request
+        generated = wrapper.generated
+        if request.input_len + generated > context:
+            context = request.input_len + generated
+        if steps is None or request.output_len - generated < steps:
+            steps = request.output_len - generated
+    return len(running), context, steps
+
+
+@dataclass(slots=True)
 class _RunningRequest:
     """Mutable in-flight state of one admitted request.
 
@@ -513,19 +533,20 @@ class ContinuousBatchingEngine:
                 )
             simulator.schedule_cache = schedule_cache
         # Pricing caches, engine state so they survive across serve() calls
-        # (a rate sweep reuses one engine per configuration).  Prefill plans
-        # are deterministic per workload shape; priced epochs are
+        # (a rate sweep reuses one engine per configuration).  Priced
+        # prefills are deterministic per workload shape; priced epochs are
         # deterministic per (b, s, n, shard shape).  ReplicaGroup shares
         # both across replicas whose simulators price identically — see
         # adopt_pricing_caches.
-        self._prefill_plans: dict[tuple[int, int, int], object] = {}
+        self._prefill_prices: dict[tuple[int, int, int],
+                                   tuple[float, float, float, float]] = {}
         self._epoch_cache: dict[tuple, EpochTimings] = {}
         self._epoch_hits = 0
         self._epoch_misses = 0
 
     def adopt_pricing_caches(self, other: "ContinuousBatchingEngine",
                              share_epochs: bool = True) -> None:
-        """Share prefill-plan (and optionally priced-epoch) caches.
+        """Share priced-prefill (and optionally priced-epoch) caches.
 
         Only valid when both engines' simulators have equal
         :meth:`~repro.systems.simulator.InferenceSimulator.pricing_signature`
@@ -535,7 +556,7 @@ class ContinuousBatchingEngine:
         are not pure functions of the shape
         (:meth:`~repro.systems.simulator.InferenceSimulator.pricing_is_shape_pure`).
         """
-        self._prefill_plans = other._prefill_plans
+        self._prefill_prices = other._prefill_prices
         if share_epochs:
             self._epoch_cache = other._epoch_cache
 
@@ -1023,32 +1044,15 @@ class ContinuousBatchingEngine:
         The pass is sized by each request's ``prefill_tokens`` (the full
         prompt, a session turn's suffix, or a recomputed context), so a
         prefix hit shortens it; a batch of pure swap-ins (``"retain"``
-        resumes, 0 tokens each) skips it entirely.  Prefill plans are
-        deterministic per workload shape, so they are cached on the engine
-        across admission events *and* serve() calls: repeated shapes (every
-        admission in a fixed-length trace, every rate of a sweep) skip the
-        simulator's ``prepare`` — for ALISA a full offline schedule search
-        — and only re-price the plan.
+        resumes, 0 tokens each) skips it entirely.  Priced through
+        :meth:`_price_prefill`'s per-shape memo.
         """
         input_len = max(r.prefill_tokens for r in admitted)
         if input_len == 0:
             return 0.0, 0.0
-        workload = Workload(
-            batch_size=len(admitted),
-            input_len=input_len,
-            output_len=max(r.request.output_len for r in admitted),
-            name="serving-prefill",
-        )
-        key = (workload.batch_size, workload.input_len, workload.output_len)
-        plan = self._prefill_plans.get(key)
-        if plan is None:
-            self.simulator.prepare(workload)
-            plan = self.simulator.plan_prefill(workload)
-            self._prefill_plans[key] = plan
-        time = self.simulator.prefill_timing(plan, workload, memory)
-        comm = self.simulator.parallel_comm_time(workload,
-                                                 query_len=workload.input_len)
-        return time, comm
+        return self._price_prefill(
+            len(admitted), input_len,
+            max(r.request.output_len for r in admitted), memory)
 
     def _chunk_time(self, parts: list[tuple[_RunningRequest, int]],
                     memory: MemoryHierarchy) -> tuple[float, float]:
@@ -1056,26 +1060,51 @@ class ContinuousBatchingEngine:
 
         A chunk is priced exactly like a prefill pass of its own shape —
         batch of the participating requests, input length of the longest
-        slice — through the same plan cache (:attr:`_prefill_plans` is
-        keyed by shape, and plans are pure per shape), so a sweep's
-        repeated chunk shapes skip ``prepare`` just like whole prefills do.
+        slice — through the same per-shape memo, so a sweep's repeated
+        chunk shapes skip ``prepare`` just like whole prefills do.
         Returns ``(wall_clock_time, communication_time)``.
         """
-        workload = Workload(
-            batch_size=len(parts),
-            input_len=max(tokens for _, tokens in parts),
-            output_len=max(w.request.output_len for w, _ in parts),
-            name="serving-prefill-chunk",
-        )
-        key = (workload.batch_size, workload.input_len, workload.output_len)
-        plan = self._prefill_plans.get(key)
-        if plan is None:
-            self.simulator.prepare(workload)
-            plan = self.simulator.plan_prefill(workload)
-            self._prefill_plans[key] = plan
-        time = self.simulator.prefill_timing(plan, workload, memory)
-        comm = self.simulator.parallel_comm_time(workload,
-                                                 query_len=workload.input_len)
+        return self._price_prefill(
+            len(parts), max(tokens for _, tokens in parts),
+            max(wrapper.request.output_len for wrapper, _ in parts), memory)
+
+    def _price_prefill(self, batch_size: int, input_len: int,
+                       output_len: int,
+                       memory: MemoryHierarchy) -> tuple[float, float]:
+        """Price one prefill pass of shape ``(batch, input, output)``.
+
+        Pricing is deterministic per shape, so each shape is priced once —
+        ``prepare`` + ``plan_prefill`` + ``prefill_timing`` against a fresh
+        link with the serve link's bandwidth and latency — into
+        ``(time, comm, h2d_bytes, d2h_bytes)``.  The memo lives on the
+        engine across admission events *and* serve() calls: repeated
+        shapes (every admission in a fixed-length trace, every rate of a
+        sweep) skip the simulator's ``prepare`` — for ALISA a full offline
+        schedule search — and the pricing itself.  Every pass then adds
+        the two byte counts onto ``memory.link``, the same additions
+        ``prefill_timing`` makes, so the link ledger is unchanged.
+        Returns ``(wall_clock_time, communication_time)``.
+        """
+        key = (batch_size, input_len, output_len)
+        priced = self._prefill_prices.get(key)
+        if priced is None:
+            workload = Workload(batch_size=batch_size, input_len=input_len,
+                                output_len=output_len, name="serving-prefill")
+            simulator = self.simulator
+            simulator.prepare(workload)
+            plan = simulator.plan_prefill(workload)
+            link = PCIeLink(memory.link.bandwidth_bytes_per_s,
+                            memory.link.latency_s)
+            time = simulator.prefill_timing(plan, workload,
+                                            replace(memory, link=link))
+            comm = simulator.parallel_comm_time(workload, query_len=input_len)
+            priced = (time, comm, link.bytes_host_to_device,
+                      link.bytes_device_to_host)
+            self._prefill_prices[key] = priced
+        time, comm, h2d_bytes, d2h_bytes = priced
+        link = memory.link
+        link.bytes_host_to_device += h2d_bytes
+        link.bytes_device_to_host += d2h_bytes
         return time, comm
 
     def _decode_epoch(self, running: list[_RunningRequest],
@@ -1091,12 +1120,7 @@ class ContinuousBatchingEngine:
         both are bit-identical (pinned in ``tests/test_epoch_pricing.py``).
         Returns ``(clock, steps, communication_time)``.
         """
-        workload = Workload(
-            batch_size=len(running),
-            input_len=max(r.context_length for r in running),
-            output_len=min(r.remaining for r in running),
-            name="serving-decode",
-        )
+        batch_size, context, num_steps = _epoch_shape(running)
         # The batch composition is fixed for the whole epoch, so the FCFS
         # head's admissibility is too: the epoch can only be cut by the
         # head's arrival, and only if it would fit.
@@ -1104,37 +1128,38 @@ class ContinuousBatchingEngine:
         if pending and self._fits(pending[0], running, shard_reserved,
                                   shard_limit, prefix):
             cut_arrival = pending[0].arrival_time
-        if self.simulator.exact_stepping:
-            clock, steps, first_clock, comm_per_step = \
-                self._price_epoch_stepwise(workload, cut_arrival,
-                                           clock, memory)
-        else:
-            clock, steps, first_clock, comm_per_step = \
-                self._price_epoch_fast(workload, cut_arrival, clock, memory)
+        price = (self._price_epoch_stepwise if self.simulator.exact_stepping
+                 else self._price_epoch_fast)
+        clock, steps, first_clock, comm_per_step = price(
+            batch_size, context, num_steps, cut_arrival, clock, memory)
         self._finish_epoch(running, sink, steps, first_clock, clock, prefix)
         return clock, steps, steps * comm_per_step
 
-    def _price_epoch_fast(self, workload: Workload,
-                          cut_arrival: float | None,
+    def _price_epoch_fast(self, batch_size: int, context: int,
+                          num_steps: int, cut_arrival: float | None,
                           clock: float, memory: MemoryHierarchy,
                           ) -> tuple[float, int, float, float]:
         """Vectorized epoch pricing with per-shape memoization.
 
-        One ``epoch_timings`` call prices all ``output_len`` steps as
-        arrays; the epoch boundary falls out of a cumulative sum over the
-        timing vector plus a ``searchsorted`` against ``cut_arrival`` (the
-        earliest admissible arrival, ``None`` when no arrival can end the
-        epoch) — no per-step Python loop.  Priced epochs are keyed by
+        Prices the epoch ``Workload(batch_size, context, num_steps)``: one
+        ``epoch_timings`` call prices all ``num_steps`` steps as arrays;
+        the epoch boundary falls out of a running sum over the step times
+        plus a binary search for ``cut_arrival`` (the earliest admissible
+        arrival, ``None`` when no arrival can end the epoch) — no per-step
+        pricing loop.  Priced epochs are keyed by
         ``(batch, context, steps, shard shape)``, so repeated epoch shapes
         (the common case in fixed-length traces and rate sweeps) skip
         planning *and* pricing — including the simulator's per-epoch
         ``prepare``, which for ALISA is the offline schedule search.
+        Returns ``(end_clock, steps, first_clock, comm_per_step)``.
         """
-        key = (workload.batch_size, workload.input_len, workload.output_len,
+        key = (batch_size, context, num_steps,
                self.simulator.parallelism.label)
         timings = self._epoch_cache.get(key)
         if timings is None:
             self._epoch_misses += 1
+            workload = Workload(batch_size=batch_size, input_len=context,
+                                output_len=num_steps, name="serving-decode")
             self.simulator.prepare(workload)
             # Re-place the already-resident context; its prefill was charged
             # when each request was admitted, so only placement state is
@@ -1144,36 +1169,39 @@ class ContinuousBatchingEngine:
             self._epoch_cache[key] = timings
         else:
             self._epoch_hits += 1
-        comm_per_step = float(timings.comm_times[0])
 
-        num_steps = workload.output_len
-        clocks = _accumulate(clock, timings.total_times)
+        # clocks[k] is the clock after k steps (sequential float adds, as
+        # the step loop makes them).
+        clocks = list(accumulate(timings.step_times, initial=clock))
         steps = num_steps
         if cut_arrival is not None:
             # First step whose post-step clock reaches the cut arrival; the
             # final step always completes requests first, so only earlier
             # steps can end the epoch by admission.
-            cut = int(np.searchsorted(clocks[:num_steps - 1],
-                                      cut_arrival, side="left"))
-            if cut < num_steps - 1:
-                steps = cut + 1
+            steps = bisect_left(clocks, cut_arrival, 1, num_steps)
         # Replay the steps' PCIe traffic onto the serve-level link ledger
-        # (sequential adds, identical to per-step recording).
+        # (sequential adds, identical to per-step recording).  A direction
+        # that moves no bytes in the whole epoch is skipped: adding 0.0 to
+        # the non-negative ledger is an identity.
         link = memory.link
-        link.bytes_host_to_device = float(
-            _accumulate(link.bytes_host_to_device,
-                        timings.h2d_bytes[:steps])[-1])
-        link.bytes_device_to_host = float(
-            _accumulate(link.bytes_device_to_host,
-                        timings.d2h_bytes[:steps])[-1])
-        return (float(clocks[steps - 1]), steps, float(clocks[0]),
-                comm_per_step)
+        if timings.h2d_any:
+            link.bytes_host_to_device = float(
+                _accumulate(link.bytes_host_to_device,
+                            timings.h2d_bytes[:steps])[-1])
+        if timings.d2h_any:
+            link.bytes_device_to_host = float(
+                _accumulate(link.bytes_device_to_host,
+                            timings.d2h_bytes[:steps])[-1])
+        return (clocks[steps], steps, clocks[1],
+                float(timings.comm_times[0]))
 
-    def _price_epoch_stepwise(self, workload: Workload,
-                              cut_arrival: float | None,
+    def _price_epoch_stepwise(self, batch_size: int, context: int,
+                              num_steps: int, cut_arrival: float | None,
                               clock: float, memory: MemoryHierarchy,
                               ) -> tuple[float, int, float, float]:
         """Legacy per-step pricing loop (``exact_stepping=True``)."""
+        workload = Workload(batch_size=batch_size, input_len=context,
+                            output_len=num_steps, name="serving-decode")
         self.simulator.prepare(workload)
         self.simulator.plan_prefill(workload)
         comm_per_step = self.simulator.parallel_comm_time(workload)
@@ -1195,25 +1223,30 @@ class ContinuousBatchingEngine:
     def _finish_epoch(self, running: list[_RunningRequest],
                       sink, steps: int, first_clock: float,
                       end_clock: float,
-                      prefix: _PrefixCache | None = None) -> None:
+                      prefix: _PrefixCache | None = None,
+                      ) -> list[_RunningRequest]:
         """Apply an epoch's effects to the batch and record completions.
 
         All running requests decrement uniformly, so the finishers are
         exactly the requests whose remaining output equalled the steps
         taken, and first tokens land at the epoch's first cumulative clock
-        — no per-step scan of the batch is needed.  A finishing non-final
-        session turn hands its KV to the prefix cache instead of freeing it
-        (when ``prefix_reuse`` is on).  ``sink`` is anything with
-        ``observe(record)``: a :class:`~repro.serving.trace.ServingTrace`,
-        a :class:`~repro.serving.sketches.StreamingTrace`, or an
+        — one pass advances the batch and collects the finishers.  A
+        finishing non-final session turn hands its KV to the prefix cache
+        instead of freeing it (when ``prefix_reuse`` is on).  ``sink`` is
+        anything with ``observe(record)``: a
+        :class:`~repro.serving.trace.ServingTrace`, a
+        :class:`~repro.serving.sketches.StreamingTrace`, or an
         :class:`EngineRun` fanning records out to both a trace and a
-        cluster-level sink.
+        cluster-level sink.  Returns the finishers, in batch order, so the
+        caller can release their reservations.
         """
-        for request in running:
-            request.generated += steps
-            if request.first_token_time is None:
-                request.first_token_time = first_clock
-        finished = [r for r in running if r.remaining <= 0]
+        finished = []
+        for wrapper in running:
+            wrapper.generated += steps
+            if wrapper.first_token_time is None:
+                wrapper.first_token_time = first_clock
+            if wrapper.generated >= wrapper.request.output_len:
+                finished.append(wrapper)
         for done in finished:
             request = done.request
             if (prefix is not None and self.prefix_reuse
@@ -1236,9 +1269,9 @@ class ContinuousBatchingEngine:
                 prefill_chunks=done.prefill_chunks,
             ))
         if finished:
-            # The epoch ends here; serve() recomputes the reservation
-            # totals from the surviving batch before the next admission.
-            running[:] = [r for r in running if r.remaining > 0]
+            running[:] = [r for r in running
+                          if r.generated < r.request.output_len]
+        return finished
 
 
 class EngineRun:
@@ -1262,8 +1295,12 @@ class EngineRun:
       consumes no work until ``offer``/``close`` unblocks it;
     * an idle run with a queued head wakes exactly at
       ``max(clock, head.arrival_time)`` (the clock loop's idle jump);
-    * admission, prefill, epoch pricing, and reservation accounting reuse
-      the engine's own methods — the two paths share every formula.
+    * admission, prefill, and epoch pricing reuse the engine's own
+      methods — the two paths share every formula;
+    * the reservation counters are kept incrementally (the clock loop
+      re-sums them after every epoch): after every event they equal the
+      footprints of the running batch plus the resident session prefixes
+      (checked by ``tests/test_engine_invariants.py``).
     """
 
     def __init__(self, engine: ContinuousBatchingEngine, trace,
@@ -1315,14 +1352,20 @@ class EngineRun:
         #: Fault-injection mode (see repro.faults): the run may be failed
         #: and recovered mid-serve, and must accept the retry offers that
         #: implies — after close(), and out of (arrival_time, request_id)
-        #: order.  ``_arrival_floor`` is the latest dispatch instant seen,
-        #: so a retry of an old arrival is never admitted before the
-        #: coordinator actually re-dispatched it.
+        #: order.  A request offered after its ``arrival_time`` (a retry,
+        #: or an arrival parked through a total outage) is admissible only
+        #: from its dispatch instant: ``_dispatched_at`` maps its id to
+        #: that instant until it is admitted, and admission and the epoch
+        #: cut read it through
+        #: :meth:`_ready_time` (the record keeps the original arrival, so
+        #: latency still counts from it).  ``_arrival_floor`` is the latest
+        #: dispatch instant seen; an idle run never wakes before it.
         self._fault_mode = fault_mode
         self._down = False
         self._num_failures = 0
         self._drained_bytes = 0.0
         self._arrival_floor = 0.0
+        self._dispatched_at: dict[int, float] = {}
         self._record_filter = None
         self._clock = 0.0
         self._reserved = 0
@@ -1408,8 +1451,11 @@ class EngineRun:
                 f"order; got {key} after {self._last_key}"
             )
         self._last_key = key
-        if now is not None and now > self._arrival_floor:
-            self._arrival_floor = now
+        if now is not None:
+            if now > self._arrival_floor:
+                self._arrival_floor = now
+            if now > request.arrival_time:
+                self._dispatched_at[request.request_id] = now
         self.check_admissible(request)
         if self._priority:
             self._pending_classes[request.slo_class].append(request)
@@ -1576,6 +1622,12 @@ class EngineRun:
             return any(self._pending_classes.values())
         return bool(self._pending)
 
+    def _ready_time(self, request: Request) -> float:
+        """When ``request`` may be admitted here: its arrival, or its
+        later dispatch instant when it was offered late (fault mode)."""
+        return self._dispatched_at.get(request.request_id,
+                                       request.arrival_time)
+
     def _next_arrival(self) -> float:
         """Earliest queued arrival (any class); queues must be non-empty."""
         if self._priority:
@@ -1619,8 +1671,10 @@ class EngineRun:
         """FCFS admission: the queue head blocks until it fits."""
         engine = self.engine
         pending, running = self._pending, self._running
+        late = self._dispatched_at
         admitted: list[_RunningRequest] = []
         while (pending and pending[0].arrival_time <= self._clock
+               and (not late or self._ready_time(pending[0]) <= self._clock)
                and engine._fits(pending[0], running, self._shard_reserved,
                                 self._shard_limit, self._prefix)):
             admitted.append(self._admit_one(pending.popleft()))
@@ -1642,7 +1696,7 @@ class EngineRun:
             candidate_queue = None
             for name in SLO_CLASSES:
                 queue = self._pending_classes[name]
-                if queue and queue[0].arrival_time <= self._clock:
+                if queue and self._ready_time(queue[0]) <= self._clock:
                     candidate_queue = queue
                     break
             if candidate_queue is None:
@@ -1670,6 +1724,8 @@ class EngineRun:
     def _admit_one(self, request: Request) -> _RunningRequest:
         """Admit one request (or resume its preempted wrapper)."""
         engine = self.engine
+        if self._dispatched_at:
+            self._dispatched_at.pop(request.request_id, None)
         wrapper = self._preempted.pop(request.request_id, None)
         if wrapper is not None:
             # Re-admission of preempted work: the full footprint is
@@ -1815,8 +1871,10 @@ class EngineRun:
     def _cut_arrival(self) -> tuple[float | None, bool]:
         """The earliest arrival that can end the next epoch, if any.
 
-        Returns ``(arrival_time, needs_preemption)``.  The batch is fixed
-        for the whole epoch, so each queue head's feasibility is too.  In
+        Returns ``(ready_time, needs_preemption)``, where a head's ready
+        time is when it may be admitted (:meth:`_ready_time`).  The batch
+        is fixed for the whole epoch, so each queue head's feasibility is
+        too.  In
         priority mode an *arrived* head was just refused by the admission
         round — it is infeasible against this batch and blocks its own and
         every lower class, but higher classes keep their cuts.
@@ -1827,7 +1885,7 @@ class EngineRun:
             if pending and engine._fits(pending[0], self._running,
                                         self._shard_reserved,
                                         self._shard_limit, self._prefix):
-                return pending[0].arrival_time, False
+                return self._ready_time(pending[0]), False
             return None, False
         best: tuple[float, bool] | None = None
         for name in SLO_CLASSES:
@@ -1835,13 +1893,14 @@ class EngineRun:
             if not queue:
                 continue
             head = queue[0]
-            if head.arrival_time <= self._clock:
+            ready = self._ready_time(head)
+            if ready <= self._clock:
                 break
             fits = engine._fits(head, self._running, self._shard_reserved,
                                 self._shard_limit, self._prefix)
             if fits or self._can_preempt(head):
-                if best is None or head.arrival_time < best[0]:
-                    best = (head.arrival_time, not fits)
+                if best is None or ready < best[0]:
+                    best = (ready, not fits)
         return best if best is not None else (None, False)
 
     def _schedule_chunk(self) -> tuple[float, str]:
@@ -1890,24 +1949,19 @@ class EngineRun:
 
     def _schedule_epoch(self) -> tuple[float, str]:
         engine = self.engine
-        running = self._running
-        workload = Workload(
-            batch_size=len(running),
-            input_len=max(r.context_length for r in running),
-            output_len=min(r.remaining for r in running),
-            name="serving-decode",
-        )
+        batch_size, context, num_steps = _epoch_shape(self._running)
         self._num_epochs += 1
         cut_arrival, needs_preemption = self._cut_arrival()
         price = (engine._price_epoch_stepwise
                  if engine.simulator.exact_stepping
                  else engine._price_epoch_fast)
         end, steps, first, comm_per_step = price(
-            workload, cut_arrival, self._clock, self._memory)
+            batch_size, context, num_steps, cut_arrival, self._clock,
+            self._memory)
         # The final step of a full epoch completes its shortest requests; a
         # shorter epoch was cut by an arrival — one that will preempt, or
         # one that simply fits.
-        if steps == workload.output_len:
+        if steps == num_steps:
             kind = COMPLETION
         elif needs_preemption:
             kind = PREEMPTION
@@ -1930,13 +1984,20 @@ class EngineRun:
             for ob in self._obs:
                 ob.on_epoch(self.replica, epoch_start, end, kind, steps,
                             first, batch)
-        engine._finish_epoch(self._running, self, steps, first, end,
-                             self._prefix)
-        self._reserved = (sum(r.request.max_seq_len for r in self._running)
-                          + self._prefix.node_total)
-        self._shard_reserved = (sum(engine.shard_footprint(r.request)
-                                    for r in self._running)
-                                + self._prefix.shard_total)
+        prefix = self._prefix
+        node_retained, shard_retained = prefix.node_total, prefix.shard_total
+        finished = engine._finish_epoch(self._running, self, steps, first,
+                                        end, prefix)
+        if finished:
+            # Reservations are kept incrementally: finishers release their
+            # footprints and retained session prefixes come back through
+            # the cache's totals.  Every term is an integer, so the counters
+            # stay exactly sum(footprints of running) + resident prefixes.
+            for done in finished:
+                self._reserved -= done.request.max_seq_len
+                self._shard_reserved -= engine.shard_footprint(done.request)
+            self._reserved += prefix.node_total - node_retained
+            self._shard_reserved += prefix.shard_total - shard_retained
 
     # ------------------------------------------------------------------ #
     def finalize(self):

@@ -87,7 +87,8 @@ class P2Quantile:
             )
         self.count += 1
         markers = self._markers
-        if self._positions is None:
+        positions = self._positions
+        if positions is None:
             bisect.insort(markers, value)
             if len(markers) == 5:
                 q = self.quantile
@@ -95,52 +96,66 @@ class P2Quantile:
                 self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q,
                                  3.0 + 2.0 * q, 5.0]
             return
-        positions = self._positions
+        # Find the cell the value falls in and shift the positions of every
+        # marker above it.  The five-marker loops are unrolled: this runs
+        # once per observation of every sketch.
         if value < markers[0]:
             markers[0] = value
-            cell = 0
+            positions[1] += 1.0
+            positions[2] += 1.0
+            positions[3] += 1.0
         elif value >= markers[4]:
             markers[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= markers[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
+        elif value < markers[1]:
+            positions[1] += 1.0
+            positions[2] += 1.0
+            positions[3] += 1.0
+        elif value < markers[2]:
+            positions[2] += 1.0
+            positions[3] += 1.0
+        elif value < markers[3]:
+            positions[3] += 1.0
+        positions[4] += 1.0
+        # Advance the desired positions and re-centre each interior marker
+        # that drifted a full position off its desired one (in marker
+        # order: marker i+1's check reads marker i's adjusted position).
         desired = self._desired
         rates = self._rates
-        for i in range(1, 5):
-            desired[i] += rates[i]
-        for i in (1, 2, 3):
-            gap = desired[i] - positions[i]
-            if ((gap >= 1.0 and positions[i + 1] - positions[i] > 1.0)
-                    or (gap <= -1.0 and positions[i - 1] - positions[i] < -1.0)):
-                step = 1.0 if gap >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                # P² falls back to linear interpolation whenever the
-                # parabolic candidate would break marker monotonicity.
-                if not markers[i - 1] < candidate < markers[i + 1]:
-                    candidate = self._linear(i, step)
-                markers[i] = candidate
-                positions[i] += step
+        desired[4] += rates[4]
+        desired[1] += rates[1]
+        gap = desired[1] - positions[1]
+        if ((gap >= 1.0 and positions[2] - positions[1] > 1.0)
+                or (gap <= -1.0 and positions[0] - positions[1] < -1.0)):
+            self._adjust(1, 1.0 if gap >= 1.0 else -1.0)
+        desired[2] += rates[2]
+        gap = desired[2] - positions[2]
+        if ((gap >= 1.0 and positions[3] - positions[2] > 1.0)
+                or (gap <= -1.0 and positions[1] - positions[2] < -1.0)):
+            self._adjust(2, 1.0 if gap >= 1.0 else -1.0)
+        desired[3] += rates[3]
+        gap = desired[3] - positions[3]
+        if ((gap >= 1.0 and positions[4] - positions[3] > 1.0)
+                or (gap <= -1.0 and positions[2] - positions[3] < -1.0)):
+            self._adjust(3, 1.0 if gap >= 1.0 else -1.0)
 
-    def _parabolic(self, i: int, step: float) -> float:
+    def _adjust(self, i: int, step: float) -> None:
+        """Move interior marker ``i`` one position by ``step`` (±1)."""
         markers, positions = self._markers, self._positions
-        outer = step / (positions[i + 1] - positions[i - 1])
-        above = ((positions[i] - positions[i - 1] + step)
-                 * (markers[i + 1] - markers[i])
-                 / (positions[i + 1] - positions[i]))
-        below = ((positions[i + 1] - positions[i] - step)
-                 * (markers[i] - markers[i - 1])
-                 / (positions[i] - positions[i - 1]))
-        return markers[i] + outer * (above + below)
-
-    def _linear(self, i: int, step: float) -> float:
-        markers, positions = self._markers, self._positions
-        j = i + int(step)
-        return (markers[i] + step * (markers[j] - markers[i])
-                / (positions[j] - positions[i]))
+        below, here, above = positions[i - 1], positions[i], positions[i + 1]
+        low, height, high = markers[i - 1], markers[i], markers[i + 1]
+        # Piecewise-parabolic candidate; P² falls back to linear
+        # interpolation toward the neighbour whenever the parabola would
+        # break marker monotonicity.
+        candidate = height + step / (above - below) * (
+            (here - below + step) * (high - height) / (above - here)
+            + (above - here - step) * (height - low) / (here - below))
+        if not low < candidate < high:
+            if step > 0.0:
+                candidate = height + step * (high - height) / (above - here)
+            else:
+                candidate = height + step * (low - height) / (below - here)
+        markers[i] = candidate
+        positions[i] = here + step
 
     @property
     def value(self) -> float:
@@ -230,13 +245,18 @@ class StreamingGoodput:
         self.good_tokens = 0
 
     def observe(self, record: RequestRecord) -> None:
+        self.observe_latencies(record.ttft, record.tpot, record.output_len)
+
+    def observe_latencies(self, ttft: float, tpot: float,
+                          output_len: int) -> None:
+        """:meth:`observe` from a record's already-derived figures."""
         self.observed += 1
-        if self.ttft_slo_s is not None and record.ttft > self.ttft_slo_s:
+        if self.ttft_slo_s is not None and ttft > self.ttft_slo_s:
             return
-        if self.tpot_slo_s is not None and record.tpot > self.tpot_slo_s:
+        if self.tpot_slo_s is not None and tpot > self.tpot_slo_s:
             return
         self.compliant += 1
-        self.good_tokens += record.output_len
+        self.good_tokens += output_len
 
     def goodput(self, duration_s: float) -> float:
         if duration_s <= 0:
@@ -328,34 +348,40 @@ class StreamingTrace:
                 self._shed += 1
             return
         self._completed += 1
-        self._tokens += record.output_len
-        self._queueing.observe(record.queueing_delay)
-        self._goodput.observe(record)
+        # Each derived figure is read once: the sinks below share them.
+        output_len = record.output_len
+        queueing = record.queueing_delay
+        ttft = record.ttft
+        tpot = record.tpot
+        self._tokens += output_len
+        self._queueing.observe(queueing)
+        self._goodput.observe_latencies(ttft, tpot, output_len)
         if self._ttft is not None:
-            self._ttft.observe(record.ttft)
-            self._tpot.observe(record.tpot)
+            self._ttft.observe(ttft)
+            self._tpot.observe(tpot)
             self._latency.observe(record.e2e_latency)
-        accumulator = self._classes.get(record.slo_class)
+        slo_class = record.slo_class
+        accumulator = self._classes.get(slo_class)
         if accumulator is None:
-            ttft_slo_s, tpot_slo_s = self.class_slos.get(record.slo_class,
+            ttft_slo_s, tpot_slo_s = self.class_slos.get(slo_class,
                                                          (None, None))
             accumulator = {"tokens": 0, "ttft": StreamingMean(),
                            "queueing": StreamingMean(),
                            "goodput": StreamingGoodput(
                                ttft_slo_s=ttft_slo_s,
                                tpot_slo_s=tpot_slo_s)}
-            self._classes[record.slo_class] = accumulator
-        accumulator["tokens"] += record.output_len
-        accumulator["ttft"].observe(record.ttft)
-        accumulator["queueing"].observe(record.queueing_delay)
-        accumulator["goodput"].observe(record)
+            self._classes[slo_class] = accumulator
+        accumulator["tokens"] += output_len
+        accumulator["ttft"].observe(ttft)
+        accumulator["queueing"].observe(queueing)
+        accumulator["goodput"].observe_latencies(ttft, tpot, output_len)
         if record.prefix_len > 0:
             self._prefix_bearing += 1
             self._prefix_hits += record.prefix_hit
         self._preemptions += record.preemptions
         self._prefill_chunks += record.prefill_chunks
         if record.preempting and self._preempt_wait is not None:
-            self._preempt_wait.observe(record.queueing_delay)
+            self._preempt_wait.observe(queueing)
 
     # ------------------------------------------------------------------ #
     # aggregate metrics (ServingTrace surface)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -129,7 +130,9 @@ class EpochTimings:
     filled in by :meth:`InferenceSimulator.run` after applying memory).
     ``h2d_bytes``/``d2h_bytes`` are the per-step PCIe link traffic
     (reloads plus any extra host-to-device bytes, and offloads) that the
-    step loop would have recorded on ``memory.link``.
+    step loop would have recorded on ``memory.link``; ``h2d_any``/
+    ``d2h_any`` say whether either moves any byte at all, so a caller
+    replaying the traffic onto a ledger can skip an all-zero direction.
     """
 
     sequence_lengths: np.ndarray
@@ -146,10 +149,18 @@ class EpochTimings:
     bytes_reloaded: np.ndarray
     h2d_bytes: np.ndarray
     d2h_bytes: np.ndarray
+    h2d_any: bool
+    d2h_any: bool
 
     @property
     def num_steps(self) -> int:
         return len(self.phases)
+
+    @cached_property
+    def step_times(self) -> list[float]:
+        """``total_times`` as Python floats, converted once per priced
+        epoch, for callers that accumulate a clock step by step."""
+        return self.total_times.tolist()
 
     @property
     def pcie_bytes(self) -> float:
@@ -426,6 +437,8 @@ class InferenceSimulator(ABC):
             bytes_reloaded=load * per_token,
             h2d_bytes=h2d_bytes,
             d2h_bytes=d2h_bytes,
+            h2d_any=bool(h2d_bytes.any()),
+            d2h_any=bool(d2h_bytes.any()),
         )
 
     def run(self, workload: Workload) -> InferenceTrace:

@@ -228,10 +228,10 @@ class TestServingFastPathGoldenPins:
         requests = generate_requests(8, **self.REQUESTS)
         engine = ContinuousBatchingEngine(build_system("alisa"))
         engine.serve(requests)
-        cached_shapes = set(engine._prefill_plans)
+        cached_shapes = set(engine._prefill_prices)
         assert cached_shapes  # plans survived the serve() call
         engine.serve(requests)
-        assert set(engine._prefill_plans) == cached_shapes
+        assert set(engine._prefill_prices) == cached_shapes
 
     def test_replica_group_shares_pricing_caches(self):
         from repro.cluster import ReplicaGroup
@@ -245,7 +245,7 @@ class TestServingFastPathGoldenPins:
                                          V100_16GB_NODE, policy="jsq")
         first, second = group.engines
         # Prefill plans are shape-pure for every system: always shared.
-        assert first._prefill_plans is second._prefill_plans
+        assert first._prefill_prices is second._prefill_prices
         # ALISA's default warm-started schedules depend on replica-local
         # solver history, so its priced epochs are NOT shared...
         assert not first.simulator.pricing_is_shape_pure()
@@ -282,4 +282,73 @@ class TestServingFastPathGoldenPins:
              ContinuousBatchingEngine(build_system("alisa", "tp-2"))])
         a, b = tp_group.engines
         assert a._epoch_cache is not b._epoch_cache
-        assert a._prefill_plans is not b._prefill_plans
+        assert a._prefill_prices is not b._prefill_prices
+
+
+class TestPrefillPriceMemo:
+    """The per-shape prefill memo prices exactly like direct pricing."""
+
+    @staticmethod
+    def direct_pricing():
+        """``_price_prefill`` without the memo: plans per shape (as the
+        memo prepares them), then ``prefill_timing`` straight onto the
+        serve's link on every pass."""
+        plans = {}
+
+        def price(engine, batch_size, input_len, output_len, memory):
+            workload = Workload(batch_size=batch_size, input_len=input_len,
+                                output_len=output_len, name="serving-prefill")
+            key = (batch_size, input_len, output_len)
+            if key not in plans:
+                engine.simulator.prepare(workload)
+                plans[key] = engine.simulator.plan_prefill(workload)
+            time = engine.simulator.prefill_timing(plans[key], workload,
+                                                   memory)
+            return time, engine.simulator.parallel_comm_time(
+                workload, query_len=input_len)
+
+        return price
+
+    @pytest.mark.parametrize("system,shard,chunk", [
+        ("alisa", "none", None), ("alisa", "none", 256),
+        ("vllm", "tp-2", None),
+    ])
+    def test_memo_matches_direct_pricing(self, system, shard, chunk,
+                                         monkeypatch):
+        requests = generate_requests(32, 32.0, pattern="bursty", seed=3,
+                                     max_len=2048)
+        memo_engine = ContinuousBatchingEngine(
+            build_system(system, shard), prefill_chunk_tokens=chunk)
+        memo = memo_engine.serve(requests)
+        if system == "alisa" and chunk is None:
+            # The memo must carry real offload traffic to replay.
+            assert any(h2d or d2h for _, _, h2d, d2h
+                       in memo_engine._prefill_prices.values())
+        with monkeypatch.context() as patch:
+            patch.setattr(ContinuousBatchingEngine, "_price_prefill",
+                          self.direct_pricing())
+            direct = ContinuousBatchingEngine(
+                build_system(system, shard),
+                prefill_chunk_tokens=chunk).serve(requests)
+        assert memo.records == direct.records
+        for key in ("pcie_bytes", "comm_time_s", "num_epochs",
+                    "num_decode_steps"):
+            assert memo.metadata[key] == direct.metadata[key], key
+        if shard != "none":
+            assert memo.metadata["comm_time_s"] > 0.0
+
+    def test_memo_shared_across_equal_signatures(self):
+        from repro.cluster import ReplicaGroup
+
+        group = ReplicaGroup([ContinuousBatchingEngine(build_system("vllm"))
+                              for _ in range(2)], policy="round-robin")
+        first, second = group.engines
+        assert (first.simulator.pricing_signature()
+                == second.simulator.pricing_signature())
+        assert first._prefill_prices is second._prefill_prices
+        group.serve(generate_requests(12, **TestServingFastPathGoldenPins
+                                      .REQUESTS))
+        # Fixed-length requests: every pass of either replica is one of a
+        # few shapes, priced once for both.
+        shapes = set(first._prefill_prices)
+        assert shapes and all(shape[1:] == (256, 128) for shape in shapes)

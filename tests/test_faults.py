@@ -18,6 +18,7 @@ from repro._common import ConfigurationError
 from repro.baselines import FlexGenSystem
 from repro.cluster import ReplicaGroup
 from repro.cluster.router import Router
+from repro.core.engine import AlisaSystem
 from repro.faults import (
     FAULT_MODES,
     FaultEvent,
@@ -328,6 +329,52 @@ class TestClusterFaults:
             journals.append((journal, trace.summary()))
         assert journals[0][0] == journals[1][0]
         assert journals[0][1] == journals[1][1]
+
+    def test_retry_is_not_admitted_before_its_redispatch(self):
+        # A request migrated off a draining replica is retried onto a
+        # replica whose clock lags the re-dispatch instant.  Admitting it
+        # at that lagging clock once put its completion before the first
+        # token it had produced on the drained replica, and the serve
+        # raised on record validation.
+        def build(node, parallelism):
+            return AlisaSystem(MODEL, node, kv_sparsity=0.8,
+                               parallelism=parallelism)
+
+        cluster = ReplicaGroup.from_layout(build, "2x(none)",
+                                           V100_16GB_NODE, policy="jsq")
+        arrivals = generate_requests(48, 4.0, pattern="bursty", seed=3400)
+        faults = FaultSchedule([FaultEvent(1, 1.2, 2.1, mode="crash"),
+                                FaultEvent(0, 3.6, 4.2, mode="drain")])
+        log = _AdmissionLog()
+        trace = cluster.serve(arrivals, faults=faults,
+                              retry=RetryPolicy(max_retries=4,
+                                                backoff_s=0.05),
+                              observers=[log])
+        assert len(trace.completed_records) == 48
+        assert trace.num_retries > 0
+        assert log.late_admissions == []
+        # Latency still counts from the first arrival.
+        arrival_of = {r.request_id: r.arrival_time for r in arrivals}
+        for record in trace.records:
+            assert record.arrival_time == arrival_of[record.request_id]
+
+
+class _AdmissionLog(Observer):
+    """Admissions that happened before the request's latest retry."""
+
+    def __init__(self):
+        self.retried_at = {}
+        self.late_admissions = []
+
+    def on_retry(self, replica, time, request, attempt):
+        self.retried_at[request.request_id] = time
+
+    def on_admission(self, replica, time, request, prefix_hit=False,
+                     resumed=False):
+        retried_at = self.retried_at.get(request.request_id)
+        if retried_at is not None and time < retried_at:
+            self.late_admissions.append((request.request_id, time,
+                                         retried_at))
 
 
 class TestRouterHealth:

@@ -1,7 +1,11 @@
 """Tests for repro.serving.sketches: P² quantiles and streaming traces."""
 
+import bisect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro._common import ConfigurationError
 from repro.serving.sketches import (
@@ -13,6 +17,64 @@ from repro.serving.sketches import (
     StreamingTrace,
 )
 from repro.serving.trace import RequestRecord, ServingTrace
+
+
+class LoopP2:
+    """Reference P² update with the marker loops written out as loops —
+    the arithmetic :meth:`P2Quantile.observe` must reproduce exactly."""
+
+    def __init__(self, q):
+        self.q = q
+        self.markers = []
+        self.positions = None
+        self.rates = (0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0)
+
+    def observe(self, value):
+        markers = self.markers
+        if self.positions is None:
+            bisect.insort(markers, value)
+            if len(markers) == 5:
+                q = self.q
+                self.positions = [1.0, 2.0, 3.0, 4.0, 5.0]
+                self.desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q,
+                                3.0 + 2.0 * q, 5.0]
+            return
+        positions, desired = self.positions, self.desired
+        if value < markers[0]:
+            markers[0] = value
+            cell = 0
+        elif value >= markers[4]:
+            markers[4] = value
+            cell = 3
+        else:
+            cell = 0
+            while value >= markers[cell + 1]:
+                cell += 1
+        for i in range(cell + 1, 5):
+            positions[i] += 1.0
+        for i in range(1, 5):
+            desired[i] += self.rates[i]
+        for i in (1, 2, 3):
+            gap = desired[i] - positions[i]
+            if ((gap >= 1.0 and positions[i + 1] - positions[i] > 1.0)
+                    or (gap <= -1.0
+                        and positions[i - 1] - positions[i] < -1.0)):
+                step = 1.0 if gap >= 1.0 else -1.0
+                outer = step / (positions[i + 1] - positions[i - 1])
+                above = ((positions[i] - positions[i - 1] + step)
+                         * (markers[i + 1] - markers[i])
+                         / (positions[i + 1] - positions[i]))
+                below = ((positions[i + 1] - positions[i] - step)
+                         * (markers[i] - markers[i - 1])
+                         / (positions[i] - positions[i - 1]))
+                candidate = markers[i] + outer * (above + below)
+                if not markers[i - 1] < candidate < markers[i + 1]:
+                    j = i + int(step)
+                    candidate = (markers[i] + step
+                                 * (markers[j] - markers[i])
+                                 / (positions[j] - positions[i]))
+                markers[i] = candidate
+                positions[i] += step
 
 
 def record(request_id, arrival, admission, first, completion,
@@ -101,6 +163,18 @@ class TestP2Quantile:
         # P² is an approximation; a few percent of the distribution's
         # spread is the accuracy class the original paper reports.
         assert abs(estimator.value - exact) < 0.05 * spread
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.sampled_from([0.1, 0.5, 0.9, 0.99]),
+           values=st.lists(st.floats(min_value=-1e6, max_value=1e6,
+                                     allow_nan=False), max_size=200))
+    def test_matches_loop_reference_exactly(self, q, values):
+        estimator, reference = P2Quantile(q), LoopP2(q)
+        for value in values:
+            estimator.observe(value)
+            reference.observe(value)
+        assert estimator._markers == reference.markers
+        assert estimator._positions == reference.positions
 
     def test_monotone_input_is_tracked_closely(self):
         estimator = P2Quantile(0.5)
