@@ -81,8 +81,6 @@ class ReplicaGroup:
         self.policy = policy
         self.seed = seed
         self.cluster = cluster
-        self._service_estimates: list[dict[tuple[int, int], float]] = \
-            [{} for _ in engines]
         self._share_pricing_caches()
 
     def _share_pricing_caches(self) -> None:
@@ -100,11 +98,19 @@ class ReplicaGroup:
         seeds from its own replica-local solver history, so its priced
         epochs stay per replica unless the exact schedule policy is in
         force.  Schedule caches are never shared.
+
+        Router service estimates depend on the cost model alone, so every
+        replica with an equal ``pricing_signature`` reads one estimate
+        dict, whatever its admission knobs.
         """
         leaders: dict[tuple, ContinuousBatchingEngine] = {}
+        estimates: dict[tuple, dict[tuple[int, int], float]] = {}
+        self._service_estimates: list[dict[tuple[int, int], float]] = []
         for engine in self.engines:
-            key = (engine.simulator.pricing_signature(),
-                   engine.max_batch_size, engine.reserve_fraction)
+            signature = engine.simulator.pricing_signature()
+            self._service_estimates.append(
+                estimates.setdefault(signature, {}))
+            key = (signature, engine.max_batch_size, engine.reserve_fraction)
             leader = leaders.setdefault(key, engine)
             if leader is not engine:
                 engine.adopt_pricing_caches(

@@ -37,6 +37,7 @@ run-to-run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from repro._common import ConfigurationError, rng, validate_positive
 from repro.workloads.arrivals import Request
@@ -49,22 +50,32 @@ ROUTING_POLICIES = ("round-robin", "jsq", "least-loaded", "session-affinity")
 class _ReplicaLoad:
     """What the router believes one replica is currently doing."""
 
-    #: ``(estimated_finish_time, kv_tokens)`` of every dispatched request
-    #: believed still in flight (requests run concurrently under
-    #: continuous batching, so each drains on its own estimate).
+    #: Min-heap of ``(estimated_finish_time, kv_tokens)`` of every
+    #: dispatched request believed still in flight (requests run
+    #: concurrently under continuous batching, so each drains on its own
+    #: estimate).
     in_flight: list[tuple[float, int]] = field(default_factory=list)
+    #: Sum of the in-flight ``kv_tokens``, kept as entries come and go.
+    tokens: int = 0
     #: Single-server backlog horizon for the least-loaded policy.
     busy_until: float = 0.0
     #: Requests dispatched to this replica (trace metadata).
     dispatched: int = 0
 
+    def add(self, finish: float, tokens: int) -> None:
+        heappush(self.in_flight, (finish, tokens))
+        self.tokens += tokens
+
     def retire(self, clock: float) -> None:
-        self.in_flight = [(finish, tokens) for finish, tokens
-                          in self.in_flight if finish > clock]
+        """Drop every entry that finished by ``clock`` (for good: a later
+        call with an earlier clock does not bring it back)."""
+        heap = self.in_flight
+        while heap and heap[0][0] <= clock:
+            self.tokens -= heappop(heap)[1]
 
     def outstanding_tokens(self, clock: float) -> int:
         self.retire(clock)
-        return sum(tokens for _, tokens in self.in_flight)
+        return self.tokens
 
 
 class Router:
@@ -177,8 +188,7 @@ class Router:
         # state bounded by the in-flight work (not the trace length), which
         # is what lets million-request streams route in O(1) memory.
         load.retire(clock)
-        load.in_flight.append((clock + service_estimates[index],
-                               request.max_seq_len))
+        load.add(clock + service_estimates[index], request.max_seq_len)
         load.busy_until = max(clock, load.busy_until) \
             + service_estimates[index]
         load.dispatched += 1

@@ -135,7 +135,7 @@ class ProfileTable:
             )
         return self._compute_cache[sequence_length]
 
-    def ensure_compute_range(self, seq_lens: np.ndarray) -> None:
+    def ensure_compute_range(self, seq_lens: np.ndarray | list[int]) -> None:
         """Bulk-fill the compute cache for ``seq_lens`` in one array pass.
 
         Prices every uncached sequence length through the cost model's
@@ -143,8 +143,9 @@ class ProfileTable:
         scalar path, so callers see the same values either way, just
         without a Python pricing call per sequence length.
         """
-        missing = [int(q) for q in np.unique(np.asarray(seq_lens))
-                   if int(q) not in self._compute_cache]
+        if isinstance(seq_lens, np.ndarray):
+            seq_lens = seq_lens.tolist()
+        missing = sorted(set(seq_lens).difference(self._compute_cache))
         if not missing:
             return
         seq = np.asarray(missing, dtype=np.int64)
@@ -152,8 +153,12 @@ class ProfileTable:
         times = self.cost_model.decode_step_time_batch(
             self.workload.batch_size, seq,
             kept_kv=num_local + num_global, local_windows=num_local)
-        for sequence_length, time in zip(missing, times):
-            self._compute_cache[sequence_length] = float(time)
+        self._compute_cache.update(zip(missing, times.tolist()))
+
+    def total_compute_time(self, seq_lens: list[int]) -> float:
+        """Summed :meth:`compute_time` over ``seq_lens``, in list order."""
+        self.ensure_compute_range(seq_lens)
+        return float(sum(map(self._compute_cache.__getitem__, seq_lens)))
 
     def recompute_time(self, num_tokens: float) -> float:
         """Time to recompute the KV projections of ``num_tokens`` tokens."""
@@ -203,16 +208,7 @@ class _FastObjective:
         steps = np.arange(self.n)
         seq = s + steps + 1
 
-        # Vectorized SWAConfig.split_budget over every decode step.
-        total = np.floor(seq * swa.caching_ratio + 0.5).astype(np.int64)
-        total = np.minimum(np.maximum(2, total), seq)
-        num_local = np.floor(total * swa.local_fraction + 0.5).astype(np.int64)
-        num_local = np.minimum(np.maximum(1, num_local), seq)
-        num_global = np.maximum(0, np.minimum(total - num_local,
-                                              seq - num_local))
-        bump = (num_global == 0) & (seq > num_local) & (total > num_local)
-        num_global = np.where(bump, 1, num_global)
-
+        num_local, num_global = swa.split_budget_batch(seq)
         self.num_global = num_global.astype(np.float64)
         # Steps running in Phase II or III (Phase I moves nothing).
         self.off_phase = (steps >= phase2_step) | (seq > gpu_budget)
@@ -225,10 +221,8 @@ class _FastObjective:
         # Per-step GPU compute time is candidate-independent: precompute the
         # whole-run total once (through the shared ProfileTable cache,
         # bulk-filled array-wise).
-        profile.ensure_compute_range(seq)
-        self.compute_total = float(
-            sum(profile.compute_time(int(q)) for q in seq)
-        )
+        seq_list = seq.tolist()
+        self.compute_total = profile.total_compute_time(seq_list)
         per_token = cost_model.kv_bytes_per_token(workload.batch_size,
                                                   kv_dtype)
         self._transfer_per_token = \
@@ -236,7 +230,7 @@ class _FastObjective:
         self._cost_model = cost_model
         self._batch_size = workload.batch_size
         # Python-list views for the Phase III scalar recurrence.
-        self._seq_list = seq.tolist()
+        self._seq_list = seq_list
         self._num_local_list = num_local.tolist()
 
     def _cpu_deleted(self, alpha: float, beta: float,
@@ -275,7 +269,12 @@ class _FastObjective:
     def cost(self, alpha: float, beta: float, phase3_step: int) -> float:
         """Objective of Equation 5 for one ``(alpha, beta, p2)`` candidate."""
         cpu, deleted = self._cpu_deleted(alpha, beta, phase3_step)
-        offload = np.maximum(0, np.diff(cpu, prepend=self.prefill_cpu))
+        # Growth of the CPU-resident share over the previous step (the
+        # post-prefill placement before step 0).
+        offload = np.empty_like(cpu)
+        offload[0] = cpu[0] - self.prefill_cpu
+        np.subtract(cpu[1:], cpu[:-1], out=offload[1:])
+        offload = np.maximum(0, offload)
         load = self.num_global * (cpu / self.non_local_total)
         moved = float(load.sum() + offload.sum())
         transfer = moved * self._transfer_per_token

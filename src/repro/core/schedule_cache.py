@@ -168,7 +168,11 @@ class CachedSchedule:
         )
 
     def distance(self, workload: Workload) -> float:
-        """Relative shape distance used to pick warm-start seeds."""
+        """Relative shape distance used to pick warm-start seeds.
+
+        :meth:`ScheduleCache.nearest` inlines this formula; the two must
+        stay term-for-term identical.
+        """
         def _rel(a: int, b: int) -> float:
             return abs(a - b) / max(a, b, 1)
 
@@ -261,12 +265,19 @@ class ScheduleCache:
     def nearest(self, context: tuple,
                 workload: Workload) -> CachedSchedule | None:
         """Closest solved canonical entry in the same context, if any."""
+        # CachedSchedule.distance, inlined (same terms, same order): this
+        # scan runs on every cold solve.  Ties keep the first-stored entry.
         best: CachedSchedule | None = None
         best_distance = float("inf")
+        width = len(context)
+        b, s, n = workload.batch_size, workload.input_len, workload.output_len
         for key, entry in self._canonical.items():
-            if key[:len(context)] != context:
+            if key[:width] != context:
                 continue
-            distance = entry.distance(workload)
+            eb, es, en = entry.batch_size, entry.input_len, entry.output_len
+            distance = (abs(eb - b) / max(eb, b, 1)
+                        + abs(es - s) / max(es, s, 1)
+                        + abs(en - n) / max(en, n, 1))
             if distance < best_distance:
                 best, best_distance = entry, distance
         return best

@@ -85,22 +85,51 @@ class SWAConfig:
         Applies the identical rounding (``⌊x + 0.5⌋``) and clamping rules
         elementwise, so ``split_budget_batch(seq)[...][j]`` always equals
         ``split_budget(seq[j])`` — relied on by the epoch-granular pricing
-        fast path of the system simulators.
+        fast path of the system simulators.  The split is a pure function
+        of the sequence length, so it is read from a table kept per
+        configuration (see :func:`_split_table`); the returned arrays are
+        fresh copies.
         """
         seq = np.asarray(seq_lens, dtype=np.int64)
-        if np.any(seq <= 0):
+        if not seq.size:
+            return seq.copy(), seq.copy()
+        if seq.min() <= 0:
             raise ConfigurationError("seq_len must be positive")
-        total = np.maximum(
-            2, np.floor(seq * self.caching_ratio + 0.5).astype(np.int64))
-        total = np.minimum(total, seq)
-        num_local = np.maximum(
-            1, np.floor(total * self.local_fraction + 0.5).astype(np.int64))
-        num_local = np.minimum(num_local, seq)
-        num_global = np.maximum(
-            0, np.minimum(total - num_local, seq - num_local))
-        bump = (num_global == 0) & (seq > num_local) & (total > num_local)
-        num_global = np.where(bump, 1, num_global)
-        return num_local, num_global
+        local, global_ = _split_table(self, int(seq.max()))
+        return local[seq], global_[seq]
+
+
+#: ``(caching_ratio, local_fraction) -> (num_local, num_global)`` tables
+#: indexed by sequence length (entry 0 unused), shared by equal configs.
+_SPLIT_TABLES: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _split_table(config: SWAConfig, max_seq: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The config's split table, covering at least ``1..max_seq``.
+
+    Grown geometrically (at least doubling) so a run of increasing
+    sequence lengths rebuilds it only logarithmically often.  Entries are
+    computed by the array form of :meth:`SWAConfig.split_budget`.
+    """
+    key = (config.caching_ratio, config.local_fraction)
+    table = _SPLIT_TABLES.get(key)
+    if table is not None and max_seq < table[0].size:
+        return table
+    size = max(max_seq + 1, 1024 if table is None else 2 * table[0].size)
+    seq = np.arange(size, dtype=np.int64)
+    total = np.maximum(
+        2, np.floor(seq * config.caching_ratio + 0.5).astype(np.int64))
+    total = np.minimum(total, seq)
+    num_local = np.maximum(
+        1, np.floor(total * config.local_fraction + 0.5).astype(np.int64))
+    num_local = np.minimum(num_local, seq)
+    num_global = np.maximum(0, np.minimum(total - num_local, seq - num_local))
+    bump = (num_global == 0) & (seq > num_local) & (total > num_local)
+    num_global = np.where(bump, 1, num_global)
+    table = (num_local, num_global)
+    _SPLIT_TABLES[key] = table
+    return table
 
 
 @dataclass(frozen=True)

@@ -174,6 +174,10 @@ class LLMCostModel:
                 f"node {hardware.name!r} has no interconnect; multi-GPU "
                 "execution needs one for its collective-communication terms"
             )
+        # Per-batch-size decode constants of the vectorized step formula:
+        # the qkv/out projection rooflines and the FFN time do not depend
+        # on the sequence length (see _decode_constants).
+        self._decode_constant_cache: dict[int, tuple] = {}
 
     @property
     def effective_pcie_bandwidth(self) -> float:
@@ -434,6 +438,28 @@ class LLMCostModel:
         memory_time = bytes_moved / self.hardware.gpu.hbm_bandwidth
         return np.maximum(np.maximum(compute_time, memory_time), min_time)
 
+    def _decode_constants(self, batch_size: int) -> tuple:
+        """``(qkv, out, ffn)`` times of one decode step (q = 1) at
+        ``batch_size``: the sequence-length-independent terms of
+        :meth:`attention_time_batch` and :meth:`decode_step_time_batch`,
+        priced once per batch size with the formulas of the scalar path."""
+        constants = self._decode_constant_cache.get(batch_size)
+        if constants is None:
+            h = self.config.hidden_size
+            width = self.bytes_per_element
+            b, q = batch_size, 1
+            qkv = self._roofline_time_batch(
+                np.float64(2.0 * 3.0 * b * q * h * h),
+                np.float64(3.0 * h * h * width + 4.0 * b * q * h * width),
+            )
+            out = self._roofline_time_batch(
+                np.float64(2.0 * b * q * h * h),
+                np.float64((h * h + 2.0 * b * q * h) * width),
+            )
+            constants = (qkv, out, self.ffn_time(batch_size))
+            self._decode_constant_cache[batch_size] = constants
+        return constants
+
     def attention_time_batch(self, batch_size: int, kv_lens: np.ndarray,
                              kept_kv: np.ndarray | None = None,
                              local_windows: np.ndarray | None = None) -> np.ndarray:
@@ -449,28 +475,25 @@ class LLMCostModel:
         h = self.config.hidden_size
         heads = self.config.num_heads
         width = self.bytes_per_element
+        gpu = self.hardware.gpu
         b, q = batch_size, 1
 
-        qkv = self._roofline_time_batch(
-            np.float64(2.0 * 3.0 * b * q * h * h),
-            np.float64(3.0 * h * h * width + 4.0 * b * q * h * width),
-        )
-        qk = self._roofline_time_batch(
-            2.0 * b * q * kept * h,
-            (b * kept * h + b * q * h + b * heads * q * kept) * width,
-        )
+        qkv, out, _ = self._decode_constants(batch_size)
+        # QK^T and AV share their FLOP count and the K/V + query byte
+        # prefix; QK^T also reads the attention weights.
+        matmul_flop_time = (2.0 * b * q * kept * h) / gpu.effective_flops
+        kv_query_bytes = b * kept * h + b * q * h
+        qk = np.maximum(np.maximum(
+            matmul_flop_time,
+            (kv_query_bytes + b * heads * q * kept) * width / gpu.hbm_bandwidth),
+            2e-6)
         soft = self._roofline_time_batch(
             5.0 * b * heads * q * kept,
             2.0 * b * heads * q * kept * width,
         )
-        av = self._roofline_time_batch(
-            2.0 * b * q * kept * h,
-            (b * kept * h + b * q * h) * width,
-        )
-        out = self._roofline_time_batch(
-            np.float64(2.0 * b * q * h * h),
-            np.float64((h * h + 2.0 * b * q * h) * width),
-        )
+        av = np.maximum(np.maximum(
+            matmul_flop_time, kv_query_bytes * width / gpu.hbm_bandwidth),
+            2e-6)
         dense_total = qkv + qk + soft + av + out
         if local_windows is None:
             return dense_total
@@ -481,11 +504,10 @@ class LLMCostModel:
             b * heads * window * kv_len * width,
             min_time=10e-6,
         )
-        gather = self._roofline_time_batch(
-            np.zeros_like(kv_len),
-            2.0 * 2.0 * b * kept * h * width,
-            min_time=10e-6,
-        )
+        # A FLOP-free gather: its compute-time term is 0.0, which never
+        # wins the roofline maximum over a non-negative memory time.
+        gather = np.maximum(
+            2.0 * 2.0 * b * kept * h * width / gpu.hbm_bandwidth, 10e-6)
         swa_total = qkv + local + gather + qk + soft + av + out
         return np.where(window > 0, swa_total, dense_total)
 
@@ -495,7 +517,8 @@ class LLMCostModel:
         """Vectorized :meth:`decode_step_time` over per-step arrays."""
         attention = self.attention_time_batch(batch_size, kv_lens, kept_kv,
                                               local_windows)
-        base = self.config.num_layers * (attention + self.ffn_time(batch_size))
+        ffn = self._decode_constants(batch_size)[2]
+        base = self.config.num_layers * (attention + ffn)
         return self._parallel_forward_time(base, batch_size, query_len=1)
 
     def quantize_time_batch(self, batch_size: int,

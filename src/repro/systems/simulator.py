@@ -386,59 +386,87 @@ class InferenceSimulator(ABC):
         num_steps = plan.num_steps
         if link is None:
             link = PCIeLink(self.hardware.node_pcie_bandwidth)
-
-        def filled(values: np.ndarray | None) -> np.ndarray:
-            return np.zeros(num_steps) if values is None else values
+        cost = self.cost_model
+        batch = workload.batch_size
+        # Only the terms the plan has are priced.  An absent (``None``) or
+        # all-zero token array prices to exactly 0.0 at every step in each
+        # formula below, and adding 0.0 to a non-negative term is an
+        # identity, so skipping it leaves every array bit-identical.
+        # Reported fields of skipped terms share one zeros array.
+        zeros = np.zeros(num_steps)
 
         seq_lens = workload.input_len + np.arange(num_steps) + 1
         per_token = self.kv_token_bytes(workload)
-        load = filled(plan.load_kv_tokens)
-        offload = filled(plan.offload_kv_tokens)
-        h2d_bytes = load * per_token + filled(plan.extra_h2d_bytes)
-        d2h_bytes = offload * per_token
-        if np.any(h2d_bytes < 0) or np.any(d2h_bytes < 0):
-            raise ConfigurationError("transfer size must be non-negative")
+        load, offload = plan.load_kv_tokens, plan.offload_kv_tokens
+        extra_h2d = plan.extra_h2d_bytes
+        reloaded = zeros if load is None else load * per_token
+        offloaded = zeros if offload is None else offload * per_token
+        h2d_bytes = reloaded if extra_h2d is None else reloaded + extra_h2d
+        h2d_any = d2h_any = False
+        if load is not None or extra_h2d is not None:
+            if (h2d_bytes < 0).any():
+                raise ConfigurationError("transfer size must be non-negative")
+            h2d_any = bool(h2d_bytes.any())
+        if offload is not None:
+            if (offloaded < 0).any():
+                raise ConfigurationError("transfer size must be non-negative")
+            d2h_any = bool(offloaded.any())
 
-        compute = self.cost_model.decode_step_time_batch(
-            workload.batch_size, seq_lens, plan.kept_kv, plan.local_windows)
-        transfer = (
-            np.where(h2d_bytes > 0,
-                     link.latency_s + h2d_bytes / link.bandwidth_bytes_per_s,
-                     0.0)
-            + np.where(d2h_bytes > 0,
-                       link.latency_s + d2h_bytes / link.bandwidth_bytes_per_s,
-                       0.0)
-        )
-        recompute = self.cost_model.recompute_time_batch(
-            workload.batch_size, np.rint(filled(plan.recompute_tokens)))
-        if self.overlap_io:
-            transfer = np.maximum(0.0, transfer - compute - recompute)
-        transfer = transfer + self.cost_model.cpu_attention_time_batch(
-            workload.batch_size, filled(plan.cpu_attention_tokens),
-            self.kv_dtype)
-        quantized = filled(plan.quantize_tokens)
-        overhead = filled(plan.extra_overhead_s) + np.where(
-            quantized > 0,
-            self.cost_model.quantize_time_batch(workload.batch_size,
-                                                np.rint(quantized)),
-            0.0)
+        compute = cost.decode_step_time_batch(
+            batch, seq_lens, plan.kept_kv, plan.local_windows)
+        transfer = None
+        for moved, active in ((h2d_bytes, h2d_any), (offloaded, d2h_any)):
+            if active:
+                term = np.where(
+                    moved > 0,
+                    link.latency_s + moved / link.bandwidth_bytes_per_s, 0.0)
+                transfer = term if transfer is None else transfer + term
+        recompute = None
+        if plan.recompute_tokens is not None:
+            recompute_tokens = np.rint(plan.recompute_tokens)
+            if recompute_tokens.any():
+                recompute = cost.recompute_time_batch(batch, recompute_tokens)
+        if self.overlap_io and transfer is not None:
+            # An absent transfer term stays 0.0: compute is always positive.
+            transfer = transfer - compute
+            if recompute is not None:
+                transfer = transfer - recompute
+            transfer = np.maximum(0.0, transfer)
+        cpu_tokens = plan.cpu_attention_tokens
+        if cpu_tokens is not None and cpu_tokens.any():
+            term = cost.cpu_attention_time_batch(batch, cpu_tokens,
+                                                 self.kv_dtype)
+            transfer = term if transfer is None else transfer + term
+        overhead = plan.extra_overhead_s
+        quantized = plan.quantize_tokens
+        if quantized is not None and quantized.any():
+            term = np.where(quantized > 0,
+                            cost.quantize_time_batch(batch,
+                                                     np.rint(quantized)),
+                            0.0)
+            overhead = term if overhead is None else overhead + term
+        total = compute
+        for term in (transfer, recompute, overhead):
+            if term is not None:
+                total = total + term
+        comm = self.parallel_comm_time(workload)
         return EpochTimings(
             sequence_lengths=seq_lens,
             phases=plan.phases,
             compute_times=compute,
-            transfer_times=transfer,
-            recompute_times=recompute,
-            overhead_times=overhead,
-            total_times=compute + transfer + recompute + overhead,
-            comm_times=np.full(num_steps, self.parallel_comm_time(workload)),
+            transfer_times=zeros if transfer is None else transfer,
+            recompute_times=zeros if recompute is None else recompute,
+            overhead_times=zeros if overhead is None else overhead,
+            total_times=total,
+            comm_times=zeros if comm == 0.0 else np.full(num_steps, comm),
             gpu_kv_bytes=plan.kv_gpu_tokens * per_token,
             cpu_kv_bytes=plan.kv_cpu_tokens * per_token,
-            bytes_offloaded=offload * per_token,
-            bytes_reloaded=load * per_token,
+            bytes_offloaded=offloaded,
+            bytes_reloaded=reloaded,
             h2d_bytes=h2d_bytes,
-            d2h_bytes=d2h_bytes,
-            h2d_any=bool(h2d_bytes.any()),
-            d2h_any=bool(d2h_bytes.any()),
+            d2h_bytes=offloaded,
+            h2d_any=h2d_any,
+            d2h_any=d2h_any,
         )
 
     def run(self, workload: Workload) -> InferenceTrace:

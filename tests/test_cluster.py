@@ -1,9 +1,13 @@
 """Tests for repro.cluster: layouts, routing, replica groups, cluster sweep."""
 
+from dataclasses import dataclass, field
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro._common import ConfigurationError
-from repro.baselines import FlexGenSystem
+from repro.baselines import FlexGenSystem, VLLMSystem
 from repro.cluster import (
     ROUTING_POLICIES,
     ClusterLayout,
@@ -20,6 +24,7 @@ from repro.hardware.presets import V100_16GB_NODE, V100_16GB_X2_NODE, multi_gpu
 from repro.serving import ContinuousBatchingEngine
 from repro.systems.cost import ParallelismSpec
 from repro.workloads.arrivals import generate_requests
+from repro.workloads.sessions import SessionRequest
 
 MODEL = "opt-6.7b"
 
@@ -161,6 +166,90 @@ class TestRouter:
         assert len(seeds) > 1  # ties genuinely resolve by the seed
 
 
+@dataclass
+class _ListReplicaLoad:
+    """Reference load ledger: the flat in-flight list the router kept
+    before its heap, re-filtered and re-summed on every read."""
+
+    in_flight: list = field(default_factory=list)
+    busy_until: float = 0.0
+    dispatched: int = 0
+
+    def add(self, finish, tokens):
+        self.in_flight.append((finish, tokens))
+
+    def retire(self, clock):
+        self.in_flight = [(finish, tokens) for finish, tokens
+                          in self.in_flight if finish > clock]
+
+    def outstanding_tokens(self, clock):
+        self.retire(clock)
+        return sum(tokens for _, tokens in self.in_flight)
+
+
+_ROUTER_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("assign"),
+                  st.floats(min_value=-0.5, max_value=2.0),  # clock step
+                  st.integers(min_value=1, max_value=64),    # input_len
+                  st.integers(min_value=1, max_value=64),    # output_len
+                  st.integers(min_value=0, max_value=4),     # session id
+                  st.booleans(),                             # final turn
+                  st.lists(st.sampled_from([0.25, 0.5, 1.0, 3.0]),
+                           min_size=3, max_size=3)),
+        st.tuples(st.sampled_from(["down", "up"]),
+                  st.integers(min_value=0, max_value=2)),
+    ),
+    max_size=60)
+
+
+class TestReplicaLoadLedger:
+    """The heap-backed JSQ ledger dispatches exactly like the list one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(policy=st.sampled_from(["jsq", "session-affinity"]),
+           seed=st.integers(min_value=0, max_value=3), ops=_ROUTER_OPS)
+    def test_heap_matches_list_reference(self, policy, seed, ops):
+        router = Router(3, policy=policy, seed=seed)
+        reference = Router(3, policy=policy, seed=seed)
+        reference._loads = [_ListReplicaLoad() for _ in range(3)]
+        clock = 0.0
+        for request_id, op in enumerate(ops):
+            if op[0] in ("down", "up"):
+                for r in (router, reference):
+                    getattr(r, f"mark_{op[0]}")(op[1])
+                continue
+            _, step, input_len, output_len, session, final, estimates = op
+            # Clocks may step back (a retry re-dispatched out of order):
+            # entries retired at a later clock stay retired.
+            clock = max(0.0, clock + step)
+            request = SessionRequest(request_id, clock, input_len,
+                                     output_len, session_id=session,
+                                     final_turn=final)
+            if len(router._down) == 3:
+                for r in (router, reference):
+                    with pytest.raises(ConfigurationError):
+                        r.assign(request, estimates)
+                continue
+            assert (router.assign(request, estimates)
+                    == reference.assign(request, estimates))
+            for load, expected in zip(router._loads, reference._loads):
+                assert (load.outstanding_tokens(clock)
+                        == expected.outstanding_tokens(clock))
+                assert load.tokens == sum(t for _, t in load.in_flight)
+        assert router.dispatch_counts == reference.dispatch_counts
+
+    def test_entries_retire_permanently(self):
+        router = Router(2, policy="jsq", seed=0)
+        load = router._loads[0]
+        load.add(1.0, 10)
+        load.add(3.0, 5)
+        assert load.outstanding_tokens(2.0) == 5
+        # An earlier clock does not resurrect the retired entry.
+        assert load.outstanding_tokens(0.5) == 5
+        assert load.outstanding_tokens(3.0) == 0
+
+
 class TestReplicaGroup:
     def test_needs_engines_and_homogeneous_system(self):
         with pytest.raises(ConfigurationError):
@@ -253,6 +342,46 @@ class TestReplicaGroup:
         expected = sum(engine.kv_budget_tokens(requests)
                        for engine in quad.engines)
         assert trace.metadata["kv_budget_tokens"] == expected
+
+    def test_equal_signatures_share_service_estimates(self):
+        duo = group("2x(none)", policy="jsq")
+        first, second = duo._service_estimates
+        assert first is second
+        request = generate_requests(1, rate=1.0, input_len=96,
+                                    output_len=48)[0]
+        estimate = duo.estimate_service_time(0, request)
+        assert first == {(96, 48): estimate}
+        assert duo.estimate_service_time(1, request) == estimate
+
+    def test_different_signatures_keep_separate_estimates(self):
+        engines = [
+            ContinuousBatchingEngine(VLLMSystem(MODEL, node))
+            for node in (V100_16GB_NODE, multi_gpu(V100_16GB_NODE, 2))]
+        mixed = ReplicaGroup(engines, policy="jsq")
+        first, second = mixed._service_estimates
+        assert first is not second
+        request = generate_requests(1, rate=1.0, input_len=96,
+                                    output_len=48)[0]
+        assert (mixed.estimate_service_time(0, request)
+                != mixed.estimate_service_time(1, request))
+        assert len(first) == len(second) == 1
+
+    @pytest.mark.parametrize("policy", ["jsq", "least-loaded",
+                                        "session-affinity"])
+    def test_shared_estimates_dispatch_like_per_replica_ones(self, policy):
+        requests = generate_requests(40, rate=16.0, pattern="bursty",
+                                     seed=7)
+        shared = group("3x(none)", policy=policy)
+        separate = group("3x(none)", policy=policy)
+        separate._service_estimates = [{} for _ in separate.engines]
+        assert shared.route(requests) == separate.route(requests)
+        shared_trace = group("3x(none)", policy=policy).serve(requests)
+        separate = group("3x(none)", policy=policy)
+        separate._service_estimates = [{} for _ in separate.engines]
+        separate_trace = separate.serve(requests)
+        assert (shared_trace.metadata["routing"]["dispatch_counts"]
+                == separate_trace.metadata["routing"]["dispatch_counts"])
+        assert shared_trace.records == separate_trace.records
 
     def test_scheduler_stats_summed_across_replicas(self):
         requests = generate_requests(12, rate=16.0, input_len=128,

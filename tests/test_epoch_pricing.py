@@ -8,11 +8,14 @@ shapes, and random workloads (hypothesis), and pin the serving/offline
 traces against the ``exact_stepping=True`` escape hatch.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._common import ConfigurationError
 from repro.baselines import (
     AccelerateSystem,
     DeepSpeedZeroSystem,
@@ -41,6 +44,10 @@ SYSTEM_BUILDERS = {
     "alisa": lambda hw, **kw: AlisaSystem(MODEL, hw, kv_sparsity=0.8, **kw),
     "alisa-static": lambda hw, **kw: AlisaSystem(
         MODEL, hw, kv_sparsity=0.8, use_dynamic_scheduling=False, **kw),
+    # A fixed schedule entering Phase III early, so epochs recompute.
+    "alisa-recompute": lambda hw, **kw: AlisaSystem(
+        MODEL, hw, kv_sparsity=0.8,
+        scheduler_config=SchedulerConfig(0.7, 0.4, 0, 5), **kw),
 }
 
 SHARD_SHAPES = {
@@ -144,12 +151,117 @@ class TestEpochTimingsMatchStepLoop:
             expected = np.array([getattr(p, field) for p in plans])
             assert np.array_equal(values, expected), field
 
+    def test_split_table_matches_scalar_as_it_grows(self):
+        # Two configs interleaved in one process, each queried past its
+        # table's current size so the table regrows between checks.
+        configs = [SWAConfig(0.23), SWAConfig(0.41, local_fraction=0.3)]
+        for size in (40, 1500, 5000):
+            for swa in configs:
+                seq = np.arange(1, size + 1)
+                local, global_ = swa.split_budget_batch(seq)
+                assert [tuple(pair) for pair in zip(local.tolist(),
+                                                    global_.tolist())] \
+                    == [swa.split_budget(q) for q in range(1, size + 1)]
+
+    def test_split_table_unsorted_input_and_errors(self):
+        swa = SWAConfig.from_sparsity(0.7)
+        seq = np.random.default_rng(0).integers(1, 9000, size=300)
+        local, global_ = swa.split_budget_batch(seq)
+        assert local.dtype == global_.dtype == np.int64
+        for q, pair in zip(seq.tolist(), zip(local.tolist(),
+                                             global_.tolist())):
+            assert pair == swa.split_budget(q)
+        # The caller owns the returned arrays: mutating one leaves the
+        # table intact.
+        local[:] = -1
+        assert swa.split_budget_batch(seq)[0].tolist() == [
+            swa.split_budget(q)[0] for q in seq.tolist()]
+        for bad in ([3, 0, 5], [-2]):
+            with pytest.raises(ConfigurationError):
+                swa.split_budget_batch(np.array(bad))
+        empty = swa.split_budget_batch(np.array([], dtype=np.int64))
+        assert [a.size for a in empty] == [0, 0]
+
     def test_split_budget_batch_matches_scalar(self):
         swa = SWAConfig.from_sparsity(0.8)
         seq = np.arange(1, 2000)
         local, global_ = swa.split_budget_batch(seq)
         for j in (0, 1, 5, 123, 998, 1998):
             assert (local[j], global_[j]) == swa.split_budget(int(seq[j]))
+
+
+#: EpochPlan token-movement fields whose ``None`` means "all zeros".
+ZERO_DEFAULT_FIELDS = ("load_kv_tokens", "offload_kv_tokens",
+                       "recompute_tokens", "quantize_tokens",
+                       "cpu_attention_tokens", "extra_h2d_bytes",
+                       "extra_overhead_s")
+
+TIMING_FIELDS = ("sequence_lengths", "compute_times", "transfer_times",
+                 "recompute_times", "overhead_times", "total_times",
+                 "comm_times", "gpu_kv_bytes", "cpu_kv_bytes",
+                 "bytes_offloaded", "bytes_reloaded", "h2d_bytes",
+                 "d2h_bytes")
+
+
+class TestAbsentTermsSkipped:
+    """``epoch_timings`` prices only the terms a plan has.
+
+    Replacing every absent (``None``) token array with explicit zeros must
+    not change a single priced value: skipping a term is an identity.  The
+    skipped pricing also matches the step loop, which prices every term.
+    """
+
+    @pytest.mark.parametrize("kv_dtype", ["fp16", "int8"])
+    @pytest.mark.parametrize("shard", sorted(SHARD_SHAPES))
+    @pytest.mark.parametrize("system", sorted(SYSTEM_BUILDERS))
+    def test_explicit_zeros_price_identically(self, system, shard,
+                                              kv_dtype):
+        # Small, offloading and heavily offloading shapes.
+        for shape in ((1, 64, 16), (32, 1024, 64), (64, 1500, 100)):
+            workload = Workload(*shape, "skip")
+            simulator = build_system(system, shard, kv_dtype=kv_dtype)
+            simulator.prepare(workload)
+            simulator.plan_prefill(workload)
+            skipped = simulator.epoch_timings(workload)
+            reference, _ = stepwise_reference(
+                build_system(system, shard, kv_dtype=kv_dtype), workload)
+            for name, field in (("transfer_times", "transfer_time"),
+                                ("recompute_times", "recompute_time"),
+                                ("overhead_times", "overhead_time"),
+                                ("total_times", "total_time")):
+                assert np.array_equal(
+                    getattr(skipped, name),
+                    [getattr(t, field) for t in reference]), (shape, name)
+
+            planned = simulator.plan_decode_epoch
+
+            def explicit_zeros(workload, _planned=planned):
+                plan = _planned(workload)
+                return replace(plan, **{
+                    name: np.zeros(plan.num_steps)
+                    for name in ZERO_DEFAULT_FIELDS
+                    if getattr(plan, name) is None})
+
+            simulator.plan_decode_epoch = explicit_zeros
+            full = simulator.epoch_timings(workload)
+            assert full.phases == skipped.phases
+            for name in TIMING_FIELDS:
+                assert np.array_equal(getattr(full, name),
+                                      getattr(skipped, name)), (shape, name)
+            assert (full.h2d_any, full.d2h_any) \
+                == (skipped.h2d_any, skipped.d2h_any)
+            assert full.h2d_any == bool(np.any(full.h2d_bytes))
+            assert full.d2h_any == bool(np.any(full.d2h_bytes))
+
+    def test_negative_transfer_still_rejected(self):
+        simulator = build_system("vllm")
+        workload = Workload(2, 32, 8, "negative")
+        simulator.prepare(workload)
+        planned = simulator.plan_decode_epoch
+        simulator.plan_decode_epoch = lambda w: replace(
+            planned(w), offload_kv_tokens=np.full(w.output_len, -1.0))
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            simulator.epoch_timings(workload)
 
 
 class TestServingFastPathGoldenPins:

@@ -151,6 +151,35 @@ class TestScheduleCache:
         assert cache.nearest(("a",), workload) is entry
         assert cache.nearest(("b",), workload) is None
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(st.sampled_from([("a",), ("b",), ("a", "x")]),
+                      st.sampled_from([1, 2, 8]),
+                      st.sampled_from([64, 128, 256]),
+                      st.sampled_from([32, 128])),
+            max_size=12),
+        query=st.tuples(st.sampled_from([1, 2, 8]),
+                        st.sampled_from([64, 96, 256]),
+                        st.sampled_from([32, 100, 128])),
+        context=st.sampled_from([("a",), ("b",), ("c",)]),
+    )
+    def test_nearest_matches_reference_scan(self, entries, query, context):
+        # Few distinct shapes, so equal distances (ties) are common; each
+        # entry gets its own key, so duplicates stay separate entries.
+        cache = ScheduleCache()
+        for index, (ctx, b, s, n) in enumerate(entries):
+            cache.store_canonical(ctx + (index,), CachedSchedule.from_config(
+                SchedulerConfig(0.5, 0.0, 0, 0), Workload(b, s, n, "w"),
+                100, 1.0))
+        workload = Workload(*query, "q")
+        expected, best = None, float("inf")
+        for key, entry in cache._canonical.items():
+            if key[:len(context)] == context \
+                    and entry.distance(workload) < best:
+                expected, best = entry, entry.distance(workload)
+        assert cache.nearest(context, workload) is expected
+
     def test_canonical_rejects_raw_configs(self):
         cache = ScheduleCache()
         with pytest.raises(ConfigurationError):
