@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import statistics
 import time
 import tracemalloc
 
@@ -224,35 +225,42 @@ def test_bench_fault_recovery(benchmark):
 def test_bench_observer_overhead(benchmark):
     """A no-op observer costs at most 5% over the unobserved serve.
 
-    Every engine hook site is guarded by one ``if`` on the observer list,
-    so the unobserved path is instruction-identical to the
-    pre-observability core; with a no-op :class:`~repro.obs.Observer`
-    attached the only cost is the callback dispatch.  Min-of-N timing on
-    both sides keeps the comparison robust to CI noise.
+    Every engine hook site is guarded by one ``if``, so the unobserved
+    path is instruction-identical to the pre-observability core; with a
+    no-op :class:`~repro.obs.Observer` attached the engine and driver
+    leave its inherited no-op callbacks out of their per-request and
+    per-epoch dispatch.  The serve is large enough (~10 ms) to sit well
+    above timer noise.  Each serve is timed in process CPU time, so time
+    the process spends descheduled on a shared machine is not counted,
+    and the two serves alternate, so the median ratio of adjacent pairs
+    is robust to the machine's speed drifting.
     """
-    requests = generate_requests(24, rate=16.0, input_len=256,
+    requests = generate_requests(800, rate=16.0, input_len=256,
                                  output_len=128, seed=0)
     engine = ContinuousBatchingEngine(
         VLLMSystem("opt-6.7b", V100_16GB_NODE))
     observer = Observer()
 
-    def min_of(serve_kwargs, rounds=7):
-        best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            engine.serve(requests, **serve_kwargs)
-            best = min(best, time.perf_counter() - start)
-        return best
+    def timed(serve_kwargs):
+        start = time.process_time()
+        engine.serve(requests, **serve_kwargs)
+        return time.process_time() - start
 
     engine.serve(requests)  # warm the pricing caches once
-    base_min = min_of({})
-    observed_min = min_of({"observers": [observer]})
-    benchmark.extra_info["base_min_s"] = base_min
-    benchmark.extra_info["observed_min_s"] = observed_min
-    overhead = observed_min / base_min - 1.0
+    base, observed = [], []
+    for pair in range(20):
+        if pair % 2:
+            observed.append(timed({"observers": [observer]}))
+            base.append(timed({}))
+        else:
+            base.append(timed({}))
+            observed.append(timed({"observers": [observer]}))
+    overhead = statistics.median(
+        o / b for o, b in zip(observed, base)) - 1.0
+    benchmark.extra_info["base_min_s"] = min(base)
+    benchmark.extra_info["observed_min_s"] = min(observed)
     benchmark.extra_info["overhead_fraction"] = overhead
-    # 200us epsilon absorbs timer granularity on sub-ms serves.
-    assert observed_min <= base_min * 1.05 + 2e-4, (
+    assert overhead <= 0.05, (
         f"no-op observer overhead {overhead:+.1%} exceeds the 5% budget")
     benchmark.pedantic(engine.serve, args=(requests,),
                        kwargs={"observers": [observer]},

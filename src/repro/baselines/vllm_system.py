@@ -55,6 +55,9 @@ class VLLMSystem(InferenceSimulator):
         self.block_size = block_size
         self._concurrent = 1
         self._waves = 1
+        # Resident-sequence capacity per (input_len, output_len): a pure
+        # function of the lengths and this simulator.
+        self._sequence_capacity: dict[tuple[int, int], int | None] = {}
 
     # ------------------------------------------------------------------ #
     def _blocks_per_sequence(self, workload: Workload) -> int:
@@ -62,16 +65,23 @@ class VLLMSystem(InferenceSimulator):
 
     def concurrent_sequences(self, workload: Workload) -> int:
         """How many sequences the paged allocator can keep resident at once."""
-        per_sequence_workload = Workload(
-            batch_size=1, input_len=workload.input_len,
-            output_len=workload.output_len, name="per-seq",
-        )
-        budget_tokens = self.gpu_kv_budget_tokens(per_sequence_workload)
-        budget_blocks = budget_tokens // self.block_size
-        per_seq_blocks = self._blocks_per_sequence(workload)
-        if per_seq_blocks <= 0:
+        lengths = (workload.input_len, workload.output_len)
+        if lengths in self._sequence_capacity:
+            capacity = self._sequence_capacity[lengths]
+        else:
+            per_sequence_workload = Workload(
+                batch_size=1, input_len=workload.input_len,
+                output_len=workload.output_len, name="per-seq",
+            )
+            budget_tokens = self.gpu_kv_budget_tokens(per_sequence_workload)
+            budget_blocks = budget_tokens // self.block_size
+            per_seq_blocks = self._blocks_per_sequence(workload)
+            capacity = (None if per_seq_blocks <= 0
+                        else budget_blocks // per_seq_blocks)
+            self._sequence_capacity[lengths] = capacity
+        if capacity is None:
             return workload.batch_size
-        return max(1, min(workload.batch_size, budget_blocks // per_seq_blocks))
+        return max(1, min(workload.batch_size, capacity))
 
     def prepare(self, workload: Workload) -> None:
         self._concurrent = self.concurrent_sequences(workload)

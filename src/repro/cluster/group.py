@@ -31,7 +31,7 @@ from repro.hardware.presets import (
 )
 from repro.serving.engine import ContinuousBatchingEngine
 from repro.serving.events import check_observers, drive, notify_finish
-from repro.systems.cost import ParallelismSpec
+from repro.systems.cost import LLMCostModel, ParallelismSpec
 from repro.systems.simulator import InferenceSimulator
 from repro.workloads.arrivals import Request, RequestStream
 
@@ -99,17 +99,25 @@ class ReplicaGroup:
         epochs stay per replica unless the exact schedule policy is in
         force.  Schedule caches are never shared.
 
-        Router service estimates depend on the cost model alone, so every
-        replica with an equal ``pricing_signature`` reads one estimate
-        dict, whatever its admission knobs.
+        Router service estimates and decode-step time tables depend on
+        the cost model alone, so every replica with an equal
+        ``pricing_signature`` reads one estimate dict and one set of step
+        tables, whatever its admission knobs.  That includes ALISA
+        replicas: their priced epochs depend on solver history, but the
+        compute time of a step does not.
         """
         leaders: dict[tuple, ContinuousBatchingEngine] = {}
         estimates: dict[tuple, dict[tuple[int, int], float]] = {}
+        cost_models: dict[tuple, LLMCostModel] = {}
         self._service_estimates: list[dict[tuple[int, int], float]] = []
         for engine in self.engines:
             signature = engine.simulator.pricing_signature()
             self._service_estimates.append(
                 estimates.setdefault(signature, {}))
+            cost_model = engine.simulator.cost_model
+            step_leader = cost_models.setdefault(signature, cost_model)
+            if step_leader is not cost_model:
+                cost_model.adopt_step_tables(step_leader)
             key = (signature, engine.max_batch_size, engine.reserve_fraction)
             leader = leaders.setdefault(key, engine)
             if leader is not engine:

@@ -104,9 +104,12 @@ class AlisaSystem(InferenceSimulator):
         self._scheduler: DynamicScheduler | None = None
         self._solution: ScheduleSolution | None = None
         self._static_cpu_fraction = 0.0
-        # Profile caches shared across re-solves, keyed by batch size (the
-        # only workload dimension the per-sequence-length costs depend on).
-        self._profile_caches: dict[int, tuple[dict, dict]] = {}
+        # Recompute-time caches shared across re-solves, keyed by batch
+        # size (the only workload dimension they depend on), and the p2
+        # candidate lists of each (p1, n).  Step compute times live in the
+        # cost model's step table.
+        self._recompute_caches: dict[int, dict] = {}
+        self._p2_candidate_cache: dict[tuple, list[int]] = {}
         # Namespaces cache keys so one ScheduleCache can back many systems.
         # The shard shape (parallelism mode/degree/microbatching) and the
         # bandwidth/latency numbers that price a schedule are part of the
@@ -160,11 +163,11 @@ class AlisaSystem(InferenceSimulator):
     # incremental schedule re-solve (see repro.core.schedule_cache)
     # ------------------------------------------------------------------ #
     def _make_optimizer(self, workload: Workload) -> SchedulerOptimizer:
-        caches = self._profile_caches.setdefault(workload.batch_size,
-                                                 ({}, {}))
-        optimizer = SchedulerOptimizer(self.cost_model, workload, self.swa,
-                                       kv_dtype=self.kv_dtype,
-                                       profile_caches=caches)
+        optimizer = SchedulerOptimizer(
+            self.cost_model, workload, self.swa, kv_dtype=self.kv_dtype,
+            recompute_cache=self._recompute_caches.setdefault(
+                workload.batch_size, {}),
+            p2_candidate_cache=self._p2_candidate_cache)
         if not self.enable_recomputation:
             optimizer.beta_grid = (0.0,)
         return optimizer
@@ -337,6 +340,7 @@ class AlisaSystem(InferenceSimulator):
                 offload_kv_tokens=epoch.offload_tokens,
                 recompute_tokens=epoch.recompute_tokens,
                 quantize_tokens=moved if self.use_compression else None,
+                swa_split=self.swa,
             )
 
         # Static ablation: fixed split, sparse attention, no recomputation
@@ -360,6 +364,7 @@ class AlisaSystem(InferenceSimulator):
             load_kv_tokens=load_tokens,
             offload_kv_tokens=newly_offloaded,
             quantize_tokens=moved if self.use_compression else None,
+            swa_split=self.swa,
         )
 
     def pricing_is_shape_pure(self) -> bool:

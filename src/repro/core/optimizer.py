@@ -12,8 +12,10 @@ This module reproduces that flow:
 * :class:`CostParameters` collects the Table II notation for one run;
 * :func:`gpu_kv_budget_tokens` solves the capacity constraint, yielding
   ``p1`` (the step at which KV tensors stop fitting in GPU memory);
-* :class:`ProfileTable` plays the role of the paper's offline profiling,
-  caching compute/recompute times from the analytic cost model;
+* :class:`ProfileTable` plays the role of the paper's offline profiling:
+  step compute times come from the cost model's step table
+  (:meth:`~repro.systems.cost.LLMCostModel.decode_step_times`) and
+  recompute times are cached;
 * :class:`SchedulerOptimizer` performs the grid/greedy search over
   ``alpha``, ``beta``, and ``p2`` and returns the best
   :class:`~repro.core.scheduler.SchedulerConfig`.
@@ -98,67 +100,32 @@ def phase1_end_step(budget_tokens: int, workload: Workload) -> int:
     does for the data-transfer sub-problem.
     """
     first_overflow = budget_tokens - workload.input_len
-    return int(np.clip(first_overflow, 0, workload.output_len))
+    return min(max(first_overflow, 0), workload.output_len)
 
 
 class ProfileTable:
-    """Cached compute/recompute/transfer costs (the paper's offline profiling).
+    """Compute/recompute/transfer costs (the paper's offline profiling).
 
-    The caches may be shared across :class:`ProfileTable` instances of the
-    same batch size and SWA configuration (sequence-length cost entries are
-    shape-independent otherwise), which lets repeated serving re-solves skip
-    re-profiling overlapping sequence ranges.
+    Step compute times are read from the cost model's step table, priced
+    once per batch size and SWA configuration.  The recompute cache may be
+    shared across :class:`ProfileTable` instances of the same batch size,
+    which lets repeated serving re-solves skip re-profiling it.
     """
 
     def __init__(self, cost_model: LLMCostModel, workload: Workload,
                  swa: SWAConfig, kv_dtype: str = "fp16",
-                 shared_caches: tuple[dict, dict] | None = None) -> None:
+                 recompute_cache: dict | None = None) -> None:
         self.cost_model = cost_model
         self.workload = workload
         self.swa = swa
         self.kv_dtype = kv_dtype
-        if shared_caches is not None:
-            self._compute_cache, self._recompute_cache = shared_caches
-        else:
-            self._compute_cache = {}
-            self._recompute_cache = {}
+        self._recompute_cache = ({} if recompute_cache is None
+                                 else recompute_cache)
 
     def compute_time(self, sequence_length: int) -> float:
         """GPU compute time of one decoding step at the given sequence length."""
-        if sequence_length not in self._compute_cache:
-            num_local, num_global = self.swa.split_budget(sequence_length)
-            self._compute_cache[sequence_length] = self.cost_model.decode_step_time(
-                self.workload.batch_size,
-                kv_len=sequence_length,
-                kept_kv=num_local + num_global,
-                local_window=num_local,
-            )
-        return self._compute_cache[sequence_length]
-
-    def ensure_compute_range(self, seq_lens: np.ndarray | list[int]) -> None:
-        """Bulk-fill the compute cache for ``seq_lens`` in one array pass.
-
-        Prices every uncached sequence length through the cost model's
-        vectorized step formula — bit-identical to :meth:`compute_time`'s
-        scalar path, so callers see the same values either way, just
-        without a Python pricing call per sequence length.
-        """
-        if isinstance(seq_lens, np.ndarray):
-            seq_lens = seq_lens.tolist()
-        missing = sorted(set(seq_lens).difference(self._compute_cache))
-        if not missing:
-            return
-        seq = np.asarray(missing, dtype=np.int64)
-        num_local, num_global = self.swa.split_budget_batch(seq)
-        times = self.cost_model.decode_step_time_batch(
-            self.workload.batch_size, seq,
-            kept_kv=num_local + num_global, local_windows=num_local)
-        self._compute_cache.update(zip(missing, times.tolist()))
-
-    def total_compute_time(self, seq_lens: list[int]) -> float:
-        """Summed :meth:`compute_time` over ``seq_lens``, in list order."""
-        self.ensure_compute_range(seq_lens)
-        return float(sum(map(self._compute_cache.__getitem__, seq_lens)))
+        return float(self.cost_model.decode_step_times(
+            self.workload.batch_size, sequence_length, 1, self.swa)[0])
 
     def recompute_time(self, num_tokens: float) -> float:
         """Time to recompute the KV projections of ``num_tokens`` tokens."""
@@ -200,8 +167,8 @@ class _FastObjective:
     """
 
     def __init__(self, cost_model: LLMCostModel, workload: Workload,
-                 swa: SWAConfig, profile: ProfileTable, kv_dtype: str,
-                 gpu_budget: int, phase2_step: int) -> None:
+                 swa: SWAConfig, kv_dtype: str, gpu_budget: int,
+                 phase2_step: int) -> None:
         self.n = workload.output_len
         self.budget = gpu_budget
         s = workload.input_len
@@ -218,11 +185,11 @@ class _FastObjective:
         self.non_local_total = np.maximum(1, seq - num_local)
         self.prefill_cpu = max(0, s - gpu_budget)
 
-        # Per-step GPU compute time is candidate-independent: precompute the
-        # whole-run total once (through the shared ProfileTable cache,
-        # bulk-filled array-wise).
-        seq_list = seq.tolist()
-        self.compute_total = profile.total_compute_time(seq_list)
+        # Per-step GPU compute time is candidate-independent: sum the
+        # whole run once from the cost model's step table, in ascending
+        # sequence-length order.
+        self.compute_total = sum(cost_model.decode_step_times(
+            workload.batch_size, s + 1, self.n, swa).tolist())
         per_token = cost_model.kv_bytes_per_token(workload.batch_size,
                                                   kv_dtype)
         self._transfer_per_token = \
@@ -230,18 +197,26 @@ class _FastObjective:
         self._cost_model = cost_model
         self._batch_size = workload.batch_size
         # Python-list views for the Phase III scalar recurrence.
-        self._seq_list = seq_list
+        self._seq_list = seq.tolist()
         self._num_local_list = num_local.tolist()
+        # Phase I/II CPU-resident counts per alpha (candidate-independent
+        # otherwise); a candidate with a Phase III suffix edits a copy.
+        self._phase2_cpu: dict[float, np.ndarray] = {}
 
-    def _cpu_deleted(self, alpha: float, beta: float,
-                     phase3_step: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-step CPU-resident and deleted token counts for a candidate."""
-        target = np.floor(alpha * self.non_local0 + 0.5).astype(np.int64)
-        target = np.minimum(np.maximum(target, self.min_cpu0),
-                            self.non_local0)
-        cpu = np.where(self.off_phase, target, 0)
-        deleted = np.zeros(self.n, dtype=np.int64)
+    def _cpu_deleted(self, alpha: float, beta: float, phase3_step: int
+                     ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Per-step CPU-resident and deleted token counts for a candidate
+        (``None`` deleted counts when nothing is ever deleted)."""
+        cpu = self._phase2_cpu.get(alpha)
+        if cpu is None:
+            target = np.floor(alpha * self.non_local0 + 0.5).astype(np.int64)
+            target = np.minimum(np.maximum(target, self.min_cpu0),
+                                self.non_local0)
+            cpu = self._phase2_cpu[alpha] = np.where(self.off_phase, target, 0)
+        deleted = None
         if beta > 0.0 and phase3_step < self.n:
+            cpu = cpu.copy()
+            deleted = np.zeros(self.n, dtype=np.int64)
             seq_list, local_list = self._seq_list, self._num_local_list
             budget = self.budget
             d = 0
@@ -279,7 +254,7 @@ class _FastObjective:
         moved = float(load.sum() + offload.sum())
         transfer = moved * self._transfer_per_token
         recompute = 0.0
-        if deleted[-1] > 0:
+        if deleted is not None and deleted[-1] > 0:
             recompute_tokens = np.rint(
                 self.num_global * (deleted / self.non_local_total)
             )
@@ -297,7 +272,8 @@ class SchedulerOptimizer:
                  alpha_grid: tuple[float, ...] = (0.3, 0.5, 0.7, 0.9, 1.0),
                  beta_grid: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6),
                  num_p2_candidates: int = 5,
-                 profile_caches: tuple[dict, dict] | None = None) -> None:
+                 recompute_cache: dict | None = None,
+                 p2_candidate_cache: dict | None = None) -> None:
         self.cost_model = cost_model
         self.workload = workload
         self.swa = swa
@@ -306,7 +282,11 @@ class SchedulerOptimizer:
         self.beta_grid = beta_grid
         self.num_p2_candidates = num_p2_candidates
         self.profile = ProfileTable(cost_model, workload, swa, kv_dtype,
-                                    shared_caches=profile_caches)
+                                    recompute_cache=recompute_cache)
+        # ``(p1, n, count) -> p2 candidates``; the owning system keeps one
+        # across re-solves.
+        self._p2_candidate_cache = ({} if p2_candidate_cache is None
+                                    else p2_candidate_cache)
 
     # ------------------------------------------------------------------ #
     def estimate_plan_time(self, plans: list[StepPlan]) -> float:
@@ -330,8 +310,6 @@ class SchedulerOptimizer:
         """Run the search and return the best scheduler configuration."""
         gpu_budget = gpu_kv_budget_tokens(self.cost_model, self.workload,
                                           self.kv_dtype, weights_on_gpu)
-        self.profile.ensure_compute_range(
-            self.workload.input_len + np.arange(self.workload.output_len) + 1)
         p1 = phase1_end_step(gpu_budget, self.workload)
         p2_candidates = self._p2_candidates(p1)
 
@@ -362,15 +340,19 @@ class SchedulerOptimizer:
     # incremental search (vectorized objective, optional warm start)
     # ------------------------------------------------------------------ #
     def _p2_candidates(self, p1: int) -> list[int]:
-        return sorted({
-            int(p)
-            for p in np.linspace(p1, self.workload.output_len,
-                                 self.num_p2_candidates)
-        })
+        key = (p1, self.workload.output_len, self.num_p2_candidates)
+        candidates = self._p2_candidate_cache.get(key)
+        if candidates is None:
+            candidates = self._p2_candidate_cache[key] = sorted({
+                int(p)
+                for p in np.linspace(p1, self.workload.output_len,
+                                     self.num_p2_candidates)
+            })
+        return candidates
 
     def _make_objective(self, gpu_budget: int, p1: int) -> _FastObjective:
         return _FastObjective(self.cost_model, self.workload, self.swa,
-                              self.profile, self.kv_dtype, gpu_budget, p1)
+                              self.kv_dtype, gpu_budget, p1)
 
     def fast_evaluate(self, config: SchedulerConfig, gpu_budget: int) -> float:
         """Vectorized counterpart of :meth:`evaluate` (same placement math)."""

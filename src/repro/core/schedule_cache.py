@@ -212,6 +212,10 @@ class ScheduleCache:
     def __init__(self) -> None:
         self._exact: dict[tuple, object] = {}
         self._canonical: dict[tuple, CachedSchedule] = {}
+        # Canonical entries of each context :meth:`nearest` has queried,
+        # by context width then context, in canonical insertion order.
+        self._by_context: dict[int, dict[tuple, dict[tuple,
+                                                    CachedSchedule]]] = {}
         self.stats = ScheduleCacheStats()
 
     def __len__(self) -> int:
@@ -220,6 +224,7 @@ class ScheduleCache:
     def clear(self) -> None:
         self._exact.clear()
         self._canonical.clear()
+        self._by_context.clear()
         self.stats = ScheduleCacheStats()
 
     # ------------------------------------------------------------------ #
@@ -261,19 +266,32 @@ class ScheduleCache:
                 "canonical entries must be CachedSchedule instances"
             )
         self._canonical[key] = entry
+        for width, contexts in self._by_context.items():
+            entries = contexts.get(key[:width])
+            if entries is not None:
+                entries[key] = entry
 
     def nearest(self, context: tuple,
                 workload: Workload) -> CachedSchedule | None:
-        """Closest solved canonical entry in the same context, if any."""
+        """Closest solved canonical entry in the same context, if any.
+
+        Scans only the entries whose key starts with ``context``, through
+        an index built on the context's first query and kept current by
+        :meth:`store_canonical` (an overwritten key keeps its position).
+        """
+        width = len(context)
+        contexts = self._by_context.setdefault(width, {})
+        entries = contexts.get(context)
+        if entries is None:
+            entries = contexts[context] = {
+                key: entry for key, entry in self._canonical.items()
+                if key[:width] == context}
         # CachedSchedule.distance, inlined (same terms, same order): this
         # scan runs on every cold solve.  Ties keep the first-stored entry.
         best: CachedSchedule | None = None
         best_distance = float("inf")
-        width = len(context)
         b, s, n = workload.batch_size, workload.input_len, workload.output_len
-        for key, entry in self._canonical.items():
-            if key[:width] != context:
-                continue
+        for entry in entries.values():
             eb, es, en = entry.batch_size, entry.input_len, entry.output_len
             distance = (abs(eb - b) / max(eb, b, 1)
                         + abs(es - s) / max(es, s, 1)

@@ -308,59 +308,67 @@ class DynamicScheduler:
         beta = self.config.recompute_ratio
         budget = self.gpu_budget_tokens
 
-        steps = np.arange(num_steps)
-        seq = self.prompt_len + steps + 1
-        num_local, num_global = self.swa.split_budget_batch(seq)
-        in_phase3 = steps >= self.config.phase3_step
-        in_phase2 = (~in_phase3) & ((steps >= self.config.phase2_step)
-                                    | (seq > budget))
-        offloading = in_phase2 | in_phase3
+        # The phases are three contiguous runs of steps.  Phase III starts
+        # at p2; Phase II at p1 or at the first step whose sequence
+        # overflows the GPU budget (the sequence grows one token a step),
+        # whichever comes first.
+        phase3_start = min(self.config.phase3_step, num_steps)
+        phase2_start = min(self.config.phase2_step,
+                           max(0, budget - self.prompt_len), phase3_start)
 
+        seq = self.prompt_len + np.arange(num_steps) + 1
+        num_local, num_global = self.swa.split_budget_batch(seq)
         tokens_cpu = np.zeros(num_steps, dtype=np.int64)
         tokens_deleted = np.zeros(num_steps, dtype=np.int64)
 
         # Phase II: nothing has been deleted yet, so the CPU-resident target
         # is a pure function of the step.
-        non_local = np.maximum(0, seq - num_local)
+        seq2 = seq[phase2_start:phase3_start]
+        non_local = np.maximum(0, seq2 - num_local[phase2_start:phase3_start])
         target_cpu = np.maximum(
             np.floor(alpha * non_local + 0.5).astype(np.int64),
-            np.maximum(0, seq - budget))
-        tokens_cpu = np.where(in_phase2, np.minimum(target_cpu, non_local),
-                              tokens_cpu)
+            np.maximum(0, seq2 - budget))
+        tokens_cpu[phase2_start:phase3_start] = np.minimum(target_cpu,
+                                                           non_local)
 
         # Phase III: the deletion recurrence (Algorithm 2's running `beta`
-        # fraction of an evolving CPU-resident set) steps sequentially.
-        deleted = 0
-        for j in range(int(self.config.phase3_step), num_steps):
-            seq_j = int(seq[j])
-            candidates = max(0, seq_j - deleted - int(num_local[j]))
-            target = max(round_half_up(alpha * candidates),
-                         max(0, seq_j - deleted - budget))
-            target = min(target, candidates)
-            target_deleted = round_half_up(beta * (target + deleted))
-            newly_deleted = min(max(0, target_deleted - deleted), target)
-            deleted += newly_deleted
-            tokens_cpu[j] = target - newly_deleted
-            tokens_deleted[j] = deleted
+        # fraction of an evolving CPU-resident set) steps sequentially,
+        # over Python ints (round_half_up of a non-negative x is
+        # int(x + 0.5)).
+        if phase3_start < num_steps:
+            cpu_run, deleted_run = [], []
+            deleted = 0
+            for seq_j, local_j in zip(seq[phase3_start:].tolist(),
+                                      num_local[phase3_start:].tolist()):
+                candidates = max(0, seq_j - deleted - local_j)
+                target = max(int(alpha * candidates + 0.5),
+                             seq_j - deleted - budget)
+                target = min(target, candidates)
+                target_deleted = int(beta * (target + deleted) + 0.5)
+                newly_deleted = min(max(0, target_deleted - deleted), target)
+                deleted += newly_deleted
+                cpu_run.append(target - newly_deleted)
+                deleted_run.append(deleted)
+            tokens_cpu[phase3_start:] = cpu_run
+            tokens_deleted[phase3_start:] = deleted_run
 
         # The step's offload is the growth of the CPU-resident share over
         # the previous plan (the post-prefill placement for step 0).
+        # Nothing moves before Phase II.
         previous_cpu = np.concatenate(([self.state.tokens_cpu],
                                        tokens_cpu[:-1]))
-        offload = np.where(offloading,
-                           np.maximum(0.0, (tokens_cpu - previous_cpu)
-                                      .astype(np.float64)),
-                           0.0)
+        offload = np.maximum(0.0, (tokens_cpu - previous_cpu)
+                             .astype(np.float64))
         non_local_total = np.maximum(1, seq - num_local)
-        load = np.where(offloading,
-                        num_global * (tokens_cpu / non_local_total), 0.0)
-        recompute = np.where(offloading,
-                             num_global * (tokens_deleted / non_local_total),
-                             0.0)
-        phases = np.where(in_phase3, PHASE_RECOMPUTE,
-                          np.where(in_phase2, PHASE_GPU_CPU, PHASE_GPU))
+        load = num_global * (tokens_cpu / non_local_total)
+        recompute = num_global * (tokens_deleted / non_local_total)
+        for moved in (offload, load, recompute):
+            moved[:phase2_start] = 0.0
+        phases = ((PHASE_GPU,) * phase2_start
+                  + (PHASE_GPU_CPU,) * (phase3_start - phase2_start)
+                  + (PHASE_RECOMPUTE,) * (num_steps - phase3_start))
         return EpochSchedule(
-            phases=tuple(phases.tolist()),
+            phases=phases,
             kept_local=num_local, kept_global=num_global,
             tokens_gpu=seq - tokens_cpu - tokens_deleted,
             tokens_cpu=tokens_cpu, tokens_deleted=tokens_deleted,

@@ -17,7 +17,10 @@ observer list, so a serve with no observers registered executes exactly
 the pre-observability instruction stream — the golden event journals of
 ``tests/test_serving_events.py`` and ``tests/test_chunked_prefill.py``
 stay bit-identical.  With observers attached the only cost is the
-callback dispatch itself (benchmarked at <=5% for a no-op observer in
+dispatch of the callbacks they override: the engine and the event
+driver leave the inherited no-ops (flagged ``noop_hook``) out of their
+per-request and per-epoch dispatch (benchmarked at <=5% for a no-op
+observer in
 ``benchmarks/test_bench_serving.py::test_bench_observer_overhead``).
 
 Observers are event-path only: combining them with a simulator built with
@@ -126,6 +129,15 @@ class Observer:
         normalized per-class SLOs in force — the hook where an observer
         may attach derived artifacts to ``trace.metadata``.
         """
+
+
+# Flag the inherited no-op callbacks, so the serving core can leave the
+# callbacks an observer does not override out of its dispatch
+# (repro.serving.events.observer_hooks).
+for _name, _callback in vars(Observer).items():
+    if _name.startswith("on_"):
+        _callback.noop_hook = True
+del _name, _callback
 
 
 def validate_observers(observers) -> list:

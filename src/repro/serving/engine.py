@@ -116,7 +116,8 @@ import numpy as np
 from repro._common import ConfigurationError, validate_positive
 from repro.serving.events import (ADMISSION, COMPLETION, EPOCH_BOUNDARY,
                                   PREEMPTION, PREFILL_CHUNK,
-                                  check_observers, drive, notify_finish)
+                                  check_observers, drive, notify_finish,
+                                  observer_hooks)
 from repro.serving.sketches import DEFAULT_QUANTILES, StreamingTrace
 from repro.serving.trace import (
     RequestRecord,
@@ -1312,10 +1313,19 @@ class EngineRun:
         self.replica = replica
         self._observer = observer
         #: Observability hooks (see repro.obs).  Every hook site below is
-        #: guarded by ``if self._obs`` so an observer-free run executes
-        #: the exact pre-observability instruction stream — bit-identical
-        #: golden journals, zero overhead when disabled.
-        self._obs = tuple(observers) if observers else ()
+        #: guarded by ``if self._obs`` or, on the per-request and
+        #: per-epoch paths, by one falsy check of that callback's bound
+        #: hooks (inherited no-ops left out), so an observer-free run
+        #: executes the exact pre-observability instruction stream —
+        #: bit-identical golden journals, zero overhead when disabled.
+        self._obs = obs = tuple(observers) if observers else ()
+        self._on_arrival = observer_hooks(obs, "on_arrival")
+        self._on_admission = observer_hooks(obs, "on_admission")
+        self._on_prefill = observer_hooks(obs, "on_prefill")
+        self._on_prefill_chunk = observer_hooks(obs, "on_prefill_chunk")
+        self._on_epoch = observer_hooks(obs, "on_epoch")
+        self._on_completion = observer_hooks(obs, "on_completion")
+        self._on_prefix = observer_hooks(obs, "on_prefix")
         self._budget = budget_tokens
         self._shard_budgets = engine.shard_budgets(budget_tokens)
         self._shard_limit = min(self._shard_budgets)
@@ -1386,17 +1396,17 @@ class EngineRun:
         self._solver_before = engine.simulator.schedule_stats()
         self._epoch_hits_before = engine._epoch_hits
         self._epoch_misses_before = engine._epoch_misses
-        if self._obs:
+        if self._on_prefix:
             self._prefix.listener = self._prefix_event
+        if self._obs:
             gauges = RunGauges(self)
             for ob in self._obs:
                 ob.on_serve_start(self.replica, gauges)
 
     def _prefix_event(self, event: str, session_id, tokens: int) -> None:
         """Fan the prefix cache's hit/miss/evict traffic out to observers."""
-        for ob in self._obs:
-            ob.on_prefix(self.replica, self._clock, event, session_id,
-                         tokens)
+        for hook in self._on_prefix:
+            hook(self.replica, self._clock, event, session_id, tokens)
 
     # ------------------------------------------------------------------ #
     # record sink (fans out to the trace and an optional cluster sink)
@@ -1407,9 +1417,9 @@ class EngineRun:
         self.trace.observe(record)
         if self._observer is not None:
             self._observer(record)
-        if self._obs:
-            for ob in self._obs:
-                ob.on_completion(self.replica, record)
+        if self._on_completion:
+            for hook in self._on_completion:
+                hook(self.replica, record)
 
     # ------------------------------------------------------------------ #
     # driver interface (see repro.serving.events.ReplicaRun)
@@ -1462,9 +1472,9 @@ class EngineRun:
         else:
             self._pending.append(request)
         self._offered += 1
-        if self._obs:
-            for ob in self._obs:
-                ob.on_arrival(self.replica, request.arrival_time, request)
+        if self._on_arrival:
+            for hook in self._on_arrival:
+                hook(self.replica, request.arrival_time, request)
         if self._event is None:
             # A queued arrival can only unblock an idle or head-starved
             # run; an already-scheduled event is never affected (it was
@@ -1660,11 +1670,10 @@ class EngineRun:
                 prefill_start = self._clock
                 self._clock += prefill
                 self._comm_time += prefill_comm
-                if self._obs and prefill > 0.0:
+                if self._on_prefill and prefill > 0.0:
                     batch = [wrapper.request for wrapper in admitted]
-                    for ob in self._obs:
-                        ob.on_prefill(self.replica, prefill_start,
-                                      self._clock, batch)
+                    for hook in self._on_prefill:
+                        hook(self.replica, prefill_start, self._clock, batch)
         return self._schedule()
 
     def _admit_fifo(self) -> list[_RunningRequest]:
@@ -1744,11 +1753,10 @@ class EngineRun:
                 self._swap_bytes += num_bytes
                 wrapper.swap_tokens = 0
             self._running.append(wrapper)
-            if self._obs:
-                for ob in self._obs:
-                    ob.on_admission(self.replica, self._clock, request,
-                                    prefix_hit=wrapper.prefix_hit,
-                                    resumed=True)
+            if self._on_admission:
+                for hook in self._on_admission:
+                    hook(self.replica, self._clock, request,
+                         prefix_hit=wrapper.prefix_hit, resumed=True)
             return wrapper
         wrapper, node_delta, shard_delta = engine._admit_request(
             request, self._prefix, self._shard_reserved, self._shard_limit,
@@ -1756,11 +1764,10 @@ class EngineRun:
         self._reserved += node_delta
         self._shard_reserved += shard_delta
         self._running.append(wrapper)
-        if self._obs:
-            for ob in self._obs:
-                ob.on_admission(self.replica, self._clock, request,
-                                prefix_hit=wrapper.prefix_hit,
-                                resumed=False)
+        if self._on_admission:
+            for hook in self._on_admission:
+                hook(self.replica, self._clock, request,
+                     prefix_hit=wrapper.prefix_hit, resumed=False)
         return wrapper
 
     def _can_preempt(self, candidate: Request) -> bool:
@@ -1940,12 +1947,11 @@ class EngineRun:
         backlog = self._prefill_backlog
         while backlog and backlog[0].chunk_remaining <= 0:
             backlog.popleft()
-        if self._obs:
+        if self._on_prefill_chunk:
             chunk_parts = [(wrapper.request, tokens)
                            for wrapper, tokens in parts]
-            for ob in self._obs:
-                ob.on_prefill_chunk(self.replica, chunk_start, end,
-                                    chunk_parts)
+            for hook in self._on_prefill_chunk:
+                hook(self.replica, chunk_start, end, chunk_parts)
 
     def _schedule_epoch(self) -> tuple[float, str]:
         engine = self.engine
@@ -1977,13 +1983,13 @@ class EngineRun:
         self._clock = end
         self._num_steps += steps
         self._comm_time += steps * comm_per_step
-        if self._obs:
+        if self._on_epoch:
             # Before _finish_epoch: the batch here is the epoch's actual
             # composition (completions leave via observe → on_completion).
             batch = [r.request for r in self._running]
-            for ob in self._obs:
-                ob.on_epoch(self.replica, epoch_start, end, kind, steps,
-                            first, batch)
+            for hook in self._on_epoch:
+                hook(self.replica, epoch_start, end, kind, steps, first,
+                     batch)
         prefix = self._prefix
         node_retained, shard_retained = prefix.node_total, prefix.shard_total
         finished = engine._finish_epoch(self._running, self, steps, first,

@@ -148,6 +148,18 @@ def check_observers(observers) -> tuple:
     return tuple(observers)
 
 
+def observer_hooks(observers: tuple, name: str) -> tuple:
+    """The observers' bound ``name`` callbacks, minus inherited no-ops.
+
+    :class:`repro.obs.Observer` flags its no-op callbacks ``noop_hook``.
+    Leaving them out lets a hook site that only no-ops would reach skip
+    the dispatch, and any argument it builds, behind one falsy check.
+    """
+    return tuple(hook for hook in (getattr(observer, name)
+                                   for observer in observers)
+                 if not getattr(hook, "noop_hook", False))
+
+
 def notify_finish(observers, trace, class_slos: dict | None) -> None:
     """Call every observer's ``finish`` hook with the final trace.
 
@@ -207,6 +219,7 @@ def drive(source, runs: list[ReplicaRun],
     if hasattr(source, "pop_next"):
         _drive_continuation(source, runs, route, journal, observers)
         return
+    on_event = observer_hooks(observers, "on_event")
     arrivals = iter(source)
     heap: list[tuple] = []
     sequence = 0
@@ -258,17 +271,17 @@ def drive(source, runs: list[ReplicaRun],
                 )
             if journal is not None:
                 journal.append((time, ARRIVAL, target))
-            if observers:
-                for observer in observers:
-                    observer.on_event(time, ARRIVAL, target)
+            if on_event:
+                for hook in on_event:
+                    hook(time, ARRIVAL, target)
             push_run_event(target, runs[target].offer(request))
             pull_arrival()
         else:
             if journal is not None:
                 journal.append((time, kind, index))
-            if observers:
-                for observer in observers:
-                    observer.on_event(time, kind, index)
+            if on_event:
+                for hook in on_event:
+                    hook(time, kind, index)
             push_run_event(index, runs[index].advance())
 
     for index, run in enumerate(runs):
@@ -303,6 +316,7 @@ def _drive_continuation(source, runs: list[ReplicaRun],
     heap: list[tuple] = []
     sequence = 0
     closed = False
+    on_event = observer_hooks(observers, "on_event")
 
     def push_run_event(index: int, event: tuple[float, str] | None) -> None:
         nonlocal sequence
@@ -325,9 +339,9 @@ def _drive_continuation(source, runs: list[ReplicaRun],
                 )
             if journal is not None:
                 journal.append((request.arrival_time, ARRIVAL, target))
-            if observers:
-                for observer in observers:
-                    observer.on_event(request.arrival_time, ARRIVAL, target)
+            if on_event:
+                for hook in on_event:
+                    hook(request.arrival_time, ARRIVAL, target)
             push_run_event(target, runs[target].offer(request))
             continue
         if ready is None and source.exhausted and not closed:
@@ -340,9 +354,9 @@ def _drive_continuation(source, runs: list[ReplicaRun],
         time, _, _, kind, index, _ = heapq.heappop(heap)
         if journal is not None:
             journal.append((time, kind, index))
-        if observers:
-            for observer in observers:
-                observer.on_event(time, kind, index)
+        if on_event:
+            for hook in on_event:
+                hook(time, kind, index)
         push_run_event(index, runs[index].advance())
 
     if not source.exhausted:
@@ -392,13 +406,14 @@ def _drive_with_faults(source, runs: list[ReplicaRun],
     #: Per-run sequence number of the one live scheduled event (0 = none);
     #: a failure zeroes it, orphaning the heap entry.
     valid = [0] * len(runs)
+    on_event = observer_hooks(observers, "on_event")
 
     def emit(time: float, kind: str, index: int) -> None:
         if journal is not None:
             journal.append((time, kind, index))
-        if observers:
-            for observer in observers:
-                observer.on_event(time, kind, index)
+        if on_event:
+            for hook in on_event:
+                hook(time, kind, index)
 
     def push_run_event(index: int, event: tuple[float, str] | None) -> None:
         nonlocal sequence

@@ -141,9 +141,6 @@ class AttentionBreakdown:
 
     ops: list[OpCost] = field(default_factory=list)
 
-    def add(self, op: OpCost) -> None:
-        self.ops.append(op)
-
     @property
     def total_time(self) -> float:
         return sum(op.time_s for op in self.ops)
@@ -178,6 +175,11 @@ class LLMCostModel:
         # the qkv/out projection rooflines and the FFN time do not depend
         # on the sequence length (see _decode_constants).
         self._decode_constant_cache: dict[int, tuple] = {}
+        # Decode-step times keyed by (batch_size, split), indexed by
+        # sequence length (see decode_step_times).  Per cost model, so
+        # every freshly built system prices its own table; replica groups
+        # share one between equal-signature replicas (adopt_step_tables).
+        self._step_tables: dict[tuple, np.ndarray] = {}
 
     @property
     def effective_pcie_bandwidth(self) -> float:
@@ -241,12 +243,16 @@ class LLMCostModel:
     # ------------------------------------------------------------------ #
     # roofline primitives
     # ------------------------------------------------------------------ #
-    def _roofline(self, name: str, flops: float, bytes_moved: float,
-                  min_time: float = 2e-6) -> OpCost:
+    def _roofline_time(self, flops: float, bytes_moved: float,
+                       min_time: float = 2e-6) -> float:
         compute_time = flops / self.hardware.gpu.effective_flops
         memory_time = bytes_moved / self.hardware.gpu.hbm_bandwidth
+        return max(compute_time, memory_time, min_time)
+
+    def _roofline(self, name: str, flops: float, bytes_moved: float,
+                  min_time: float = 2e-6) -> OpCost:
         return OpCost(name=name, flops=flops, bytes_moved=bytes_moved,
-                      time_s=max(compute_time, memory_time, min_time))
+                      time_s=self._roofline_time(flops, bytes_moved, min_time))
 
     # ------------------------------------------------------------------ #
     # multi-GPU communication terms (tensor / pipeline parallelism)
@@ -340,6 +346,49 @@ class LLMCostModel:
     # ------------------------------------------------------------------ #
     # attention module breakdown (Figure 11)
     # ------------------------------------------------------------------ #
+    def _attention_ops(self, batch_size: int, kv_len: int,
+                       kept_kv: int | None, local_window: int,
+                       query_len: int) -> list[tuple[str, float, float, float]]:
+        """``(name, flops, bytes_moved, min_time)`` of each attention
+        operator, in execution order (see :meth:`attention_breakdown`)."""
+        if kv_len <= 0 or batch_size <= 0 or query_len <= 0:
+            raise ConfigurationError("batch_size, kv_len, query_len must be positive")
+        kept = kv_len if kept_kv is None else min(kept_kv, kv_len)
+        h = self.config.hidden_size
+        heads = self.config.num_heads
+        width = self.bytes_per_element
+        b, q = batch_size, query_len
+
+        # QKV projection of the new token(s).
+        ops = [("qkv_proj", 2.0 * 3.0 * b * q * h * h,
+                3.0 * h * h * width + 4.0 * b * q * h * width, 2e-6)]
+        if local_window > 0:
+            # SWA local attention sum: add `local_window` rows of length kv_len
+            # per head (vector adds, very low arithmetic intensity).  These and
+            # the gather below are small kernel-launch-bound ops, hence the
+            # larger floor time (the Figure 11 overhead).
+            ops.append(("local_attention_sum",
+                        1.0 * b * heads * local_window * kv_len,
+                        b * heads * local_window * kv_len * width, 10e-6))
+            # Gather sparse KV tensors into a packed dense tensor.
+            ops.append(("sparse_kv_gather", 0.0,
+                        2.0 * 2.0 * b * kept * h * width, 10e-6))
+        ops += [
+            # QK^T over the kept tokens.
+            ("qk_matmul", 2.0 * b * q * kept * h,
+             (b * kept * h + b * q * h + b * heads * q * kept) * width, 2e-6),
+            # Softmax over the attention weights.
+            ("softmax", 5.0 * b * heads * q * kept,
+             2.0 * b * heads * q * kept * width, 2e-6),
+            # Attention-weight x V.
+            ("av_matmul", 2.0 * b * q * kept * h,
+             (b * kept * h + b * q * h) * width, 2e-6),
+            # Output projection.
+            ("out_proj", 2.0 * b * q * h * h,
+             (h * h + 2.0 * b * q * h) * width, 2e-6),
+        ]
+        return ops
+
     def attention_breakdown(self, batch_size: int, kv_len: int,
                             kept_kv: int | None = None,
                             local_window: int = 0,
@@ -351,67 +400,11 @@ class LLMCostModel:
         ``local_window`` is the number of recent attention rows summed by
         SWA's local attention sum (0 disables the extra SWA operators).
         """
-        if kv_len <= 0 or batch_size <= 0 or query_len <= 0:
-            raise ConfigurationError("batch_size, kv_len, query_len must be positive")
-        kept = kv_len if kept_kv is None else min(kept_kv, kv_len)
-        h = self.config.hidden_size
-        heads = self.config.num_heads
-        width = self.bytes_per_element
-        b, q = batch_size, query_len
-
-        breakdown = AttentionBreakdown()
-
-        # QKV projection of the new token(s).
-        breakdown.add(self._roofline(
-            "qkv_proj",
-            flops=2.0 * 3.0 * b * q * h * h,
-            bytes_moved=3.0 * h * h * width + 4.0 * b * q * h * width,
-        ))
-
-        if local_window > 0:
-            # SWA local attention sum: add `local_window` rows of length kv_len
-            # per head (vector adds, very low arithmetic intensity).  These and
-            # the gather below are small kernel-launch-bound ops, hence the
-            # larger floor time (the Figure 11 overhead).
-            breakdown.add(self._roofline(
-                "local_attention_sum",
-                flops=1.0 * b * heads * local_window * kv_len,
-                bytes_moved=b * heads * local_window * kv_len * width,
-                min_time=10e-6,
-            ))
-            # Gather sparse KV tensors into a packed dense tensor.
-            breakdown.add(self._roofline(
-                "sparse_kv_gather",
-                flops=0.0,
-                bytes_moved=2.0 * 2.0 * b * kept * h * width,
-                min_time=10e-6,
-            ))
-
-        # QK^T over the kept tokens.
-        breakdown.add(self._roofline(
-            "qk_matmul",
-            flops=2.0 * b * q * kept * h,
-            bytes_moved=(b * kept * h + b * q * h + b * heads * q * kept) * width,
-        ))
-        # Softmax over the attention weights.
-        breakdown.add(self._roofline(
-            "softmax",
-            flops=5.0 * b * heads * q * kept,
-            bytes_moved=2.0 * b * heads * q * kept * width,
-        ))
-        # Attention-weight x V.
-        breakdown.add(self._roofline(
-            "av_matmul",
-            flops=2.0 * b * q * kept * h,
-            bytes_moved=(b * kept * h + b * q * h) * width,
-        ))
-        # Output projection.
-        breakdown.add(self._roofline(
-            "out_proj",
-            flops=2.0 * b * q * h * h,
-            bytes_moved=(h * h + 2.0 * b * q * h) * width,
-        ))
-        return breakdown
+        return AttentionBreakdown([
+            self._roofline(name, flops, bytes_moved, min_time)
+            for name, flops, bytes_moved, min_time in self._attention_ops(
+                batch_size, kv_len, kept_kv, local_window, query_len)
+        ])
 
     # ------------------------------------------------------------------ #
     # block- and step-level times
@@ -419,9 +412,13 @@ class LLMCostModel:
     def attention_time(self, batch_size: int, kv_len: int,
                        kept_kv: int | None = None, local_window: int = 0,
                        query_len: int = 1) -> float:
-        return self.attention_breakdown(
-            batch_size, kv_len, kept_kv, local_window, query_len
-        ).total_time
+        """:meth:`attention_breakdown`'s ``total_time`` without building
+        its records: the same rooflines, summed in the same order."""
+        total = 0
+        for _, flops, bytes_moved, min_time in self._attention_ops(
+                batch_size, kv_len, kept_kv, local_window, query_len):
+            total += self._roofline_time(flops, bytes_moved, min_time)
+        return total
 
     # ------------------------------------------------------------------ #
     # vectorized (epoch-granular) pricing
@@ -521,6 +518,55 @@ class LLMCostModel:
         base = self.config.num_layers * (attention + ffn)
         return self._parallel_forward_time(base, batch_size, query_len=1)
 
+    def decode_step_times(self, batch_size: int, first_seq: int,
+                          num_steps: int, split=None) -> np.ndarray:
+        """Decode-step times at sequence lengths ``first_seq`` onwards.
+
+        Returns ``num_steps`` entries, one per consecutive sequence length,
+        as a read-only slice of a table kept per ``(batch_size, split)``
+        and indexed by sequence length.  ``split`` is ``None`` for dense
+        attention, or the :class:`~repro.core.swa.SWAConfig` (the hashable
+        ``(caching_ratio, local_fraction)`` pair) whose split of each
+        sequence length gives ``kept_kv = local + global`` and
+        ``local_windows = local``.  Entries are priced by
+        :meth:`decode_step_time_batch`, which is elementwise, so a slice
+        is bit-identical to pricing the same lengths directly.  The table
+        at least doubles when it grows, so a run of increasing lengths
+        re-prices only logarithmically often.
+        """
+        if first_seq <= 0:
+            raise ConfigurationError("sequence lengths must be positive")
+        end = first_seq + num_steps
+        key = (batch_size, split)
+        table = self._step_tables.get(key)
+        if table is None or end > table.size:
+            start = 1 if table is None else table.size
+            size = max(end, 256 if table is None else 2 * table.size)
+            seq = np.arange(start, size)
+            grown = np.empty(size)
+            if table is None:
+                grown[0] = np.nan  # no sequence has length 0
+            else:
+                grown[:start] = table
+            if split is None:
+                grown[start:] = self.decode_step_time_batch(batch_size, seq)
+            else:
+                local, global_ = split.split_budget_batch(seq)
+                grown[start:] = self.decode_step_time_batch(
+                    batch_size, seq, kept_kv=local + global_,
+                    local_windows=local)
+            grown.flags.writeable = False
+            table = self._step_tables[key] = grown
+        return table[first_seq:end]
+
+    def adopt_step_tables(self, other: "LLMCostModel") -> None:
+        """Read and grow ``other``'s step tables from now on.
+
+        Only valid between cost models that price identically (the
+        replica group checks equal simulator pricing signatures).
+        """
+        self._step_tables = other._step_tables
+
     def quantize_time_batch(self, batch_size: int,
                             num_tokens: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`quantize_time` over an array of token counts."""
@@ -550,7 +596,7 @@ class LLMCostModel:
         flops = 2.0 * 2.0 * batch_size * query_len * h * f
         bytes_moved = (2.0 * h * f + 2.0 * batch_size * query_len * (h + f)) \
             * self.bytes_per_element
-        return self._roofline("ffn", flops, bytes_moved).time_s
+        return self._roofline_time(flops, bytes_moved)
 
     def decode_layer_time(self, batch_size: int, kv_len: int,
                           kept_kv: int | None = None,
@@ -592,7 +638,7 @@ class LLMCostModel:
         bytes_moved = (2.0 * h * h + 3.0 * batch_size * num_tokens * h) \
             * self.bytes_per_element
         return layers * self._shard_scale() \
-            * self._roofline("recompute_kv", flops, bytes_moved).time_s
+            * self._roofline_time(flops, bytes_moved)
 
     def recompute_time_batch(self, batch_size: int,
                              num_tokens: np.ndarray) -> np.ndarray:
@@ -620,8 +666,7 @@ class LLMCostModel:
         elements = 2.0 * batch_size * num_tokens * self.config.hidden_size \
             * self.config.num_layers
         return self._shard_scale() \
-            * self._roofline("kv_quantize", flops=2.0 * elements,
-                             bytes_moved=3.0 * elements).time_s
+            * self._roofline_time(2.0 * elements, 3.0 * elements)
 
     def cpu_attention_time(self, batch_size: int, cpu_tokens: float,
                            kv_dtype: str | None = None,

@@ -25,6 +25,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,6 +36,9 @@ from repro.systems.cost import LLMCostModel, ParallelismSpec
 from repro.systems.memory import MemoryHierarchy, PCIeLink
 from repro.systems.trace import InferenceTrace, StepTiming
 from repro.workloads.descriptors import Workload
+
+if TYPE_CHECKING:  # systems price SWA splits without importing repro.core
+    from repro.core.swa import SWAConfig
 
 WEIGHTS = "weights"
 ACTIVATIONS = "activations"
@@ -68,7 +72,10 @@ class EpochPlan:
     :class:`SystemStepPlan` records: one entry per decode step, with the
     same field semantics.  ``None`` fields mean "all zeros" (for token
     movement) or "dense attention at every step" (``kept_kv``), so simple
-    systems do not have to materialize zero arrays.
+    systems do not have to materialize zero arrays.  ``swa_split``, when
+    set, declares that ``kept_kv``/``local_windows`` are exactly that SWA
+    configuration's split of each step's sequence length, so the step
+    compute can be read from the cost model's step table.
     """
 
     phases: tuple[str, ...]
@@ -83,6 +90,7 @@ class EpochPlan:
     cpu_attention_tokens: np.ndarray | None = None
     extra_h2d_bytes: np.ndarray | None = None
     extra_overhead_s: np.ndarray | None = None
+    swa_split: SWAConfig | None = None
 
     @property
     def num_steps(self) -> int:
@@ -412,8 +420,14 @@ class InferenceSimulator(ABC):
                 raise ConfigurationError("transfer size must be non-negative")
             d2h_any = bool(offloaded.any())
 
-        compute = cost.decode_step_time_batch(
-            batch, seq_lens, plan.kept_kv, plan.local_windows)
+        if plan.swa_split is not None or (plan.kept_kv is None
+                                          and plan.local_windows is None):
+            # Dense (split None) or the declared SWA split: a table slice.
+            compute = cost.decode_step_times(batch, workload.input_len + 1,
+                                             num_steps, plan.swa_split)
+        else:
+            compute = cost.decode_step_time_batch(
+                batch, seq_lens, plan.kept_kv, plan.local_windows)
         transfer = None
         for moved, active in ((h2d_bytes, h2d_any), (offloaded, d2h_any)):
             if active:

@@ -464,3 +464,129 @@ class TestPrefillPriceMemo:
         # few shapes, priced once for both.
         shapes = set(first._prefill_prices)
         assert shapes and all(shape[1:] == (256, 128) for shape in shapes)
+
+
+class TestStepTable:
+    """``LLMCostModel.decode_step_times`` gathers from a per-cost-model
+    table that prices exactly like the direct step formulas."""
+
+    @staticmethod
+    def splits(simulator):
+        """Dense attention, plus the system's SWA split if it has one."""
+        swa = getattr(simulator, "swa", None)
+        return [None] if swa is None else [None, swa]
+
+    @staticmethod
+    def direct(cost, batch_size, seq, split):
+        if split is None:
+            return cost.decode_step_time_batch(batch_size, seq)
+        local, global_ = split.split_budget_batch(seq)
+        return cost.decode_step_time_batch(batch_size, seq,
+                                           kept_kv=local + global_,
+                                           local_windows=local)
+
+    @pytest.mark.parametrize("kv_dtype", ["fp16", "int8"])
+    @pytest.mark.parametrize("shard", sorted(SHARD_SHAPES))
+    @pytest.mark.parametrize("system", sorted(SYSTEM_BUILDERS))
+    def test_slices_match_batch_and_scalar(self, system, shard, kv_dtype):
+        simulator = build_system(system, shard, kv_dtype=kv_dtype)
+        cost = simulator.cost_model
+        for split in self.splits(simulator):
+            for batch_size, first, count in ((1, 1, 40), (7, 300, 90)):
+                seq = np.arange(first, first + count)
+                times = cost.decode_step_times(batch_size, first, count,
+                                               split)
+                assert np.array_equal(
+                    times, self.direct(cost, batch_size, seq, split))
+                for q, value in zip(seq.tolist()[::11],
+                                    times.tolist()[::11]):
+                    if split is None:
+                        scalar = cost.decode_step_time(batch_size, q)
+                    else:
+                        local, global_ = split.split_budget(q)
+                        scalar = cost.decode_step_time(
+                            batch_size, q, kept_kv=local + global_,
+                            local_window=local)
+                    assert value == scalar, (split, batch_size, q)
+
+    def test_growth_boundary_with_interleaved_keys(self):
+        cost = build_system("alisa").cost_model
+        splits = [None, SWAConfig(0.2), SWAConfig(0.37, local_fraction=0.3)]
+        # Each round reaches past every table's current size, so all six
+        # tables regrow between checks, in interleaved order.
+        for first, count in ((1, 100), (200, 200), (390, 700), (5, 2000)):
+            for batch_size in (3, 16):
+                for split in splits:
+                    before = cost._step_tables.get((batch_size, split))
+                    times = cost.decode_step_times(batch_size, first, count,
+                                                   split)
+                    seq = np.arange(first, first + count)
+                    assert np.array_equal(
+                        times, self.direct(cost, batch_size, seq, split))
+                    table = cost._step_tables[(batch_size, split)]
+                    if before is not None and table is not before:
+                        assert table.size >= 2 * before.size
+                        assert np.array_equal(table[1:before.size],
+                                              before[1:])
+        with pytest.raises(ValueError):
+            times[0] = 1.0  # the table is read-only
+        with pytest.raises(ConfigurationError):
+            cost.decode_step_times(1, 0, 4)
+
+    @pytest.mark.parametrize("system", ["alisa", "alisa-static", "vllm",
+                                        "flexgen"])
+    def test_epoch_compute_is_gathered(self, system):
+        simulator = build_system(system)
+        workload = Workload(4, 700, 60, "gather")
+        simulator.prepare(workload)
+        simulator.plan_prefill(workload)
+        plan = simulator.plan_decode_epoch(workload)
+        if system.startswith("alisa"):
+            assert plan.swa_split == simulator.swa
+        else:
+            assert plan.kept_kv is None and plan.local_windows is None
+        epoch = simulator.epoch_timings(workload)
+        # A read-only compute array is a slice of the step table.
+        assert not epoch.compute_times.flags.writeable
+        assert np.array_equal(epoch.compute_times,
+                              simulator.cost_model.decode_step_time_batch(
+                                  4, epoch.sequence_lengths, plan.kept_kv,
+                                  plan.local_windows))
+
+    def test_profile_table_compute_time_matches_scalar(self):
+        from repro.core.optimizer import ProfileTable
+
+        simulator = build_system("alisa", "tp-2")
+        for batch_size in (1, 12):
+            workload = Workload(batch_size, 64, 32, "profile")
+            profile = ProfileTable(simulator.cost_model, workload,
+                                   simulator.swa)
+            for q in (1, 2, 97, 255, 256, 257, 1300):
+                local, global_ = simulator.swa.split_budget(q)
+                value = profile.compute_time(q)
+                assert type(value) is float
+                assert value == simulator.cost_model.decode_step_time(
+                    batch_size, q, kept_kv=local + global_,
+                    local_window=local)
+
+    def test_replica_group_shares_step_tables(self):
+        from repro.cluster import ReplicaGroup
+
+        def factory(node, parallelism):
+            return AlisaSystem(MODEL, node, kv_sparsity=0.8,
+                               parallelism=parallelism)
+
+        group = ReplicaGroup.from_layout(factory, "2x(none)",
+                                         V100_16GB_NODE, policy="jsq")
+        first, second = (engine.simulator.cost_model
+                         for engine in group.engines)
+        assert first._step_tables is second._step_tables
+        group.serve(generate_requests(12, rate=8.0, input_len=256,
+                                      output_len=64, seed=1))
+        assert first._step_tables  # filled by the serve, read by both
+
+        mixed = ReplicaGroup(
+            [ContinuousBatchingEngine(build_system("alisa")),
+             ContinuousBatchingEngine(build_system("alisa", "tp-2"))])
+        a, b = (engine.simulator.cost_model for engine in mixed.engines)
+        assert a._step_tables is not b._step_tables

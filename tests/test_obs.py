@@ -32,7 +32,13 @@ from repro.obs.report import main as report_main
 from repro.obs.report import render
 from repro.hardware.presets import V100_16GB_NODE
 from repro.serving import ContinuousBatchingEngine
-from repro.serving.events import ARRIVAL, COMPLETION, check_observers, drive
+from repro.serving.events import (
+    ARRIVAL,
+    COMPLETION,
+    check_observers,
+    drive,
+    observer_hooks,
+)
 from repro.workloads.arrivals import Request, generate_requests
 from repro.workloads.sessions import sessions
 
@@ -178,6 +184,42 @@ class TestObserverValidation:
         assert check_observers([tracer]) == (tracer,)
         assert validate_observers(None) == []
         assert validate_observers([tracer]) == [tracer]
+
+
+    def test_dispatch_skips_inherited_no_op_callbacks(self):
+        class EpochCounter(Observer):
+            def __init__(self):
+                self.epochs = 0
+                self.events = 0
+
+            def on_epoch(self, *args):
+                self.epochs += 1
+
+        class DuckTyped:
+            """Implements every callback without subclassing Observer."""
+
+            def __init__(self):
+                self.events = 0
+
+            def on_event(self, time, kind, replica):
+                self.events += 1
+
+            def __getattr__(self, name):
+                if name.startswith("on_") or name == "finish":
+                    return lambda *args, **kwargs: None
+                raise AttributeError(name)
+
+        counter, duck, noop = EpochCounter(), DuckTyped(), Observer()
+        observers = (noop, counter, duck)
+        assert observer_hooks((noop, counter), "on_epoch") \
+            == (counter.on_epoch,)
+        assert observer_hooks(observers, "on_event") == (duck.on_event,)
+        # Callbacks not inherited from Observer are always dispatched.
+        assert len(observer_hooks(observers, "on_epoch")) == 2
+        assert observer_hooks((noop,), "on_admission") == ()
+        engine().serve(requests(n=8), observers=list(observers))
+        # Overridden and duck-typed callbacks still fire.
+        assert counter.epochs > 0 and duck.events > 0
 
 
 # --------------------------------------------------------------------- #

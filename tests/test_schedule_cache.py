@@ -307,3 +307,138 @@ class TestCacheCorrectnessInvariant:
         cold = self._cold_cost(opt_cost_model, second)
         tolerance = system.schedule_policy.tolerance
         assert served <= cold * (1.0 + tolerance) + 1e-12
+
+
+class TestResolveHelpers:
+    """The lean re-solve helpers reproduce the formulas they replaced."""
+
+    def test_phase1_end_step_matches_clip(self):
+        import numpy as np
+
+        for n in (1, 7, 64):
+            for s in (1, 50, 128):
+                for budget in (1, s - 1, s, s + 1, s + n - 1, s + n,
+                               s + n + 1, 10 * (s + n)):
+                    workload = Workload(1, s, n, "p1")
+                    p1 = phase1_end_step(budget, workload)
+                    assert type(p1) is int
+                    assert p1 == int(np.clip(budget - s, 0, n))
+
+    def test_p2_candidates_match_linspace_and_are_memoised(self):
+        import numpy as np
+
+        system = AlisaSystem(MODEL, V100_16GB_NODE, kv_sparsity=0.8)
+        for n in (1, 2, 7, 64, 300):
+            optimizer = system._make_optimizer(Workload(4, 128, n, "p2"))
+            # p1 == 0, interior p1s, and p1 == n.
+            for p1 in sorted({0, 1, n // 3, n - 1, n}):
+                expected = sorted({int(p) for p in np.linspace(
+                    p1, n, optimizer.num_p2_candidates)})
+                candidates = optimizer._p2_candidates(p1)
+                assert candidates == expected
+                # A later optimizer of the same system reads the memo.
+                again = system._make_optimizer(Workload(9, 64, n, "p2"))
+                assert again._p2_candidates(p1) is candidates
+        assert (0, 300, 5) in system._p2_candidate_cache
+
+    @settings(max_examples=80, deadline=None)
+    @given(prompt=st.integers(1, 300), budget=st.integers(1, 600),
+           num_steps=st.integers(1, 200), p1=st.integers(0, 220),
+           p2_gap=st.integers(0, 220),
+           alpha=st.sampled_from([0.3, 0.7, 1.0]),
+           beta=st.sampled_from([0.0, 0.4]))
+    def test_plan_epoch_phases_match_where_reference(
+            self, prompt, budget, num_steps, p1, p2_gap, alpha, beta):
+        import numpy as np
+
+        from repro.core.scheduler import (
+            PHASE_GPU,
+            PHASE_GPU_CPU,
+            PHASE_RECOMPUTE,
+            DynamicScheduler,
+        )
+
+        config = SchedulerConfig(alpha, beta, p1, p1 + p2_gap)
+        scheduler = DynamicScheduler(config, SWA, budget, prompt)
+        scheduler.plan_prefill()
+        epoch = scheduler.plan_epoch(num_steps)
+        steps = np.arange(num_steps)
+        seq = prompt + steps + 1
+        in_phase3 = steps >= config.phase3_step
+        in_phase2 = (~in_phase3) & ((steps >= config.phase2_step)
+                                    | (seq > budget))
+        reference = np.where(in_phase3, PHASE_RECOMPUTE,
+                             np.where(in_phase2, PHASE_GPU_CPU, PHASE_GPU))
+        assert epoch.phases == tuple(reference.tolist())
+
+        # The whole epoch still equals the step-wise plans.
+        stepwise = DynamicScheduler(config, SWA, budget, prompt)
+        stepwise.plan_prefill()
+        plans = [stepwise.plan_step(j) for j in range(num_steps)]
+        assert epoch.phases == tuple(plan.phase for plan in plans)
+        for field in ("tokens_cpu", "tokens_deleted", "load_tokens",
+                      "offload_tokens", "recompute_tokens"):
+            assert np.array_equal(getattr(epoch, field), [
+                getattr(plan, field) for plan in plans]), field
+
+    def test_plan_epoch_skipping_phases(self):
+        from repro.core.scheduler import (
+            PHASE_GPU,
+            PHASE_GPU_CPU,
+            PHASE_RECOMPUTE,
+            DynamicScheduler,
+        )
+
+        def phases(config, budget, prompt=100, num_steps=50):
+            scheduler = DynamicScheduler(config, SWA, budget, prompt)
+            scheduler.plan_prefill()
+            return scheduler.plan_epoch(num_steps).phases
+
+        # No Phase I: the prompt alone overflows the budget.
+        assert set(phases(SchedulerConfig(0.5, 0.4, 20, 30), 50)[:20]) \
+            == {PHASE_GPU_CPU}
+        # No Phase II: p1 == p2 with the budget never overflowing.
+        skipped = phases(SchedulerConfig(0.5, 0.4, 20, 20), 10_000)
+        assert skipped == (PHASE_GPU,) * 20 + (PHASE_RECOMPUTE,) * 30
+        # Phase III only.
+        assert phases(SchedulerConfig(0.5, 0.4, 0, 0), 50) \
+            == (PHASE_RECOMPUTE,) * 50
+
+    @settings(max_examples=80, deadline=None)
+    @given(ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("store"),
+                      st.sampled_from([("a",), ("b",), ("a", "x")]),
+                      st.integers(0, 5),
+                      st.sampled_from([1, 2, 8]),
+                      st.sampled_from([64, 128, 256]),
+                      st.sampled_from([32, 128])),
+            st.tuples(st.just("query"),
+                      st.sampled_from([(), ("a",), ("b",), ("a", "x"),
+                                       ("c",)]),
+                      st.sampled_from([1, 2, 8]),
+                      st.sampled_from([64, 96, 256]),
+                      st.sampled_from([32, 100, 128]))),
+        max_size=24))
+    def test_nearest_index_tracks_interleaved_stores(self, ops):
+        # Keys repeat (indices 0..5), so later stores overwrite entries
+        # in place; queries run before and after each context's stores.
+        cache = ScheduleCache()
+        for op in ops:
+            if op[0] == "store":
+                _, ctx, index, b, s, n = op
+                cache.store_canonical(ctx + (index,),
+                                      CachedSchedule.from_config(
+                                          SchedulerConfig(0.5, 0.0, 0, 0),
+                                          Workload(b, s, n, "w"), 100, 1.0))
+                continue
+            _, context, b, s, n = op
+            workload = Workload(b, s, n, "q")
+            expected, best = None, float("inf")
+            for key, entry in cache._canonical.items():
+                if key[:len(context)] == context \
+                        and entry.distance(workload) < best:
+                    expected, best = entry, entry.distance(workload)
+            assert cache.nearest(context, workload) is expected
+        cache.clear()
+        assert cache.nearest(("a",), Workload(1, 64, 32, "q")) is None
