@@ -22,7 +22,7 @@ from typing import Callable
 from repro._common import ConfigurationError
 from repro.cluster.layout import ClusterLayout
 from repro.cluster.router import Router
-from repro.cluster.trace import ClusterTrace, StreamingClusterTrace
+from repro.cluster.trace import ClusterTrace, StreamingClusterTrace, describe_replicas
 from repro.hardware.presets import (
     NVLINK,
     ClusterSpec,
@@ -514,21 +514,7 @@ class ReplicaGroup:
         if coordinator is not None:
             cluster_trace.metadata["resilience"] = coordinator.resilience(
                 cluster_trace.duration, self.num_replicas)
-        cluster_trace.metadata["replicas"] = [
-            {"replica": index, "num_requests": trace.num_requests,
-             "generated_tokens": trace.generated_tokens,
-             "duration_s": trace.duration,
-             "mean_queueing_delay_s": trace.mean_queueing_delay,
-             "kv_budget_tokens": trace.metadata.get("kv_budget_tokens", 0),
-             "peak_reserved_tokens": trace.metadata.get(
-                 "peak_reserved_tokens", 0),
-             "comm_time_share": trace.metadata.get("comm_time_share", 0.0)}
-            for index, trace in enumerate(traces)
-        ]
-        cluster_trace.metadata.setdefault(
-            "kv_budget_tokens",
-            sum(trace.metadata.get("kv_budget_tokens", 0)
-                for trace in traces))
+        describe_replicas(cluster_trace.metadata, traces)
         notify_finish(observers, cluster_trace, class_slos)
         return cluster_trace
 

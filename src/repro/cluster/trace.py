@@ -16,6 +16,38 @@ from repro.serving.sketches import DEFAULT_QUANTILES, StreamingTrace
 from repro.serving.trace import ServingTrace
 
 
+def describe_replicas(metadata: dict, traces) -> None:
+    """Write ``metadata["replicas"]`` (counts, totals and delays per replica)
+    and default ``metadata["kv_budget_tokens"]`` to the replicas' sum."""
+    metadata["replicas"] = [
+        {"replica": index, "num_requests": trace.num_requests,
+         "generated_tokens": trace.generated_tokens,
+         "duration_s": trace.duration,
+         "mean_queueing_delay_s": trace.mean_queueing_delay,
+         "kv_budget_tokens": trace.metadata.get("kv_budget_tokens", 0),
+         "peak_reserved_tokens": trace.metadata.get(
+             "peak_reserved_tokens", 0),
+         "comm_time_share": trace.metadata.get("comm_time_share", 0.0)}
+        for index, trace in enumerate(traces)
+    ]
+    metadata.setdefault(
+        "kv_budget_tokens",
+        sum(trace.metadata.get("kv_budget_tokens", 0) for trace in traces))
+
+
+def tokens_imbalance(traces) -> float:
+    """Max/mean ratio of generated tokens across replicas (1.0 = even).
+
+    Round-robin on heavy-tailed lengths drifts well above 1; load-aware
+    policies keep it near 1.  Empty replicas count toward the mean, so a
+    policy that starves a replica is penalized, not hidden.
+    """
+    tokens = [trace.generated_tokens for trace in traces]
+    if not tokens or sum(tokens) == 0:
+        return 1.0
+    return max(tokens) / (sum(tokens) / len(tokens))
+
+
 @dataclass
 class ClusterTrace(ServingTrace):
     """One serving run of a whole replica group."""
@@ -35,21 +67,7 @@ class ClusterTrace(ServingTrace):
         records.sort(key=lambda record: record.completion_time)
         merged = cls(system=system, model=model, records=records,
                      metadata=dict(metadata or {}), replica_traces=traces)
-        merged.metadata["replicas"] = [
-            {"replica": index, "num_requests": trace.num_requests,
-             "generated_tokens": trace.generated_tokens,
-             "duration_s": trace.duration,
-             "mean_queueing_delay_s": trace.mean_queueing_delay,
-             "kv_budget_tokens": trace.metadata.get("kv_budget_tokens", 0),
-             "peak_reserved_tokens": trace.metadata.get(
-                 "peak_reserved_tokens", 0),
-             "comm_time_share": trace.metadata.get("comm_time_share", 0.0)}
-            for index, trace in enumerate(traces)
-        ]
-        merged.metadata.setdefault(
-            "kv_budget_tokens",
-            sum(trace.metadata.get("kv_budget_tokens", 0)
-                for trace in traces))
+        describe_replicas(merged.metadata, traces)
         return merged
 
     # ------------------------------------------------------------------ #
@@ -59,16 +77,8 @@ class ClusterTrace(ServingTrace):
 
     @property
     def tokens_imbalance(self) -> float:
-        """Max/mean ratio of generated tokens across replicas (1.0 = even).
-
-        Round-robin on heavy-tailed lengths drifts well above 1; load-aware
-        policies keep it near 1.  Empty replicas count toward the mean, so
-        a policy that starves a replica is penalized, not hidden.
-        """
-        tokens = [trace.generated_tokens for trace in self.replica_traces]
-        if not tokens or sum(tokens) == 0:
-            return 1.0
-        return max(tokens) / (sum(tokens) / len(tokens))
+        """See :func:`tokens_imbalance`."""
+        return tokens_imbalance(self.replica_traces)
 
     def summary(self) -> dict:
         """Cluster summary: the serving summary plus replica-level facts."""
@@ -89,7 +99,7 @@ class StreamingClusterTrace(StreamingTrace):
     per-replica sinks are lightweight :class:`StreamingTrace` objects with
     percentile sketches disabled — their summaries in
     ``metadata["replicas"]`` need only counts, totals, and delays, exactly
-    the fields :meth:`ClusterTrace.merge` reports.
+    the fields :func:`describe_replicas` reports.
     """
 
     def __init__(self, system: str, model: str, metadata: dict | None = None,
@@ -109,12 +119,8 @@ class StreamingClusterTrace(StreamingTrace):
 
     @property
     def tokens_imbalance(self) -> float:
-        """Max/mean ratio of generated tokens across replicas (1.0 = even);
-        same definition as :attr:`ClusterTrace.tokens_imbalance`."""
-        tokens = [trace.generated_tokens for trace in self.replica_traces]
-        if not tokens or sum(tokens) == 0:
-            return 1.0
-        return max(tokens) / (sum(tokens) / len(tokens))
+        """See :func:`tokens_imbalance`."""
+        return tokens_imbalance(self.replica_traces)
 
     def summary(self) -> dict:
         """Cluster summary with the same keys as ``ClusterTrace.summary()``."""

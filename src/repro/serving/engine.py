@@ -1231,10 +1231,10 @@ class ContinuousBatchingEngine:
         All running requests decrement uniformly, so the finishers are
         exactly the requests whose remaining output equalled the steps
         taken, and first tokens land at the epoch's first cumulative clock
-        — one pass advances the batch and collects the finishers.  A
-        finishing non-final session turn hands its KV to the prefix cache
-        instead of freeing it (when ``prefix_reuse`` is on).  ``sink`` is
-        anything with ``observe(record)``: a
+        — one pass advances the batch and splits it into finishers and
+        survivors.  A finishing non-final session turn hands its KV to the
+        prefix cache instead of freeing it (when ``prefix_reuse`` is on).
+        ``sink`` is anything with ``observe(record)``: a
         :class:`~repro.serving.trace.ServingTrace`, a
         :class:`~repro.serving.sketches.StreamingTrace`, or an
         :class:`EngineRun` fanning records out to both a trace and a
@@ -1242,12 +1242,15 @@ class ContinuousBatchingEngine:
         caller can release their reservations.
         """
         finished = []
+        survivors = []
         for wrapper in running:
             wrapper.generated += steps
             if wrapper.first_token_time is None:
                 wrapper.first_token_time = first_clock
             if wrapper.generated >= wrapper.request.output_len:
                 finished.append(wrapper)
+            else:
+                survivors.append(wrapper)
         for done in finished:
             request = done.request
             if (prefix is not None and self.prefix_reuse
@@ -1270,8 +1273,7 @@ class ContinuousBatchingEngine:
                 prefill_chunks=done.prefill_chunks,
             ))
         if finished:
-            running[:] = [r for r in running
-                          if r.generated < r.request.output_len]
+            running[:] = survivors
         return finished
 
 

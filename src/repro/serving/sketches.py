@@ -12,7 +12,8 @@ dropped.
   estimator of Jain & Chlamtac (1985): five markers per quantile, exact
   below five observations, O(1) update and memory after that;
 * :class:`StreamingPercentiles` — a bank of :class:`P2Quantile` mirroring
-  :func:`repro.evaluation.metrics.percentiles`;
+  :func:`repro.evaluation.metrics.percentiles`, fed through a bounded
+  buffer that :meth:`P2Quantile.fold` drains in batches;
 * :class:`StreamingMean` / :class:`StreamingGoodput` — exact count/mean and
   SLO-conditioned goodput accumulators;
 * :class:`StreamingTrace` — the ``record_mode="streaming"`` stand-in for
@@ -46,6 +47,8 @@ from repro.serving.trace import RequestRecord, normalize_class_slos
 
 #: Percentile ranks tracked by default — the ones ``summary()`` reports.
 DEFAULT_QUANTILES = (50, 90, 99)
+
+_NAN_MESSAGE = "cannot observe NaN: P² marker comparisons are undefined"
 
 
 class P2Quantile:
@@ -82,9 +85,7 @@ class P2Quantile:
             # NaN poisons every marker comparison silently (all orderings
             # are False), so the sketch would drift without any error —
             # reject it at the door instead.
-            raise ConfigurationError(
-                "cannot observe NaN: P² marker comparisons are undefined"
-            )
+            raise ConfigurationError(_NAN_MESSAGE)
         self.count += 1
         markers = self._markers
         positions = self._positions
@@ -138,6 +139,108 @@ class P2Quantile:
                 or (gap <= -1.0 and positions[2] - positions[3] < -1.0)):
             self._adjust(3, 1.0 if gap >= 1.0 else -1.0)
 
+    def fold(self, values) -> None:
+        """Observe every value of ``values`` in order, in one pass.
+
+        Leaves exactly the state that calling :meth:`observe` on each value
+        would: the same update runs with the markers, positions and
+        desired positions held in local variables for the whole batch
+        (the :meth:`_adjust` arithmetic inlined in the same expression
+        order) and written back once.  Every value is validated before any
+        is folded, so a NaN anywhere leaves the estimator unchanged.
+        """
+        values = [float(value) for value in values]
+        if any(math.isnan(value) for value in values):
+            raise ConfigurationError(_NAN_MESSAGE)
+        self._fold(values)
+
+    def _fold(self, values: list[float]) -> None:
+        """:meth:`fold` over already-validated floats."""
+        start = 0
+        if self._positions is None:
+            # Warm-up: the first five values are kept exactly.
+            for value in values:
+                if self._positions is not None:
+                    break
+                self.observe(value)
+                start += 1
+            if start == len(values):
+                return
+            values = values[start:]
+        m0, m1, m2, m3, m4 = self._markers
+        n0, n1, n2, n3, n4 = self._positions
+        desired = self._desired
+        d1, d2, d3, d4 = desired[1], desired[2], desired[3], desired[4]
+        _, r1, r2, r3, r4 = self._rates
+        for value in values:
+            if value < m0:
+                m0 = value
+                n1 += 1.0
+                n2 += 1.0
+                n3 += 1.0
+            elif value >= m4:
+                m4 = value
+            elif value < m1:
+                n1 += 1.0
+                n2 += 1.0
+                n3 += 1.0
+            elif value < m2:
+                n2 += 1.0
+                n3 += 1.0
+            elif value < m3:
+                n3 += 1.0
+            n4 += 1.0
+            d4 += r4
+            d1 += r1
+            gap = d1 - n1
+            if ((gap >= 1.0 and n2 - n1 > 1.0)
+                    or (gap <= -1.0 and n0 - n1 < -1.0)):
+                step = 1.0 if gap >= 1.0 else -1.0
+                candidate = m1 + step / (n2 - n0) * (
+                    (n1 - n0 + step) * (m2 - m1) / (n2 - n1)
+                    + (n2 - n1 - step) * (m1 - m0) / (n1 - n0))
+                if not m0 < candidate < m2:
+                    if step > 0.0:
+                        candidate = m1 + step * (m2 - m1) / (n2 - n1)
+                    else:
+                        candidate = m1 + step * (m0 - m1) / (n0 - n1)
+                m1 = candidate
+                n1 = n1 + step
+            d2 += r2
+            gap = d2 - n2
+            if ((gap >= 1.0 and n3 - n2 > 1.0)
+                    or (gap <= -1.0 and n1 - n2 < -1.0)):
+                step = 1.0 if gap >= 1.0 else -1.0
+                candidate = m2 + step / (n3 - n1) * (
+                    (n2 - n1 + step) * (m3 - m2) / (n3 - n2)
+                    + (n3 - n2 - step) * (m2 - m1) / (n2 - n1))
+                if not m1 < candidate < m3:
+                    if step > 0.0:
+                        candidate = m2 + step * (m3 - m2) / (n3 - n2)
+                    else:
+                        candidate = m2 + step * (m1 - m2) / (n1 - n2)
+                m2 = candidate
+                n2 = n2 + step
+            d3 += r3
+            gap = d3 - n3
+            if ((gap >= 1.0 and n4 - n3 > 1.0)
+                    or (gap <= -1.0 and n2 - n3 < -1.0)):
+                step = 1.0 if gap >= 1.0 else -1.0
+                candidate = m3 + step / (n4 - n2) * (
+                    (n3 - n2 + step) * (m4 - m3) / (n4 - n3)
+                    + (n4 - n3 - step) * (m3 - m2) / (n3 - n2))
+                if not m2 < candidate < m4:
+                    if step > 0.0:
+                        candidate = m3 + step * (m4 - m3) / (n4 - n3)
+                    else:
+                        candidate = m3 + step * (m2 - m3) / (n2 - n3)
+                m3 = candidate
+                n3 = n3 + step
+        self.count += len(values)
+        self._markers[:] = (m0, m1, m2, m3, m4)
+        self._positions[:] = (n0, n1, n2, n3, n4)
+        desired[1], desired[2], desired[3], desired[4] = d1, d2, d3, d4
+
     def _adjust(self, i: int, step: float) -> None:
         """Move interior marker ``i`` one position by ``step`` (±1)."""
         markers, positions = self._markers, self._positions
@@ -170,10 +273,22 @@ class P2Quantile:
         return self._markers[2]
 
 
-class StreamingPercentiles:
-    """A bank of :class:`P2Quantile` keyed like ``metrics.percentiles``."""
+#: Observations a :class:`StreamingPercentiles` buffers before folding them
+#: into its estimators.  Constant, so a bank's memory stays O(1).
+_FOLD_BUFFER = 256
 
-    __slots__ = ("qs", "_estimators")
+
+class StreamingPercentiles:
+    """A bank of :class:`P2Quantile` keyed like ``metrics.percentiles``.
+
+    Observations collect in a bounded buffer and are folded into every
+    estimator with :meth:`P2Quantile.fold` when it fills and before any
+    read (``count``, ``values``), so each estimator runs its update loop
+    once per batch instead of once per call.  Folding in order is exactly
+    observing in order: every read returns what an unbuffered bank would.
+    """
+
+    __slots__ = ("qs", "_estimators", "_buffer")
 
     def __init__(self, qs=DEFAULT_QUANTILES) -> None:
         qs = tuple(float(q) for q in qs)
@@ -186,13 +301,29 @@ class StreamingPercentiles:
                 )
         self.qs = qs
         self._estimators = [P2Quantile(q / 100.0) for q in qs]
+        self._buffer: list[float] = []
 
     def observe(self, value: float) -> None:
-        for estimator in self._estimators:
-            estimator.observe(value)
+        value = float(value)
+        if math.isnan(value):
+            # Rejected before buffering, so a bad value never enters the
+            # estimators' state.
+            raise ConfigurationError(_NAN_MESSAGE)
+        buffer = self._buffer
+        buffer.append(value)
+        if len(buffer) >= _FOLD_BUFFER:
+            self._flush()
+
+    def _flush(self) -> None:
+        buffer = self._buffer
+        if buffer:
+            for estimator in self._estimators:
+                estimator._fold(buffer)
+            buffer.clear()
 
     @property
     def count(self) -> int:
+        self._flush()
         return self._estimators[0].count
 
     def values(self) -> dict[float, float]:
@@ -264,6 +395,22 @@ class StreamingGoodput:
         return self.good_tokens / duration_s
 
 
+class _ClassTotals:
+    """One SLO class's exact accumulators inside a :class:`StreamingTrace`."""
+
+    __slots__ = ("count", "tokens", "ttft_total", "queueing_total",
+                 "goodput")
+
+    def __init__(self, ttft_slo_s: float | None,
+                 tpot_slo_s: float | None) -> None:
+        self.count = 0
+        self.tokens = 0
+        self.ttft_total = 0.0
+        self.queueing_total = 0.0
+        self.goodput = StreamingGoodput(ttft_slo_s=ttft_slo_s,
+                                        tpot_slo_s=tpot_slo_s)
+
+
 class StreamingTrace:
     """Bounded-memory stand-in for :class:`~repro.serving.trace.ServingTrace`.
 
@@ -307,7 +454,7 @@ class StreamingTrace:
         self._retries = 0
         self._tokens = 0
         self._duration = 0.0
-        self._queueing = StreamingMean()
+        self._queueing_total = 0.0
         self._goodput = StreamingGoodput(ttft_slo_s=ttft_slo_s,
                                          tpot_slo_s=tpot_slo_s)
         # Per-SLO-class accumulators (created lazily on first observation
@@ -315,7 +462,7 @@ class StreamingTrace:
         # ServingTrace.per_class_summary / prefix_hit_rate.  Per-class
         # goodput SLOs are fixed at construction via ``class_slos``, for
         # the same reason the trace-level SLOs are.
-        self._classes: dict[str, dict] = {}
+        self._classes: dict[str, _ClassTotals] = {}
         self._prefix_bearing = 0
         self._prefix_hits = 0
         self._preemptions = 0
@@ -339,42 +486,45 @@ class StreamingTrace:
         """
         self._count += 1
         self._retries += record.retries
-        if record.completion_time > self._duration:
-            self._duration = record.completion_time
-        if record.status != "completed":
-            if record.status == "failed":
+        completion = record.completion_time
+        if completion > self._duration:
+            self._duration = completion
+        status = record.status
+        if status != "completed":
+            if status == "failed":
                 self._failed += 1
             else:
                 self._shed += 1
             return
         self._completed += 1
-        # Each derived figure is read once: the sinks below share them.
+        # The derived figures are computed once, from the timestamps, with
+        # the float expressions of the RequestRecord properties; every
+        # accumulator below shares them.
+        arrival = record.arrival_time
+        first = record.first_token_time
         output_len = record.output_len
-        queueing = record.queueing_delay
-        ttft = record.ttft
-        tpot = record.tpot
+        queueing = record.admission_time - arrival
+        ttft = first - arrival
+        tpot = ((completion - first) / (output_len - 1)
+                if output_len > 1 else 0.0)
         self._tokens += output_len
-        self._queueing.observe(queueing)
+        self._queueing_total += queueing
         self._goodput.observe_latencies(ttft, tpot, output_len)
         if self._ttft is not None:
             self._ttft.observe(ttft)
             self._tpot.observe(tpot)
-            self._latency.observe(record.e2e_latency)
+            self._latency.observe(completion - arrival)
         slo_class = record.slo_class
-        accumulator = self._classes.get(slo_class)
-        if accumulator is None:
-            ttft_slo_s, tpot_slo_s = self.class_slos.get(slo_class,
-                                                         (None, None))
-            accumulator = {"tokens": 0, "ttft": StreamingMean(),
-                           "queueing": StreamingMean(),
-                           "goodput": StreamingGoodput(
-                               ttft_slo_s=ttft_slo_s,
-                               tpot_slo_s=tpot_slo_s)}
-            self._classes[slo_class] = accumulator
-        accumulator["tokens"] += output_len
-        accumulator["ttft"].observe(ttft)
-        accumulator["queueing"].observe(queueing)
-        accumulator["goodput"].observe_latencies(ttft, tpot, output_len)
+        totals = self._classes.get(slo_class)
+        if totals is None:
+            totals = _ClassTotals(*self.class_slos.get(slo_class,
+                                                       (None, None)))
+            self._classes[slo_class] = totals
+        totals.count += 1
+        totals.tokens += output_len
+        totals.ttft_total += ttft
+        totals.queueing_total += queueing
+        totals.goodput.observe_latencies(ttft, tpot, output_len)
         if record.prefix_len > 0:
             self._prefix_bearing += 1
             self._prefix_hits += record.prefix_hit
@@ -407,7 +557,9 @@ class StreamingTrace:
 
     @property
     def mean_queueing_delay(self) -> float:
-        return self._queueing.mean
+        if self._completed == 0:
+            return 0.0
+        return self._queueing_total / self._completed
 
     @property
     def num_failed(self) -> int:
@@ -518,18 +670,17 @@ class StreamingTrace:
         duration = self._duration
         out = {}
         for name in sorted(self._classes):
-            accumulator = self._classes[name]
+            totals = self._classes[name]
             if unconstrained:
-                goodput = (accumulator["tokens"] / duration
-                           if duration > 0 else 0.0)
+                goodput = totals.tokens / duration if duration > 0 else 0.0
             else:
-                goodput = accumulator["goodput"].goodput(duration)
+                goodput = totals.goodput.goodput(duration)
             out[name] = {
-                "num_requests": accumulator["ttft"].count,
-                "generated_tokens": accumulator["tokens"],
+                "num_requests": totals.count,
+                "generated_tokens": totals.tokens,
                 "goodput_tokens_per_s": goodput,
-                "mean_ttft_s": accumulator["ttft"].mean,
-                "mean_queueing_delay_s": accumulator["queueing"].mean,
+                "mean_ttft_s": totals.ttft_total / totals.count,
+                "mean_queueing_delay_s": totals.queueing_total / totals.count,
             }
         return out
 

@@ -136,9 +136,24 @@ class TestStreamingEquivalence:
         for key in EXACT_KEYS + ("num_replicas", "tokens_imbalance"):
             assert stream_summary[key] == full_summary[key], key
         assert stream.metadata["routing"] == full.metadata["routing"]
-        replicas = stream.metadata["replicas"]
-        assert [r["num_requests"] for r in replicas] == \
-            [r["num_requests"] for r in full.metadata["replicas"]]
+        assert stream.metadata["replicas"] == full.metadata["replicas"]
+
+    @pytest.mark.parametrize("policy", ["round-robin", "jsq"])
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_streaming_replica_breakdown_matches_full(self, policy, seed):
+        # Every per-replica field — counts, tokens, makespan, mean queueing
+        # delay, budgets, peaks, comm share — is exact in both modes.
+        def factory(node, parallelism):
+            return VLLMSystem(MODEL, node, parallelism=parallelism)
+        group = ReplicaGroup.from_layout(factory, "2x(none)",
+                                         V100_16GB_NODE, policy=policy)
+        trace = requests(n=40, rate=8.0, seed=seed)
+        full = group.serve(trace)
+        stream = group.serve(trace, record_mode="streaming")
+        assert len(full.metadata["replicas"]) == 2
+        assert stream.metadata["replicas"] == full.metadata["replicas"]
+        assert stream.metadata["kv_budget_tokens"] == \
+            full.metadata["kv_budget_tokens"]
 
     def test_unknown_record_mode_raises(self):
         with pytest.raises(ConfigurationError, match="record_mode"):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro._common import ConfigurationError
 from repro.serving.sketches import (
+    _FOLD_BUFFER,
     DEFAULT_QUANTILES,
     P2Quantile,
     StreamingGoodput,
@@ -17,6 +18,7 @@ from repro.serving.sketches import (
     StreamingTrace,
 )
 from repro.serving.trace import RequestRecord, ServingTrace
+from repro.workloads.arrivals import SLO_CLASSES
 
 
 class LoopP2:
@@ -25,11 +27,14 @@ class LoopP2:
 
     def __init__(self, q):
         self.q = q
+        self.count = 0
         self.markers = []
         self.positions = None
+        self.desired = None
         self.rates = (0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0)
 
     def observe(self, value):
+        self.count += 1
         markers = self.markers
         if self.positions is None:
             bisect.insort(markers, value)
@@ -75,6 +80,95 @@ class LoopP2:
                                  / (positions[j] - positions[i]))
                 markers[i] = candidate
                 positions[i] += step
+
+
+class UnbufferedBank(StreamingPercentiles):
+    """A percentile bank that updates every estimator per observation."""
+
+    def observe(self, value):
+        for estimator in self._estimators:
+            estimator.observe(value)
+
+
+class ReferenceTrace(StreamingTrace):
+    """Reference record fold: every figure read through the record's
+    properties, one accumulator method call per figure, unbuffered P²
+    banks — the per-accumulator path :meth:`StreamingTrace.observe` must
+    reproduce exactly."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self._quantiles is not None:
+            self._ttft = UnbufferedBank(self._quantiles)
+            self._tpot = UnbufferedBank(self._quantiles)
+            self._latency = UnbufferedBank(self._quantiles)
+        self._queueing = StreamingMean()
+        self._reference_classes = {}
+
+    def observe(self, record):
+        self._count += 1
+        self._retries += record.retries
+        if record.completion_time > self._duration:
+            self._duration = record.completion_time
+        if record.status != "completed":
+            if record.status == "failed":
+                self._failed += 1
+            else:
+                self._shed += 1
+            return
+        self._completed += 1
+        self._tokens += record.output_len
+        self._queueing.observe(record.queueing_delay)
+        self._goodput.observe(record)
+        if self._ttft is not None:
+            self._ttft.observe(record.ttft)
+            self._tpot.observe(record.tpot)
+            self._latency.observe(record.e2e_latency)
+        accumulator = self._reference_classes.get(record.slo_class)
+        if accumulator is None:
+            ttft_slo_s, tpot_slo_s = self.class_slos.get(record.slo_class,
+                                                         (None, None))
+            accumulator = {"tokens": 0, "ttft": StreamingMean(),
+                           "queueing": StreamingMean(),
+                           "goodput": StreamingGoodput(ttft_slo_s,
+                                                       tpot_slo_s)}
+            self._reference_classes[record.slo_class] = accumulator
+        accumulator["tokens"] += record.output_len
+        accumulator["ttft"].observe(record.ttft)
+        accumulator["queueing"].observe(record.queueing_delay)
+        accumulator["goodput"].observe(record)
+        if record.prefix_len > 0:
+            self._prefix_bearing += 1
+            self._prefix_hits += record.prefix_hit
+        self._preemptions += record.preemptions
+        self._prefill_chunks += record.prefill_chunks
+        if record.preempting and self._preempt_wait is not None:
+            self._preempt_wait.observe(record.queueing_delay)
+
+    @property
+    def mean_queueing_delay(self):
+        return self._queueing.mean
+
+    def per_class_summary(self, class_slos=None):
+        super().per_class_summary(class_slos)  # the same SLO validation
+        unconstrained = not class_slos
+        duration = self._duration
+        out = {}
+        for name in sorted(self._reference_classes):
+            accumulator = self._reference_classes[name]
+            if unconstrained:
+                goodput = (accumulator["tokens"] / duration
+                           if duration > 0 else 0.0)
+            else:
+                goodput = accumulator["goodput"].goodput(duration)
+            out[name] = {
+                "num_requests": accumulator["ttft"].count,
+                "generated_tokens": accumulator["tokens"],
+                "goodput_tokens_per_s": goodput,
+                "mean_ttft_s": accumulator["ttft"].mean,
+                "mean_queueing_delay_s": accumulator["queueing"].mean,
+            }
+        return out
 
 
 def record(request_id, arrival, admission, first, completion,
@@ -290,3 +384,227 @@ class TestStreamingTrace:
         summary = stream.summary()
         assert summary["num_requests"] == 0
         assert summary["p99_ttft_s"] == 0.0
+
+
+# ---------------------------------------------------------------------- #
+# batch fold
+# ---------------------------------------------------------------------- #
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def value_lists(draw):
+    """Sketch inputs: arbitrary floats, heavy ties, monotone runs, heavy
+    tails, and the warm-up edge sizes (fewer than five, exactly five)."""
+    size = draw(st.one_of(st.integers(0, 6), st.integers(0, 600)))
+    kind = draw(st.sampled_from(["floats", "ties", "runs", "heavy"]))
+    if kind == "floats":
+        return draw(st.lists(finite, min_size=size, max_size=size))
+    if kind == "ties":
+        return draw(st.lists(st.sampled_from([-3.0, 0.0, 1.0, 2.5]),
+                             min_size=size, max_size=size))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "heavy":
+        return [float(v) for v in rng.pareto(1.1, size)]
+    values = []
+    while len(values) < size:  # ascending or descending runs
+        run = sorted(rng.normal(0.0, 10.0, int(rng.integers(1, 80))))
+        values.extend(float(v) for v in (run if rng.random() < 0.5
+                                         else reversed(run)))
+    return values[:size]
+
+
+def chunked(values, sizes):
+    """Cut ``values`` into consecutive chunks of ``sizes`` (cycled)."""
+    chunks, start = [], 0
+    for size in sizes * (len(values) + 1):
+        if start >= len(values):
+            break
+        chunks.append(values[start:start + size])
+        start += size
+    return chunks
+
+
+def p2_state(estimator):
+    return (estimator._markers, estimator._positions, estimator._desired,
+            estimator.count)
+
+
+class TestP2Fold:
+    @settings(max_examples=120, deadline=None)
+    @given(q=st.sampled_from([0.1, 0.5, 0.9, 0.99]), values=value_lists(),
+           sizes=st.lists(st.integers(1, 70), min_size=1, max_size=8))
+    def test_fold_matches_observe_and_loop_reference(self, q, values, sizes):
+        folded, stepped, reference = P2Quantile(q), P2Quantile(q), LoopP2(q)
+        for chunk in chunked(values, sizes):
+            folded.fold(chunk)
+        for value in values:
+            stepped.observe(value)
+            reference.observe(value)
+        assert p2_state(folded) == p2_state(stepped)
+        assert p2_state(folded) == (reference.markers, reference.positions,
+                                    reference.desired, reference.count)
+
+    def test_fold_rejects_nan_without_folding_anything(self):
+        estimator = P2Quantile(0.5)
+        estimator.fold([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        before = [list(part) if isinstance(part, list) else part
+                  for part in p2_state(estimator)]
+        with pytest.raises(ConfigurationError):
+            estimator.fold([7.0, float("nan"), 8.0])
+        assert list(p2_state(estimator)) == before
+
+    def test_empty_fold_is_a_no_op(self):
+        estimator = P2Quantile(0.9)
+        estimator.fold([])
+        assert estimator.count == 0
+        estimator.fold([1.0, 2.0])
+        estimator.fold([])
+        assert p2_state(estimator) == ([1.0, 2.0], None, None, 2)
+
+
+class TestBufferedBank:
+    QS = (50, 90, 99)
+
+    @staticmethod
+    def expected(estimators):
+        if estimators[0].count == 0:
+            return {}
+        return {float(q): e.value
+                for q, e in zip(TestBufferedBank.QS, estimators)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=value_lists(), reads=st.sets(st.integers(0, 600)))
+    def test_reads_between_observations_match_unbuffered(self, values,
+                                                         reads):
+        bank = StreamingPercentiles(self.QS)
+        unbuffered = [P2Quantile(q / 100.0) for q in self.QS]
+        for index, value in enumerate(values):
+            if index in reads:
+                assert bank.count == unbuffered[0].count
+                assert bank.values() == self.expected(unbuffered)
+            bank.observe(value)
+            for estimator in unbuffered:
+                estimator.observe(value)
+            assert len(bank._buffer) < _FOLD_BUFFER
+        assert bank.values() == self.expected(unbuffered)
+        for estimator, reference in zip(bank._estimators, unbuffered):
+            assert p2_state(estimator) == p2_state(reference)
+
+    @pytest.mark.parametrize("n", [0, 3, _FOLD_BUFFER - 1, _FOLD_BUFFER + 7])
+    def test_nan_raises_at_observe_and_leaves_bank_unchanged(self, n):
+        rng = np.random.default_rng(n)
+        values = [float(v) for v in rng.lognormal(0.0, 1.0, n)]
+        bank, clean = (StreamingPercentiles(self.QS),
+                       StreamingPercentiles(self.QS))
+        for value in values:
+            bank.observe(value)
+            clean.observe(value)
+        buffered = list(bank._buffer)
+        with pytest.raises(ConfigurationError):
+            bank.observe(float("nan"))
+        assert bank._buffer == buffered
+        assert bank.values() == clean.values()
+        for estimator, reference in zip(bank._estimators, clean._estimators):
+            assert p2_state(estimator) == p2_state(reference)
+
+
+# ---------------------------------------------------------------------- #
+# single-pass trace fold vs the per-accumulator reference
+# ---------------------------------------------------------------------- #
+gap = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
+
+
+@st.composite
+def request_records(draw, request_id):
+    arrival = draw(st.floats(min_value=0.0, max_value=1e3,
+                             allow_nan=False))
+    status = draw(st.sampled_from(["completed"] * 4 + ["failed", "shed"]))
+    if status == "completed":
+        admission = arrival + draw(gap)
+        first = admission + draw(gap)
+        completion = first + draw(gap)
+    else:  # terminated: every timestamp is the termination instant
+        admission = first = completion = arrival + draw(gap)
+    return RequestRecord(
+        request_id=request_id, arrival_time=arrival,
+        admission_time=admission, first_token_time=first,
+        completion_time=completion, input_len=draw(st.integers(1, 512)),
+        output_len=draw(st.sampled_from([1, 1, 2, 7, 64])),
+        slo_class=draw(st.sampled_from(SLO_CLASSES)),
+        prefix_len=draw(st.sampled_from([0, 0, 16])),
+        prefix_hit=draw(st.booleans()),
+        preemptions=draw(st.integers(0, 2)),
+        preempting=draw(st.booleans()),
+        prefill_chunks=draw(st.integers(0, 3)),
+        status=status, retries=draw(st.integers(0, 2)))
+
+
+def random_records(seed, n):
+    """``n`` records drawn with NumPy: enough to fill the fold buffer."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for index in range(n):
+        arrival = float(rng.uniform(0.0, 100.0))
+        status = str(rng.choice(["completed"] * 8 + ["failed", "shed"]))
+        if status == "completed":
+            admission = arrival + float(rng.exponential(0.5))
+            first = admission + float(rng.exponential(0.2))
+            completion = first + float(rng.exponential(3.0))
+        else:
+            admission = first = completion = arrival + float(rng.random())
+        records.append(RequestRecord(
+            request_id=index, arrival_time=arrival,
+            admission_time=admission, first_token_time=first,
+            completion_time=completion, input_len=128,
+            output_len=int(rng.choice([1, 2, 16, 64])),
+            slo_class=str(rng.choice(SLO_CLASSES)),
+            prefix_len=int(rng.choice([0, 32])),
+            prefix_hit=bool(rng.random() < 0.5),
+            preemptions=int(rng.integers(0, 3)),
+            preempting=bool(rng.random() < 0.2),
+            prefill_chunks=int(rng.integers(0, 3)),
+            status=status, retries=int(rng.integers(0, 2))))
+    return records
+
+
+slo = st.one_of(st.none(), st.floats(min_value=0.0, max_value=60.0))
+
+
+class TestTraceFoldMatchesReference:
+    @staticmethod
+    def assert_same(records, quantiles, ttft_slo_s, tpot_slo_s,
+                    class_slos):
+        kwargs = dict(quantiles=quantiles, ttft_slo_s=ttft_slo_s,
+                      tpot_slo_s=tpot_slo_s, class_slos=class_slos)
+        trace = StreamingTrace("sys", "m", **kwargs)
+        reference = ReferenceTrace("sys", "m", **kwargs)
+        for rec in records:
+            trace.observe(rec)
+            reference.observe(rec)
+        assert trace.summary() == reference.summary()
+        assert trace.per_class_summary(class_slos) == \
+            reference.per_class_summary(class_slos)
+        assert trace.per_class_summary() == reference.per_class_summary()
+        assert trace.goodput(ttft_slo_s, tpot_slo_s) == \
+            reference.goodput(ttft_slo_s, tpot_slo_s)
+        assert trace.goodput() == reference.goodput()
+        assert trace.p99_preemption_latency == \
+            reference.p99_preemption_latency
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(),
+           quantiles=st.sampled_from([DEFAULT_QUANTILES, ()]),
+           ttft_slo_s=slo, tpot_slo_s=slo, class_ttft=slo, class_tpot=slo)
+    def test_drawn_records(self, data, quantiles, ttft_slo_s, tpot_slo_s,
+                           class_ttft, class_tpot):
+        n = data.draw(st.integers(0, 40))
+        records = [data.draw(request_records(i)) for i in range(n)]
+        self.assert_same(records, quantiles, ttft_slo_s, tpot_slo_s,
+                         {"interactive": (class_ttft, class_tpot)})
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_records_past_the_fold_buffer(self, seed):
+        records = random_records(seed, 3 * _FOLD_BUFFER + 11)
+        self.assert_same(records, DEFAULT_QUANTILES, 2.0, 0.5,
+                         {"interactive": (1.0, 0.2), "batch": (None, 1.0)})
