@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.random import default_rng
 
 #: Bytes per element for the data formats the paper discusses.
 DTYPE_BYTES = {
@@ -43,7 +44,7 @@ def rng(seed: int | None = 0) -> np.random.Generator:
     A single entry point for randomness keeps every experiment deterministic
     and reproducible from its seed.
     """
-    return np.random.default_rng(seed)
+    return default_rng(seed)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -38,8 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._common import ConfigurationError, dtype_bytes, validate_fraction
-from repro.core.scheduler import DynamicScheduler, SchedulerConfig, StepPlan
-from repro.core.swa import SWAConfig
+from repro.core.scheduler import (
+    DynamicScheduler,
+    SchedulerConfig,
+    StepPlan,
+    phase3_placement,
+)
+from repro.core.swa import SWAConfig, sequence_table
 from repro.systems.cost import LLMCostModel
 from repro.workloads.descriptors import Workload
 
@@ -161,107 +166,135 @@ class _FastObjective:
     arrays instead of per-step :class:`StepPlan` objects.  Phases I/II admit
     a closed form (nothing is ever deleted before ``p2``, so the CPU target
     depends only on the sequence length); only the Phase III deletion state
-    is carried through a scalar loop over the ``p2..n`` suffix.  Candidate
-    costs match :meth:`SchedulerOptimizer.evaluate` up to floating-point
-    summation order (the placement integers are identical).
+    is carried through the scalar recurrence
+    (:func:`~repro.core.scheduler.phase3_placement`) over the ``p2..n``
+    suffix.  :meth:`costs` prices a batch of candidates as one array pass,
+    one candidate per row; its costs match :meth:`SchedulerOptimizer.evaluate`
+    up to floating-point summation order (the placement integers are
+    identical).  Per-shape arrays are read-only slices of the SWA config's
+    :class:`~repro.core.swa.SequenceTable`.
     """
 
     def __init__(self, cost_model: LLMCostModel, workload: Workload,
                  swa: SWAConfig, kv_dtype: str, gpu_budget: int,
                  phase2_step: int) -> None:
-        self.n = workload.output_len
+        self.n = n = workload.output_len
         self.budget = gpu_budget
         s = workload.input_len
-        steps = np.arange(self.n)
-        seq = s + steps + 1
-
-        num_local, num_global = swa.split_budget_batch(seq)
-        self.num_global = num_global.astype(np.float64)
-        # Steps running in Phase II or III (Phase I moves nothing).
-        self.off_phase = (steps >= phase2_step) | (seq > gpu_budget)
-        # d == 0 closed forms, valid everywhere before the first deletion.
-        self.non_local0 = np.maximum(0, seq - num_local)
-        self.min_cpu0 = np.maximum(0, seq - gpu_budget)
-        self.non_local_total = np.maximum(1, seq - num_local)
+        self._first_seq = first = s + 1
+        self._table = table = sequence_table(swa, s + n)
+        self.num_global = table.num_global[first:first + n]
+        self.non_local_total = table.non_local_total[first:first + n]
+        # Steps before this one run in Phase I and move nothing: Phase II
+        # starts at p1 or at the first step whose sequence overflows the
+        # GPU budget (the sequence grows one token a step).
+        start = min(phase2_step, max(0, gpu_budget - s), n)
+        self._phase2_start = start
+        # Phase II closed forms (valid until the first deletion) over the
+        # steps from ``start`` on: the non-local tokens alpha applies to,
+        # and the CPU share the budget forces (``None`` when the last
+        # step still fits on the GPU, so it is zero throughout).
+        self._non_local = table.non_local[first + start:first + n]
+        self._min_cpu = (np.maximum(0, np.arange(first + start - gpu_budget,
+                                                 first + n - gpu_budget))
+                         if first + n - 1 > gpu_budget else None)
         self.prefill_cpu = max(0, s - gpu_budget)
 
         # Per-step GPU compute time is candidate-independent: sum the
         # whole run once from the cost model's step table, in ascending
         # sequence-length order.
         self.compute_total = sum(cost_model.decode_step_times(
-            workload.batch_size, s + 1, self.n, swa).tolist())
+            workload.batch_size, first, n, swa).tolist())
         per_token = cost_model.kv_bytes_per_token(workload.batch_size,
                                                   kv_dtype)
         self._transfer_per_token = \
             per_token / cost_model.effective_pcie_bandwidth
         self._cost_model = cost_model
         self._batch_size = workload.batch_size
-        # Python-list views for the Phase III scalar recurrence.
-        self._seq_list = seq.tolist()
-        self._num_local_list = num_local.tolist()
-        # Phase I/II CPU-resident counts per alpha (candidate-independent
-        # otherwise); a candidate with a Phase III suffix edits a copy.
-        self._phase2_cpu: dict[float, np.ndarray] = {}
+        # Costs of candidates without a Phase III suffix, by alpha.
+        self._plain_costs: dict[float, float] = {}
 
-    def _cpu_deleted(self, alpha: float, beta: float, phase3_step: int
-                     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Per-step CPU-resident and deleted token counts for a candidate
-        (``None`` deleted counts when nothing is ever deleted)."""
-        cpu = self._phase2_cpu.get(alpha)
-        if cpu is None:
-            target = np.floor(alpha * self.non_local0 + 0.5).astype(np.int64)
-            target = np.minimum(np.maximum(target, self.min_cpu0),
-                                self.non_local0)
-            cpu = self._phase2_cpu[alpha] = np.where(self.off_phase, target, 0)
+    def costs(self, candidates: list[tuple[float, float, int]]
+              ) -> list[float]:
+        """Objective of Equation 5 for each ``(alpha, beta, p2)`` candidate.
+
+        Each candidate that needs pricing is one row of each array, and
+        every step sum is a row sum, which NumPy reduces in the same
+        pairwise order as the 1-D sum of that row alone: a candidate's
+        cost does not depend on the batch it is priced in.  A candidate
+        without a Phase III suffix (``beta == 0`` or ``p2 == n``) places
+        tokens by ``alpha`` alone, so its cost is priced once per
+        ``alpha`` and then reused.
+        """
+        n = self.n
+        plain_costs = self._plain_costs
+        if self._phase2_start == n:
+            # Every step runs in Phase I: nothing moves, and the priced
+            # transfer is 0.0, whose sum with the compute total is exact.
+            for alpha, _, _ in candidates:
+                plain_costs.setdefault(alpha, self.compute_total)
+        rows: dict[tuple[float, float, int], int] = {}
+        for alpha, beta, phase3_step in candidates:
+            if beta > 0.0 and phase3_step < n:
+                rows.setdefault((alpha, beta, phase3_step), len(rows))
+            elif alpha not in plain_costs:
+                rows.setdefault((alpha, 0.0, n), len(rows))
+        priced = self._price_rows(list(rows)) if rows else []
+        for (alpha, _, phase3_step), cost in zip(rows, priced):
+            if phase3_step == n:
+                plain_costs[alpha] = cost
+        return [priced[rows[(alpha, beta, phase3_step)]]
+                if beta > 0.0 and phase3_step < n else plain_costs[alpha]
+                for alpha, beta, phase3_step in candidates]
+
+    def _price_rows(self, candidates: list[tuple[float, float, int]]
+                    ) -> list[float]:
+        """:meth:`costs` of distinct candidates, one array row each."""
+        n, start = self.n, self._phase2_start
+        # Column 0 holds the post-prefill CPU placement, so a step's
+        # offload (the growth of the CPU-resident share) is the
+        # difference of neighbouring columns.
+        placed = np.zeros((len(candidates), n + 1), dtype=np.int64)
+        placed[:, 0] = self.prefill_cpu
+        cpu = placed[:, 1:]
+        # Phase I places nothing on the CPU; Phase II places a rounded
+        # alpha share (truncating a non-negative x + 0.5 rounds half up).
+        target = (np.array([[alpha] for alpha, _, _ in candidates])
+                  * self._non_local)
+        target += 0.5
+        target = target.astype(np.int64)
+        if self._min_cpu is not None:
+            np.maximum(target, self._min_cpu, out=target)
+        np.minimum(target, self._non_local, out=cpu[:, start:])
+        # A Phase III suffix overwrites its row from p2 on.
         deleted = None
-        if beta > 0.0 and phase3_step < self.n:
-            cpu = cpu.copy()
-            deleted = np.zeros(self.n, dtype=np.int64)
-            seq_list, local_list = self._seq_list, self._num_local_list
-            budget = self.budget
-            d = 0
-            for j in range(phase3_step, self.n):
-                non_local = seq_list[j] - d - local_list[j]
-                if non_local < 0:
-                    non_local = 0
-                tc = int(alpha * non_local + 0.5)
-                min_cpu = seq_list[j] - d - budget
-                if tc < min_cpu:
-                    tc = min_cpu
-                if tc > non_local:
-                    tc = non_local
-                target_deleted = int(beta * (tc + d) + 0.5)
-                newly = target_deleted - d
-                if newly < 0:
-                    newly = 0
-                if newly > tc:
-                    newly = tc
-                d += newly
-                cpu[j] = tc - newly
-                deleted[j] = d
-        return cpu, deleted
-
-    def cost(self, alpha: float, beta: float, phase3_step: int) -> float:
-        """Objective of Equation 5 for one ``(alpha, beta, p2)`` candidate."""
-        cpu, deleted = self._cpu_deleted(alpha, beta, phase3_step)
-        # Growth of the CPU-resident share over the previous step (the
-        # post-prefill placement before step 0).
-        offload = np.empty_like(cpu)
-        offload[0] = cpu[0] - self.prefill_cpu
-        np.subtract(cpu[1:], cpu[:-1], out=offload[1:])
-        offload = np.maximum(0, offload)
-        load = self.num_global * (cpu / self.non_local_total)
-        moved = float(load.sum() + offload.sum())
-        transfer = moved * self._transfer_per_token
-        recompute = 0.0
-        if deleted is not None and deleted[-1] > 0:
+        recomputing = []
+        for row, (alpha, beta, phase3_step) in enumerate(candidates):
+            if phase3_step < n:
+                if deleted is None:
+                    deleted = np.zeros(cpu.shape, dtype=np.int64)
+                cpu[row, phase3_step:], deleted[row, phase3_step:] = \
+                    phase3_placement(self._table.local_list(),
+                                     self._first_seq + phase3_step,
+                                     self._first_seq + n, alpha, beta,
+                                     self.budget)
+                if deleted[row, -1] > 0:
+                    recomputing.append(row)
+        offload = placed[:, 1:] - placed[:, :-1]
+        np.maximum(offload, 0, out=offload)
+        # Globally dynamic tokens are spread over the non-local part of
+        # the sequence; the CPU-resident share of them is reloaded.
+        load = cpu / self.non_local_total
+        load *= self.num_global
+        moved = np.add.reduce(load, axis=1) + np.add.reduce(offload, axis=1)
+        totals = self.compute_total + moved * self._transfer_per_token
+        if recomputing:
             recompute_tokens = np.rint(
-                self.num_global * (deleted / self.non_local_total)
-            )
-            recompute = float(self._cost_model.recompute_time_batch(
-                self._batch_size, recompute_tokens
-            ).sum())
-        return self.compute_total + transfer + recompute
+                self.num_global * (deleted[recomputing]
+                                   / self.non_local_total))
+            totals[recomputing] += self._cost_model.recompute_time_batch(
+                self._batch_size, recompute_tokens).sum(axis=1)
+        return totals.tolist()
 
 
 class SchedulerOptimizer:
@@ -357,8 +390,8 @@ class SchedulerOptimizer:
     def fast_evaluate(self, config: SchedulerConfig, gpu_budget: int) -> float:
         """Vectorized counterpart of :meth:`evaluate` (same placement math)."""
         objective = self._make_objective(gpu_budget, config.phase2_step)
-        return objective.cost(config.offload_ratio, config.recompute_ratio,
-                              config.phase3_step)
+        return objective.costs([(config.offload_ratio, config.recompute_ratio,
+                                 config.phase3_step)])[0]
 
     def solve_incremental(self, weights_on_gpu: bool = True,
                           seed: tuple[float, float, float] | None = None,
@@ -373,60 +406,72 @@ class SchedulerOptimizer:
         shape — it snaps the seed onto the candidate grids and refines by
         coordinate descent, evaluating one axis at a time until a sweep
         stops improving, which visits a small neighborhood instead of the
-        full grid.
+        full grid.  The cold grid, and each axis of a descent round (whose
+        other two coordinates are fixed while it runs), is priced in one
+        :meth:`_FastObjective.costs` batch before its candidates are
+        compared in order, so the search visits and picks exactly what a
+        candidate-at-a-time loop would.
         """
         if gpu_budget is None:
             gpu_budget = gpu_kv_budget_tokens(self.cost_model, self.workload,
                                               self.kv_dtype, weights_on_gpu)
         p1 = phase1_end_step(gpu_budget, self.workload)
         p2_candidates = self._p2_candidates(p1)
+        last_p2 = p2_candidates[-1]
         objective = self._make_objective(gpu_budget, p1)
 
         costs: dict[tuple[float, float, int], float] = {}
 
-        def cost(alpha: float, beta: float, p2: int) -> float:
+        def key(alpha: float, beta: float, p2: int) -> tuple[float, float, int]:
             # beta == 0 makes p2 irrelevant; collapse to one representative.
-            key = (alpha, beta, p2_candidates[-1] if beta == 0.0 else p2)
-            if key not in costs:
-                costs[key] = objective.cost(alpha, beta, key[2])
-            return costs[key]
+            return (alpha, beta, last_p2 if beta == 0.0 else p2)
+
+        def price(keys: list[tuple[float, float, int]]) -> None:
+            fresh = [k for k in keys if k not in costs]
+            if fresh:
+                costs.update(zip(fresh, objective.costs(fresh)))
 
         if seed is None:
+            grid = [(alpha, beta, p2)
+                    for alpha in self.alpha_grid
+                    for beta in self.beta_grid
+                    for p2 in p2_candidates
+                    if beta != 0.0 or p2 == last_p2]
+            price(grid)
             best: tuple[float, float, int] | None = None
             best_time = float("inf")
-            for alpha in self.alpha_grid:
-                for beta in self.beta_grid:
-                    for p2 in p2_candidates:
-                        if beta == 0.0 and p2 != p2_candidates[-1]:
-                            continue
-                        elapsed = cost(alpha, beta, p2)
-                        if elapsed < best_time:
-                            best_time = elapsed
-                            best = (alpha, beta, p2)
+            for candidate in grid:
+                elapsed = costs[candidate]
+                if elapsed < best_time:
+                    best_time = elapsed
+                    best = candidate
         else:
             alpha, beta, fraction = seed
             alpha = min(self.alpha_grid, key=lambda g: abs(g - alpha))
             beta = min(self.beta_grid, key=lambda g: abs(g - beta))
             p2_target = p1 + fraction * (self.workload.output_len - p1)
             p2 = min(p2_candidates, key=lambda c: abs(c - p2_target))
-            best_time = cost(alpha, beta, p2)
+            point = [alpha, beta, p2]
+            grids = (self.alpha_grid, self.beta_grid, p2_candidates)
+            # The seed is priced with the first round's alpha axis, which
+            # holds it.
+            first_axis = ([key(value, beta, p2) for value in self.alpha_grid]
+                          if max_rounds > 0 else [])
+            price([key(*point)] + first_axis)
+            best_time = costs[key(*point)]
             for _ in range(max_rounds):
                 improved = False
-                for candidate in self.alpha_grid:
-                    elapsed = cost(candidate, beta, p2)
-                    if elapsed < best_time:
-                        best_time, alpha, improved = elapsed, candidate, True
-                for candidate in self.beta_grid:
-                    elapsed = cost(alpha, candidate, p2)
-                    if elapsed < best_time:
-                        best_time, beta, improved = elapsed, candidate, True
-                for candidate in p2_candidates:
-                    elapsed = cost(alpha, beta, candidate)
-                    if elapsed < best_time:
-                        best_time, p2, improved = elapsed, candidate, True
+                for axis, values in enumerate(grids):
+                    keys = [key(*point[:axis], value, *point[axis + 1:])
+                            for value in values]
+                    price(keys)
+                    for value, k in zip(values, keys):
+                        if costs[k] < best_time:
+                            best_time, point[axis], improved = \
+                                costs[k], value, True
                 if not improved:
                     break
-            best = (alpha, beta, p2)
+            best = tuple(point)
 
         if best is None:
             raise ConfigurationError("scheduler search evaluated no candidates")

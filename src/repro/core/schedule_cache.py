@@ -13,7 +13,10 @@ request counts.  This module makes the re-solve incremental:
   an *exact* map keyed on the precise solved shape
   ``(b, s, n, kv_dtype, budget)`` (always byte-identical to re-solving) and
   a *canonical* map keyed on a bucketed shape so nearby workloads share one
-  representative solution;
+  representative solution.  :meth:`ScheduleCache.nearest` picks the
+  warm-start seed of a new bucket: it keeps one row of ``(b, s, n)``
+  floats per canonical key of each queried context and prices the
+  distance to all of them in one NumPy pass;
 * :class:`CachedSchedule` — a shape-independent encoding of a solution
   (``alpha``, ``beta``, and ``p2`` as a fraction of the post-``p1`` horizon)
   that can be re-derived for any concrete workload shape.
@@ -54,6 +57,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro._common import ConfigurationError, validate_fraction, validate_positive
 from repro.core.scheduler import SchedulerConfig
@@ -170,8 +175,9 @@ class CachedSchedule:
     def distance(self, workload: Workload) -> float:
         """Relative shape distance used to pick warm-start seeds.
 
-        :meth:`ScheduleCache.nearest` inlines this formula; the two must
-        stay term-for-term identical.
+        :meth:`ScheduleCache.nearest` computes the same terms, in the same
+        order, for all entries of a context at once; this scalar form is
+        the reference the tests compare it against.
         """
         def _rel(a: int, b: int) -> float:
             return abs(a - b) / max(a, b, 1)
@@ -179,6 +185,34 @@ class CachedSchedule:
         return (_rel(self.batch_size, workload.batch_size)
                 + _rel(self.input_len, workload.input_len)
                 + _rel(self.output_len, workload.output_len))
+
+
+class _ContextIndex:
+    """The canonical entries of one context, for :meth:`ScheduleCache.nearest`.
+
+    Row ``i`` of ``shapes`` holds the ``(b, s, n)`` of ``entries[i]`` as
+    floats, in insertion order; an overwritten key keeps its row.
+    """
+
+    __slots__ = ("rows", "entries", "shapes")
+
+    def __init__(self) -> None:
+        self.rows: dict[tuple, int] = {}
+        self.entries: list[CachedSchedule] = []
+        self.shapes = np.empty((16, 3))
+
+    def put(self, key: tuple, entry: CachedSchedule) -> None:
+        row = self.rows.get(key)
+        if row is None:
+            row = self.rows[key] = len(self.entries)
+            self.entries.append(entry)
+            if row == len(self.shapes):
+                self.shapes = np.concatenate(
+                    (self.shapes, np.empty_like(self.shapes)))
+        else:
+            self.entries[row] = entry
+        self.shapes[row] = (entry.batch_size, entry.input_len,
+                            entry.output_len)
 
 
 @dataclass
@@ -213,9 +247,8 @@ class ScheduleCache:
         self._exact: dict[tuple, object] = {}
         self._canonical: dict[tuple, CachedSchedule] = {}
         # Canonical entries of each context :meth:`nearest` has queried,
-        # by context width then context, in canonical insertion order.
-        self._by_context: dict[int, dict[tuple, dict[tuple,
-                                                    CachedSchedule]]] = {}
+        # by context width then context.
+        self._by_context: dict[int, dict[tuple, _ContextIndex]] = {}
         self.stats = ScheduleCacheStats()
 
     def __len__(self) -> int:
@@ -267,35 +300,35 @@ class ScheduleCache:
             )
         self._canonical[key] = entry
         for width, contexts in self._by_context.items():
-            entries = contexts.get(key[:width])
-            if entries is not None:
-                entries[key] = entry
+            index = contexts.get(key[:width])
+            if index is not None:
+                index.put(key, entry)
 
     def nearest(self, context: tuple,
                 workload: Workload) -> CachedSchedule | None:
         """Closest solved canonical entry in the same context, if any.
 
-        Scans only the entries whose key starts with ``context``, through
-        an index built on the context's first query and kept current by
-        :meth:`store_canonical` (an overwritten key keeps its position).
+        Computes :meth:`CachedSchedule.distance` (same terms, same order)
+        for every entry whose key starts with ``context`` in one array
+        pass, over an index built on the context's first query and kept
+        current by :meth:`store_canonical`.  ``argmin`` returns the first
+        minimum, so ties keep the first-stored entry.
         """
         width = len(context)
         contexts = self._by_context.setdefault(width, {})
-        entries = contexts.get(context)
-        if entries is None:
-            entries = contexts[context] = {
-                key: entry for key, entry in self._canonical.items()
-                if key[:width] == context}
-        # CachedSchedule.distance, inlined (same terms, same order): this
-        # scan runs on every cold solve.  Ties keep the first-stored entry.
-        best: CachedSchedule | None = None
-        best_distance = float("inf")
-        b, s, n = workload.batch_size, workload.input_len, workload.output_len
-        for entry in entries.values():
-            eb, es, en = entry.batch_size, entry.input_len, entry.output_len
-            distance = (abs(eb - b) / max(eb, b, 1)
-                        + abs(es - s) / max(es, s, 1)
-                        + abs(en - n) / max(en, n, 1))
-            if distance < best_distance:
-                best, best_distance = entry, distance
-        return best
+        index = contexts.get(context)
+        if index is None:
+            index = contexts[context] = _ContextIndex()
+            for key, entry in self._canonical.items():
+                if key[:width] == context:
+                    index.put(key, entry)
+        count = len(index.entries)
+        if not count:
+            return None
+        shapes = index.shapes[:count]
+        query = np.array((workload.batch_size, workload.input_len,
+                          workload.output_len), dtype=np.float64)
+        terms = np.abs(shapes - query) / np.maximum(
+            np.maximum(shapes, query), 1.0)
+        distance = terms[:, 0] + terms[:, 1] + terms[:, 2]
+        return index.entries[int(distance.argmin())]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._common import ConfigurationError, round_half_up, validate_fraction, validate_positive
-from repro.core.swa import SWAConfig
+from repro.core.swa import SWAConfig, sequence_table
 
 
 PHASE_GPU = "phase-1-gpu"
@@ -129,6 +129,47 @@ class SchedulerState:
     @property
     def total_tokens(self) -> int:
         return self.tokens_gpu + self.tokens_cpu + self.tokens_deleted
+
+
+def phase3_placement(local: list[int], first_seq: int, stop_seq: int,
+                     alpha: float, beta: float, budget: int
+                     ) -> tuple[list[int], list[int]]:
+    """Phase III token placement, step by step from a fresh deletion state.
+
+    The steps run at sequence lengths ``first_seq .. stop_seq - 1``;
+    ``local`` is the local window per sequence length
+    (:meth:`~repro.core.swa.SequenceTable.local_list`).  Returns the
+    CPU-resident and cumulative deleted token counts of each step: the
+    values :meth:`DynamicScheduler.plan_step` reaches when Phase III
+    starts at ``first_seq`` with nothing deleted yet.  Algorithm 2
+    deletes a running ``beta`` fraction of an evolving CPU-resident set,
+    so each step's target depends on the previous step's: this is an
+    inherently sequential recurrence, run over Python ints
+    (``round_half_up`` of a non-negative ``x`` is ``int(x + 0.5)``).
+    """
+    cpu_run: list[int] = []
+    deleted_run: list[int] = []
+    deleted = 0
+    for seq, local_j in zip(range(first_seq, stop_seq),
+                            local[first_seq:stop_seq]):
+        non_local = seq - deleted - local_j
+        if non_local < 0:
+            non_local = 0
+        target = int(alpha * non_local + 0.5)
+        min_cpu = seq - deleted - budget
+        if target < min_cpu:
+            target = min_cpu
+        if target > non_local:
+            target = non_local
+        newly = int(beta * (target + deleted) + 0.5) - deleted
+        if newly < 0:
+            newly = 0
+        if newly > target:
+            newly = target
+        deleted += newly
+        cpu_run.append(target - newly)
+        deleted_run.append(deleted)
+    return cpu_run, deleted_run
 
 
 class DynamicScheduler:
@@ -291,10 +332,12 @@ class DynamicScheduler:
         Non-mutating equivalent of calling :meth:`plan_step` ``num_steps``
         times from the post-prefill state: Phases I/II are closed-form in
         the step index and evaluate array-wise; Phase III's deleted-token
-        count is an inherently sequential recurrence (each step's deletion
-        target depends on the previous step's), so it runs as a tight
-        integer loop — still orders of magnitude cheaper than building and
-        validating a :class:`StepPlan` per step.
+        count is an inherently sequential recurrence, so it runs as a
+        tight integer loop (:func:`phase3_placement`) — still orders of
+        magnitude cheaper than building and validating a
+        :class:`StepPlan` per step.  ``kept_local``/``kept_global`` are
+        read-only views of the SWA config's
+        :class:`~repro.core.swa.SequenceTable`.
         """
         if not self._prefilled:
             raise ConfigurationError("plan_prefill must run before plan_epoch")
@@ -316,54 +359,55 @@ class DynamicScheduler:
         phase2_start = min(self.config.phase2_step,
                            max(0, budget - self.prompt_len), phase3_start)
 
-        seq = self.prompt_len + np.arange(num_steps) + 1
-        num_local, num_global = self.swa.split_budget_batch(seq)
+        # Per-sequence-length counts are read-only slices of the SWA
+        # config's table.
+        first = self.prompt_len + 1
+        stop = first + num_steps
+        table = sequence_table(self.swa, stop - 1)
+        seq = np.arange(first, stop)
+        num_local = table.num_local[first:stop]
+        num_global = table.num_global[first:stop]
         tokens_cpu = np.zeros(num_steps, dtype=np.int64)
         tokens_deleted = np.zeros(num_steps, dtype=np.int64)
 
         # Phase II: nothing has been deleted yet, so the CPU-resident target
         # is a pure function of the step.
-        seq2 = seq[phase2_start:phase3_start]
-        non_local = np.maximum(0, seq2 - num_local[phase2_start:phase3_start])
-        target_cpu = np.maximum(
-            np.floor(alpha * non_local + 0.5).astype(np.int64),
-            np.maximum(0, seq2 - budget))
-        tokens_cpu[phase2_start:phase3_start] = np.minimum(target_cpu,
-                                                           non_local)
+        if phase2_start < phase3_start:
+            non_local = table.non_local[first + phase2_start:
+                                        first + phase3_start]
+            target_cpu = np.maximum(
+                np.floor(alpha * non_local + 0.5).astype(np.int64),
+                np.maximum(0, seq[phase2_start:phase3_start] - budget))
+            tokens_cpu[phase2_start:phase3_start] = np.minimum(target_cpu,
+                                                               non_local)
 
-        # Phase III: the deletion recurrence (Algorithm 2's running `beta`
-        # fraction of an evolving CPU-resident set) steps sequentially,
-        # over Python ints (round_half_up of a non-negative x is
-        # int(x + 0.5)).
         if phase3_start < num_steps:
-            cpu_run, deleted_run = [], []
-            deleted = 0
-            for seq_j, local_j in zip(seq[phase3_start:].tolist(),
-                                      num_local[phase3_start:].tolist()):
-                candidates = max(0, seq_j - deleted - local_j)
-                target = max(int(alpha * candidates + 0.5),
-                             seq_j - deleted - budget)
-                target = min(target, candidates)
-                target_deleted = int(beta * (target + deleted) + 0.5)
-                newly_deleted = min(max(0, target_deleted - deleted), target)
-                deleted += newly_deleted
-                cpu_run.append(target - newly_deleted)
-                deleted_run.append(deleted)
+            cpu_run, deleted_run = phase3_placement(
+                table.local_list(), first + phase3_start, stop, alpha, beta,
+                budget)
             tokens_cpu[phase3_start:] = cpu_run
             tokens_deleted[phase3_start:] = deleted_run
 
-        # The step's offload is the growth of the CPU-resident share over
-        # the previous plan (the post-prefill placement for step 0).
-        # Nothing moves before Phase II.
-        previous_cpu = np.concatenate(([self.state.tokens_cpu],
-                                       tokens_cpu[:-1]))
-        offload = np.maximum(0.0, (tokens_cpu - previous_cpu)
-                             .astype(np.float64))
-        non_local_total = np.maximum(1, seq - num_local)
-        load = num_global * (tokens_cpu / non_local_total)
-        recompute = num_global * (tokens_deleted / non_local_total)
-        for moved in (offload, load, recompute):
-            moved[:phase2_start] = 0.0
+        # Nothing moves before Phase II, and nothing is recomputed before
+        # Phase III: those steps price exactly 0.0.
+        if phase2_start < num_steps:
+            # The step's offload is the growth of the CPU-resident share
+            # over the previous plan (the post-prefill placement for
+            # step 0).
+            previous_cpu = np.concatenate(([self.state.tokens_cpu],
+                                           tokens_cpu[:-1]))
+            offload = np.maximum(0.0, (tokens_cpu - previous_cpu)
+                                 .astype(np.float64))
+            non_local_total = table.non_local_total[first:stop]
+            load = num_global * (tokens_cpu / non_local_total)
+            recompute = (num_global * (tokens_deleted / non_local_total)
+                         if phase3_start < num_steps
+                         else np.zeros(num_steps))
+            for moved in (offload, load, recompute):
+                moved[:phase2_start] = 0.0
+        else:
+            offload, load, recompute = (np.zeros(num_steps)
+                                        for _ in range(3))
         phases = ((PHASE_GPU,) * phase2_start
                   + (PHASE_GPU_CPU,) * (phase3_start - phase2_start)
                   + (PHASE_RECOMPUTE,) * (num_steps - phase3_start))

@@ -87,48 +87,84 @@ class SWAConfig:
         ``split_budget(seq[j])`` — relied on by the epoch-granular pricing
         fast path of the system simulators.  The split is a pure function
         of the sequence length, so it is read from a table kept per
-        configuration (see :func:`_split_table`); the returned arrays are
-        fresh copies.
+        configuration (see :func:`sequence_table`); the returned arrays
+        are fresh copies.
         """
         seq = np.asarray(seq_lens, dtype=np.int64)
         if not seq.size:
             return seq.copy(), seq.copy()
         if seq.min() <= 0:
             raise ConfigurationError("seq_len must be positive")
-        local, global_ = _split_table(self, int(seq.max()))
-        return local[seq], global_[seq]
+        table = sequence_table(self, int(seq.max()))
+        return table.num_local[seq], table.num_global[seq]
 
 
-#: ``(caching_ratio, local_fraction) -> (num_local, num_global)`` tables
-#: indexed by sequence length (entry 0 unused), shared by equal configs.
-_SPLIT_TABLES: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
+class SequenceTable:
+    """Per-sequence-length quantities of one :class:`SWAConfig`.
+
+    Every array is read-only and indexed by sequence length (entry 0 is
+    unused), so ``table.num_local[s + 1:s + n + 1]`` is the local window
+    of the ``n`` decode steps after an ``s``-token prompt.  Besides the
+    split itself it holds the two non-local counts the three-phase
+    scheduler derives from it: ``non_local = max(0, seq - num_local)``
+    (tokens Phase II may offload) and ``non_local_total = max(1, seq -
+    num_local)`` (the divisor spreading global tokens over them).
+    """
+
+    __slots__ = ("num_local", "num_global", "non_local", "non_local_total",
+                 "_local_list")
+
+    def __init__(self, config: SWAConfig, size: int) -> None:
+        seq = np.arange(size, dtype=np.int64)
+        total = np.maximum(
+            2, np.floor(seq * config.caching_ratio + 0.5).astype(np.int64))
+        total = np.minimum(total, seq)
+        num_local = np.maximum(
+            1, np.floor(total * config.local_fraction + 0.5).astype(np.int64))
+        num_local = np.minimum(num_local, seq)
+        num_global = np.maximum(0, np.minimum(total - num_local,
+                                              seq - num_local))
+        bump = (num_global == 0) & (seq > num_local) & (total > num_local)
+        num_global = np.where(bump, 1, num_global)
+        self.num_local = num_local
+        self.num_global = num_global
+        self.non_local = np.maximum(0, seq - num_local)
+        self.non_local_total = np.maximum(1, seq - num_local)
+        for array in (self.num_local, self.num_global, self.non_local,
+                      self.non_local_total):
+            array.flags.writeable = False
+        self._local_list: list[int] | None = None
+
+    @property
+    def size(self) -> int:
+        return self.num_local.size
+
+    def local_list(self) -> list[int]:
+        """``num_local`` as a Python list (built on first use), for
+        scalar recurrences that index it one sequence length at a time."""
+        if self._local_list is None:
+            self._local_list = self.num_local.tolist()
+        return self._local_list
 
 
-def _split_table(config: SWAConfig, max_seq: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The config's split table, covering at least ``1..max_seq``.
+#: ``(caching_ratio, local_fraction) -> SequenceTable``, shared by equal
+#: configs.
+_SEQUENCE_TABLES: dict[tuple[float, float], SequenceTable] = {}
+
+
+def sequence_table(config: SWAConfig, max_seq: int) -> SequenceTable:
+    """The config's :class:`SequenceTable`, covering at least ``1..max_seq``.
 
     Grown geometrically (at least doubling) so a run of increasing
-    sequence lengths rebuilds it only logarithmically often.  Entries are
-    computed by the array form of :meth:`SWAConfig.split_budget`.
+    sequence lengths rebuilds it only logarithmically often.  The split
+    entries are the array form of :meth:`SWAConfig.split_budget`.
     """
     key = (config.caching_ratio, config.local_fraction)
-    table = _SPLIT_TABLES.get(key)
-    if table is not None and max_seq < table[0].size:
+    table = _SEQUENCE_TABLES.get(key)
+    if table is not None and max_seq < table.size:
         return table
-    size = max(max_seq + 1, 1024 if table is None else 2 * table[0].size)
-    seq = np.arange(size, dtype=np.int64)
-    total = np.maximum(
-        2, np.floor(seq * config.caching_ratio + 0.5).astype(np.int64))
-    total = np.minimum(total, seq)
-    num_local = np.maximum(
-        1, np.floor(total * config.local_fraction + 0.5).astype(np.int64))
-    num_local = np.minimum(num_local, seq)
-    num_global = np.maximum(0, np.minimum(total - num_local, seq - num_local))
-    bump = (num_global == 0) & (seq > num_local) & (total > num_local)
-    num_global = np.where(bump, 1, num_global)
-    table = (num_local, num_global)
-    _SPLIT_TABLES[key] = table
+    size = max(max_seq + 1, 1024 if table is None else 2 * table.size)
+    table = _SEQUENCE_TABLES[key] = SequenceTable(config, size)
     return table
 
 

@@ -9,7 +9,6 @@ local and strided attention are nearly uncorrelated.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro._common import ConfigurationError
 
@@ -24,6 +23,10 @@ def spearman_correlation(reference: np.ndarray, candidate: np.ndarray) -> float:
         raise ConfigurationError("need at least 3 positions to correlate")
     if np.allclose(reference, reference[0]) or np.allclose(candidate, candidate[0]):
         return 0.0
+    # Imported here: scipy costs most of a second to import, and the
+    # serving layer reaches this module through repro.evaluation.
+    from scipy import stats
+
     rho, _ = stats.spearmanr(reference, candidate)
     if np.isnan(rho):
         return 0.0

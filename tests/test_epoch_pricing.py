@@ -25,7 +25,7 @@ from repro.baselines import (
 )
 from repro.core.engine import AlisaSystem
 from repro.core.scheduler import DynamicScheduler, SchedulerConfig
-from repro.core.swa import SWAConfig
+from repro.core.swa import SWAConfig, sequence_table
 from repro.hardware.presets import V100_16GB_NODE, multi_gpu
 from repro.serving import ContinuousBatchingEngine
 from repro.systems.cost import ParallelismSpec
@@ -181,6 +181,28 @@ class TestEpochTimingsMatchStepLoop:
                 swa.split_budget_batch(np.array(bad))
         empty = swa.split_budget_batch(np.array([], dtype=np.int64))
         assert [a.size for a in empty] == [0, 0]
+
+    def test_sequence_table_columns(self):
+        swa = SWAConfig(0.37, local_fraction=0.4)
+        table = sequence_table(swa, 3000)
+        seq = np.arange(1, 3001)
+        local, global_ = swa.split_budget_batch(seq)
+        assert table.num_local[1:3001].tolist() == local.tolist()
+        assert table.num_global[1:3001].tolist() == global_.tolist()
+        assert table.non_local[1:3001].tolist() \
+            == np.maximum(0, seq - local).tolist()
+        assert table.non_local_total[1:3001].tolist() \
+            == np.maximum(1, seq - local).tolist()
+        assert table.local_list()[1:3001] == local.tolist()
+        # Slices handed out are read-only views of the shared table.
+        for array in (table.num_local, table.num_global, table.non_local,
+                      table.non_local_total):
+            with pytest.raises(ValueError):
+                array[1] = 0
+        # A longer query grows the table and keeps every entry.
+        grown = sequence_table(swa, 2 * table.size)
+        assert grown.size > 2 * table.size
+        assert grown.local_list()[:table.size] == table.local_list()
 
     def test_split_budget_batch_matches_scalar(self):
         swa = SWAConfig.from_sparsity(0.8)

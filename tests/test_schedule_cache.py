@@ -10,6 +10,9 @@ hit, canonical-bucket derivation, or warm-started solve — must cost within
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,9 +30,14 @@ from repro.core.schedule_cache import (
     ScheduleCache,
     SchedulePolicy,
 )
-from repro.core.scheduler import SchedulerConfig
-from repro.core.swa import SWAConfig
-from repro.hardware.presets import V100_16GB_NODE
+from repro.core.scheduler import (
+    PHASE_RECOMPUTE,
+    DynamicScheduler,
+    SchedulerConfig,
+    phase3_placement,
+)
+from repro.core.swa import SWAConfig, sequence_table
+from repro.hardware.presets import H100_80GB_NODE, V100_16GB_NODE
 from repro.workloads.descriptors import Workload
 
 MODEL = "opt-6.7b"
@@ -313,8 +321,6 @@ class TestResolveHelpers:
     """The lean re-solve helpers reproduce the formulas they replaced."""
 
     def test_phase1_end_step_matches_clip(self):
-        import numpy as np
-
         for n in (1, 7, 64):
             for s in (1, 50, 128):
                 for budget in (1, s - 1, s, s + 1, s + n - 1, s + n,
@@ -325,8 +331,6 @@ class TestResolveHelpers:
                     assert p1 == int(np.clip(budget - s, 0, n))
 
     def test_p2_candidates_match_linspace_and_are_memoised(self):
-        import numpy as np
-
         system = AlisaSystem(MODEL, V100_16GB_NODE, kv_sparsity=0.8)
         for n in (1, 2, 7, 64, 300):
             optimizer = system._make_optimizer(Workload(4, 128, n, "p2"))
@@ -349,8 +353,6 @@ class TestResolveHelpers:
            beta=st.sampled_from([0.0, 0.4]))
     def test_plan_epoch_phases_match_where_reference(
             self, prompt, budget, num_steps, p1, p2_gap, alpha, beta):
-        import numpy as np
-
         from repro.core.scheduler import (
             PHASE_GPU,
             PHASE_GPU_CPU,
@@ -442,3 +444,552 @@ class TestResolveHelpers:
             assert cache.nearest(context, workload) is expected
         cache.clear()
         assert cache.nearest(("a",), Workload(1, 64, 32, "q")) is None
+
+
+class ReferenceObjective:
+    """The scalar per-candidate objective that :meth:`_FastObjective.costs`
+    replaced, kept as the reference it must match bit for bit.
+
+    It builds every per-step array from ``split_budget_batch`` and prices
+    one candidate at a time with 1-D sums.
+    """
+
+    def __init__(self, cost_model, workload, swa, kv_dtype, gpu_budget,
+                 phase2_step):
+        self.n = workload.output_len
+        self.budget = gpu_budget
+        s = workload.input_len
+        steps = np.arange(self.n)
+        seq = s + steps + 1
+        num_local, num_global = swa.split_budget_batch(seq)
+        self.num_global = num_global.astype(np.float64)
+        self.off_phase = (steps >= phase2_step) | (seq > gpu_budget)
+        self.non_local0 = np.maximum(0, seq - num_local)
+        self.min_cpu0 = np.maximum(0, seq - gpu_budget)
+        self.non_local_total = np.maximum(1, seq - num_local)
+        self.prefill_cpu = max(0, s - gpu_budget)
+        self.compute_total = sum(cost_model.decode_step_times(
+            workload.batch_size, s + 1, self.n, swa).tolist())
+        per_token = cost_model.kv_bytes_per_token(workload.batch_size,
+                                                  kv_dtype)
+        self.transfer_per_token = \
+            per_token / cost_model.effective_pcie_bandwidth
+        self.cost_model = cost_model
+        self.batch_size = workload.batch_size
+        self.seq_list = seq.tolist()
+        self.local_list = num_local.tolist()
+
+    def cpu_deleted(self, alpha, beta, phase3_step):
+        target = np.floor(alpha * self.non_local0 + 0.5).astype(np.int64)
+        target = np.minimum(np.maximum(target, self.min_cpu0),
+                            self.non_local0)
+        cpu = np.where(self.off_phase, target, 0)
+        deleted = None
+        if beta > 0.0 and phase3_step < self.n:
+            deleted = np.zeros(self.n, dtype=np.int64)
+            d = 0
+            for j in range(phase3_step, self.n):
+                non_local = max(0, self.seq_list[j] - d - self.local_list[j])
+                tc = max(int(alpha * non_local + 0.5),
+                         self.seq_list[j] - d - self.budget)
+                tc = min(tc, non_local)
+                newly = min(max(0, int(beta * (tc + d) + 0.5) - d), tc)
+                d += newly
+                cpu[j] = tc - newly
+                deleted[j] = d
+        return cpu, deleted
+
+    def cost(self, alpha, beta, phase3_step):
+        cpu, deleted = self.cpu_deleted(alpha, beta, phase3_step)
+        offload = np.empty_like(cpu)
+        offload[0] = cpu[0] - self.prefill_cpu
+        np.subtract(cpu[1:], cpu[:-1], out=offload[1:])
+        offload = np.maximum(0, offload)
+        load = self.num_global * (cpu / self.non_local_total)
+        moved = float(load.sum() + offload.sum())
+        transfer = moved * self.transfer_per_token
+        recompute = 0.0
+        if deleted is not None and deleted[-1] > 0:
+            recompute_tokens = np.rint(
+                self.num_global * (deleted / self.non_local_total))
+            recompute = float(self.cost_model.recompute_time_batch(
+                self.batch_size, recompute_tokens).sum())
+        return self.compute_total + transfer + recompute
+
+
+def reference_solve(optimizer, gpu_budget, seed=None, max_rounds=3):
+    """:meth:`SchedulerOptimizer.solve_incremental` pricing one candidate
+    at a time through :class:`ReferenceObjective`:
+    ``(config, estimated_time, evaluated_candidates)``."""
+    workload = optimizer.workload
+    p1 = phase1_end_step(gpu_budget, workload)
+    p2_candidates = optimizer._p2_candidates(p1)
+    objective = ReferenceObjective(optimizer.cost_model, workload,
+                                   optimizer.swa, optimizer.kv_dtype,
+                                   gpu_budget, p1)
+    costs = {}
+
+    def cost(alpha, beta, p2):
+        key = (alpha, beta, p2_candidates[-1] if beta == 0.0 else p2)
+        if key not in costs:
+            costs[key] = objective.cost(*key)
+        return costs[key]
+
+    if seed is None:
+        best, best_time = None, float("inf")
+        for alpha in optimizer.alpha_grid:
+            for beta in optimizer.beta_grid:
+                for p2 in p2_candidates:
+                    if beta == 0.0 and p2 != p2_candidates[-1]:
+                        continue
+                    elapsed = cost(alpha, beta, p2)
+                    if elapsed < best_time:
+                        best_time, best = elapsed, (alpha, beta, p2)
+    else:
+        alpha, beta, fraction = seed
+        alpha = min(optimizer.alpha_grid, key=lambda g: abs(g - alpha))
+        beta = min(optimizer.beta_grid, key=lambda g: abs(g - beta))
+        p2_target = p1 + fraction * (workload.output_len - p1)
+        p2 = min(p2_candidates, key=lambda c: abs(c - p2_target))
+        best_time = cost(alpha, beta, p2)
+        for _ in range(max_rounds):
+            improved = False
+            for candidate in optimizer.alpha_grid:
+                elapsed = cost(candidate, beta, p2)
+                if elapsed < best_time:
+                    best_time, alpha, improved = elapsed, candidate, True
+            for candidate in optimizer.beta_grid:
+                elapsed = cost(alpha, candidate, p2)
+                if elapsed < best_time:
+                    best_time, beta, improved = elapsed, candidate, True
+            for candidate in p2_candidates:
+                elapsed = cost(alpha, beta, candidate)
+                if elapsed < best_time:
+                    best_time, p2, improved = elapsed, candidate, True
+            if not improved:
+                break
+        best = (alpha, beta, p2)
+    alpha, beta, p2 = best
+    config = SchedulerConfig(alpha, beta, p1, max(p1, p2))
+    return config, best_time, len(costs)
+
+
+fractions = st.floats(min_value=0.0, max_value=1.0)
+cost_models = st.sampled_from(["opt_cost_model", "opt30b_cost_model"])
+
+
+class TestBatchedObjective:
+    """Candidates priced per batch equal the scalar reference bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=cost_models, batch=st.integers(1, 64),
+           input_len=st.integers(1, 700), output_len=st.integers(1, 400),
+           budget=st.integers(1, 1200), p1_shift=st.integers(-50, 50),
+           kv_dtype=st.sampled_from(["fp16", "int8"]),
+           sparsity=st.sampled_from([0.5, 0.8, 0.9]),
+           candidates=st.lists(st.tuples(fractions, fractions, fractions),
+                               min_size=1, max_size=12))
+    def test_costs_match_scalar_reference(self, request, model, batch,
+                                          input_len, output_len, budget,
+                                          p1_shift, kv_dtype, sparsity,
+                                          candidates):
+        cost_model = request.getfixturevalue(model)
+        workload = Workload(batch, input_len, output_len, "t")
+        swa = SWAConfig.from_sparsity(sparsity)
+        # p1 from the capacity constraint, or anywhere else in 0..n.
+        p1 = min(output_len, max(0, phase1_end_step(budget, workload)
+                                 + p1_shift))
+        optimizer = SchedulerOptimizer(cost_model, workload, swa,
+                                       kv_dtype=kv_dtype)
+        batched = optimizer._make_objective(budget, p1)
+        reference = ReferenceObjective(cost_model, workload, swa, kv_dtype,
+                                       budget, p1)
+        # Candidates as the solver builds them: p2 in p1..n (n means no
+        # Phase III), half of them on a coarse beta grid with zeros.
+        rows = [(alpha, round(beta * 5) / 5 if index % 2 else beta,
+                 p1 + round(fraction * (output_len - p1)))
+                for index, (alpha, beta, fraction) in enumerate(candidates)]
+        expected = [reference.cost(*row) for row in rows]
+        assert batched.costs(rows) == expected
+        # Each row alone prices the same as inside the batch.
+        assert [batched.costs([row])[0] for row in rows] == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=cost_models, batch=st.integers(1, 64),
+           input_len=st.integers(1, 2000), output_len=st.integers(1, 600),
+           recompute=st.booleans(),
+           seed=st.none() | st.tuples(fractions, fractions, fractions),
+           max_rounds=st.integers(0, 3))
+    def test_search_matches_scalar_reference(self, request, model, batch,
+                                             input_len, output_len,
+                                             recompute, seed, max_rounds):
+        cost_model = request.getfixturevalue(model)
+        workload = Workload(batch, input_len, output_len, "t")
+        optimizer = SchedulerOptimizer(cost_model, workload, SWA,
+                                       kv_dtype="int8")
+        if not recompute:
+            optimizer.beta_grid = (0.0,)
+        budget = gpu_kv_budget_tokens(cost_model, workload, "int8")
+        solution = optimizer.solve_incremental(seed=seed,
+                                               max_rounds=max_rounds,
+                                               gpu_budget=budget)
+        assert (solution.config, solution.estimated_time,
+                solution.evaluated_candidates) \
+            == reference_solve(optimizer, budget, seed, max_rounds)
+
+    @pytest.mark.parametrize("length", [1, 7, 8, 9, 127, 128, 129, 1000,
+                                        8191, 8192, 8193, 20000])
+    def test_row_sums_match_one_dimensional_sums(self, length):
+        # costs() relies on NumPy reducing each row of a C-ordered 2-D
+        # array in the same pairwise order as that row alone.
+        rows = np.random.default_rng(length).pareto(1.5, size=(5, length))
+        assert rows.sum(axis=1).tolist() == [row.sum() for row in rows]
+        copies = [np.array(row) for row in rows]
+        assert rows.sum(axis=1).tolist() == [row.sum() for row in copies]
+
+
+class TestPhase3Placement:
+    @settings(max_examples=80, deadline=None)
+    @given(prompt=st.integers(1, 400), budget=st.integers(1, 800),
+           num_steps=st.integers(1, 200), p2=st.integers(0, 200),
+           alpha=fractions, beta=fractions,
+           sparsity=st.sampled_from([0.5, 0.8, 0.95]))
+    def test_matches_plan_step_loop(self, prompt, budget, num_steps, p2,
+                                    alpha, beta, sparsity):
+        swa = SWAConfig.from_sparsity(sparsity)
+        p2 = min(p2, num_steps - 1)
+        scheduler = DynamicScheduler(SchedulerConfig(alpha, beta, p2, p2),
+                                     swa, budget, prompt)
+        scheduler.plan_prefill()
+        plans = [scheduler.plan_step(j) for j in range(num_steps)][p2:]
+        assert {plan.phase for plan in plans} == {PHASE_RECOMPUTE}
+        first, stop = prompt + p2 + 1, prompt + num_steps + 1
+        cpu, deleted = phase3_placement(
+            sequence_table(swa, stop).local_list(), first, stop, alpha,
+            beta, budget)
+        assert cpu == [plan.tokens_cpu for plan in plans]
+        assert deleted == [plan.tokens_deleted for plan in plans]
+        assert all(type(value) is int for value in cpu + deleted)
+
+
+    @pytest.mark.parametrize("config, budget", [
+        (SchedulerConfig(0.7, 0.6, 40, 40), 10_000),  # Phase I only
+        (SchedulerConfig(0.7, 0.6, 10, 40), 10_000),  # no Phase III
+        (SchedulerConfig(0.7, 0.6, 10, 39), 10_000),  # Phase III: last step
+        (SchedulerConfig(0.7, 0.6, 39, 39), 10_000),  # I, then III at last
+        (SchedulerConfig(0.5, 0.4, 0, 0), 60),        # Phase III only
+        (SchedulerConfig(0.3, 0.0, 40, 40), 150),     # budget forces II
+    ])
+    def test_plan_epoch_edges_match_plan_step_bit_for_bit(self, config,
+                                                          budget):
+        prompt, num_steps = 120, 40
+        epoch_scheduler = DynamicScheduler(config, SWA, budget, prompt)
+        epoch_scheduler.plan_prefill()
+        epoch = epoch_scheduler.plan_epoch(num_steps)
+        stepwise = DynamicScheduler(config, SWA, budget, prompt)
+        stepwise.plan_prefill()
+        plans = [stepwise.plan_step(j) for j in range(num_steps)]
+        assert epoch.phases == tuple(plan.phase for plan in plans)
+        for field in ("tokens_cpu", "tokens_deleted", "load_tokens",
+                      "offload_tokens", "recompute_tokens"):
+            values = getattr(epoch, field)
+            expected = np.array([getattr(plan, field) for plan in plans],
+                                dtype=values.dtype)
+            assert values.tobytes() == expected.tobytes(), field
+
+def golden_shapes(seed: int, count: int) -> list[tuple[int, int, int]]:
+    """A seeded shape sequence: exact repeats, same-bucket neighbours
+    (canonical hits) and fresh shapes (warm or full solves)."""
+    rng = random.Random(seed)
+    shapes: list[tuple[int, int, int]] = []
+    for _ in range(count):
+        roll = rng.random()
+        if shapes and roll < 0.2:
+            shape = rng.choice(shapes)
+        elif shapes and roll < 0.45:
+            b, s, n = rng.choice(shapes)
+            shape = (b, max(1, s - rng.randint(0, 40)),
+                     max(1, n - rng.randint(0, 40)))
+        else:
+            shape = (rng.choice((1, 2, 4, 8, 16, 32, 64)),
+                     rng.randint(16, 2000), rng.randint(1, 1024))
+        shapes.append(shape)
+    return shapes
+
+
+#: ``name -> (system builder, shape seed, number of prepares)``.  opt-30b
+#: on an H100 node picks schedules with a Phase III; ``warm_start=False``
+#: makes every new bucket a full grid solve.
+GOLDEN_SYSTEMS = {
+    "warm": (lambda: AlisaSystem(MODEL, V100_16GB_NODE, kv_sparsity=0.8),
+             17, 80),
+    "cold": (lambda: AlisaSystem(
+        MODEL, V100_16GB_NODE, kv_sparsity=0.8,
+        schedule_policy=SchedulePolicy(warm_start=False)), 23, 20),
+    "h100": (lambda: AlisaSystem("opt-30b", H100_80GB_NODE, kv_sparsity=0.8),
+             31, 50),
+    "h100-cold": (lambda: AlisaSystem(
+        "opt-30b", H100_80GB_NODE, kv_sparsity=0.8,
+        schedule_policy=SchedulePolicy(warm_start=False)), 37, 30),
+    "no-recompute": (lambda: AlisaSystem(
+        MODEL, V100_16GB_NODE, kv_sparsity=0.8, enable_recomputation=False),
+        29, 20),
+}
+
+#: ``(alpha, beta, p1, p2, estimated_time, gpu_budget_tokens)`` of every
+#: ``prepare`` of a :data:`GOLDEN_SYSTEMS` system, then its final
+#: ``schedule_stats()``.  Recorded from the scalar per-candidate solver
+#: and compared with ``==``: a faster solver must reproduce every bit.
+SOLVER_GOLDEN = {
+    "warm": (
+        (
+            (0.3, 0.0, 0, 749, 108.46809334283193, 75),
+            (0.3, 0.0, 0, 748, 107.54254348941484, 76),
+            (0.3, 0.0, 0, 716, 99.75712807808884, 78),
+            (0.3, 0.0, 0, 823, 135.07034597148444, 92),
+            (0.3, 0.0, 0, 749, 108.46809334283193, 75),
+            (0.3, 0.0, 0, 748, 107.54254348941484, 76),
+            (0.3, 0.0, 0, 748, 107.54254348941484, 76),
+            (0.3, 0.0, 0, 431, 139.78284196731647, 1),
+            (0.3, 0.0, 0, 744, 102.60746126642212, 81),
+            (0.3, 0.0, 0, 718, 98.53274253266883, 80),
+            (0.3, 0.0, 278, 837, 21.439267388725263, 584),
+            (0.3, 0.0, 887, 887, 13.802305233351113, 2482),
+            (0.3, 0.0, 0, 746, 105.59320605989191, 78),
+            (0.3, 0.0, 11, 11, 0.19170497649777776, 2338),
+            (0.3, 0.0, 438, 438, 6.6418404238222415, 4946),
+            (0.3, 0.0, 0, 737, 69.18505446012406, 375),
+            (0.3, 0.0, 0, 716, 99.75712807808884, 78),
+            (0.3, 0.0, 266, 266, 4.483409364764445, 4784),
+            (0.3, 0.0, 0, 698, 92.66765307853868, 83),
+            (0.3, 0.0, 0, 823, 135.07034597148444, 92),
+            (0.3, 0.0, 0, 559, 40.767809642979685, 420),
+            (0.3, 0.0, 0, 747, 105.05465594707412, 79),
+            (0.3, 0.0, 111, 111, 1.8705522938311103, 2365),
+            (0.3, 0.0, 154, 154, 2.407636696177778, 2421),
+            (0.3, 0.0, 0, 994, 181.79114272085323, 76),
+            (0.3, 0.0, 0, 698, 92.66765307853868, 83),
+            (0.3, 0.0, 994, 994, 16.08521530026668, 4872),
+            (0.3, 0.0, 0, 802, 65.40754721433389, 411),
+            (0.3, 0.0, 0, 744, 102.60746126642212, 81),
+            (0.3, 0.0, 38, 38, 13.305185803480775, 280),
+            (0.3, 0.0, 266, 266, 4.483409364764445, 4784),
+            (0.3, 0.0, 0, 724, 96.80062250359836, 84),
+            (0.3, 0.0, 994, 994, 16.08521530026668, 4872),
+            (0.3, 0.0, 0, 823, 135.07034597148444, 92),
+            (0.3, 0.0, 0, 984, 94.5079843207121, 205),
+            (0.3, 0.0, 0, 748, 107.54254348941484, 76),
+            (0.3, 0.0, 544, 544, 8.312360318293333, 4918),
+            (0.3, 0.0, 0, 101, 9.967593098585528, 78),
+            (0.3, 0.0, 0, 805, 24.53734236714711, 1092),
+            (0.3, 0.0, 836, 836, 13.90843763370668, 4834),
+            (0.3, 0.0, 941, 941, 16.14925743217778, 1222),
+            (0.3, 0.0, 652, 652, 10.528197245155575, 4852),
+            (0.3, 0.0, 59, 59, 1.041614718293334, 2333),
+            (0.3, 0.0, 0, 866, 51.87820358527736, 474),
+            (0.3, 0.0, 0, 747, 105.05465594707412, 79),
+            (0.3, 0.0, 474, 474, 8.54652276280889, 4738),
+            (0.3, 0.0, 433, 433, 6.755593550506664, 2443),
+            (0.3, 0.0, 74, 74, 1.2357773403022225, 2369),
+            (0.3, 0.0, 0, 748, 107.54254348941484, 76),
+            (0.3, 0.0, 367, 367, 6.588241276017782, 4734),
+            (0.3, 0.0, 0, 736, 97.7822067941483, 85),
+            (0.3, 0.0, 25, 25, 0.469197193671111, 1126),
+            (0.3, 0.0, 858, 858, 13.324457506133333, 2482),
+            (0.3, 0.0, 0, 744, 103.1175614523577, 81),
+            (0.3, 0.0, 0, 822, 134.8706585076622, 92),
+            (0.3, 0.0, 474, 474, 8.54652276280889, 4738),
+            (0.3, 0.0, 135, 203, 4.052386164563527, 568),
+            (0.3, 0.0, 0, 54, 13.691362923043993, 1),
+            (0.3, 0.0, 0, 455, 118.47147231849655, 1),
+            (0.3, 0.0, 820, 820, 13.306498059377766, 9736),
+            (0.3, 0.0, 0, 0, 4.778753560378918, 997),
+            (0.3, 0.0, 538, 538, 8.152431279217788, 9906),
+            (0.3, 0.0, 74, 74, 1.2343798306133336, 2370),
+            (0.3, 0.0, 16, 16, 0.29034572458666663, 1138),
+            (0.3, 0.0, 69, 69, 1.0465367313066656, 2466),
+            (0.3, 0.0, 0, 667, 89.27848216538908, 80),
+            (0.3, 0.0, 25, 25, 0.43905472056888895, 2334),
+            (0.3, 0.0, 0, 581, 22.37872807698529, 1032),
+            (0.3, 0.0, 990, 990, 15.988055866026684, 4874),
+            (0.3, 0.0, 411, 411, 7.846857011199997, 2311),
+            (0.3, 0.0, 311, 311, 4.7212945726577775, 4921),
+            (0.3, 0.0, 897, 897, 13.766381238044476, 9842),
+            (0.3, 0.0, 0, 316, 10.666227759902199, 1042),
+            (0.3, 0.0, 650, 650, 9.911746082133345, 4934),
+            (0.3, 0.0, 0, 577, 179.53425011031663, 1),
+            (0.3, 0.0, 484, 484, 7.709602533831116, 1225),
+            (0.3, 0.0, 0, 823, 135.07034597148444, 92),
+            (0.3, 0.0, 0, 659, 18.286074194955862, 1102),
+            (0.3, 0.0, 0, 264, 8.397920342425518, 1050),
+            (0.3, 0.0, 0, 708, 90.77041317037205, 88),
+        ),
+        dict(exact_hits=15, canonical_hits=13, warm_solves=51,
+             full_solves=1, candidates_evaluated=501),
+    ),
+    "cold": (
+        (
+            (0.3, 0.0, 172, 172, 3.5256752355555556, 2258),
+            (0.3, 0.0, 172, 172, 3.5256752355555556, 2258),
+            (0.3, 0.0, 160, 160, 3.2686583899022206, 2259),
+            (0.3, 0.0, 133, 133, 2.7043352689777755, 2260),
+            (0.3, 0.0, 176, 176, 2.666966366435559, 9927),
+            (0.3, 0.0, 41, 41, 0.7550234100622223, 1134),
+            (0.3, 0.0, 0, 736, 66.95298301276965, 198),
+            (0.3, 0.0, 73, 73, 1.2264141596444444, 4775),
+            (0.3, 0.0, 0, 443, 17.423928002895053, 265),
+            (0.3, 0.0, 756, 756, 14.224639772444451, 2342),
+            (0.3, 0.0, 644, 644, 12.4965568056889, 2318),
+            (0.3, 0.0, 0, 364, 60.41316168947808, 32),
+            (0.3, 0.0, 0, 917, 74.93600034410122, 417),
+            (0.3, 0.0, 366, 366, 5.554130026951116, 4929),
+            (0.3, 0.0, 0, 401, 56.6051318010311, 100),
+            (0.3, 0.0, 873, 873, 13.228760159573353, 9929),
+            (0.3, 0.0, 0, 443, 17.423928002895053, 265),
+            (0.3, 0.0, 581, 678, 14.668079197286378, 2277),
+            (0.3, 0.0, 756, 756, 14.224639772444451, 2342),
+            (0.3, 0.0, 0, 448, 74.5804998356927, 37),
+        ),
+        dict(exact_hits=3, canonical_hits=2, warm_solves=0,
+             full_solves=15, candidates_evaluated=722),
+    ),
+    "h100": (
+        (
+            (0.3, 0.0, 805, 805, 15.365816077296707, 30337),
+            (0.3, 0.0, 805, 805, 15.365816077296707, 30337),
+            (0.3, 0.0, 805, 805, 15.365816077296707, 30337),
+            (0.3, 0.6, 0, 0, 41.28584198951285, 821),
+            (0.3, 0.0, 805, 805, 15.365816077296707, 30337),
+            (0.3, 0.0, 917, 917, 17.37175568949508, 15193),
+            (0.3, 0.0, 191, 191, 3.636098834951641, 15132),
+            (0.3, 0.0, 191, 191, 3.636098834951641, 15132),
+            (0.3, 0.6, 407, 407, 8.430479836083583, 3749),
+            (0.3, 0.0, 153, 153, 2.90626803054806, 15134),
+            (0.3, 0.0, 445, 445, 8.712601156928962, 15109),
+            (0.3, 0.0, 442, 442, 8.628230562311641, 15112),
+            (0.3, 0.4, 60, 227, 81.5216958511161, 444),
+            (0.3, 0.0, 805, 805, 15.365816077296707, 30337),
+            (0.3, 0.6, 177, 177, 3.3529029917803097, 3802),
+            (0.3, 0.6, 0, 0, 95.09246972838764, 399),
+            (0.3, 0.0, 793, 793, 15.123915824296107, 30339),
+            (0.3, 0.0, 189, 189, 3.592301310777314, 15134),
+            (0.3, 0.0, 117, 117, 2.218369329671641, 15135),
+            (0.3, 0.0, 439, 439, 8.583872036833435, 15110),
+            (0.3, 0.0, 362, 362, 8.12620910958806, 7463),
+            (0.3, 0.0, 27, 27, 42.01334852864046, 1759),
+            (0.3, 0.0, 191, 191, 3.636098834951641, 15132),
+            (0.3, 0.0, 439, 439, 8.583872036833435, 15110),
+            (0.3, 0.6, 0, 0, 37.387497234252706, 823),
+            (0.3, 0.6, 0, 0, 71.39157307628, 807),
+            (0.3, 0.0, 191, 191, 3.636098834951641, 15132),
+            (0.3, 0.6, 100, 100, 2.057879429731344, 3738),
+            (0.3, 0.0, 203, 203, 3.8407495831307568, 30422),
+            (0.3, 0.6, 398, 398, 9.025599472105064, 930),
+            (0.3, 0.0, 887, 887, 16.797185359321954, 15194),
+            (0.3, 0.0, 439, 439, 8.583872036833435, 15110),
+            (0.3, 0.0, 763, 763, 17.50430444819106, 7469),
+            (0.3, 0.6, 78, 78, 1.7819484859988062, 3698),
+            (0.3, 0.6, 1020, 1020, 20.81685147327046, 3783),
+            (0.3, 0.0, 404, 404, 17.295245635031296, 470),
+            (0.3, 0.6, 0, 0, 189.5114104536554, 394),
+            (0.3, 0.0, 154, 154, 2.9251988774973134, 15134),
+            (0.3, 0.0, 434, 434, 8.467884178875225, 15112),
+            (0.3, 0.6, 0, 0, 41.28584198951285, 821),
+            (0.3, 0.0, 396, 396, 7.823012762822694, 15098),
+            (0.3, 0.6, 0, 94, 48.00460482446961, 423),
+            (0.3, 0.0, 345, 345, 44.34600862263541, 1784),
+            (0.3, 0.6, 102, 401, 68.16737338887393, 447),
+            (0.3, 0.6, 390, 390, 8.72920310554746, 932),
+            (0.3, 0.6, 66, 66, 1.4977356622710445, 3700),
+            (0.3, 0.0, 94, 94, 18.895146031979, 886),
+            (0.3, 0.0, 345, 345, 44.34600862263541, 1784),
+            (0.3, 0.6, 100, 100, 2.057879429731344, 3738),
+            (0.3, 0.6, 0, 0, 87.167618591088, 401),
+        ),
+        dict(exact_hits=12, canonical_hits=7, warm_solves=30,
+             full_solves=1, candidates_evaluated=346),
+    ),
+    "h100-cold": (
+        (
+            (0.3, 0.0, 73, 73, 1.391552132661492, 30308),
+            (0.3, 0.0, 221, 221, 4.301868331099705, 7541),
+            (0.3, 0.0, 578, 578, 13.810567586464481, 3704),
+            (0.3, 0.4, 0, 455, 88.54236602765278, 878),
+            (0.3, 0.0, 73, 73, 1.391552132661492, 30308),
+            (0.3, 0.0, 73, 73, 1.391552132661492, 30308),
+            (0.3, 0.0, 886, 886, 19.170174060207767, 7505),
+            (0.3, 0.0, 70, 70, 1.5845591691080603, 1840),
+            (0.3, 0.0, 854, 854, 20.021902358314037, 1866),
+            (0.3, 0.0, 73, 73, 1.391552132661492, 30308),
+            (0.3, 0.0, 461, 461, 8.726913276179145, 7604),
+            (0.3, 0.0, 73, 73, 1.391552132661492, 30308),
+            (0.3, 0.6, 0, 0, 18.168405397749297, 327),
+            (0.3, 0.0, 639, 639, 12.642218721127172, 15107),
+            (0.3, 0.0, 446, 618, 25.08256155814437, 1792),
+            (0.3, 0.0, 417, 417, 7.954062112248359, 7569),
+            (0.3, 0.0, 99, 99, 1.873400291419697, 15187),
+            (0.3, 0.4, 34, 472, 84.15069482238161, 881),
+            (0.3, 0.0, 42, 42, 0.9442808043367165, 1840),
+            (0.3, 0.0, 61, 61, 1.1598969620632842, 7556),
+            (0.3, 0.0, 73, 73, 1.391552132661492, 30308),
+            (0.3, 0.0, 73, 73, 1.391552132661492, 30308),
+            (0.3, 0.0, 392, 591, 23.410346087889764, 909),
+            (0.3, 0.0, 603, 603, 13.161832639808948, 1872),
+            (0.3, 0.4, 0, 455, 88.54236602765278, 878),
+            (0.3, 0.0, 18, 18, 0.39743424756537316, 3708),
+            (0.3, 0.0, 575, 575, 13.612064559990456, 3707),
+            (0.3, 0.0, 45, 45, 0.8567028810125373, 30310),
+            (0.3, 0.0, 867, 867, 18.716376696587467, 7505),
+            (0.3, 0.0, 575, 575, 13.612064559990456, 3707),
+        ),
+        dict(exact_hits=8, canonical_hits=2, warm_solves=0,
+             full_solves=20, candidates_evaluated=642),
+    ),
+    "no-recompute": (
+        (
+            (0.3, 0.0, 592, 592, 11.091515128035557, 2333),
+            (0.3, 0.0, 592, 592, 11.091515128035557, 2333),
+            (0.3, 0.0, 586, 586, 10.966494180693335, 2334),
+            (0.3, 0.0, 0, 0, 40.69298184360892, 251),
+            (0.3, 0.0, 0, 0, 40.69298184360892, 251),
+            (0.3, 0.0, 0, 0, 36.8149704231456, 255),
+            (0.3, 0.0, 350, 350, 5.505032760888893, 4861),
+            (0.3, 0.0, 314, 314, 4.915192354133332, 4864),
+            (0.3, 0.0, 0, 0, 60.20865123735348, 447),
+            (0.3, 0.0, 0, 0, 57.395118910024856, 449),
+            (0.3, 0.0, 38, 38, 7.10563004464737, 1110),
+            (0.3, 0.0, 0, 0, 153.50781082437487, 77),
+            (0.3, 0.0, 0, 0, 55.1952069351961, 450),
+            (0.3, 0.0, 698, 698, 11.056743005297777, 2448),
+            (0.3, 0.0, 0, 0, 11.755901692530832, 518),
+            (0.3, 0.0, 68, 68, 6.1817853252124255, 1113),
+            (0.3, 0.0, 0, 0, 36.41944050046182, 254),
+            (0.3, 0.0, 0, 0, 27.814902165019582, 256),
+            (0.3, 0.0, 592, 592, 11.091515128035557, 2333),
+            (0.3, 0.0, 690, 690, 10.869508250737779, 2453),
+        ),
+        dict(exact_hits=3, canonical_hits=3, warm_solves=13,
+             full_solves=1, candidates_evaluated=73),
+    ),
+}
+
+
+class TestSolverGoldenPin:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SYSTEMS))
+    def test_prepare_sequence_is_bit_identical(self, name):
+        build, seed, count = GOLDEN_SYSTEMS[name]
+        expected_rows, expected_stats = SOLVER_GOLDEN[name]
+        system = build()
+        rows = []
+        for b, s, n in golden_shapes(seed, count):
+            system.prepare(Workload(b, s, n, "pin"))
+            solution = system.schedule_solution
+            config = solution.config
+            rows.append((config.offload_ratio, config.recompute_ratio,
+                         config.phase2_step, config.phase3_step,
+                         solution.estimated_time,
+                         solution.gpu_budget_tokens))
+        assert len(rows) == len(expected_rows)
+        for index, (row, expected) in enumerate(zip(rows, expected_rows)):
+            assert row == expected, (index, golden_shapes(seed, count)[index])
+        assert system.schedule_stats() == expected_stats

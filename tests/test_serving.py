@@ -1,5 +1,10 @@
 """Tests for the serving layer: arrival traces, continuous batching, metrics."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -320,3 +325,18 @@ class TestServingExperiment:
         alisa_row = result.filter(system="alisa")[0]
         assert alisa_row["solver_warm_solves"] == 0
         assert alisa_row["solver_canonical_hits"] == 0
+
+
+def test_serving_import_leaves_scipy_out():
+    # scipy is needed only by Figure 4's Spearman correlation; importing
+    # the serving and cluster layers must not pay for it.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (
+                   str(src), os.environ.get("PYTHONPATH")))))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.serving, repro.cluster; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
