@@ -1,0 +1,344 @@
+"""Bit-level fingerprint of the serving layer's observable outputs.
+
+Serves a fixed matrix of small configurations and compares everything a
+serve produces — the event journal, every record, the metadata (minus
+``wall_clock_s``) and the summary — plus the rows of three
+``serving_rate_sweep`` configurations against a committed fixture::
+
+    PYTHONPATH=src python tools/fingerprint.py --check
+    PYTHONPATH=src python tools/fingerprint.py --regenerate
+
+The fixture stores values, not hashes: floats as their ``repr``, so a
+mismatch prints the case and the field that moved with both values.
+There is no tolerance — a refactor of the serving core must reproduce
+every value exactly.
+
+The serve matrix crosses system (vLLM, FlexGen, ALISA), serve layer
+(engine, ``2x(none)`` group with round-robin and with JSQ routing),
+source kind (sorted list, ``RequestStream``, closed-loop sessions) and
+faults (none, ``crash``, ``drain``; retry and shedding on, never with the
+closed-loop source, which rejects faults).  Each cell runs four engine
+variants, a half fraction of preemption (none / ``retain``) x chunked
+prefill (off / 128 tokens) x record mode (full / streaming) in which
+every pair of values appears.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from repro.baselines import FlexGenSystem, VLLMSystem  # noqa: E402
+from repro.cluster import ReplicaGroup  # noqa: E402
+from repro.core.engine import AlisaSystem  # noqa: E402
+from repro.experiments.serving import serving_rate_sweep  # noqa: E402
+from repro.faults import (  # noqa: E402
+    FaultEvent,
+    FaultSchedule,
+    LoadShedder,
+    RetryPolicy,
+)
+from repro.hardware.presets import V100_16GB_NODE  # noqa: E402
+from repro.obs import Observer, SpanTracer  # noqa: E402
+from repro.serving import ContinuousBatchingEngine  # noqa: E402
+from repro.workloads.arrivals import (  # noqa: E402
+    RequestStream,
+    generate_requests,
+)
+from repro.workloads.sessions import sessions  # noqa: E402
+
+FIXTURE = ROOT / "tests" / "fixtures" / "serving_fingerprint.json"
+MODEL = "opt-6.7b"
+NUM_REQUESTS = 20
+CLASS_SLOS = {"interactive": (2.0, 0.1), "batch": (20.0, 0.5)}
+
+SYSTEMS = {
+    "vllm": lambda node, parallelism: VLLMSystem(
+        MODEL, node, parallelism=parallelism),
+    "flexgen": lambda node, parallelism: FlexGenSystem(
+        MODEL, node, parallelism=parallelism),
+    "alisa": lambda node, parallelism: AlisaSystem(
+        MODEL, node, kv_sparsity=0.8, parallelism=parallelism),
+}
+LAYERS = ("engine", "group-round-robin", "group-jsq")
+SOURCES = ("list", "stream", "sessions")
+FAULTS = ("none", "crash", "drain")
+#: ``(preemption, prefill_chunk_tokens, record_mode)``: a half fraction of
+#: the 2x2x2 design, so every pair of the three factors' values is served.
+VARIANTS = (
+    (None, None, "full"),
+    ("retain", None, "streaming"),
+    (None, 128, "streaming"),
+    ("retain", 128, "full"),
+)
+
+
+class _Journal(Observer):
+    """Collects the driver's ``(time, kind, replica)`` event stream."""
+
+    def __init__(self) -> None:
+        self.events: list = []
+
+    def on_event(self, time, kind, replica):
+        self.events.append((time, kind, replica))
+
+
+def _list_source() -> list:
+    """Bursty ShareGPT-length arrivals with every third one interactive,
+    so ``retain`` preemption has batch work to evict."""
+    requests = generate_requests(NUM_REQUESTS, 4.0, pattern="bursty",
+                                 seed=3, max_len=512)
+    return [dataclasses.replace(
+        request, slo_class="interactive" if index % 3 == 0 else "batch")
+        for index, request in enumerate(requests)]
+
+
+def _source(kind: str):
+    if kind == "list":
+        return _list_source()
+    if kind == "stream":
+        return RequestStream(NUM_REQUESTS, rate=4.0, pattern="bursty",
+                             seed=5, max_len=512)
+    return sessions(6, rate=1.5, seed=7, mean_turns=3.0, mean_think_s=1.0,
+                    interactive_fraction=0.5).closed_loop()
+
+
+def _faults(kind: str, layer: str) -> dict:
+    if kind == "none":
+        return {}
+    events = [FaultEvent(0, 1.0, 2.0, mode=kind)]
+    if layer != "engine":
+        events.append(FaultEvent(1, 2.5, 3.5, mode=kind))
+    return {"faults": FaultSchedule(events),
+            "retry": RetryPolicy(max_retries=2, backoff_s=0.05),
+            "shedding": LoadShedder()}
+
+
+def _serve(system: str, layer: str, source: str, faults: str,
+           preemption, chunk, record_mode: str):
+    engine_kwargs = {"preemption": preemption,
+                     "prefill_chunk_tokens": chunk}
+    if preemption is not None:
+        # Preemption only fires under contention.
+        engine_kwargs["max_batch_size"] = 4
+    serve_kwargs = dict(record_mode=record_mode, class_slos=CLASS_SLOS,
+                        **_faults(faults, layer))
+    if layer == "engine":
+        journal = _Journal()
+        engine = ContinuousBatchingEngine(
+            SYSTEMS[system](V100_16GB_NODE, None), **engine_kwargs)
+        trace = engine.serve(_source(source), observers=[journal],
+                             **serve_kwargs)
+        return journal.events, trace
+    events: list = []
+    group = ReplicaGroup.from_layout(
+        SYSTEMS[system], "2x(none)", V100_16GB_NODE,
+        policy=layer.removeprefix("group-"), seed=3, **engine_kwargs)
+    trace = group.serve(_source(source), event_journal=events,
+                        **serve_kwargs)
+    return events, trace
+
+
+def _serve_case(*args) -> dict:
+    try:
+        events, trace = _serve(*args)
+    except Exception as error:  # an error is an observable outcome too
+        return {"error": f"{type(error).__name__}: {error}"}
+    case = {
+        "journal": [f"{time!r} {kind} {index}"
+                    for time, kind, index in events],
+        "metadata": trace.metadata,
+        "summary": trace.summary(),
+    }
+    records = getattr(trace, "records", None)
+    if records is not None:
+        fields = [field.name for field in dataclasses.fields(records[0])] \
+            if records else []
+        case["record_fields"] = fields
+        case["records"] = [[getattr(record, name) for name in fields]
+                           for record in records]
+    return case
+
+
+class _FirstTurns:
+    """A session workload cut to its first ``count`` turns at every rate."""
+
+    def __init__(self, spec, count: int) -> None:
+        self.spec = spec
+        self.count = count
+
+    def with_rate(self, rate: float) -> "_FirstTurns":
+        return _FirstTurns(self.spec.with_rate(rate), self.count)
+
+    def requests(self) -> list:
+        return self.spec.requests()[:self.count]
+
+
+def _sweeps() -> dict:
+    """The ``serving_rate_sweep`` configurations of the host-cost
+    benchmark's three workloads (``perfbench/bench_workloads.py``), on
+    one seed."""
+    seed = 100
+    retry = RetryPolicy(max_retries=4, backoff_s=0.05)
+    outages = FaultSchedule([
+        FaultEvent(1, 0.20 * 6.0, 0.35 * 6.0, mode="crash"),
+        FaultEvent(0, 0.60 * 6.0, 0.70 * 6.0, mode="crash"),
+    ])
+    configs = {
+        "stream": dict(
+            rates=(8.0, 16.0), num_requests=40, input_len=128,
+            output_len=64, seed=seed, record_mode="streaming",
+            cluster=("2x(none)",), routing="round-robin"),
+        "sessions": dict(
+            rates=(2.0, 4.0), seed=seed, cluster=("2x(none)",),
+            routing=("jsq", "session-affinity"), slo_classes=CLASS_SLOS,
+            workload=_FirstTurns(sessions(40, seed=seed,
+                                          interactive_fraction=0.5), 24),
+            preemption="retain", prefill_chunk_tokens=256),
+        "faults": dict(
+            rates=(4.0, 8.0), num_requests=48, pattern="bursty",
+            input_len=None, output_len=None, seed=seed,
+            cluster=("2x(none)",), routing="jsq", faults=outages,
+            retry=retry, slo_classes=CLASS_SLOS,
+            observers=lambda: [SpanTracer()]),
+    }
+    return {f"sweep/{name}": {"rows": serving_rate_sweep(
+                model=MODEL, **kwargs).rows}
+            for name, kwargs in configs.items()}
+
+
+def cases() -> dict:
+    """Every fingerprinted case, keyed by a readable name."""
+    result = {}
+    for system in SYSTEMS:
+        for layer in LAYERS:
+            for source in SOURCES:
+                for faults in FAULTS:
+                    if source == "sessions" and faults != "none":
+                        continue
+                    for preemption, chunk, mode in VARIANTS:
+                        name = "/".join((
+                            system, layer, source, f"faults-{faults}",
+                            f"preemption-{preemption or 'none'}",
+                            f"chunk-{chunk or 'off'}", mode))
+                        result[name] = _serve_case(
+                            system, layer, source, faults, preemption,
+                            chunk, mode)
+    result.update(_sweeps())
+    return canonical(result)
+
+
+def canonical(value):
+    """JSON-safe copy of ``value`` with every float as its ``repr``."""
+    if isinstance(value, dict):
+        return {str(key): canonical(item) for key, item in value.items()
+                if key != "wall_clock_s"}
+    if isinstance(value, (list, tuple)):
+        return [canonical(item) for item in value]
+    if isinstance(value, (bool, str)) or value is None:
+        return value
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if dataclasses.is_dataclass(value):
+        return canonical(dataclasses.asdict(value))
+    raise TypeError(f"cannot fingerprint {type(value).__name__}: {value!r}")
+
+
+def diff(expected, actual, path: str = "") -> list[str]:
+    """Every path at which ``actual`` differs from ``expected``."""
+    if isinstance(expected, dict) and isinstance(actual, dict):
+        found = []
+        for key in sorted(set(expected) | set(actual)):
+            where = f"{path}/{key}" if path else key
+            if key not in actual:
+                found.append(f"{where}: missing")
+            elif key not in expected:
+                found.append(f"{where}: unexpected")
+            else:
+                found.extend(diff(expected[key], actual[key], where))
+        return found
+    if isinstance(expected, list) and isinstance(actual, list):
+        if len(expected) != len(actual):
+            return [f"{path}: length {len(expected)} != {len(actual)}"]
+        found = []
+        for index, (old, new) in enumerate(zip(expected, actual)):
+            found.extend(diff(old, new, f"{path}[{index}]"))
+        return found
+    if expected != actual:
+        return [f"{path}: expected {expected!r}, got {actual!r}"]
+    return []
+
+
+def name_record_fields(fixture: dict, line: str) -> str:
+    """Replace ``records[i][j]`` in a diff line by the field's name."""
+    case, _, rest = line.partition("/records[")
+    fields = fixture.get(case, {}).get("record_fields")
+    if not rest or not fields:
+        return line
+    row, _, rest = rest.partition("][")
+    column, _, rest = rest.partition("]")
+    if not column.isdigit() or int(column) >= len(fields):
+        return line
+    return f"{case}/records[{row}].{fields[int(column)]}{rest}"
+
+
+def dumps(value, indent: str = "") -> str:
+    """JSON with one line per leaf list (a record row or a journal
+    event), so the fixture diffs line by line but stays compact."""
+    inner = indent + " "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{inner}{json.dumps(key)}: {dumps(item, inner)}"
+                 for key, item in value.items()]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(value, list) and any(isinstance(item, (dict, list))
+                                       for item in value):
+        items = [inner + dumps(item, inner) for item in value]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    return json.dumps(value)
+
+
+def check(limit: int = 40) -> list[str]:
+    """Differences between a fresh run and the committed fixture."""
+    fixture = json.loads(FIXTURE.read_text())
+    return [name_record_fields(fixture, line)
+            for line in diff(fixture, cases())][:limit]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    action = parser.add_mutually_exclusive_group(required=True)
+    action.add_argument("--check", action="store_true",
+                        help="compare a fresh run against the fixture")
+    action.add_argument("--regenerate", action="store_true",
+                        help="rewrite the fixture from a fresh run")
+    args = parser.parse_args(argv)
+    if args.regenerate:
+        FIXTURE.parent.mkdir(parents=True, exist_ok=True)
+        FIXTURE.write_text(dumps(cases()) + "\n")
+        print(f"wrote {FIXTURE.relative_to(ROOT)}")
+        return 0
+    differences = check()
+    if differences:
+        print(f"fingerprint differs from {FIXTURE.relative_to(ROOT)}:")
+        for line in differences:
+            print(f"  {line}")
+        return 1
+    print("fingerprint matches")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
