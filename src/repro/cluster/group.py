@@ -30,10 +30,16 @@ from repro.hardware.presets import (
     InterconnectSpec,
 )
 from repro.serving.engine import ContinuousBatchingEngine
-from repro.serving.events import check_observers, drive, notify_finish
+from repro.serving.events import (
+    arrival_source,
+    check_observers,
+    check_serve,
+    drive,
+    notify_finish,
+)
 from repro.systems.cost import LLMCostModel, ParallelismSpec
 from repro.systems.simulator import InferenceSimulator
-from repro.workloads.arrivals import Request, RequestStream
+from repro.workloads.arrivals import Request
 
 #: Builds one replica's simulator on its node under its parallelism spec.
 SimulatorFactory = Callable[[HardwareSpec, ParallelismSpec],
@@ -187,9 +193,10 @@ class ReplicaGroup:
 
         Wraps a fresh :class:`Router` exactly the way a front-end load
         balancer runs — one decision per arrival, knowing only the dispatch
-        history.  Both the eager pre-pass (:meth:`route`) and the live
-        event loop (:meth:`serve`) call through here, so their assignments
-        are identical by construction.
+        history.  The eager pre-pass (:meth:`route`, and :meth:`serve`
+        over a fault-free list) and live routing in the event loop both
+        call through here, so their assignments are identical by
+        construction.
         """
         router = Router(self.num_replicas, policy, seed)
         # Round-robin never reads load state, so skip the per-replica
@@ -206,17 +213,6 @@ class ReplicaGroup:
 
         return route, router
 
-    def _dispatch(self, requests: list[Request], policy: str,
-                  seed: int | None) -> tuple[list[Request], list[int]]:
-        """Routing pre-pass: requests in dispatch order plus their replica
-        indices.  Pure function of ``(requests, policy, seed)`` — routing
-        never sees simulation results, so the pre-pass and the live event
-        loop make the same decisions."""
-        route, _ = self._route_fn(policy, seed)
-        ordered = sorted(requests,
-                         key=lambda r: (r.arrival_time, r.request_id))
-        return ordered, [route(request) for request in ordered]
-
     def route(self, requests: list[Request], policy: str | None = None,
               seed: int | None = None) -> list[list[Request]]:
         """Split ``requests`` into one per-replica trace (dispatch order).
@@ -225,12 +221,12 @@ class ReplicaGroup:
         the order a front-end sees them — and each lands on exactly one
         replica.  Pure function of ``(requests, policy, seed)``.
         """
-        ordered, indices = self._dispatch(
-            requests, self.policy if policy is None else policy,
-            self.seed if seed is None else seed)
+        dispatch, _ = self._route_fn(self.policy if policy is None else policy,
+                                     self.seed if seed is None else seed)
         assignments: list[list[Request]] = [[] for _ in self.engines]
-        for request, index in zip(ordered, indices):
-            assignments[index].append(request)
+        for request in sorted(requests,
+                              key=lambda r: (r.arrival_time, r.request_id)):
+            assignments[dispatch(request)].append(request)
         return assignments
 
     # ------------------------------------------------------------------ #
@@ -253,12 +249,15 @@ class ReplicaGroup:
         ``requests`` is a list or a bounded-memory
         :class:`~repro.workloads.arrivals.RequestStream`.
 
-        ``requests`` may also be a closed-loop continuation source (e.g.
+        ``requests`` may also be a closed-loop session source (e.g.
         :class:`~repro.workloads.sessions.ClosedLoopSessions`): arrivals
         then depend on the cluster's own simulated completions, which
         every replica feeds back through the source's ``on_completion``
-        observer, and replicas run with ``eager_epochs=True`` (see
-        :func:`~repro.serving.events.drive`).
+        observer, and replicas run with ``eager_epochs=True``.  All three
+        kinds are driven as one
+        :class:`~repro.serving.events.ArrivalSource`; only a fault-free
+        list is routed by a pre-pass (it sizes each replica's budget from
+        its share), every other serve routes live.
 
         ``record_mode="full"`` returns a :class:`ClusterTrace` with one
         record per request; ``"streaming"`` a
@@ -292,114 +291,43 @@ class ReplicaGroup:
         policy = self.policy if policy is None else policy
         seed = self.seed if seed is None else seed
         observers = check_observers(observers)
-        if faults is not None:
-            if hasattr(requests, "pop_next"):
-                raise ConfigurationError(
-                    "fault injection does not support closed-loop sources "
-                    "— lower the session trace to its open-loop request "
-                    "stream"
-                )
-            if any(engine.simulator.exact_stepping
-                   for engine in self.engines):
-                raise ConfigurationError(
-                    "fault injection schedules new event kinds and is only "
-                    "implemented on the event-driven path; it cannot be "
-                    "combined with exact_stepping=True replicas"
-                )
-        elif retry is not None or shedding is not None:
-            raise ConfigurationError(
-                "retry=/shedding= configure fault recovery and need a "
-                "faults= schedule to act on"
-            )
-        if observers and any(engine.simulator.exact_stepping
-                             for engine in self.engines):
-            raise ConfigurationError(
-                "observers hook the event-driven path and cannot be "
-                "combined with exact_stepping=True replicas"
-            )
-        if record_mode not in ("full", "streaming"):
-            raise ConfigurationError(
-                f"unknown record_mode {record_mode!r}; known: ['full', "
-                f"'streaming']"
-            )
+        source = arrival_source(requests)
+        check_serve(any(engine.simulator.exact_stepping
+                        for engine in self.engines),
+                    source, observers, faults, retry, shedding)
         simulator = self.engines[0].simulator
 
-        closed_loop = hasattr(requests, "pop_next")
-        if closed_loop:
-            # Closed-loop source: arrivals are popped live (they depend on
-            # completions), routing runs live, and every replica's budget
-            # probe uses the source's global length bounds.
-            bounds = requests.length_bounds
-            share_bounds = [bounds] * self.num_replicas
-            source = requests
-            route, router = self._route_fn(policy, seed)
-            total_budget = sum(
-                engine.kv_budget_tokens_for_bounds(*bounds)
-                for engine in self.engines)
-            upfront = []
-        elif isinstance(requests, RequestStream):
-            # Streams never materialize: every replica's budget probe uses
-            # the stream's global length bounds, and routing runs live.
-            bounds = requests.length_bounds
-            share_bounds = [bounds] * self.num_replicas
-            source = iter(requests)
-            route, router = self._route_fn(policy, seed)
-            total_budget = sum(
-                engine.kv_budget_tokens_for_bounds(*bounds)
-                for engine in self.engines)
-            upfront: list[tuple[Request, int]] = []
-        elif faults is not None:
-            # Fault serves route live even from a list: health changes
-            # mid-trace, so a routing pre-pass replay would dispatch to
-            # replicas that are down (and retries re-route anyway).  Every
-            # replica's budget probe uses the global length bounds — after
-            # a failure any request may land anywhere.
-            source = sorted(requests,
-                            key=lambda r: (r.arrival_time, r.request_id))
-            route, router = self._route_fn(policy, seed)
-            upfront = []
-            if requests:
-                bounds = (max(r.input_len for r in requests),
-                          max(r.output_len for r in requests))
-                share_bounds = [bounds] * self.num_replicas
-                total_budget = sum(engine.kv_budget_tokens(requests)
-                                   for engine in self.engines)
-            else:
-                share_bounds = [None] * self.num_replicas
-                total_budget = None
-        else:
+        ordered = source.materialized
+        if ordered is not None and faults is None:
             # Routing pre-pass (pure, independent of simulation) so each
             # replica's KV-budget probe sees exactly its share's length
             # maxima — identical budgets to serving the shares directly.
-            ordered, indices = self._dispatch(requests, policy, seed)
+            dispatch, _ = self._route_fn(policy, seed)
+            indices = [dispatch(request) for request in ordered]
             share_bounds = [None] * self.num_replicas
             counts = [0] * self.num_replicas
             for request, index in zip(ordered, indices):
                 counts[index] += 1
-                previous = share_bounds[index]
-                if previous is None:
-                    share_bounds[index] = (request.input_len,
-                                           request.output_len)
-                else:
-                    share_bounds[index] = (
-                        max(previous[0], request.input_len),
-                        max(previous[1], request.output_len))
-            source = ordered
+                max_input, max_output = share_bounds[index] or (0, 0)
+                share_bounds[index] = (max(max_input, request.input_len),
+                                       max(max_output, request.output_len))
             replay = iter(indices)
             route = lambda request: next(replay)  # noqa: E731
             router = None
-            total_budget = (sum(engine.kv_budget_tokens(requests)
-                                for engine in self.engines)
-                            if requests else None)
-            upfront = list(zip(ordered, indices))
+        else:
+            # Live routing: streams and closed loops never materialize,
+            # and fault serves must route around replicas that are down
+            # (retries re-route anyway).  Every replica's budget probe
+            # uses the source's global length bounds — any request may
+            # land anywhere.
+            share_bounds = [source.length_bounds] * self.num_replicas
+            route, router = self._route_fn(policy, seed)
 
         if observers:
             # Wrap the routing closure so observers see every assignment —
             # covers both the live-router and the replay path, without the
             # router itself learning about observation.
-            inner_route = route
-
-            def route(request, _inner=inner_route):
+            def route(request, _inner=route):
                 target = _inner(request)
                 for ob in observers:
                     ob.on_assign(request.arrival_time, request, target)
@@ -414,44 +342,28 @@ class ReplicaGroup:
                 ttft_slo_s=ttft_slo_s, tpot_slo_s=tpot_slo_s,
                 class_slos=class_slos)
             observer = cluster_trace.observe
-        if closed_loop:
-            # Every completion must reach the source so it can schedule
-            # the session's next turn; the cluster-level streaming sink
-            # (when any) still sees each record exactly once.
+        feedback = source.on_completion
+        if feedback is not None:
+            # Every completion must reach a closed-loop source so it can
+            # schedule the session's next turn; the cluster-level
+            # streaming sink (when any) still sees each record exactly
+            # once.
             if observer is None:
-                observer = requests.on_completion
+                observer = feedback
             else:
-                cluster_observe = observer
-
-                def observer(record, _sink=cluster_observe,
-                             _feedback=requests.on_completion):
+                def observer(record, _sink=observer, _feedback=feedback):
                     _sink(record)
                     _feedback(record)
-        fault_mode = faults is not None
-        runs = []
-        for index, (engine, share) in enumerate(zip(self.engines,
-                                                    share_bounds)):
-            trace = engine.make_trace(record_mode, ttft_slo_s, tpot_slo_s,
-                                      quantiles=() if streaming else None)
-            if share is None:
-                runs.append(engine.start_run(trace, observer=observer,
-                                             observers=observers,
-                                             replica=index,
-                                             fault_mode=fault_mode))
-            else:
-                runs.append(engine.start_run(trace, max_input_len=share[0],
-                                             max_output_len=share[1],
-                                             observer=observer,
-                                             eager_epochs=closed_loop,
-                                             observers=observers,
-                                             replica=index,
-                                             fault_mode=fault_mode))
-        for request, index in upfront:
-            # Legacy contract: an impossible request raises before any
-            # simulation happens (streams check at their arrival instead).
-            runs[index].check_admissible(request)
+        runs = [engine.start_run(
+                    engine.make_trace(record_mode, ttft_slo_s, tpot_slo_s,
+                                      quantiles=() if streaming else None),
+                    *(share or (None, None)), observer=observer,
+                    eager_epochs=feedback is not None, observers=observers,
+                    replica=index, fault_mode=faults is not None)
+                for index, (engine, share) in enumerate(zip(self.engines,
+                                                            share_bounds))]
         coordinator = None
-        if fault_mode:
+        if faults is not None:
             from repro.faults import FaultCoordinator
             coordinator = FaultCoordinator(faults, retry=retry,
                                            shedder=shedding)
@@ -461,6 +373,11 @@ class ReplicaGroup:
             coordinator.bind(runs, route, router=router,
                              observers=observers,
                              record_sink=observer if streaming else None)
+        if router is None:
+            for request, index in zip(ordered, indices):
+                # Legacy contract: an impossible request raises before any
+                # simulation happens (live routing checks at arrival).
+                runs[index].check_admissible(request)
         drive(source, runs, route, journal=event_journal,
               observers=observers, faults=coordinator)
         traces = [run.finalize() for run in runs]
@@ -476,12 +393,14 @@ class ReplicaGroup:
             "total_gpus": self.total_gpus,
             "record_mode": record_mode,
         }
-        if total_budget is not None:
+        if source.length_bounds is not None:
             # Cluster capacity is a hardware fact: probe every replica's
             # budget against the whole trace, so the reported budget does
             # not shrink when a routing policy starves a replica (an empty
             # replica's own trace reports budget 0).
-            metadata["kv_budget_tokens"] = total_budget
+            metadata["kv_budget_tokens"] = sum(
+                engine.kv_budget_tokens_for_bounds(*source.length_bounds)
+                for engine in self.engines)
         if self.cluster is not None:
             metadata["cluster"] = {"name": self.cluster.name,
                                    "node": self.cluster.node.name,
@@ -497,24 +416,17 @@ class ReplicaGroup:
             # deltas sum without double counting.
             metadata["epoch_cache"] = epoch_cache
         metadata["wall_clock_s"] = perf_counter() - started
-        if not streaming:
-            merged = ClusterTrace.merge(traces, system=simulator.name,
-                                        model=simulator.config.name,
-                                        metadata=metadata)
-            if coordinator is not None:
-                merged.records.extend(coordinator.records)
-                merged.records.sort(
-                    key=lambda r: (r.completion_time, r.request_id))
-                merged.metadata["resilience"] = coordinator.resilience(
-                    merged.duration, self.num_replicas)
-            notify_finish(observers, merged, class_slos)
-            return merged
-        cluster_trace.replica_traces = traces
-        cluster_trace.metadata.update(metadata)
+        if streaming:
+            cluster_trace.replica_traces = traces
+            cluster_trace.metadata.update(metadata)
+        else:
+            cluster_trace = ClusterTrace.merge(
+                traces, system=simulator.name, model=simulator.config.name,
+                metadata=metadata)
         if coordinator is not None:
-            cluster_trace.metadata["resilience"] = coordinator.resilience(
-                cluster_trace.duration, self.num_replicas)
-        describe_replicas(cluster_trace.metadata, traces)
+            coordinator.complete(cluster_trace, self.num_replicas)
+        if streaming:
+            describe_replicas(cluster_trace.metadata, traces)
         notify_finish(observers, cluster_trace, class_slos)
         return cluster_trace
 

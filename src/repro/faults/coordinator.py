@@ -88,12 +88,7 @@ class FaultCoordinator:
         happen (streaming mode); otherwise they collect in
         :attr:`records`.
         """
-        if self.schedule.max_replica() >= len(runs):
-            raise ConfigurationError(
-                f"fault schedule names replica "
-                f"{self.schedule.max_replica()} but the serve has only "
-                f"{len(runs)} replicas"
-            )
+        self.check_replicas(len(runs))
         self._runs = list(runs)
         self._route = route
         self._router = router
@@ -104,12 +99,21 @@ class FaultCoordinator:
             run.set_record_filter(self.annotate)
         self._bound = True
 
+    def check_replicas(self, num_replicas: int) -> None:
+        """Raise if the schedule names a replica the serve does not have."""
+        if self.schedule.max_replica() >= num_replicas:
+            raise ConfigurationError(
+                f"fault schedule names replica "
+                f"{self.schedule.max_replica()} but the serve has only "
+                f"{num_replicas} replicas"
+            )
+
     def timeline(self):
         """The schedule's merged ``(time, kind, replica)`` event stream."""
         return self.schedule.timeline()
 
     # ------------------------------------------------------------------ #
-    # driver hooks (see events._drive_with_faults)
+    # driver hooks (see events.drive)
     # ------------------------------------------------------------------ #
     def dispatch(self, time: float, request, retrying: bool) -> int | None:
         """Route one arrival; ``None`` means it was shed or parked."""
@@ -219,6 +223,17 @@ class FaultCoordinator:
     # ------------------------------------------------------------------ #
     # resilience accounting
     # ------------------------------------------------------------------ #
+    def complete(self, trace, num_replicas: int) -> None:
+        """Finish the serve's trace: in full record mode merge the
+        terminal records in ``(completion_time, request_id)`` order, then
+        write ``metadata["resilience"]`` over the resulting duration."""
+        if self._record_sink is None:
+            trace.records.extend(self.records)
+            trace.records.sort(
+                key=lambda r: (r.completion_time, r.request_id))
+        trace.metadata["resilience"] = self.resilience(trace.duration,
+                                                       num_replicas)
+
     def resilience(self, duration: float, num_replicas: int) -> dict:
         """The serve's ``metadata["resilience"]`` block.
 

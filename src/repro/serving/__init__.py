@@ -7,8 +7,10 @@ any :class:`~repro.systems.simulator.InferenceSimulator` by the
 records in a :class:`ServingTrace` — or, with ``record_mode="streaming"``,
 bounded-memory sketch summaries in a :class:`StreamingTrace`.  The engine
 is event-driven (:mod:`repro.serving.events`): runs advance through an
-event heap instead of a global clock loop, so arrival traces can be lazy
-:class:`~repro.workloads.arrivals.RequestStream` iterators of any length.
+event heap instead of a global clock loop, and every arrival source — a
+list, a lazy :class:`~repro.workloads.arrivals.RequestStream` of any
+length, or a closed-loop session source — is driven through one
+:class:`~repro.serving.events.ArrivalSource` protocol.
 """
 
 from repro.serving.engine import (
@@ -25,7 +27,7 @@ from repro.serving.events import (
     PREFILL_CHUNK,
     REPLICA_FAIL,
     REPLICA_RECOVER,
-    ContinuationSource,
+    ArrivalSource,
     drive,
 )
 from repro.serving.sketches import (
@@ -54,7 +56,7 @@ __all__ = [
     "PREFILL_CHUNK",
     "REPLICA_FAIL",
     "REPLICA_RECOVER",
-    "ContinuationSource",
+    "ArrivalSource",
     "ContinuousBatchingEngine",
     "EngineRun",
     "P2Quantile",

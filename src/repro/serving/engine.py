@@ -11,8 +11,10 @@ requests leave the batch the moment their last token is produced.
 Public contract
 ---------------
 :meth:`ContinuousBatchingEngine.serve` consumes a list of
-:class:`~repro.workloads.arrivals.Request` (or a bounded-memory
-:class:`~repro.workloads.arrivals.RequestStream`) and returns a
+:class:`~repro.workloads.arrivals.Request`, a bounded-memory
+:class:`~repro.workloads.arrivals.RequestStream` or a closed-loop session
+source — all driven as one :class:`~repro.serving.events.ArrivalSource` —
+and returns a
 :class:`~repro.serving.trace.ServingTrace` containing exactly one
 :class:`~repro.serving.trace.RequestRecord` per input request, with ordered
 timestamps ``arrival <= admission <= first_token <= completion``.  Requests
@@ -115,9 +117,9 @@ import numpy as np
 
 from repro._common import ConfigurationError, validate_positive
 from repro.serving.events import (ADMISSION, COMPLETION, EPOCH_BOUNDARY,
-                                  PREEMPTION, PREFILL_CHUNK,
-                                  check_observers, drive, notify_finish,
-                                  observer_hooks)
+                                  PREEMPTION, PREFILL_CHUNK, arrival_source,
+                                  check_observers, check_serve, drive,
+                                  notify_finish, observer_hooks)
 from repro.serving.sketches import DEFAULT_QUANTILES, StreamingTrace
 from repro.serving.trace import (
     RequestRecord,
@@ -126,8 +128,21 @@ from repro.serving.trace import (
 )
 from repro.systems.memory import MemoryHierarchy, PCIeLink
 from repro.systems.simulator import EpochTimings, InferenceSimulator
-from repro.workloads.arrivals import SLO_CLASSES, Request, RequestStream
+from repro.workloads.arrivals import SLO_CLASSES, Request
 from repro.workloads.descriptors import Workload
+
+
+def _mark_empty(trace) -> None:
+    """Write the metadata of a serve that was offered no request."""
+    trace.metadata.update(kv_budget_tokens=0, peak_reserved_tokens=0,
+                          num_epochs=0, num_decode_steps=0, pcie_bytes=0.0,
+                          shards=[], comm_time_s=0.0, comm_time_share=0.0)
+
+
+def _route_to_zero(request: Request) -> int:
+    """A single-replica serve's routing: every arrival joins run 0."""
+    return 0
+
 
 #: Accepted values of ``ContinuousBatchingEngine(preemption=...)``.
 PREEMPTION_MODES = (None, "retain", "recompute")
@@ -505,20 +520,10 @@ class ContinuousBatchingEngine:
                 f"unknown preemption mode {preemption!r}; known: "
                 f"{list(PREEMPTION_MODES)}"
             )
-        if preemption is not None and simulator.exact_stepping:
-            raise ConfigurationError(
-                "preemption schedules new event kinds and is only "
-                "implemented on the event-driven path; it cannot be "
-                "combined with exact_stepping=True"
-            )
         if prefill_chunk_tokens is not None:
             validate_positive(prefill_chunk_tokens=prefill_chunk_tokens)
-            if simulator.exact_stepping:
-                raise ConfigurationError(
-                    "chunked prefill schedules new event kinds and is only "
-                    "implemented on the event-driven path; it cannot be "
-                    "combined with exact_stepping=True"
-                )
+        check_serve(simulator.exact_stepping, preemption=preemption,
+                    prefill_chunk_tokens=prefill_chunk_tokens)
         self.simulator = simulator
         self.max_batch_size = max_batch_size
         self.reserve_fraction = reserve_fraction
@@ -662,10 +667,15 @@ class ContinuousBatchingEngine:
               observers=None, faults=None, retry=None, shedding=None):
         """Simulate serving ``requests`` and return the serving trace.
 
-        ``requests`` is a list of :class:`Request` or a
+        ``requests`` is a list of :class:`Request`, a
         :class:`~repro.workloads.arrivals.RequestStream` (bounded memory:
         the stream is consumed one arrival at a time and never
-        materialized).  ``record_mode="full"`` (default) returns a
+        materialized) or a closed-loop session source
+        (:meth:`~repro.workloads.sessions.SessionTrace.closed_loop`) — all
+        three are driven as one
+        :class:`~repro.serving.events.ArrivalSource`; a closed loop is fed
+        every completion and its run never blocks (``eager_epochs``).
+        ``record_mode="full"`` (default) returns a
         :class:`ServingTrace` with one retained record per request;
         ``"streaming"`` returns a
         :class:`~repro.serving.sketches.StreamingTrace` with the same
@@ -705,148 +715,51 @@ class ContinuousBatchingEngine:
         """
         started = perf_counter()
         observers = check_observers(observers)
-        if observers and self.simulator.exact_stepping:
-            raise ConfigurationError(
-                "observers hook the event-driven path and cannot be "
-                "combined with exact_stepping=True"
-            )
-        if faults is None:
-            if retry is not None or shedding is not None:
-                raise ConfigurationError(
-                    "retry=/shedding= configure fault recovery and need a "
-                    "faults= schedule to act on"
-                )
-            trace = self._serve(requests, record_mode, ttft_slo_s,
-                                tpot_slo_s, class_slos, observers)
+        source = arrival_source(requests)
+        check_serve(self.simulator.exact_stepping, source, observers, faults,
+                    retry, shedding, clock_loop=True)
+        trace = self.make_trace(record_mode, ttft_slo_s, tpot_slo_s,
+                                class_slos=class_slos)
+        coordinator = None
+        if faults is not None:
+            from repro.faults import FaultCoordinator
+            coordinator = FaultCoordinator(faults, retry=retry,
+                                           shedder=shedding)
+        if source.length_bounds is None:
+            # An empty list: nothing to serve, but a schedule naming
+            # replicas this serve does not have is still a bad config.
+            _mark_empty(trace)
+            if coordinator is not None:
+                coordinator.check_replicas(1)
+                trace.metadata["resilience"] = coordinator.resilience(0.0, 1)
+        elif self.simulator.exact_stepping:
+            trace = self._serve_clock_loop(source.materialized, trace)
         else:
-            trace = self._serve_with_faults(
-                requests, record_mode, ttft_slo_s, tpot_slo_s, class_slos,
-                observers, faults, retry, shedding)
+            trace = self._serve_events(source, trace, observers, coordinator)
         trace.metadata["wall_clock_s"] = perf_counter() - started
         notify_finish(observers, trace, class_slos)
         return trace
 
-    def _serve_with_faults(self, requests, record_mode: str,
-                           ttft_slo_s: float | None,
-                           tpot_slo_s: float | None,
-                           class_slos: dict | None, observers: tuple,
-                           faults, retry, shedding):
-        """Single-replica fault-injection serve (see :mod:`repro.faults`)."""
-        from repro.faults import FaultCoordinator
-        if self.simulator.exact_stepping:
-            raise ConfigurationError(
-                "fault injection schedules new event kinds and is only "
-                "implemented on the event-driven path; it cannot be "
-                "combined with exact_stepping=True"
-            )
-        if hasattr(requests, "pop_next"):
-            raise ConfigurationError(
-                "fault injection does not support closed-loop sources — "
-                "lower the session trace to its open-loop request stream"
-            )
-        trace = self.make_trace(record_mode, ttft_slo_s, tpot_slo_s,
-                                class_slos=class_slos)
-        coordinator = FaultCoordinator(faults, retry=retry, shedder=shedding)
-        if isinstance(requests, RequestStream):
-            max_input, max_output = requests.length_bounds
-            source = iter(requests)
-        else:
-            if not requests:
-                # Still reject a schedule naming replicas the serve does
-                # not have — an empty trace must not mask a bad config.
-                if faults.max_replica() >= 1:
-                    raise ConfigurationError(
-                        f"fault schedule names replica "
-                        f"{faults.max_replica()} but the serve has only "
-                        f"1 replicas"
-                    )
-                trace.metadata.update(
-                    kv_budget_tokens=0, peak_reserved_tokens=0,
-                    num_epochs=0, num_decode_steps=0, pcie_bytes=0.0,
-                    shards=[], comm_time_s=0.0, comm_time_share=0.0,
-                    resilience={"num_failures": 0, "num_retries": 0,
-                                "num_failed": 0, "num_shed": 0,
-                                "downtime_s": 0.0, "availability": 1.0})
-                return trace
-            max_input = max(r.input_len for r in requests)
-            max_output = max(r.output_len for r in requests)
-            source = sorted(requests,
-                            key=lambda r: (r.arrival_time, r.request_id))
-        run = self.start_run(trace, max_input_len=max_input,
-                             max_output_len=max_output,
-                             observers=observers, fault_mode=True)
-        record_sink = (trace.observe if record_mode == "streaming" else None)
-        coordinator.bind([run], lambda request: 0, router=None,
-                         observers=observers, record_sink=record_sink)
-        if isinstance(source, list):
-            for request in source:  # legacy contract: OOM raises up front
-                run.check_admissible(request)
-        drive(source, [run], lambda request: 0, observers=observers,
+    def _serve_events(self, source, trace, observers: tuple, coordinator):
+        """Drive one run over ``source`` through the event loop."""
+        run = self.start_run(trace, *source.length_bounds,
+                             observer=source.on_completion,
+                             eager_epochs=source.on_completion is not None,
+                             observers=observers,
+                             fault_mode=coordinator is not None)
+        if coordinator is not None:
+            streaming = isinstance(trace, StreamingTrace)
+            coordinator.bind([run], _route_to_zero, router=None,
+                             observers=observers,
+                             record_sink=trace.observe if streaming else None)
+        for request in source.materialized or ():
+            run.check_admissible(request)  # legacy contract: OOM up front
+        drive(source, [run], _route_to_zero, observers=observers,
               faults=coordinator)
         result = run.finalize()
-        if record_sink is None:
-            result.records.extend(coordinator.records)
-            result.records.sort(
-                key=lambda r: (r.completion_time, r.request_id))
-        result.metadata["resilience"] = coordinator.resilience(
-            result.duration, 1)
+        if coordinator is not None:
+            coordinator.complete(result, 1)
         return result
-
-    def _serve(self, requests, record_mode: str,
-               ttft_slo_s: float | None, tpot_slo_s: float | None,
-               class_slos: dict | None, observers: tuple):
-        """Dispatch one serve to the right source/stepping body."""
-        trace = self.make_trace(record_mode, ttft_slo_s, tpot_slo_s,
-                                class_slos=class_slos)
-        if hasattr(requests, "pop_next"):
-            # Closed-loop source (see events.ContinuationSource): future
-            # arrivals depend on this serve's own completions, which the
-            # run feeds back through the source's on_completion observer.
-            if self.simulator.exact_stepping:
-                raise ConfigurationError(
-                    "closed-loop sources are driven by the event loop and "
-                    "cannot be served with exact_stepping=True"
-                )
-            max_input, max_output = requests.length_bounds
-            run = self.start_run(trace, max_input_len=max_input,
-                                 max_output_len=max_output,
-                                 observer=requests.on_completion,
-                                 eager_epochs=True, observers=observers)
-            drive(requests, [run], lambda request: 0, observers=observers)
-            return run.finalize()
-        if isinstance(requests, RequestStream):
-            if self.simulator.exact_stepping:
-                raise ConfigurationError(
-                    "exact_stepping replays the retained clock loop over a "
-                    "materialized request list; serve a RequestStream with "
-                    "the event-driven default instead"
-                )
-            max_input, max_output = requests.length_bounds
-            run = self.start_run(trace, max_input_len=max_input,
-                                 max_output_len=max_output,
-                                 observers=observers)
-            drive(iter(requests), [run], lambda request: 0,
-                  observers=observers)
-            return run.finalize()
-        if not requests:
-            trace.metadata.update(kv_budget_tokens=0, peak_reserved_tokens=0,
-                                  num_epochs=0, num_decode_steps=0,
-                                  pcie_bytes=0.0, shards=[],
-                                  comm_time_s=0.0, comm_time_share=0.0)
-            return trace
-        if self.simulator.exact_stepping:
-            return self._serve_clock_loop(requests, trace)
-        run = self.start_run(
-            trace,
-            max_input_len=max(r.input_len for r in requests),
-            max_output_len=max(r.output_len for r in requests),
-            observers=observers)
-        for request in requests:  # legacy contract: OOM raises up front
-            run.check_admissible(request)
-        ordered = sorted(requests,
-                         key=lambda r: (r.arrival_time, r.request_id))
-        drive(ordered, [run], lambda request: 0, observers=observers)
-        return run.finalize()
 
     def make_trace(self, record_mode: str, ttft_slo_s: float | None = None,
                    tpot_slo_s: float | None = None, quantiles=None,
@@ -2033,10 +1946,7 @@ class EngineRun:
                 "drained_bytes": self._drained_bytes,
             }
         if self._offered == 0:
-            trace.metadata.update(kv_budget_tokens=0, peak_reserved_tokens=0,
-                                  num_epochs=0, num_decode_steps=0,
-                                  pcie_bytes=0.0, shards=[],
-                                  comm_time_s=0.0, comm_time_share=0.0)
+            _mark_empty(trace)
             return trace
         trace.metadata.update(
             kv_budget_tokens=self._budget,

@@ -5,27 +5,52 @@ iteration, so simulating an idle second cost as much as a busy one.  The
 event-driven core instead jumps between the instants where something can
 actually change:
 
-* **arrival** — the next request of the (sorted) arrival source reaches the
+* **arrival** — the next request of the arrival source reaches the
   front-end and is routed to exactly one replica run;
 * **epoch-boundary** — a replica's priced decode epoch ends early because
   its queue head became admissible (the batch composition changes);
 * **completion** — a replica's priced decode epoch ends because its
-  shortest-remaining requests produce their last token.
+  shortest-remaining requests produce their last token;
+* **replica-fail / replica-recover** — a fault schedule takes a replica
+  down or brings it back (serves with ``faults=``).
 
-:func:`drive` merges these into one :mod:`heapq` stream over any number of
-replica runs (``ContinuousBatchingEngine.start_run`` builds one run per
-replica) and a ``route`` callback that picks the run each arrival joins.
+:func:`drive` merges these into one loop over one :mod:`heapq` of run
+events (``ContinuousBatchingEngine.start_run`` builds one run per
+replica) and one :class:`ArrivalSource`, with a ``route`` callback that
+picks the run each arrival joins.  Every source kind speaks the one
+protocol: a sorted list or a ``RequestStream`` through
+:class:`OrderedArrivals` (a one-ahead buffer), a closed-loop session
+source natively.  The driver *peeks* the source every iteration and pops
+an arrival only when it precedes the heap's earliest entry, so turns a
+closed-loop source injects on a completion are served in true time
+order.  Fault injection adds three steps to the same loop: the schedule's
+timeline enters the heap up front, stale run events are skipped by
+sequence number, and arrivals dispatch through the coordinator.
 
 Heap invariants
 ---------------
+Every entry is ``(time, priority, sequence, kind, index, request)``.  The
+pending source arrival takes part in the order as ``(time, -1,
+sequence)`` without sitting in the heap; ``sequence`` is a counter shared
+by every push (and reserved for the next source arrival right after the
+previous one is dispatched), so entries are unique and heapq never
+compares payloads.  At one timestamp the order is therefore: fault events
+(priority ``-2``), then source arrivals and retries (priority ``-1``, by
+push sequence), then run events (priority = run index).
+
 1. **Arrivals outrun run events at equal timestamps.**  Admission uses
    ``arrival_time <= clock``, so a request arriving exactly at an epoch
    boundary must already be queued when the boundary is processed —
    otherwise the next epoch would be priced against the wrong queue head.
-2. **At most one scheduled event per run, and it never changes.**  A run's
-   next event is a pure function of its state; new arrivals only append to
-   the run's FCFS queue tail, which cannot affect an already-priced epoch
-   (the epoch cut depends only on the queue *head*).
+   Fault events outrun even arrivals, so routing sees the current health
+   and an epoch "ending" at a crash instant never lands.
+2. **At most one live scheduled event per run, and it never changes.**  A
+   run's next event is a pure function of its state; new arrivals only
+   append to the run's FCFS queue tail, which cannot affect an
+   already-priced epoch (the epoch cut depends only on the queue *head*).
+   Only a failure kills a live event: each run's live sequence number is
+   kept in ``valid``, a failure zeroes it, and a popped run event whose
+   sequence no longer matches is skipped.
 3. **A run prices an epoch only when its next queue head is known** — its
    pending queue is non-empty or the source is exhausted (``close``).  The
    epoch cut depends on the next routed request even when that request
@@ -33,14 +58,19 @@ Heap invariants
    *blocks* (consumes zero work) until the next arrival is routed to it or
    the source closes.  This is the conservative-synchronization condition
    that keeps event-driven traces bit-identical to the clock-stepped loop.
-4. **One lazy arrival at a time.**  Only the next unrouted request sits in
-   the heap, so a million-request source never materializes: memory holds
-   the heap (O(replicas)), each run's backlog, and the metric sinks.
+   Runs are closed only once the source is exhausted — a closed-loop
+   source that is momentarily empty still owes the arrivals its
+   outstanding completions trigger, so its runs are built with
+   ``eager_epochs=True`` and never block.
+4. **One lazy arrival at a time.**  Only the source's next arrival is
+   visible to the loop, so a million-request source never materializes:
+   memory holds the heap (O(replicas) plus pending retries), each run's
+   backlog, and the metric sinks.
 
-Ties between run events at one timestamp break by run index, and the heap
-sequence number makes every entry unique — ordering is deterministic, which
-is what makes serving traces a pure function of ``(trace seed, routing
-policy, router seed)``.
+``tests/test_serving_events.py`` checks each invariant on the journal of
+runs with fixed event times.  Ordering is deterministic, which is what
+makes serving traces a pure function of ``(trace seed, routing policy,
+router seed)``.
 """
 
 from __future__ import annotations
@@ -50,7 +80,7 @@ from typing import Callable, Protocol
 
 from repro._common import ConfigurationError
 from repro.serving.trace import normalize_class_slos
-from repro.workloads.arrivals import Request
+from repro.workloads.arrivals import Request, RequestStream
 
 #: Event kinds, as they appear in ``drive``'s journal.
 ARRIVAL = "arrival"
@@ -76,16 +106,16 @@ PREFILL_CHUNK = "prefill-chunk"
 REPLICA_FAIL = "replica-fail"
 REPLICA_RECOVER = "replica-recover"
 
-#: Marker in the heap's index slot distinguishing re-injected retry
-#: arrivals from source arrivals (which trigger the one-ahead pull).
-_RETRY = "retry"
-
 
 class ReplicaRun(Protocol):
     """What :func:`drive` needs from a replica run (see ``EngineRun``)."""
 
-    def offer(self, request: Request) -> tuple[float, str] | None:
-        """Queue an arrival; return a newly scheduled ``(time, kind)``."""
+    def offer(self, request: Request,
+              now: float | None = None) -> tuple[float, str] | None:
+        """Queue an arrival; return a newly scheduled ``(time, kind)``.
+
+        ``now`` is the dispatch instant, passed only by fault serves
+        (a retry is dispatched after its ``arrival_time``)."""
 
     def advance(self) -> tuple[float, str] | None:
         """Process the run's scheduled event; return the next one."""
@@ -98,18 +128,29 @@ class ReplicaRun(Protocol):
         """True once the run has drained its queue and running batch."""
 
 
-class ContinuationSource(Protocol):
-    """An arrival source fed by the simulation it drives (closed loop).
+class ArrivalSource(Protocol):
+    """The one arrival-source protocol every serve drives.
 
-    Unlike a plain iterable, a continuation source's future arrivals may
-    depend on completions the engine has not produced yet: popping returns
-    ``None`` while the source is *waiting* (turns outstanding but none
-    ready), and only :attr:`exhausted` says no arrival will ever come
-    again.  The serve layer feeds completions back through whatever
-    callback the source exposes (see
-    ``repro.workloads.sessions.ClosedLoopSessions.on_completion``) —
-    :func:`drive` itself only pops.
+    A source's future arrivals may depend on completions the engine has
+    not produced yet (a closed loop): popping returns ``None`` while the
+    source is *waiting* (turns outstanding but none ready), and only
+    :attr:`exhausted` says no arrival will ever come again.  Sorted lists
+    and streams are adapted by :class:`OrderedArrivals`; a closed-loop
+    session source (``repro.workloads.sessions.ClosedLoopSessions``)
+    implements the protocol itself.
     """
+
+    #: ``(max_input_len, max_output_len)`` over every request the source
+    #: can emit — the KV-budget probe's bounds (``None``: no request).
+    length_bounds: tuple[int, int] | None
+    #: Callback the serve layer feeds every completed record (a closed
+    #: loop schedules follow-up turns from it), or ``None`` for an open
+    #: loop.  :func:`drive` itself only peeks and pops.
+    on_completion: Callable | None
+    #: The whole request list in dispatch order when the source is a
+    #: materialized list (the serve layers size budgets and check
+    #: admissibility up front from it), else ``None``.
+    materialized: list[Request] | None
 
     def peek_time(self) -> float | None:
         """Arrival time of the earliest ready request (None when none)."""
@@ -120,6 +161,127 @@ class ContinuationSource(Protocol):
     @property
     def exhausted(self) -> bool:
         """True once every request has been popped — none will ever follow."""
+
+
+class OrderedArrivals:
+    """An :class:`ArrivalSource` over an iterable sorted by
+    ``(arrival_time, request_id)``, buffered one arrival ahead.
+
+    The iterable is consumed through ``iter()`` one request at a time,
+    and the next request is pulled only once the popped one has been
+    dispatched (the next peek), so a
+    :class:`~repro.workloads.arrivals.RequestStream` never materializes.
+    An arrival out of order raises when it is pulled.
+    """
+
+    on_completion = None
+
+    def __init__(self, arrivals, length_bounds: tuple[int, int] | None = None,
+                 materialized: list[Request] | None = None) -> None:
+        self.length_bounds = length_bounds
+        self.materialized = materialized
+        self._arrivals = iter(arrivals)
+        self._last_key: tuple[float, int] | None = None
+        self._next: Request | None = None
+        self._time: float | None = None
+        self._pending = True  # the buffer awaits its next pull
+
+    def _pull(self) -> None:
+        self._pending = False
+        request = self._next = next(self._arrivals, None)
+        if request is None:
+            self._time = None
+            return
+        key = (request.arrival_time, request.request_id)
+        if self._last_key is not None and key < self._last_key:
+            raise ConfigurationError(
+                f"arrival source must be sorted by (arrival_time, "
+                f"request_id); got {key} after {self._last_key}"
+            )
+        self._last_key = key
+        self._time = request.arrival_time
+
+    def peek_time(self) -> float | None:
+        if self._pending:
+            self._pull()
+        return self._time
+
+    def pop_next(self) -> Request | None:
+        if self._pending:
+            self._pull()
+        request = self._next
+        self._pending = request is not None
+        return request
+
+    @property
+    def exhausted(self) -> bool:
+        if self._pending:
+            self._pull()
+        return self._next is None
+
+
+def arrival_source(requests) -> ArrivalSource:
+    """The :class:`ArrivalSource` a serve of ``requests`` drives.
+
+    A list is sorted into dispatch order ``(arrival_time, request_id)``
+    and keeps its length maxima as bounds; a
+    :class:`~repro.workloads.arrivals.RequestStream` brings its own
+    bounds; anything with ``pop_next`` already is a source.
+    """
+    if hasattr(requests, "pop_next"):
+        return requests
+    if isinstance(requests, RequestStream):
+        return OrderedArrivals(requests, requests.length_bounds)
+    ordered = sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
+    bounds = ((max(r.input_len for r in ordered),
+               max(r.output_len for r in ordered)) if ordered else None)
+    return OrderedArrivals(ordered, bounds, materialized=ordered)
+
+
+def check_serve(exact_stepping: bool, source=None, observers: tuple = (),
+                faults=None, retry=None, shedding=None,
+                preemption: str | None = None,
+                prefill_chunk_tokens: int | None = None,
+                clock_loop: bool = False) -> None:
+    """Reject every serve configuration the simulator does not implement.
+
+    The one place each incompatibility is raised: engine construction
+    passes its ``preemption``/``prefill_chunk_tokens``, and both serve
+    layers pass their ``source``, observers and fault arguments.
+    ``exact_stepping`` is True when the serve (or any replica) was built
+    with ``exact_stepping=True``; ``clock_loop`` marks a serve that then
+    replays the retained clock loop, which needs a materialized list.
+    """
+    closed_loop = source is not None and source.on_completion is not None
+    if faults is None and (retry is not None or shedding is not None):
+        raise ConfigurationError(
+            "retry=/shedding= configure fault recovery and need a "
+            "faults= schedule to act on"
+        )
+    if faults is not None and closed_loop:
+        raise ConfigurationError(
+            "fault injection does not support closed-loop sources — "
+            "lower the session trace to its open-loop request stream"
+        )
+    if not exact_stepping:
+        return
+    for enabled, feature in ((preemption is not None, "preemption"),
+                             (prefill_chunk_tokens is not None,
+                              "chunked prefill"),
+                             (bool(observers), "observers"),
+                             (faults is not None, "fault injection")):
+        if enabled:
+            raise ConfigurationError(
+                f"{feature} is only implemented on the event-driven path "
+                f"and cannot be combined with exact_stepping=True"
+            )
+    if clock_loop and source is not None and source.materialized is None:
+        kind = "closed-loop source" if closed_loop else "RequestStream"
+        raise ConfigurationError(
+            f"exact_stepping replays the retained clock loop over a "
+            f"materialized request list; serve a {kind} with the "
+            f"event-driven default instead"
+        )
 
 
 def check_observers(observers) -> tuple:
@@ -182,231 +344,36 @@ def drive(source, runs: list[ReplicaRun],
           faults=None) -> None:
     """Run the merged event loop to completion.
 
-    ``source`` yields requests in ``(arrival_time, request_id)`` order (one
-    is pulled ahead at a time, so generators and streams never
-    materialize); ``route(request)`` returns the index of the run each
-    arrival joins, called exactly once per request in arrival order —
-    dispatch-time routing, exactly as a front-end load balancer decides.
-    ``journal``, when given, receives ``(time, kind, run_index)`` tuples
-    for every processed event (a test/debug surface; see
-    ``tests/test_serving_events.py``).  ``observers`` receive the same
+    ``source`` is an :class:`ArrivalSource`, or an iterable of requests in
+    ``(arrival_time, request_id)`` order (adapted by
+    :class:`OrderedArrivals`).  ``route(request)`` returns the index of
+    the run each arrival joins, called exactly once per request in arrival
+    order — dispatch-time routing, exactly as a front-end load balancer
+    decides.  ``journal``, when given, receives ``(time, kind,
+    run_index)`` tuples for every processed event (a test/debug surface;
+    see ``tests/test_serving_events.py``).  ``observers`` receive the same
     stream through their ``on_event`` hook (see :mod:`repro.obs`),
     *before* the event is applied — discrete-event state is piecewise
     constant, so that is the state at the event instant.
 
-    A :class:`ContinuationSource` (anything with ``pop_next``) switches to
-    the closed-loop body: arrivals are popped only when they precede every
-    scheduled run event, so turns injected by completions mid-loop are
-    served in true time order, and runs are closed only once the source is
-    exhausted — not merely momentarily empty.
-
     ``faults``, when given, is a bound
-    :class:`repro.faults.FaultCoordinator` and switches to the
-    fault-injection body (:func:`_drive_with_faults`) — a separate loop,
-    so serves with ``faults=None`` execute exactly the instruction stream
-    they always did.
+    :class:`repro.faults.FaultCoordinator`: its timeline joins the heap,
+    arrivals and retries dispatch through ``faults.dispatch`` (which may
+    shed or park them — journaled with run index ``-1``), and the runs
+    must accept late, out-of-order offers (``EngineRun(fault_mode=True)``).
     """
     if not runs:
         raise ConfigurationError("drive needs at least one replica run")
-    if faults is not None:
-        if hasattr(source, "pop_next"):
-            raise ConfigurationError(
-                "fault injection does not support closed-loop sources — "
-                "lower the session trace to its open-loop request stream"
-            )
-        _drive_with_faults(source, runs, journal, observers, faults)
-        return
-    if hasattr(source, "pop_next"):
-        _drive_continuation(source, runs, route, journal, observers)
-        return
+    if not hasattr(source, "pop_next"):
+        source = OrderedArrivals(source)
     on_event = observer_hooks(observers, "on_event")
-    arrivals = iter(source)
+    num_runs = len(runs)
     heap: list[tuple] = []
     sequence = 0
-    last_key: tuple[float, int] | None = None
-    closed = False
-
-    def push_run_event(index: int, event: tuple[float, str] | None) -> None:
-        nonlocal sequence
-        if event is None:
-            return
-        time, kind = event
-        sequence += 1
-        # Run events tie-break after arrivals (invariant 1) and between
-        # themselves by run index; the sequence number keeps entries unique
-        # so heapq never compares payloads.
-        heapq.heappush(heap, (time, index, sequence, kind, index, None))
-
-    def pull_arrival() -> None:
-        nonlocal sequence, closed, last_key
-        if closed:
-            return
-        request = next(arrivals, None)
-        if request is None:
-            closed = True
-            for index, run in enumerate(runs):
-                push_run_event(index, run.close())
-            return
-        key = (request.arrival_time, request.request_id)
-        if last_key is not None and key < last_key:
-            raise ConfigurationError(
-                f"arrival source must be sorted by (arrival_time, "
-                f"request_id); got {key} after {last_key}"
-            )
-        last_key = key
-        sequence += 1
-        heapq.heappush(heap,
-                       (request.arrival_time, -1, sequence, ARRIVAL, None,
-                        request))
-
-    pull_arrival()
-    while heap:
-        time, _, _, kind, index, request = heapq.heappop(heap)
-        if kind == ARRIVAL:
-            target = route(request)
-            if not 0 <= target < len(runs):
-                raise ConfigurationError(
-                    f"route() must return a run index in [0, {len(runs)}), "
-                    f"got {target!r}"
-                )
-            if journal is not None:
-                journal.append((time, ARRIVAL, target))
-            if on_event:
-                for hook in on_event:
-                    hook(time, ARRIVAL, target)
-            push_run_event(target, runs[target].offer(request))
-            pull_arrival()
-        else:
-            if journal is not None:
-                journal.append((time, kind, index))
-            if on_event:
-                for hook in on_event:
-                    hook(time, kind, index)
-            push_run_event(index, runs[index].advance())
-
-    for index, run in enumerate(runs):
-        if not run.finished:
-            raise ConfigurationError(
-                f"event loop drained with run {index} unfinished — a run "
-                f"scheduled no event while holding work (driver invariant "
-                f"violation)"
-            )
-
-
-def _drive_continuation(source, runs: list[ReplicaRun],
-                        route: Callable[[Request], int],
-                        journal: list | None = None,
-                        observers: tuple = ()) -> None:
-    """Closed-loop body of :func:`drive` (see :class:`ContinuationSource`).
-
-    The one-ahead pull of the open-loop body is unsound here: a completion
-    at time ``t`` may inject a turn earlier than an arrival already pulled
-    into the heap.  Instead the source is *peeked* every iteration and an
-    arrival is popped only when it precedes every scheduled run event
-    (arrivals win ties, invariant 1), which keeps the offered order sorted:
-    any turn injected later departs from a completion at or after the
-    current heap minimum, so it can never predate an arrival already
-    popped.  Runs are closed only when the source is exhausted — a
-    momentarily-empty source still owes the arrivals its outstanding
-    completions will trigger.  Runs driven closed-loop must therefore never
-    block awaiting their next queue head (``EngineRun`` is built with
-    ``eager_epochs=True``), or the loop would deadlock on the circular wait
-    between an epoch's cut and the arrival it produces.
-    """
-    heap: list[tuple] = []
-    sequence = 0
-    closed = False
-    on_event = observer_hooks(observers, "on_event")
-
-    def push_run_event(index: int, event: tuple[float, str] | None) -> None:
-        nonlocal sequence
-        if event is None:
-            return
-        time, kind = event
-        sequence += 1
-        heapq.heappush(heap, (time, index, sequence, kind, index, None))
-
-    while True:
-        ready = source.peek_time()
-        if ready is not None and (not heap
-                                  or (ready, -1) <= (heap[0][0], heap[0][1])):
-            request = source.pop_next()
-            target = route(request)
-            if not 0 <= target < len(runs):
-                raise ConfigurationError(
-                    f"route() must return a run index in [0, {len(runs)}), "
-                    f"got {target!r}"
-                )
-            if journal is not None:
-                journal.append((request.arrival_time, ARRIVAL, target))
-            if on_event:
-                for hook in on_event:
-                    hook(request.arrival_time, ARRIVAL, target)
-            push_run_event(target, runs[target].offer(request))
-            continue
-        if ready is None and source.exhausted and not closed:
-            closed = True
-            for index, run in enumerate(runs):
-                push_run_event(index, run.close())
-            continue
-        if not heap:
-            break
-        time, _, _, kind, index, _ = heapq.heappop(heap)
-        if journal is not None:
-            journal.append((time, kind, index))
-        if on_event:
-            for hook in on_event:
-                hook(time, kind, index)
-        push_run_event(index, runs[index].advance())
-
-    if not source.exhausted:
-        raise ConfigurationError(
-            "closed-loop event loop drained with the source still waiting "
-            "for completions — a run dropped work without recording it"
-        )
-    for index, run in enumerate(runs):
-        if not run.finished:
-            raise ConfigurationError(
-                f"event loop drained with run {index} unfinished — a run "
-                f"scheduled no event while holding work (driver invariant "
-                f"violation)"
-            )
-
-
-def _drive_with_faults(source, runs: list[ReplicaRun],
-                       journal: list | None, observers: tuple,
-                       faults) -> None:
-    """Fault-injection body of :func:`drive`.
-
-    Differences from the open-loop body, each forced by failures:
-
-    * **fault events** — the coordinator's fail/recover timeline is pushed
-      up front at priority ``-2``, so a failure at time ``t`` is processed
-      before an arrival at ``t`` (routing sees current health) and before
-      any run event at ``t`` (an epoch "ending" at the crash instant never
-      lands);
-    * **stale-event invalidation** — invariant 2 ("a scheduled run event
-      never changes") breaks when a replica fails: its in-flight event is
-      cancelled.  Each run's live event sequence number is tracked in
-      ``valid``; popped run events whose sequence no longer matches are
-      skipped;
-    * **coordinator dispatch** — arrivals (and re-injected retries, pushed
-      at priority ``-1`` like source arrivals) route through
-      ``faults.dispatch``, which may shed or park them instead of
-      returning a run index;
-    * **late offers** — retries and parked arrivals may be offered after
-      the source closed and out of ``(arrival_time, request_id)`` order;
-      runs built for fault mode accept both (``EngineRun(fault_mode=True)``).
-    """
-    arrivals = iter(source)
-    heap: list[tuple] = []
-    sequence = 0
-    last_key: tuple[float, int] | None = None
     closed = False
     #: Per-run sequence number of the one live scheduled event (0 = none);
-    #: a failure zeroes it, orphaning the heap entry.
-    valid = [0] * len(runs)
-    on_event = observer_hooks(observers, "on_event")
+    #: a failure zeroes it, orphaning the heap entry (invariant 2).
+    valid = [0] * num_runs
 
     def emit(time: float, kind: str, index: int) -> None:
         if journal is not None:
@@ -418,74 +385,81 @@ def _drive_with_faults(source, runs: list[ReplicaRun],
     def push_run_event(index: int, event: tuple[float, str] | None) -> None:
         nonlocal sequence
         if event is None:
-            # No new event scheduled; any live one stays valid (only a
-            # failure invalidates).
-            return
+            return  # nothing new scheduled; a live event stays valid
         time, kind = event
         sequence += 1
         valid[index] = sequence
         heapq.heappush(heap, (time, index, sequence, kind, index, None))
 
-    def push_arrival(time: float, marker, request: Request) -> None:
-        nonlocal sequence
-        sequence += 1
-        heapq.heappush(heap, (time, -1, sequence, ARRIVAL, marker, request))
-
     def dispatch(time: float, request: Request, retrying: bool) -> None:
-        target = faults.dispatch(time, request, retrying)
-        emit(time, ARRIVAL, -1 if target is None else target)
-        if target is not None:
-            push_run_event(target, runs[target].offer(request, now=time))
+        if faults is None:
+            target = route(request)
+        else:
+            target = faults.dispatch(time, request, retrying)
+            if target is None:  # shed, or parked while every run is down
+                emit(time, ARRIVAL, -1)
+                return
+        if not 0 <= target < num_runs:
+            raise ConfigurationError(
+                f"route() must return a run index in [0, {num_runs}), "
+                f"got {target!r}"
+            )
+        emit(time, ARRIVAL, target)
+        run = runs[target]
+        push_run_event(target, run.offer(request) if faults is None
+                       else run.offer(request, now=time))
 
-    def pull_arrival() -> None:
-        nonlocal closed, last_key
-        if closed:
-            return
-        request = next(arrivals, None)
-        if request is None:
+    if faults is not None:
+        for time, kind, replica in faults.timeline():
+            sequence += 1
+            heapq.heappush(heap, (time, -2, sequence, kind, replica, None))
+    sequence += 1
+    arrival_sequence = sequence  # the pending source arrival's push slot
+    peek, pop = source.peek_time, source.pop_next
+    while True:
+        ready = peek()
+        if ready is not None and (not heap
+                                  or (ready, -1, arrival_sequence) < heap[0]):
+            dispatch(ready, pop(), False)
+            sequence += 1
+            arrival_sequence = sequence
+            continue
+        if ready is None and not closed and source.exhausted:
             closed = True
             for index, run in enumerate(runs):
                 push_run_event(index, run.close())
-            return
-        key = (request.arrival_time, request.request_id)
-        if last_key is not None and key < last_key:
-            raise ConfigurationError(
-                f"arrival source must be sorted by (arrival_time, "
-                f"request_id); got {key} after {last_key}"
-            )
-        last_key = key
-        push_arrival(request.arrival_time, None, request)
-
-    for time, kind, replica in faults.timeline():
-        sequence += 1
-        heapq.heappush(heap, (time, -2, sequence, kind, replica, None))
-
-    pull_arrival()
-    while heap:
-        time, _, seq, kind, index, request = heapq.heappop(heap)
-        if kind == ARRIVAL:
-            from_source = request is not None and index is None
-            dispatch(time, request, retrying=index is _RETRY)
-            if from_source:
-                pull_arrival()
+            continue
+        if not heap:
+            break
+        time, priority, seq, kind, index, request = heapq.heappop(heap)
+        if priority >= 0:
+            if seq != valid[index]:
+                continue  # cancelled by a failure after it was scheduled
+            emit(time, kind, index)
+            push_run_event(index, runs[index].advance())
+        elif priority == -1:
+            dispatch(time, request, True)
         elif kind == REPLICA_FAIL:
             emit(time, REPLICA_FAIL, index)
             valid[index] = 0  # the run's in-flight event died with it
             for retry_time, retry_request in faults.fail(time, index):
-                push_arrival(retry_time, _RETRY, retry_request)
-        elif kind == REPLICA_RECOVER:
+                sequence += 1
+                heapq.heappush(heap, (retry_time, -1, sequence, ARRIVAL,
+                                      None, retry_request))
+        else:
             emit(time, REPLICA_RECOVER, index)
             event, released = faults.recover(time, index)
             push_run_event(index, event)
             for parked_request, retrying in released:
                 dispatch(time, parked_request, retrying)
-        else:
-            if seq != valid[index]:
-                continue  # cancelled by a failure after it was scheduled
-            emit(time, kind, index)
-            push_run_event(index, runs[index].advance())
 
-    faults.finish()
+    if not source.exhausted:
+        raise ConfigurationError(
+            "closed-loop event loop drained with the source still waiting "
+            "for completions — a run dropped work without recording it"
+        )
+    if faults is not None:
+        faults.finish()
     for index, run in enumerate(runs):
         if not run.finished:
             raise ConfigurationError(

@@ -307,8 +307,9 @@ class SessionTrace:
 class ClosedLoopSessions:
     """Single-use closed-loop arrival source over a :class:`SessionTrace`.
 
-    Implements :class:`~repro.serving.events.ContinuationSource`: the
-    serving layer pops ready turns in time order and feeds every completed
+    Implements the serving layer's one arrival-source protocol
+    (:class:`~repro.serving.events.ArrivalSource`): the event driver pops
+    ready turns in time order and the serve layer feeds every completed
     request back through :meth:`on_completion`, which schedules the
     session's next turn at ``completion_time + think_s`` — so follow-ups
     react to the *simulated* system instead of an a-priori service
@@ -320,6 +321,10 @@ class ClosedLoopSessions:
     spec's own — see :meth:`SessionTrace._scripts` — making a closed-loop
     serve a pure function of ``(spec seed, engine configuration)``.
     """
+
+    #: Turns exist only once earlier turns complete, so there is no list
+    #: to size budgets from up front (``length_bounds`` bounds them).
+    materialized = None
 
     def __init__(self, spec: SessionTrace) -> None:
         self._spec = spec
@@ -361,7 +366,7 @@ class ClosedLoopSessions:
         return max_input, max_output
 
     # ------------------------------------------------------------------ #
-    # ContinuationSource interface
+    # ArrivalSource interface
     # ------------------------------------------------------------------ #
     def peek_time(self) -> float | None:
         return self._ready[0][0] if self._ready else None

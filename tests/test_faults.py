@@ -36,6 +36,7 @@ from repro.serving import (
 )
 from repro.serving.trace import REQUEST_STATUSES
 from repro.workloads.arrivals import Request, generate_requests
+from repro.workloads.sessions import sessions
 
 MODEL = "opt-6.7b"
 CLASS_SLOS = {"interactive": (2.0, 0.2), "batch": (30.0, 2.0)}
@@ -190,6 +191,14 @@ class TestNoFaultBitIdentity:
             engine().serve(requests(), retry=RetryPolicy())
         with pytest.raises(ConfigurationError, match="faults"):
             engine().serve(requests(), shedding=LoadShedder())
+
+    @pytest.mark.parametrize("layer", ["engine", "group"])
+    def test_closed_loop_sources_rejected(self, layer):
+        source = sessions(4, rate=2.0, seed=1).closed_loop()
+        server = engine() if layer == "engine" else group()
+        with pytest.raises(ConfigurationError, match="closed-loop"):
+            server.serve(source, faults=crash_at())
+        assert not source.assignments  # rejected before anything ran
 
     def test_exact_stepping_rejects_faults(self):
         with pytest.raises(ConfigurationError):

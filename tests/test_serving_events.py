@@ -17,14 +17,18 @@ from repro.cluster import ReplicaGroup, StreamingClusterTrace
 from repro.core.engine import AlisaSystem
 from repro.hardware.presets import V100_16GB_NODE
 from repro.serving import ContinuousBatchingEngine, ServingTrace, StreamingTrace
+from repro.cluster.router import Router
+from repro.faults import FaultCoordinator, FaultEvent, FaultSchedule, RetryPolicy
 from repro.serving.events import (
     ADMISSION,
     ARRIVAL,
     COMPLETION,
     EPOCH_BOUNDARY,
+    REPLICA_FAIL,
+    REPLICA_RECOVER,
     drive,
 )
-from repro.workloads.arrivals import RequestStream, generate_requests
+from repro.workloads.arrivals import Request, RequestStream, generate_requests
 
 MODEL = "opt-6.7b"
 
@@ -283,12 +287,28 @@ class TestDriveValidation:
         with pytest.raises(ConfigurationError):
             drive([], [], lambda request: 0)
 
-    def test_route_index_out_of_range(self):
-        run = engine().start_run(
-            engine().make_trace("full"), max_input_len=64, max_output_len=32)
+    @pytest.mark.parametrize("target", [5, -1])
+    @pytest.mark.parametrize("faulted", [False, True],
+                             ids=["faults=None", "faults=coordinator"])
+    def test_route_index_out_of_range(self, faulted, target):
+        shared = engine()
+        runs = [shared.start_run(shared.make_trace("full"),
+                                 max_input_len=64, max_output_len=32,
+                                 replica=index, fault_mode=faulted)
+                for index in range(2)]
+
+        def route(request):
+            return target
+
+        coordinator = None
+        if faulted:
+            coordinator = FaultCoordinator(FaultSchedule(
+                [FaultEvent(0, 100.0, 101.0)]))
+            coordinator.bind(runs, route)
         with pytest.raises(ConfigurationError, match="run index"):
-            drive(requests(n=2, input_len=64, output_len=32), [run],
-                  lambda request: 5)
+            drive(requests(n=6, input_len=64, output_len=32), runs, route,
+                  faults=coordinator)
+        assert all(run.gauges().queue_depth == 0 for run in runs)
 
     def test_out_of_order_arrivals_rejected(self):
         shared = engine()
@@ -298,3 +318,242 @@ class TestDriveValidation:
                            key=lambda r: -r.arrival_time)
         with pytest.raises(ConfigurationError, match="sorted"):
             drive(backwards, [run], lambda request: 0)
+
+
+# --------------------------------------------------------------------- #
+# Driver tie order, pinned with scripted runs
+# --------------------------------------------------------------------- #
+class ScriptedRun:
+    """A replica run whose events sit at fixed, scripted times.
+
+    Each offer to an idle run schedules its next scripted time, and each
+    advance completes everything offered so far and schedules the next
+    one.  ``log`` (shared by every run and the source) records the calls
+    the driver makes, in order.
+    """
+
+    def __init__(self, index, times, log, on_advance=None):
+        self.index = index
+        self.times = list(times)
+        self.log = log
+        self.on_advance = on_advance
+        self.scheduled = None
+        self.holding = []
+        self.closed = False
+
+    def _schedule(self):
+        if self.scheduled is None and self.times:
+            self.scheduled = self.times.pop(0)
+            return (self.scheduled, COMPLETION)
+        return None
+
+    def offer(self, request, now=None):
+        self.log.append(("offer", self.index, request.request_id))
+        self.holding.append(request)
+        return self._schedule()
+
+    def advance(self):
+        # Invariant 2: the driver only ever advances the run's one live
+        # event (a cancelled one is skipped, never advanced).
+        assert self.scheduled is not None
+        time, self.scheduled = self.scheduled, None
+        self.log.append(("advance", self.index, time))
+        self.holding = []
+        if self.on_advance is not None:
+            self.on_advance(time)
+        return self._schedule()
+
+    def close(self):
+        self.log.append(("close", self.index))
+        self.closed = True
+        return self._schedule()
+
+    @property
+    def finished(self):
+        return self.closed and self.scheduled is None and not self.times
+
+    # fault surface (see repro.faults.FaultCoordinator)
+    def gauges(self):
+        return None
+
+    def set_record_filter(self, record_filter):
+        pass
+
+    def stage_resumption(self, wrapper):
+        pass
+
+    def fail(self, time, mode):
+        self.log.append(("fail", self.index, time))
+        self.scheduled = None
+        interrupted = [(time, request, None) for request in self.holding]
+        self.holding = []
+        return interrupted
+
+    def recover(self, time):
+        return self._schedule()
+
+
+class LoggedArrivals:
+    """A sorted request list whose pulls are logged (invariant 4)."""
+
+    def __init__(self, requests, log):
+        self.requests = requests
+        self.log = log
+
+    def __iter__(self):
+        for request in self.requests:
+            self.log.append(("pull", request.request_id))
+            yield request
+
+
+class ScriptedLoop:
+    """A closed-loop source: a turn follows each completion of run 0
+    ``think`` seconds later."""
+
+    length_bounds = (64, 32)
+    materialized = None
+    on_completion = None
+
+    def __init__(self, first, follow_ups, think, log):
+        self.ready = list(first)
+        self.follow_ups = list(follow_ups)
+        self.think = think
+        self.log = log
+
+    def release(self, time):
+        if self.follow_ups:
+            request = self.follow_ups.pop(0)
+            self.ready.append(Request(request.request_id, time + self.think,
+                                      request.input_len, request.output_len))
+
+    def peek_time(self):
+        return self.ready[0].arrival_time if self.ready else None
+
+    def pop_next(self):
+        request = self.ready.pop(0)
+        self.log.append(("pull", request.request_id))
+        return request
+
+    @property
+    def exhausted(self):
+        return not self.ready and not self.follow_ups
+
+
+def _request(request_id, time):
+    return Request(request_id, time, 64, 32)
+
+
+def _rank(event):
+    """Order of an event kind at one timestamp: faults, then arrivals,
+    then run events by run index."""
+    _, kind, index = event
+    if kind in (REPLICA_FAIL, REPLICA_RECOVER):
+        return (0, 0)
+    if kind == ARRIVAL:
+        return (1, 0)
+    return (2, index)
+
+
+def check_heap_invariants(journal, log, runs):
+    """Heap invariants 1-4 (see repro.serving.events) over one drive."""
+    # 1. Time never runs backwards, and at one timestamp fault events
+    #    precede arrivals, which precede run events (ordered by index).
+    for before, after in zip(journal, journal[1:]):
+        assert before[0] <= after[0]
+        if before[0] == after[0]:
+            assert _rank(before) <= _rank(after), (before, after)
+    # 2. Every journaled run event is exactly one advance of that run's
+    #    live event — cancelled events never surface.
+    run_events = [(time, index) for time, kind, index in journal
+                  if kind == COMPLETION]
+    advances = [(time, index) for name, index, *rest in log
+                if name == "advance" for time in rest]
+    assert run_events == advances
+    # 3. Each run is closed exactly once, after the last arrival left the
+    #    source (only then is every run's next queue head known).
+    closes = [position for position, entry in enumerate(log)
+              if entry[0] == "close"]
+    pulls = [position for position, entry in enumerate(log)
+             if entry[0] == "pull"]
+    assert len(closes) == len(runs)
+    assert min(closes) > max(pulls)
+    assert all(run.finished for run in runs)
+    # 4. One lazy arrival at a time: at most one request has been pulled
+    #    from the source and not yet offered.
+    pulled, offered = set(), set()
+    for entry in log:
+        if entry[0] == "pull":
+            pulled.add(entry[1])
+        elif entry[0] == "offer":
+            offered.add(entry[2])
+        assert len(pulled - offered) <= 1
+
+
+class TestDriverTieOrder:
+    def test_list_source(self):
+        # Run 0's event and arrival 2 tie at 1.0; run 1's event and
+        # arrival 3 tie at 2.0.  The arrivals go first both times.
+        log, journal = [], []
+        runs = [ScriptedRun(0, [1.0, 2.0], log),
+                ScriptedRun(1, [2.0], log)]
+        arrivals = LoggedArrivals([_request(0, 0.5), _request(1, 0.5),
+                                   _request(2, 1.0), _request(3, 2.0)], log)
+        drive(arrivals, runs, lambda request: request.request_id % 2,
+              journal=journal)
+        assert journal == [
+            (0.5, ARRIVAL, 0), (0.5, ARRIVAL, 1),
+            (1.0, ARRIVAL, 0), (1.0, COMPLETION, 0),
+            (2.0, ARRIVAL, 1), (2.0, COMPLETION, 0), (2.0, COMPLETION, 1),
+        ]
+        check_heap_invariants(journal, log, runs)
+
+    def test_closed_loop_source(self):
+        # Run 0's event at 1.0 releases a turn for 1.5, where it ties with
+        # run 1's event; the turn, popped only once it is the earliest
+        # entry, still goes first.
+        log, journal = [], []
+        source = ScriptedLoop([_request(0, 0.5), _request(1, 0.75)],
+                              [_request(2, 0.0)], think=0.5, log=log)
+        runs = [ScriptedRun(0, [1.0, 2.0], log, on_advance=source.release),
+                ScriptedRun(1, [1.5], log)]
+        drive(source, runs, lambda request: request.request_id % 2,
+              journal=journal)
+        assert journal == [
+            (0.5, ARRIVAL, 0), (0.75, ARRIVAL, 1), (1.0, COMPLETION, 0),
+            (1.5, ARRIVAL, 0), (1.5, COMPLETION, 1), (2.0, COMPLETION, 0),
+        ]
+        check_heap_invariants(journal, log, runs)
+
+    def test_faulted_list(self):
+        # Replica 1 fails at 0.625 holding request 1, whose retry lands at
+        # 1.0 — where the recovery, the retry, source arrival 3 and run
+        # 0's event all tie.  The recovery goes first, then the retry
+        # (pushed at 0.625) before arrival 3 (its slot taken when arrival
+        # 2 was dispatched at 0.75), then the run event.  Replica 1's
+        # event scheduled for 1.0 died with the failure and never shows.
+        log, journal = [], []
+        runs = [ScriptedRun(0, [1.0, 3.0], log),
+                ScriptedRun(1, [1.0, 2.0], log)]
+        schedule = FaultSchedule([FaultEvent(1, 0.625, 1.0, mode="crash")])
+        coordinator = FaultCoordinator(
+            schedule, retry=RetryPolicy(max_retries=2, backoff_s=0.375))
+        router = Router(2, "round-robin", seed=0)
+
+        def route(request):
+            return router.assign(request, [1.0, 1.0])
+
+        coordinator.bind(runs, route, router=router)
+        arrivals = LoggedArrivals([_request(0, 0.25), _request(1, 0.5),
+                                   _request(2, 0.75), _request(3, 1.0)], log)
+        drive(arrivals, runs, route, journal=journal, faults=coordinator)
+        assert journal == [
+            (0.25, ARRIVAL, 0), (0.5, ARRIVAL, 1),
+            (0.625, REPLICA_FAIL, 1), (0.75, ARRIVAL, 0),
+            (1.0, REPLICA_RECOVER, 1), (1.0, ARRIVAL, 1),
+            (1.0, ARRIVAL, 0), (1.0, COMPLETION, 0),
+            (2.0, COMPLETION, 1), (3.0, COMPLETION, 0),
+        ]
+        offers = [entry[2] for entry in log if entry[0] == "offer"]
+        assert offers == [0, 1, 2, 1, 3]  # the retry of 1 before 3
+        check_heap_invariants(journal, log, runs)
+        assert coordinator.num_retries == 1
