@@ -189,6 +189,9 @@ class SpanTracer(Observer):
     def on_replica_fail(self, replica: int, time: float,
                         mode: str) -> None:
         self._outage_started[replica] = (time, mode)
+        # The failed replica's batch is gone: its requests retry elsewhere
+        # or fail, and must not collect the replica's later prefill stalls.
+        self._resident[replica] = set()
         self._fault_marks.append(
             ("replica-fail", replica, time, {"mode": mode}))
 

@@ -18,6 +18,7 @@ from repro._common import ConfigurationError
 from repro.baselines import FlexGenSystem, VLLMSystem
 from repro.cluster import ReplicaGroup
 from repro.experiments import run_experiment
+from repro.faults import FaultEvent, FaultSchedule, RetryPolicy
 from repro.obs import (
     MetricsTimeline,
     Observer,
@@ -307,6 +308,68 @@ class TestAttribution:
                 pytest.approx(record.e2e_latency, rel=1e-12)
             for key in COMPONENTS:
                 assert components[key] >= -1e-12, (key, components)
+
+    def test_crashed_replicas_requests_stop_collecting_its_stalls(self):
+        # Crash replica 1, then replica 0: the requests each crash
+        # interrupts retry on the other replica and must not keep
+        # collecting the failed replica's prefill stalls after recovery.
+        tracer = SpanTracer()
+        faults = FaultSchedule([FaultEvent(1, 1.5, 2.5, mode="crash"),
+                                FaultEvent(0, 3.5, 4.5, mode="crash")])
+        trace = group().serve(
+            requests(n=24), observers=[tracer], faults=faults,
+            retry=RetryPolicy(max_retries=2, backoff_s=0.05),
+            class_slos=CLASS_SLOS)
+        completed = [r for r in trace.records if r.status == "completed"]
+        assert len(completed) == 24
+        assert any(r.retries for r in completed)
+        for record in completed:
+            components = tracer.components[record.request_id]
+            for key in COMPONENTS:
+                assert components[key] >= -1e-12, (key, components)
+            assert sum(components[key] for key in COMPONENTS) == \
+                pytest.approx(record.e2e_latency, rel=1e-12)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(4, 16),
+           rate=st.sampled_from([1.0, 4.0, 16.0]),
+           fault_mode=st.sampled_from(["crash", "drain"]),
+           preemption=st.sampled_from([None, "retain", "recompute"]),
+           first=st.floats(0.0, 0.4), second=st.floats(0.5, 0.9))
+    def test_property_components_under_crash_and_drain(
+            self, seed, n, rate, fault_mode, preemption, first, second):
+        arrivals = generate_requests(n, rate, pattern="bursty", seed=seed,
+                                     max_len=256)
+        horizon = arrivals[-1].arrival_time + 1.0
+        faults = FaultSchedule([
+            FaultEvent(1, first * horizon, (first + 0.1) * horizon,
+                       mode=fault_mode),
+            FaultEvent(0, second * horizon, (second + 0.1) * horizon,
+                       mode=fault_mode)])
+        tracer = SpanTracer()
+        trace = group(max_batch_size=4 if preemption else None,
+                      preemption=preemption).serve(
+            arrivals, observers=[tracer], faults=faults,
+            retry=RetryPolicy(max_retries=4, backoff_s=0.05),
+            class_slos=CLASS_SLOS)
+        for record in trace.records:
+            if record.status != "completed":
+                continue
+            components = tracer.components[record.request_id]
+            assert sum(components[key] for key in COMPONENTS) == \
+                pytest.approx(record.e2e_latency, rel=1e-12)
+            # A retried request's queueing_s runs to its last admission,
+            # so it also covers the first attempts' prefill and decode,
+            # and only its decode remainder may go negative.
+            checked = COMPONENTS if not record.retries else (
+                "queueing_s", "prefill_s", "preemption_s")
+            for key in checked:
+                assert components[key] >= -1e-12, (key, components)
+            cursor = record.arrival_time
+            for _, start, end in tracer.spans_for(record.request_id):
+                assert start >= cursor and end >= start
+                cursor = end
+            assert cursor == record.completion_time
 
     def test_preempted_requests_blame_preemption(self):
         tracer = SpanTracer()
