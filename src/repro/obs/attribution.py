@@ -41,11 +41,19 @@ def request_components(record, segments) -> dict:
     four :data:`COMPONENTS` plus ``total_s``; the components sum exactly
     to ``total_s``.
     """
+    return latency_components(
+        record,
+        sum(end - start for category, start, end in segments
+            if category == "prefill"),
+        sum(end - start for category, start, end in segments
+            if category == "preempted"))
+
+
+def latency_components(record, prefill, preemption) -> dict:
+    """The :func:`request_components` dict from the request's summed
+    ``prefill`` and ``preemption`` span time; ``decode_s`` is the
+    remainder."""
     queueing = record.admission_time - record.arrival_time
-    prefill = sum(end - start for category, start, end in segments
-                  if category == "prefill")
-    preemption = sum(end - start for category, start, end in segments
-                     if category == "preempted")
     total = record.e2e_latency
     return {
         "queueing_s": queueing,

@@ -38,9 +38,10 @@ from __future__ import annotations
 
 import json
 import pathlib
+from bisect import bisect_left
 
 from repro._common import ConfigurationError
-from repro.obs.attribution import blame_table, request_components, violations
+from repro.obs.attribution import blame_table, latency_components, violations
 from repro.obs.observer import Observer
 from repro.serving.trace import normalize_class_slos
 from repro.workloads.arrivals import SLO_CLASSES
@@ -49,32 +50,174 @@ from repro.workloads.arrivals import SLO_CLASSES
 SPAN_CATEGORIES = ("queue", "prefill", "decode", "preempted")
 
 
-class _RequestSpans:
-    """Mutable per-request span state while its serve is in flight."""
+#: Engine-track slices that stall every resident request, mapped to the
+#: span category they give it (prefill never overlaps decode).
+_STALLS = {"prefill": "prefill", "prefill-chunk": "prefill",
+           "decode-epoch": "decode"}
 
-    __slots__ = ("request", "replica", "arrival", "admission", "segments",
-                 "cursor", "status", "record", "first_token")
+
+def _add(segments: list, category: str, start: float, end: float) -> None:
+    """Append a span, extending the last one when it is the same category
+    and ends where this one starts."""
+    if segments and segments[-1][0] == category \
+            and segments[-1][2] == start:
+        segments[-1][2] = end
+    else:
+        segments.append([category, start, end])
+
+
+class _Track:
+    """One replica's engine track and residents.
+
+    ``slices`` holds ``(name, start, end, args, first_token_time)``
+    entries in event order (``first_token_time`` is ``None`` except on
+    decode epochs); ``stall_end`` is one past the last stall entry.
+    """
+
+    __slots__ = ("slices", "stall_end", "resident")
+
+    def __init__(self) -> None:
+        self.slices: list[tuple] = []
+        self.stall_end = 0
+        #: The request states currently in this replica's running batch.
+        self.resident: set = set()
+
+    def stall(self, entry: tuple) -> None:
+        self.slices.append(entry)
+        self.stall_end = len(self.slices)
+
+
+class _RequestSpans:
+    """Per-request span state: the request's own waits plus residency
+    windows into its replicas' engine tracks.
+
+    Each admission appends a *stay* ``[category, start, end, track, first,
+    stop]``: the ``queue`` (or ``preempted``) wait that ended at the
+    admission, then the residency window ``track.slices[first:stop]``.
+    ``stop`` is ``None`` while the request is resident and, once the
+    window closes, one past its last stall entry (``first`` when it has
+    none).  Every stall entry in a window stalled the request: decode
+    epochs run exactly the resident batch, prefill passes and chunks
+    stall it.
+    """
+
+    __slots__ = ("request", "replica", "arrival", "admission", "stays",
+                 "cursor", "record")
 
     def __init__(self, request, replica: int, arrival: float) -> None:
         self.request = request
         self.replica = replica
         self.arrival = arrival
         self.admission: float | None = None
-        #: Coalesced ``[category, start, end]`` triples, chronological.
-        self.segments: list[list] = []
+        self.stays: list[list] = []
+        #: Where the next wait starts: the last span's end, or the start
+        #: of the preemption that evicted the request.
         self.cursor = arrival
-        self.status = "queued"
         self.record = None
-        self.first_token: float | None = None
 
-    def add(self, category: str, start: float, end: float) -> None:
-        segments = self.segments
-        if segments and segments[-1][0] == category \
-                and segments[-1][2] == start:
-            segments[-1][2] = end
+    def admit(self, category: str, time: float, track: _Track) -> None:
+        stays = self.stays
+        last = stays[-1] if stays else None
+        if (last is not None and last[4] == last[5] and last[0] == category
+                and last[2] == self.cursor):
+            # The last residency stalled nothing: the two waits coalesce,
+            # and the empty window is dropped.
+            last[2:] = [time, track, len(track.slices), None]
         else:
-            segments.append([category, start, end])
-        self.cursor = end
+            stays.append([category, self.cursor, time, track,
+                          len(track.slices), None])
+        self.cursor = time
+
+    def close(self) -> None:
+        """End the open residency window (preemption, completion, or the
+        replica's failure)."""
+        stay = self.stays[-1]
+        track, first = stay[3], stay[4]
+        stop = stay[5] = max(first, track.stall_end)
+        if stop > first:
+            self.cursor = track.slices[stop - 1][2]
+
+    def windows(self):
+        """``(track, first, stop)`` of every residency, in order."""
+        for stay in self.stays:
+            track, first, stop = stay[3], stay[4], stay[5]
+            if stop is None:
+                stop = max(first, track.stall_end)
+            yield track, first, stop
+
+    def segments(self) -> list[list]:
+        """Coalesced ``[category, start, end]`` spans, chronological."""
+        segments: list[list] = []
+        for stay, (track, first, stop) in zip(self.stays, self.windows()):
+            _add(segments, stay[0], stay[1], stay[2])
+            for index in range(first, stop):
+                name, start, end = track.slices[index][:3]
+                category = _STALLS.get(name)
+                if category is not None:
+                    _add(segments, category, start, end)
+        return segments
+
+    @property
+    def first_token(self) -> float | None:
+        """First-token time of the first decode epoch the request ran in."""
+        for track, first, stop in self.windows():
+            for index in range(first, stop):
+                entry = track.slices[index]
+                if entry[0] == "decode-epoch":
+                    return entry[4]
+        return None
+
+    def end_time(self, segments: list) -> float:
+        """Where the request's spans end so far (``segments`` is
+        :meth:`segments`)."""
+        if self.record is not None:
+            return self.record.completion_time
+        if self.stays and self.stays[-1][5] is None:
+            return segments[-1][2]  # still resident
+        return self.cursor
+
+    def prefill_parts(self, runs: dict):
+        """The request's prefill span lengths, in order, from each track's
+        coalesced prefill runs (see :func:`_prefill_runs`)."""
+        for track, first, stop in self.windows():
+            slices = track.slices
+            positions, run_stop = runs[track]
+            index = bisect_left(positions, first)
+            end = bisect_left(positions, stop)
+            while index < end:
+                last = min(run_stop[index], end)
+                yield (slices[positions[last - 1]][2]
+                       - slices[positions[index]][1])
+                index = last
+
+
+def _prefill_runs(slices: list) -> tuple[list, list]:
+    """Coalesced prefill runs of one engine track.
+
+    Returns ``(positions, run_stop)``: the slice indices of the prefill
+    entries, and for the ``k``-th of them, one past the last entry of its
+    run.  A prefill entry continues the run when the previous stall entry
+    is a prefill that ends where it starts — the span merge rule, so a
+    request's prefill spans are these runs clipped to its windows.
+    """
+    positions: list[int] = []
+    breaks: list[bool] = []
+    previous_end = None
+    for index, entry in enumerate(slices):
+        category = _STALLS.get(entry[0])
+        if category == "prefill":
+            positions.append(index)
+            breaks.append(previous_end != entry[1])
+            previous_end = entry[2]
+        elif category is not None:
+            previous_end = None
+    run_stop = [0] * len(positions)
+    stop = len(positions)
+    for k in range(len(positions) - 1, -1, -1):
+        run_stop[k] = stop
+        if breaks[k]:
+            stop = k
+    return positions, run_stop
 
 
 class SpanTracer(Observer):
@@ -89,10 +232,8 @@ class SpanTracer(Observer):
     def __init__(self) -> None:
         #: request_id -> in-flight span state.
         self._states: dict[int, _RequestSpans] = {}
-        #: replica -> request_ids currently in its running batch.
-        self._resident: dict[int, set[int]] = {}
-        #: replica -> engine-level ``(name, start, end, args)`` slices.
-        self._engine_slices: dict[int, list] = {}
+        #: replica -> its engine track and resident requests.
+        self._tracks: dict[int, _Track] = {}
         #: Per-request latency components, filled by :meth:`finish` /
         #: :meth:`export`.
         self.components: dict[int, dict] = {}
@@ -113,8 +254,7 @@ class SpanTracer(Observer):
     # engine hooks
     # ------------------------------------------------------------------ #
     def on_serve_start(self, replica: int, gauges) -> None:
-        self._resident.setdefault(replica, set())
-        self._engine_slices.setdefault(replica, [])
+        self._track(replica)
 
     def on_arrival(self, replica: int, time: float, request) -> None:
         state = self._states.get(request.request_id)
@@ -123,7 +263,6 @@ class SpanTracer(Observer):
             # history from the failed attempt; the request simply queues
             # again on its new replica (the gap shows up as queue time).
             state.replica = replica
-            state.status = "queued"
             return
         self._states[request.request_id] = _RequestSpans(
             request, replica, time)
@@ -132,66 +271,63 @@ class SpanTracer(Observer):
                      prefix_hit: bool = False,
                      resumed: bool = False) -> None:
         state = self._state(request, replica)
-        state.add("preempted" if resumed else "queue", state.cursor, time)
         if state.admission is None:
             state.admission = time
-        state.status = "resident"
-        self._resident.setdefault(replica, set()).add(request.request_id)
+        track = self._track(replica)
+        state.admit("preempted" if resumed else "queue", time, track)
+        track.resident.add(state)
 
+    # A prefill pass or chunk stalls the whole resident batch and a decode
+    # epoch runs exactly that batch, so each is one entry on the replica's
+    # track; requests read their spans off it through their windows.
     def on_prefill(self, replica: int, start: float, end: float,
                    requests) -> None:
-        self._stall_resident(replica, "prefill", start, end)
-        self._engine_slices.setdefault(replica, []).append(
+        self._track(replica).stall(
             ("prefill", start, end,
              {"batch": len(requests),
-              "request_ids": [r.request_id for r in requests]}))
+              "request_ids": [r.request_id for r in requests]}, None))
 
     def on_prefill_chunk(self, replica: int, start: float, end: float,
                          parts) -> None:
-        self._stall_resident(replica, "prefill", start, end)
-        self._engine_slices.setdefault(replica, []).append(
+        self._track(replica).stall(
             ("prefill-chunk", start, end,
              {"parts": [[request.request_id, tokens]
-                        for request, tokens in parts]}))
+                        for request, tokens in parts]}, None))
 
     def on_epoch(self, replica: int, start: float, end: float, kind: str,
                  steps: int, first_token_time: float, batch) -> None:
-        for request in batch:
-            state = self._state(request, replica)
-            state.add("decode", start, end)
-            if state.first_token is None:
-                state.first_token = first_token_time
-        self._engine_slices.setdefault(replica, []).append(
+        self._track(replica).stall(
             ("decode-epoch", start, end,
-             {"kind": kind, "steps": steps, "batch": len(batch)}))
+             {"kind": kind, "steps": steps, "batch": len(batch)},
+             first_token_time))
 
     def on_preemption(self, replica: int, start: float, end: float,
                       request, mode: str, resident_tokens: int) -> None:
         state = self._state(request, replica)
-        state.status = "preempted"
+        track = self._track(replica)
+        self._leave(state, track)
         state.cursor = start
-        self._resident.setdefault(replica, set()).discard(
-            request.request_id)
-        self._engine_slices.setdefault(replica, []).append(
+        track.slices.append(
             ("preempt-swap", start, end,
              {"request_id": request.request_id, "mode": mode,
-              "resident_tokens": resident_tokens}))
+              "resident_tokens": resident_tokens}, None))
 
     def on_completion(self, replica: int, record) -> None:
         state = self._states.get(record.request_id)
         if state is None:
             return
         state.record = record
-        state.status = "done"
-        self._resident.setdefault(replica, set()).discard(
-            record.request_id)
+        self._leave(state, self._track(replica))
 
     def on_replica_fail(self, replica: int, time: float,
                         mode: str) -> None:
         self._outage_started[replica] = (time, mode)
         # The failed replica's batch is gone: its requests retry elsewhere
-        # or fail, and must not collect the replica's later prefill stalls.
-        self._resident[replica] = set()
+        # or fail, and must not collect the replica's later stalls.
+        track = self._track(replica)
+        for state in track.resident:
+            state.close()
+        track.resident.clear()
         self._fault_marks.append(
             ("replica-fail", replica, time, {"mode": mode}))
 
@@ -239,7 +375,7 @@ class SpanTracer(Observer):
             raise ConfigurationError(
                 f"request {request_id} was never observed by this tracer"
             )
-        return [tuple(segment) for segment in state.segments]
+        return [tuple(segment) for segment in state.segments()]
 
     # ------------------------------------------------------------------ #
     # Chrome trace export
@@ -249,7 +385,7 @@ class SpanTracer(Observer):
         scale = 1e6  # simulated seconds -> trace microseconds
         tids = {name: 1 + index for index, name in enumerate(SLO_CLASSES)}
         events: list[dict] = []
-        replicas = sorted(set(self._engine_slices)
+        replicas = sorted(set(self._tracks)
                           | {state.replica
                              for state in self._states.values()}
                           | {replica for replica, *_ in self._outages}
@@ -268,8 +404,9 @@ class SpanTracer(Observer):
                                "name": "thread_name",
                                "args": {"name": f"requests:{name}"}})
         for replica in replicas:
-            for name, start, end, args in self._engine_slices.get(
-                    replica, []):
+            track = self._tracks.get(replica)
+            for name, start, end, args, _ in (track.slices if track
+                                              else ()):
                 events.append({"ph": "X", "pid": replica, "tid": 0,
                                "name": name, "cat": "engine",
                                "ts": start * scale,
@@ -291,8 +428,8 @@ class SpanTracer(Observer):
             pid = state.replica
             tid = tids[state.request.slo_class]
             span_id = str(request_id)
-            end_time = (state.record.completion_time
-                        if state.record is not None else state.cursor)
+            segments = state.segments()
+            end_time = state.end_time(segments)
             events.append({"ph": "b", "pid": pid, "tid": tid,
                            "name": f"request-{request_id}",
                            "cat": "request", "id": span_id,
@@ -301,7 +438,7 @@ class SpanTracer(Observer):
                                     "input_len": state.request.input_len,
                                     "output_len":
                                         state.request.output_len}})
-            for category, start, end in state.segments:
+            for category, start, end in segments:
                 events.append({"ph": "b", "pid": pid, "tid": tid,
                                "name": category, "cat": "request",
                                "id": span_id, "ts": start * scale})
@@ -350,21 +487,33 @@ class SpanTracer(Observer):
             self._states[request.request_id] = state
         return state
 
-    def _stall_resident(self, replica: int, category: str, start: float,
-                        end: float) -> None:
-        """Every resident request spends ``[start, end]`` in ``category``
-        (prefill passes and chunks stall the whole batch — decode never
-        overlaps them)."""
-        for request_id in self._resident.get(replica, ()):
-            state = self._states[request_id]
-            state.add(category, start, end)
+    def _track(self, replica: int) -> _Track:
+        track = self._tracks.get(replica)
+        if track is None:
+            track = self._tracks[replica] = _Track()
+        return track
+
+    @staticmethod
+    def _leave(state: _RequestSpans, track: _Track) -> None:
+        """``state`` left ``track``'s batch: close its residency window."""
+        if state in track.resident:
+            track.resident.remove(state)
+            state.close()
 
     def _ensure_components(self) -> None:
-        for request_id, state in self._states.items():
-            if state.record is None or request_id in self.components:
-                continue
-            self.components[request_id] = request_components(
-                state.record, state.segments)
+        pending = [(request_id, state)
+                   for request_id, state in self._states.items()
+                   if state.record is not None
+                   and request_id not in self.components]
+        if not pending:
+            return
+        runs = {track: _prefill_runs(track.slices)
+                for track in self._tracks.values()}
+        for request_id, state in pending:
+            self.components[request_id] = latency_components(
+                state.record, sum(state.prefill_parts(runs)),
+                sum(end - start for category, start, end, *_ in state.stays
+                    if category == "preempted"))
 
     def _request_payloads(self) -> dict:
         payloads = {}

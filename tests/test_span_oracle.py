@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import itertools
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,7 +27,8 @@ from repro.faults import FaultEvent, FaultSchedule, LoadShedder, RetryPolicy
 from repro.hardware.presets import V100_16GB_NODE
 from repro.obs import SpanTracer
 from repro.serving import ContinuousBatchingEngine
-from repro.workloads.arrivals import generate_requests
+from repro.serving.trace import RequestRecord
+from repro.workloads.arrivals import Request, generate_requests
 from repro.workloads.sessions import sessions
 from span_reference import EagerSpanTracer
 
@@ -77,20 +79,37 @@ def _source(kind: str):
 def _fault_kwargs(kind: str) -> dict:
     if kind == "none":
         return {}
-    return {"faults": FaultSchedule([FaultEvent(0, 1.0, 2.0, mode=kind),
-                                     FaultEvent(1, 2.5, 3.5, mode=kind)]),
+    # Three short outages: a request drained mid-residency can be drained
+    # again before it stalls, so its two waits coalesce into one span.
+    return {"faults": FaultSchedule([FaultEvent(0, 1.0, 1.5, mode=kind),
+                                     FaultEvent(1, 2.0, 2.5, mode=kind),
+                                     FaultEvent(0, 3.0, 3.5, mode=kind)]),
             "retry": RetryPolicy(max_retries=2, backoff_s=0.05),
             "shedding": LoadShedder()}
 
 
 class _ResidencyCheck(EagerSpanTracer):
     """The reference tracer, also recording every decode epoch whose batch
-    differs from the replica's resident set."""
+    differs from the replica's resident set, and counting admissions
+    whose wait extends the previous wait (a residency that stalled
+    nothing)."""
 
     def __init__(self) -> None:
         super().__init__()
         self.epochs = 0
         self.mismatches: list = []
+        self.wait_merges = 0
+
+    def on_admission(self, replica, time, request, prefix_hit=False,
+                     resumed=False):
+        state = self._states.get(request.request_id)
+        if state is not None and state.segments:
+            category, _, end = state.segments[-1]
+            if (category == ("preempted" if resumed else "queue")
+                    and end == state.cursor):
+                self.wait_merges += 1
+        super().on_admission(replica, time, request, prefix_hit=prefix_hit,
+                             resumed=resumed)
 
     def on_epoch(self, replica, start, end, kind, steps, first_token_time,
                  batch):
@@ -161,10 +180,11 @@ def test_every_epoch_batch_is_the_resident_set(case):
 
 def test_matrix_exercises_preemption_and_faults():
     """The matrix reaches the paths the span rewrite must get right:
-    preemption swaps, replica failures and retries."""
-    swaps = failures = retries = 0
+    preemption swaps, replica failures, retries and coalescing waits."""
+    swaps = failures = retries = wait_merges = 0
     for case in CASES:
         reference, _, _ = _serve(case)
+        wait_merges += reference.wait_merges
         slices = itertools.chain.from_iterable(
             reference._engine_slices.values())
         swaps += sum(1 for name, *_ in slices if name == "preempt-swap")
@@ -172,4 +192,60 @@ def test_matrix_exercises_preemption_and_faults():
                         if name == "replica-fail")
         retries += sum(1 for name, *_ in reference._fault_marks
                        if name == "retry")
-    assert swaps > 0 and failures > 0 and retries > 0
+    assert swaps > 0 and failures > 0 and retries > 0 and wait_merges > 0
+
+
+def _scripted_serve(tracer) -> None:
+    """A hand-written two-replica event sequence with waits that do and do
+    not coalesce across residencies that stalled nothing."""
+    first = Request(request_id=0, arrival_time=0.1, input_len=64,
+                    output_len=8, slo_class="batch")
+    second = Request(request_id=1, arrival_time=0.2, input_len=64,
+                     output_len=8, slo_class="batch")
+    for replica in (0, 1):
+        tracer.on_serve_start(replica, None)
+    tracer.on_arrival(0, 0.1, first)
+    tracer.on_arrival(0, 0.2, second)
+    tracer.on_admission(0, 0.3, first)
+    tracer.on_admission(0, 0.3, second)
+    tracer.on_prefill(0, 0.3, 0.5, [first, second])
+    tracer.on_epoch(0, 0.5, 0.7, "preemption", 3, 0.55, [first, second])
+    tracer.on_preemption(0, 0.7, 0.8, first, "retain", 128)
+    tracer.on_epoch(0, 0.8, 0.9, "epoch-boundary", 2, 0.85, [second])
+    tracer.on_admission(0, 1.1, first, resumed=True)
+    # Evicted again before it stalled, at a later clock: a new wait.
+    tracer.on_preemption(0, 1.2, 1.25, first, "retain", 128)
+    tracer.on_admission(0, 1.4, first, resumed=True)
+    # Drained before it stalled: the next wait extends this one.
+    tracer.on_replica_fail(0, 1.4, "drain")
+    for request in (first, second):
+        tracer.on_retry(0, 1.5, request, 1)
+        tracer.on_arrival(1, request.arrival_time, request)
+    tracer.on_admission(1, 3.23, first, resumed=True)
+    tracer.on_admission(1, 3.23, second)
+    tracer.on_prefill_chunk(1, 3.23, 3.3, [(second, 64)])
+    tracer.on_epoch(1, 3.3, 3.6, "completion", 8, 3.35, [first, second])
+    for request in (first, second):
+        tracer.on_completion(1, RequestRecord(
+            request_id=request.request_id,
+            arrival_time=request.arrival_time, admission_time=0.3,
+            first_token_time=0.55, completion_time=3.6, input_len=64,
+            output_len=8, slo_class="batch", retries=1))
+    tracer.on_replica_recover(0, 2.0)
+    tracer.finish(SimpleNamespace(metadata={}), CLASS_SLOS)
+
+
+def test_scripted_waits_coalesce_like_the_reference():
+    reference, tracer = EagerSpanTracer(), SpanTracer()
+    _scripted_serve(reference)
+    _scripted_serve(tracer)
+    assert ("preempted", 1.2, 3.23) in tracer.spans_for(0)
+    for request_id in (0, 1):
+        assert tracer.spans_for(request_id) == \
+            reference.spans_for(request_id)
+        assert tracer._states[request_id].first_token == \
+            reference._states[request_id].first_token
+        assert _typed(tracer.components[request_id]) == \
+            _typed(reference.components[request_id])
+    assert json.dumps(tracer.to_chrome_trace()) == \
+        json.dumps(reference.to_chrome_trace())
