@@ -92,11 +92,13 @@ def blame_table(entries, class_slos: dict | None) -> dict:
     classes: dict[str, dict] = {}
     total_violations = 0
     for record, components in entries:
-        row = classes.setdefault(record.slo_class, {
-            "requests": 0, "violations": 0,
-            "ttft_violations": 0, "tpot_violations": 0,
-            **{key: 0.0 for key in COMPONENTS}, "total_s": 0.0,
-        })
+        row = classes.get(record.slo_class)
+        if row is None:
+            row = classes[record.slo_class] = {
+                "requests": 0, "violations": 0,
+                "ttft_violations": 0, "tpot_violations": 0,
+                **{key: 0.0 for key in COMPONENTS}, "total_s": 0.0,
+            }
         row["requests"] += 1
         ttft_violated, tpot_violated = violations(record, slos)
         if not (ttft_violated or tpot_violated):

@@ -12,6 +12,23 @@ timestamps (``queue`` starts at ``arrival_time`` and ends at
 ``admission_time``; the last span ends at ``completion_time`` — pinned in
 ``tests/test_obs.py``).
 
+Cost: O(1) per engine event
+---------------------------
+A prefill pass or chunk stalls every request resident on its replica,
+and a decode epoch runs exactly the resident batch.  So each of them is
+one entry on the replica's engine track (the list behind the Chrome
+``engine`` thread), and no request is touched.  A request keeps only its
+own ``queue``/``preempted`` waits plus *residency windows* — index ranges
+into its replicas' tracks.  Admission opens a window; preemption,
+completion and the replica's failure close it.  :meth:`SpanTracer.spans_for`
+and the Chrome export build the coalesced spans from the windows when
+they are read, and :meth:`SpanTracer.finish` sums each request's prefill
+time from per-track tables of coalesced prefill runs.  A failed
+replica's requests leave its batch at the failure: after a retry they
+never collect that replica's later stalls.  ``tests/test_span_oracle.py``
+checks every output against an eager tracer that updates each resident
+request at every event (``tests/span_reference.py``).
+
 Chrome trace export
 -------------------
 :meth:`SpanTracer.export` writes the spans as Chrome trace-event JSON —
@@ -86,6 +103,20 @@ class _Track:
         self.slices.append(entry)
         self.stall_end = len(self.slices)
 
+    def leave(self, state: _RequestSpans) -> None:
+        """``state`` left this replica's batch: close its window."""
+        if state in self.resident:
+            self.resident.remove(state)
+            state.close()
+
+
+class _Tracks(dict):
+    """replica -> :class:`_Track`, created on first use."""
+
+    def __missing__(self, replica: int) -> _Track:
+        track = self[replica] = _Track()
+        return track
+
 
 class _RequestSpans:
     """Per-request span state: the request's own waits plus residency
@@ -101,14 +132,13 @@ class _RequestSpans:
     stall it.
     """
 
-    __slots__ = ("request", "replica", "arrival", "admission", "stays",
-                 "cursor", "record")
+    __slots__ = ("request", "replica", "arrival", "stays", "cursor",
+                 "record")
 
     def __init__(self, request, replica: int, arrival: float) -> None:
         self.request = request
         self.replica = replica
         self.arrival = arrival
-        self.admission: float | None = None
         self.stays: list[list] = []
         #: Where the next wait starts: the last span's end, or the start
         #: of the preemption that evicted the request.
@@ -176,48 +206,75 @@ class _RequestSpans:
             return segments[-1][2]  # still resident
         return self.cursor
 
-    def prefill_parts(self, runs: dict):
-        """The request's prefill span lengths, in order, from each track's
-        coalesced prefill runs (see :func:`_prefill_runs`)."""
+    def preemption_s(self):
+        """Summed ``preempted`` wait time (waits coalesce at admission,
+        so these are the ``preempted`` spans of :meth:`segments`)."""
+        return sum(end - start for category, start, end, *_ in self.stays
+                   if category == "preempted")
+
+    def prefill_s(self, runs: dict):
+        """Summed prefill span time from each track's
+        :class:`_PrefillRuns`: the same ``sum()`` over the same span
+        lengths, in the same order, as over :meth:`segments`."""
+        parts: list[float] = []
         for track, first, stop in self.windows():
-            slices = track.slices
-            positions, run_stop = runs[track]
-            index = bisect_left(positions, first)
-            end = bisect_left(positions, stop)
-            while index < end:
-                last = min(run_stop[index], end)
-                yield (slices[positions[last - 1]][2]
-                       - slices[positions[index]][1])
-                index = last
+            runs[track].clip(first, stop, parts)
+        return sum(parts)
 
 
-def _prefill_runs(slices: list) -> tuple[list, list]:
-    """Coalesced prefill runs of one engine track.
+class _PrefillRuns:
+    """One track's coalesced prefill runs.
 
-    Returns ``(positions, run_stop)``: the slice indices of the prefill
-    entries, and for the ``k``-th of them, one past the last entry of its
-    run.  A prefill entry continues the run when the previous stall entry
-    is a prefill that ends where it starts — the span merge rule, so a
+    A prefill entry continues a run when the previous stall entry is a
+    prefill that ends where it starts (the span merge rule), so a
     request's prefill spans are these runs clipped to its windows.
     """
-    positions: list[int] = []
-    breaks: list[bool] = []
-    previous_end = None
-    for index, entry in enumerate(slices):
-        category = _STALLS.get(entry[0])
-        if category == "prefill":
-            positions.append(index)
-            breaks.append(previous_end != entry[1])
-            previous_end = entry[2]
-        elif category is not None:
-            previous_end = None
-    run_stop = [0] * len(positions)
-    stop = len(positions)
-    for k in range(len(positions) - 1, -1, -1):
-        run_stop[k] = stop
-        if breaks[k]:
-            stop = k
-    return positions, run_stop
+
+    __slots__ = ("slices", "positions", "run_stop", "tail")
+
+    def __init__(self, slices: list) -> None:
+        positions: list[int] = []  # slice index of each prefill entry
+        heads: list[bool] = []  # whether it starts a run
+        previous_end = None
+        for index, entry in enumerate(slices):
+            category = _STALLS.get(entry[0])
+            if category == "prefill":
+                positions.append(index)
+                heads.append(previous_end != entry[1])
+                previous_end = entry[2]
+            elif category is not None:
+                previous_end = None
+        count = len(positions)
+        #: For the k-th prefill entry: one past its run's last entry, and
+        #: the span from its start to that run's end.
+        run_stop = [count] * count
+        tail = [0.0] * count
+        stop = count
+        for k in range(count - 1, -1, -1):
+            run_stop[k] = stop
+            tail[k] = slices[positions[stop - 1]][2] - slices[positions[k]][1]
+            if heads[k]:
+                stop = k
+        self.slices = slices
+        self.positions = positions
+        self.run_stop = run_stop
+        self.tail = tail
+
+    def clip(self, first: int, stop: int, parts: list) -> None:
+        """Append the lengths of the runs clipped to ``slices[first:stop]``
+        to ``parts``, in order."""
+        positions, run_stop = self.positions, self.run_stop
+        index = bisect_left(positions, first)
+        end = bisect_left(positions, stop)
+        while index < end:
+            last = run_stop[index]
+            if last > end:  # the window ends inside this run
+                slices = self.slices
+                parts.append(slices[positions[end - 1]][2]
+                             - slices[positions[index]][1])
+                return
+            parts.append(self.tail[index])
+            index = last
 
 
 class SpanTracer(Observer):
@@ -233,7 +290,7 @@ class SpanTracer(Observer):
         #: request_id -> in-flight span state.
         self._states: dict[int, _RequestSpans] = {}
         #: replica -> its engine track and resident requests.
-        self._tracks: dict[int, _Track] = {}
+        self._tracks = _Tracks()
         #: Per-request latency components, filled by :meth:`finish` /
         #: :meth:`export`.
         self.components: dict[int, dict] = {}
@@ -254,7 +311,7 @@ class SpanTracer(Observer):
     # engine hooks
     # ------------------------------------------------------------------ #
     def on_serve_start(self, replica: int, gauges) -> None:
-        self._track(replica)
+        self._tracks[replica]  # creates the replica's track
 
     def on_arrival(self, replica: int, time: float, request) -> None:
         state = self._states.get(request.request_id)
@@ -271,9 +328,7 @@ class SpanTracer(Observer):
                      prefix_hit: bool = False,
                      resumed: bool = False) -> None:
         state = self._state(request, replica)
-        if state.admission is None:
-            state.admission = time
-        track = self._track(replica)
+        track = self._tracks[replica]
         state.admit("preempted" if resumed else "queue", time, track)
         track.resident.add(state)
 
@@ -282,21 +337,21 @@ class SpanTracer(Observer):
     # track; requests read their spans off it through their windows.
     def on_prefill(self, replica: int, start: float, end: float,
                    requests) -> None:
-        self._track(replica).stall(
+        self._tracks[replica].stall(
             ("prefill", start, end,
              {"batch": len(requests),
               "request_ids": [r.request_id for r in requests]}, None))
 
     def on_prefill_chunk(self, replica: int, start: float, end: float,
                          parts) -> None:
-        self._track(replica).stall(
+        self._tracks[replica].stall(
             ("prefill-chunk", start, end,
              {"parts": [[request.request_id, tokens]
                         for request, tokens in parts]}, None))
 
     def on_epoch(self, replica: int, start: float, end: float, kind: str,
                  steps: int, first_token_time: float, batch) -> None:
-        self._track(replica).stall(
+        self._tracks[replica].stall(
             ("decode-epoch", start, end,
              {"kind": kind, "steps": steps, "batch": len(batch)},
              first_token_time))
@@ -304,8 +359,8 @@ class SpanTracer(Observer):
     def on_preemption(self, replica: int, start: float, end: float,
                       request, mode: str, resident_tokens: int) -> None:
         state = self._state(request, replica)
-        track = self._track(replica)
-        self._leave(state, track)
+        track = self._tracks[replica]
+        track.leave(state)
         state.cursor = start
         track.slices.append(
             ("preempt-swap", start, end,
@@ -317,14 +372,14 @@ class SpanTracer(Observer):
         if state is None:
             return
         state.record = record
-        self._leave(state, self._track(replica))
+        self._tracks[replica].leave(state)
 
     def on_replica_fail(self, replica: int, time: float,
                         mode: str) -> None:
         self._outage_started[replica] = (time, mode)
         # The failed replica's batch is gone: its requests retry elsewhere
         # or fail, and must not collect the replica's later stalls.
-        track = self._track(replica)
+        track = self._tracks[replica]
         for state in track.resident:
             state.close()
         track.resident.clear()
@@ -487,19 +542,6 @@ class SpanTracer(Observer):
             self._states[request.request_id] = state
         return state
 
-    def _track(self, replica: int) -> _Track:
-        track = self._tracks.get(replica)
-        if track is None:
-            track = self._tracks[replica] = _Track()
-        return track
-
-    @staticmethod
-    def _leave(state: _RequestSpans, track: _Track) -> None:
-        """``state`` left ``track``'s batch: close its residency window."""
-        if state in track.resident:
-            track.resident.remove(state)
-            state.close()
-
     def _ensure_components(self) -> None:
         pending = [(request_id, state)
                    for request_id, state in self._states.items()
@@ -507,13 +549,11 @@ class SpanTracer(Observer):
                    and request_id not in self.components]
         if not pending:
             return
-        runs = {track: _prefill_runs(track.slices)
+        runs = {track: _PrefillRuns(track.slices)
                 for track in self._tracks.values()}
         for request_id, state in pending:
             self.components[request_id] = latency_components(
-                state.record, sum(state.prefill_parts(runs)),
-                sum(end - start for category, start, end, *_ in state.stays
-                    if category == "preempted"))
+                state.record, state.prefill_s(runs), state.preemption_s())
 
     def _request_payloads(self) -> dict:
         payloads = {}
