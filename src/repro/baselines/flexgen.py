@@ -42,7 +42,7 @@ class FlexGenSystem(InferenceSimulator):
         self._cpu_fraction = cpu_fraction if cpu_fraction is not None else 0.0
 
     # ------------------------------------------------------------------ #
-    def prepare(self, workload: Workload) -> None:
+    def prepare(self, workload: Workload, decode: bool = True) -> None:
         """Solve the static split offline, as FlexGen's planner does."""
         if self._requested_cpu_fraction is not None:
             self._cpu_fraction = self._requested_cpu_fraction

@@ -83,7 +83,7 @@ class VLLMSystem(InferenceSimulator):
             return workload.batch_size
         return max(1, min(workload.batch_size, capacity))
 
-    def prepare(self, workload: Workload) -> None:
+    def prepare(self, workload: Workload, decode: bool = True) -> None:
         self._concurrent = self.concurrent_sequences(workload)
         self._waves = math.ceil(workload.batch_size / self._concurrent)
 

@@ -131,8 +131,17 @@ class AlisaSystem(InferenceSimulator):
     # ------------------------------------------------------------------ #
     # offline planning
     # ------------------------------------------------------------------ #
-    def prepare(self, workload: Workload) -> None:
-        """Run the offline scheduler optimization for this workload."""
+    def prepare(self, workload: Workload, decode: bool = True) -> None:
+        """Run the offline scheduler optimization for this workload.
+
+        With ``decode=False`` only the prompt is placed: prompt placement
+        reads the GPU budget and the prompt length, never ``alpha``,
+        ``beta``, ``p1`` or ``p2``, so dynamic scheduling skips the
+        schedule search and leaves the :class:`ScheduleCache` untouched.
+        Decode planning then raises until a full ``prepare`` runs.  The
+        static ablation and a fixed ``scheduler_config`` search nothing,
+        so they prepare as for a decode.
+        """
         gpu_budget = self.gpu_kv_budget_tokens(workload)
         if not self.use_dynamic_scheduling:
             # Static ablation: FlexGen-style fixed split sized for the final
@@ -148,6 +157,11 @@ class AlisaSystem(InferenceSimulator):
         if self._fixed_scheduler_config is not None:
             config = self._fixed_scheduler_config
             self._solution = None
+        elif not decode:
+            self._solution = None
+            self._scheduler = DynamicScheduler(None, self.swa, gpu_budget,
+                                               workload.input_len)
+            return
         else:
             self._solution = self._solve_schedule(workload, gpu_budget)
             config = self._solution.config

@@ -178,7 +178,9 @@ class DynamicScheduler:
     Parameters
     ----------
     config:
-        The ``alpha, beta, p1, p2`` tuple.
+        The ``alpha, beta, p1, p2`` tuple, or ``None`` for a scheduler that
+        only places the prompt: :meth:`plan_prefill` reads no schedule
+        parameter, and decode planning raises.
     swa:
         SWA configuration; determines how many tokens attention touches per
         step and how they split into local (GPU-resident) and global tokens.
@@ -191,7 +193,7 @@ class DynamicScheduler:
         tokens, so the sequence length at step ``j`` is ``s + j + 1``.
     """
 
-    def __init__(self, config: SchedulerConfig, swa: SWAConfig,
+    def __init__(self, config: SchedulerConfig | None, swa: SWAConfig,
                  gpu_budget_tokens: int, prompt_len: int) -> None:
         validate_positive(gpu_budget_tokens=gpu_budget_tokens,
                           prompt_len=prompt_len)
@@ -206,6 +208,13 @@ class DynamicScheduler:
     # ------------------------------------------------------------------ #
     # phase logic
     # ------------------------------------------------------------------ #
+    def _require_schedule(self) -> None:
+        if self.config is None:
+            raise ConfigurationError(
+                "this scheduler places the prompt only (no decode schedule "
+                "was solved); prepare the decode workload before planning "
+                "decode steps")
+
     def phase_for_step(self, step: int, sequence_length: int) -> str:
         """Which phase the given decoding step runs in."""
         if step >= self.config.phase3_step:
@@ -248,6 +257,7 @@ class DynamicScheduler:
         """Plan the load/compute/store of decoding step ``step`` (0-based)."""
         if not self._prefilled:
             raise ConfigurationError("plan_prefill must run before plan_step")
+        self._require_schedule()
         if step != self._next_step:
             raise ConfigurationError(
                 f"steps must be planned sequentially: expected step "
@@ -341,6 +351,7 @@ class DynamicScheduler:
         """
         if not self._prefilled:
             raise ConfigurationError("plan_prefill must run before plan_epoch")
+        self._require_schedule()
         if self._next_step != 0:
             raise ConfigurationError(
                 "plan_epoch requires a fresh post-prefill scheduler (steps "

@@ -988,13 +988,15 @@ class ContinuousBatchingEngine:
         """Price one prefill pass of shape ``(batch, input, output)``.
 
         Pricing is deterministic per shape, so each shape is priced once —
-        ``prepare`` + ``plan_prefill`` + ``prefill_timing`` against a fresh
-        link with the serve link's bandwidth and latency — into
-        ``(time, comm, h2d_bytes, d2h_bytes)``.  The memo lives on the
-        engine across admission events *and* serve() calls: repeated
-        shapes (every admission in a fixed-length trace, every rate of a
-        sweep) skip the simulator's ``prepare`` — for ALISA a full offline
-        schedule search — and the pricing itself.  Every pass then adds
+        ``prepare(decode=False)`` + ``plan_prefill`` + ``prefill_timing``
+        against a fresh link with the serve link's bandwidth and latency —
+        into ``(time, comm, h2d_bytes, d2h_bytes)``.  ``decode=False``
+        tells the simulator that only the prompt is placed: ALISA places
+        it from its GPU budget without solving a decode schedule.  The
+        memo lives on the engine across admission events *and* serve()
+        calls: repeated shapes (every admission in a fixed-length trace,
+        every rate of a sweep) skip the simulator's ``prepare`` and the
+        pricing itself.  Every pass then adds
         the two byte counts onto ``memory.link``, the same additions
         ``prefill_timing`` makes, so the link ledger is unchanged.
         Returns ``(wall_clock_time, communication_time)``.
@@ -1005,7 +1007,7 @@ class ContinuousBatchingEngine:
             workload = Workload(batch_size=batch_size, input_len=input_len,
                                 output_len=output_len, name="serving-prefill")
             simulator = self.simulator
-            simulator.prepare(workload)
+            simulator.prepare(workload, decode=False)
             plan = simulator.plan_prefill(workload)
             link = PCIeLink(memory.link.bandwidth_bytes_per_s,
                             memory.link.latency_s)

@@ -222,14 +222,19 @@ class InferenceSimulator(ABC):
     def plan_decode_step(self, step: int, workload: Workload) -> SystemStepPlan:
         """Plan decoding step ``step`` (0-based)."""
 
-    def prepare(self, workload: Workload) -> None:
+    def prepare(self, workload: Workload, decode: bool = True) -> None:
         """Reset any per-run state before a simulation (optional hook).
 
-        The continuous-batching serving engine calls this once per decode
-        epoch (whenever batch composition changes), so implementations with
-        expensive offline planning should serve repeats incrementally — see
+        The continuous-batching serving engine calls this on every
+        decode-epoch pricing miss, so implementations with expensive
+        offline planning should serve repeats incrementally — see
         :meth:`repro.core.engine.AlisaSystem.prepare`, which backs its
         schedule search with a :class:`~repro.core.schedule_cache.ScheduleCache`.
+        On a prefill pricing miss the engine passes ``decode=False``: only
+        :meth:`plan_prefill` follows, so planning that only decode steps
+        read may be skipped (ALISA skips its schedule search).  Systems
+        whose prompt placement depends on that planning, such as vLLM's
+        wave count and FlexGen's static split, prepare in full either way.
         """
 
     def schedule_stats(self) -> dict[str, int]:

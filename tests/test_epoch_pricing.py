@@ -488,6 +488,64 @@ class TestPrefillPriceMemo:
         assert shapes and all(shape[1:] == (256, 128) for shape in shapes)
 
 
+class TestPrefillOnlyPrepare:
+    """Pricing a prefill with ``prepare(decode=False)`` gives the prices a
+    full ``prepare`` gives, on every system and shard shape."""
+
+    #: ``(batch, input_len, output_len)``: prompts that fit on the GPU and
+    #: prompts that overflow it, with short and long decode horizons.
+    SHAPES = [(b, s, n) for b in (1, 4, 16) for s in (8, 300, 1500, 4000)
+              for n in (1, 64, 900)]
+
+    CASES = [
+        ("alisa", "none", {"kv_dtype": "fp16"}),
+        ("alisa", "none", {"kv_dtype": "int8"}),
+        ("alisa", "tp-2", {}),
+        ("alisa", "pp-2", {}),
+        ("alisa", "none", {"enable_recomputation": False}),
+        ("alisa-static", "none", {}),
+        ("alisa-recompute", "none", {}),
+        ("vllm", "none", {}),
+        ("vllm", "tp-2", {}),
+        ("flexgen", "none", {}),
+        ("gpu-only", "none", {}),
+        ("accelerate", "none", {}),
+        ("deepspeed-zero", "none", {}),
+    ]
+
+    @staticmethod
+    def prices(simulator) -> dict:
+        """``(time, comm, h2d, d2h)`` of every shape, as the engine's
+        prefill pricing fills its memo."""
+        engine = ContinuousBatchingEngine(simulator)
+        for shape in TestPrefillOnlyPrepare.SHAPES:
+            engine._price_prefill(
+                *shape, MemoryHierarchy.from_hardware(simulator.hardware))
+        return engine._prefill_prices
+
+    @pytest.mark.parametrize("system,shard,kwargs", CASES)
+    def test_prices_equal_full_prepare(self, system, shard, kwargs,
+                                       monkeypatch):
+        simulator = build_system(system, shard, **kwargs)
+        prefill_only = self.prices(simulator)
+        full = build_system(system, shard, **kwargs)
+        # Today's path: every prefill pricing miss prepared in full.
+        monkeypatch.setattr(full, "prepare", lambda workload, decode=True:
+                            type(full).prepare(full, workload))
+        reference = self.prices(full)
+        assert list(prefill_only) == list(reference)
+        for shape, priced in reference.items():
+            assert prefill_only[shape] == priced, shape
+            assert all(type(a) is type(b) for a, b
+                       in zip(prefill_only[shape], priced)), shape
+        if system == "alisa":
+            # Some shapes offload part of the prompt, so the byte counts
+            # are compared on real traffic.
+            assert any(h2d or d2h for _, _, h2d, d2h in reference.values())
+            assert full.schedule_stats()["candidates_evaluated"] > 0
+            assert simulator.schedule_stats()["candidates_evaluated"] == 0
+
+
 class TestStepTable:
     """``LLMCostModel.decode_step_times`` gathers from a per-cost-model
     table that prices exactly like the direct step formulas."""

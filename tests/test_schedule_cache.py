@@ -280,6 +280,70 @@ class TestAlisaIncrementalPrepare:
         assert norecompute.schedule_solution.config.recompute_ratio == 0.0
 
 
+class TestPrefillOnlyPrepare:
+    """``prepare(workload, decode=False)`` places the prompt without
+    solving a decode schedule."""
+
+    SHAPES = [Workload(8, 128, 64, "w"), Workload(8, 126, 62, "w"),
+              Workload(3, 900, 300, "w"), Workload(16, 4000, 16, "w")]
+
+    def test_cache_untouched(self, monkeypatch):
+        system = alisa()
+        system.prepare(Workload(8, 128, 64, "w"))
+        cache = system.schedule_cache
+        stats, entries = system.schedule_stats(), len(cache)
+
+        def no_cache_access(*args, **kwargs):
+            raise AssertionError("a prefill-only prepare used the cache")
+
+        for name in ("exact_key", "lookup_exact", "store_exact",
+                     "canonical_key", "lookup_canonical", "store_canonical",
+                     "nearest"):
+            monkeypatch.setattr(cache, name, no_cache_access)
+        for workload in self.SHAPES:
+            system.prepare(workload, decode=False)
+            assert system.schedule_solution is None
+            system.plan_prefill(workload)
+        assert system.schedule_stats() == stats
+        assert len(cache) == entries
+
+    def test_decode_planning_raises_until_full_prepare(self):
+        system = alisa()
+        workload = Workload(8, 128, 64, "w")
+        system.prepare(workload)
+        system.plan_prefill(workload)
+        system.plan_decode_step(0, workload)
+        # A prefill-only prepare replaces the solved schedule.
+        for _ in range(2):
+            system.prepare(workload, decode=False)
+            system.plan_prefill(workload)
+            with pytest.raises(ConfigurationError, match="prompt only"):
+                system.plan_decode_step(0, workload)
+            with pytest.raises(ConfigurationError, match="prompt only"):
+                system.plan_decode_epoch(workload)
+        system.prepare(workload)
+        system.plan_prefill(workload)
+        assert system.plan_decode_epoch(workload).num_steps == 64
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(use_dynamic_scheduling=False),
+        dict(scheduler_config=SchedulerConfig(0.7, 0.4, 0, 5)),
+    ])
+    def test_systems_without_a_search_prepare_in_full(self, kwargs):
+        # The static ablation and a fixed schedule search nothing, so a
+        # prefill-only prepare still readies decode planning.
+        workload = Workload(8, 128, 64, "w")
+        prefill_only = AlisaSystem(MODEL, V100_16GB_NODE, kv_sparsity=0.8,
+                                   **kwargs)
+        prefill_only.prepare(workload, decode=False)
+        prefill_only.plan_prefill(workload)
+        full = AlisaSystem(MODEL, V100_16GB_NODE, kv_sparsity=0.8, **kwargs)
+        full.prepare(workload)
+        full.plan_prefill(workload)
+        assert (prefill_only.plan_decode_step(0, workload)
+                == full.plan_decode_step(0, workload))
+
+
 class TestCacheCorrectnessInvariant:
     """A served schedule costs within tolerance of a cold full grid solve."""
 

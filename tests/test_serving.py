@@ -254,11 +254,11 @@ class TestIncrementalScheduling:
         assert stats["full_solves"] >= 1
         searches = (stats["exact_hits"] + stats["canonical_hits"]
                     + stats["warm_solves"] + stats["full_solves"])
-        # Every decode epoch is either priced fresh (one schedule search,
-        # plus one per prefill shape) or served whole from the engine's
-        # epoch-price memo.
+        # Every decode epoch is either priced fresh (exactly one schedule
+        # search) or served whole from the engine's epoch-price memo;
+        # pricing a prefill searches nothing.
         epoch_cache = trace.metadata["epoch_cache"]
-        assert searches + epoch_cache["hits"] >= trace.metadata["num_epochs"]
+        assert searches == epoch_cache["misses"]
         assert (epoch_cache["hits"] + epoch_cache["misses"]
                 == trace.metadata["num_epochs"])
         assert "scheduler" not in flexgen_engine().serve(
