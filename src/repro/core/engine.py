@@ -205,9 +205,9 @@ class AlisaSystem(InferenceSimulator):
             if hit is not None:
                 return hit
 
-        optimizer = self._make_optimizer(workload)
         if policy.exact:
-            solution = optimizer.solve(weights_on_gpu=self.weights_on_gpu)
+            solution = self._make_optimizer(workload).solve(
+                weights_on_gpu=self.weights_on_gpu)
             stats.full_solves += 1
             stats.candidates_evaluated += solution.evaluated_candidates
             if policy.memoize:
@@ -220,12 +220,15 @@ class AlisaSystem(InferenceSimulator):
         if entry is not None:
             config = entry.derive_config(workload,
                                          phase1_end_step(gpu_budget, workload))
-            estimated = optimizer.fast_evaluate(config, gpu_budget)
+            # The serving path never reads the estimate: price it on read.
             stats.candidates_evaluated += 1
-            solution = ScheduleSolution(config=config, estimated_time=estimated,
-                                        gpu_budget_tokens=gpu_budget,
-                                        evaluated_candidates=1)
+            solution = ScheduleSolution(
+                config=config,
+                estimated_time=lambda: self._make_optimizer(
+                    workload).fast_evaluate(config, gpu_budget),
+                gpu_budget_tokens=gpu_budget, evaluated_candidates=1)
         else:
+            optimizer = self._make_optimizer(workload)
             seed_entry = (cache.nearest(self._schedule_context, workload)
                           if policy.warm_start else None)
             if seed_entry is not None:

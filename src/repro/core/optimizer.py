@@ -33,6 +33,7 @@ uses it through :mod:`repro.core.schedule_cache`.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,14 +149,38 @@ class ProfileTable:
         return self.cost_model.pcie_time(moved_tokens * per_token)
 
 
-@dataclass(frozen=True)
 class ScheduleSolution:
-    """Output of the offline search."""
+    """Output of the offline search.
 
-    config: SchedulerConfig
-    estimated_time: float
-    gpu_budget_tokens: int
-    evaluated_candidates: int
+    ``estimated_time`` is the Equation 5 objective of ``config``.  It may
+    be given as a zero-argument callable instead of a float: the callable
+    runs on the first read and its float is kept.  A solution that did not
+    search (a canonical-bucket hit) prices its estimate this way, only if
+    something reads it.
+    """
+
+    __slots__ = ("config", "gpu_budget_tokens", "evaluated_candidates",
+                 "_estimate")
+
+    def __init__(self, config: SchedulerConfig,
+                 estimated_time: float | Callable[[], float],
+                 gpu_budget_tokens: int, evaluated_candidates: int) -> None:
+        self.config = config
+        self._estimate = estimated_time
+        self.gpu_budget_tokens = gpu_budget_tokens
+        self.evaluated_candidates = evaluated_candidates
+
+    @property
+    def estimated_time(self) -> float:
+        if callable(self._estimate):
+            self._estimate = self._estimate()
+        return self._estimate
+
+    def __repr__(self) -> str:
+        return (f"ScheduleSolution(config={self.config!r}, "
+                f"estimated_time={self.estimated_time!r}, "
+                f"gpu_budget_tokens={self.gpu_budget_tokens!r}, "
+                f"evaluated_candidates={self.evaluated_candidates!r})")
 
 
 class _FastObjective:

@@ -344,6 +344,45 @@ class TestPrefillOnlyPrepare:
                 == full.plan_decode_step(0, workload))
 
 
+class TestCanonicalHitEstimate:
+    """A canonical-bucket hit prices its estimate on first read."""
+
+    def test_estimate_priced_once_on_read(self, monkeypatch):
+        system = alisa()
+        system.prepare(Workload(8, 128, 64, "w"))
+        calls = []
+        original = SchedulerOptimizer.fast_evaluate
+
+        def counting(optimizer, config, gpu_budget):
+            calls.append(config)
+            return original(optimizer, config, gpu_budget)
+
+        monkeypatch.setattr(SchedulerOptimizer, "fast_evaluate", counting)
+        workload = Workload(8, 126, 62, "w")  # same canonical bucket
+        system.prepare(workload)
+        stats = system.schedule_stats()
+        assert stats["canonical_hits"] == 1
+        assert calls == []  # the hit itself priced nothing
+        solution = system.schedule_solution
+        estimate = solution.estimated_time
+        assert solution.estimated_time == estimate
+        assert len(calls) == 1
+        # An exact memo hit hands back the same, already priced, solution.
+        system.prepare(workload)
+        assert system.schedule_solution is solution
+        assert solution.estimated_time == estimate and len(calls) == 1
+
+        reference = original(
+            SchedulerOptimizer(system.cost_model, workload, system.swa,
+                               kv_dtype=system.kv_dtype),
+            solution.config, solution.gpu_budget_tokens)
+        assert type(estimate) is float
+        assert estimate == reference
+        assert solution.evaluated_candidates == 1
+        assert system.schedule_stats()["candidates_evaluated"] \
+            == stats["candidates_evaluated"]
+
+
 class TestCacheCorrectnessInvariant:
     """A served schedule costs within tolerance of a cold full grid solve."""
 
