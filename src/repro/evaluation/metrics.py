@@ -76,11 +76,15 @@ def percentiles(values, qs=(50, 90, 99)) -> dict[float, float]:
 
     Uses :func:`numpy.percentile`'s default linear interpolation, so the
     serving reports match what any NumPy post-processing would compute.
+    Every rank comes from one call, which partitions the array once; each
+    value equals that rank's own ``np.percentile`` bit for bit.
     """
     arr = np.asarray(list(values), dtype=np.float64)
     if arr.size == 0:
         raise ConfigurationError("percentiles require at least one value")
-    return {float(q): float(np.percentile(arr, q)) for q in qs}
+    qs = list(qs)
+    return {float(q): value
+            for q, value in zip(qs, np.percentile(arr, qs).tolist())}
 
 
 def serving_goodput(records, duration_s: float, ttft_slo_s: float | None = None,

@@ -96,6 +96,19 @@ class TestServingMetrics:
         for q in (50, 90, 99):
             assert result[float(q)] == np.percentile(values, q)
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 10, 257, 1001])
+    def test_percentiles_equal_one_call_per_rank(self, rng, size):
+        # One np.percentile call for every rank must reproduce a call per
+        # rank bit for bit, with ties and on the smallest arrays.
+        qs = (0, 25, 50, 90, 99, 99.9, 100)
+        for values in (rng.exponential(1.0, size=size),
+                       rng.integers(0, 3, size=size).astype(float)):
+            result = percentiles(values, qs=qs)
+            assert list(result) == [float(q) for q in qs]
+            for q in qs:
+                assert type(result[float(q)]) is float
+                assert result[float(q)] == float(np.percentile(values, q))
+
     def test_percentiles_empty_raises(self):
         with pytest.raises(ConfigurationError):
             percentiles([])
