@@ -6,7 +6,9 @@ fixture exactly — a change of one float anywhere fails it and names the
 field.
 """
 
+import copy
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -19,7 +21,7 @@ spec.loader.exec_module(fingerprint)
 
 def test_serving_matches_committed_fingerprint():
     differences = fingerprint.check()
-    assert differences == [], "\n".join(differences)
+    assert differences == [], "\n".join(fingerprint.report(differences))
 
 
 def test_diff_names_the_field_that_moved():
@@ -43,3 +45,45 @@ def test_canonical_drops_wall_clock_and_keeps_float_reprs():
                                               "x": 0.1 + 0.2}}
     assert fingerprint.canonical(value) == {
         "nested": {"x": "0.30000000000000004"}}
+
+
+def test_check_counts_what_it_cuts_off(tmp_path, monkeypatch, capsys):
+    # Move one field in every case that has it: more differences than
+    # --check lists, so the rest are counted per field name.
+    fixture = json.loads(fingerprint.FIXTURE.read_text())
+    mutated = copy.deepcopy(fixture)
+    moved = 0
+    for case in mutated.values():
+        scheduler = case.get("metadata", {}).get("scheduler")
+        if scheduler is not None:
+            scheduler["warm_solves"] += 1
+            moved += 1
+    assert moved > 40
+    (tmp_path / "fixture.json").write_text(json.dumps(mutated))
+    monkeypatch.setattr(fingerprint, "ROOT", tmp_path)
+    monkeypatch.setattr(fingerprint, "FIXTURE", tmp_path / "fixture.json")
+    monkeypatch.setattr(fingerprint, "cases", lambda: fixture)
+    assert fingerprint.main(["--check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "fingerprint differs from fixture.json:"
+    assert len(lines) == 1 + 40 + 1
+    assert all("/metadata/scheduler/warm_solves: expected " in line
+               for line in lines[1:41])
+    assert lines[-1] == f"  ... {moved - 40} more: warm_solves {moved - 40}"
+
+    monkeypatch.setattr(fingerprint, "cases", lambda: mutated)
+    assert fingerprint.main(["--check"]) == 0
+    assert capsys.readouterr().out == "fingerprint matches\n"
+
+
+def test_report_tallies_field_names():
+    lines = ["a/records[3].ttft: expected '1.0', got '2.0'",
+             "b/records[0].ttft: expected '1.0', got '2.0'",
+             "b/journal[7]: expected 'x', got 'y'",
+             "sweep/s/rows[1]/solver_exact_hits: expected 1, got 2",
+             "c/metadata/p/50.0: missing"]
+    assert fingerprint.report(lines, limit=5) == lines
+    assert fingerprint.report(lines, limit=1) == lines[:1] + [
+        "... 4 more: ttft 1, journal 1, solver_exact_hits 1, 50.0 1"]
+    assert fingerprint.report(lines, limit=0)[-1] \
+        == "... 5 more: ttft 2, journal 1, solver_exact_hits 1, 50.0 1"

@@ -29,6 +29,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -310,11 +311,30 @@ def dumps(value, indent: str = "") -> str:
     return json.dumps(value)
 
 
-def check(limit: int = 40) -> list[str]:
+def field_name(line: str) -> str:
+    """The field a diff line names: the last path step, without indices
+    (``case/records[3].ttft: ...`` -> ``ttft``)."""
+    step = line.partition(": ")[0].rpartition("/")[2]
+    return step.rpartition("].")[2].partition("[")[0]
+
+
+def check() -> list[str]:
     """Differences between a fresh run and the committed fixture."""
     fixture = json.loads(FIXTURE.read_text())
     return [name_record_fields(fixture, line)
-            for line in diff(fixture, cases())][:limit]
+            for line in diff(fixture, cases())]
+
+
+def report(differences: list[str], limit: int = 40) -> list[str]:
+    """The first ``limit`` differences, then one line counting the rest
+    per field name, most frequent first."""
+    shown, rest = differences[:limit], differences[limit:]
+    if not rest:
+        return shown
+    tally = Counter(field_name(line) for line in rest)
+    counts = ", ".join(f"{name} {count}"
+                       for name, count in tally.most_common())
+    return shown + [f"... {len(rest)} more: {counts}"]
 
 
 def main(argv=None) -> int:
@@ -333,7 +353,7 @@ def main(argv=None) -> int:
     differences = check()
     if differences:
         print(f"fingerprint differs from {FIXTURE.relative_to(ROOT)}:")
-        for line in differences:
+        for line in report(differences):
             print(f"  {line}")
         return 1
     print("fingerprint matches")
