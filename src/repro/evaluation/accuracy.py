@@ -19,7 +19,7 @@ from repro.core.compression import QuantizationSpec
 from repro.model.constructed import build_recall_model
 from repro.model.generation import teacher_forced_logits
 from repro.model.transformer import TransformerModel
-from repro.evaluation.metrics import answer_accuracy, negative_perplexity, perplexity
+from repro.evaluation.metrics import answer_accuracy, perplexity
 from repro.workloads.recall import (
     RecallDataset,
     RecallTaskConfig,

@@ -15,7 +15,7 @@ Two kinds of configurations are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro._common import ConfigurationError, validate_positive
 

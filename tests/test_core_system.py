@@ -1,6 +1,5 @@
 """Tests for the system side: scheduler, optimizer, memory, cost, simulators."""
 
-import numpy as np
 import pytest
 
 from repro._common import ConfigurationError, OutOfMemoryError

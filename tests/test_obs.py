@@ -37,7 +37,6 @@ from repro.serving.events import (
     ARRIVAL,
     COMPLETION,
     check_observers,
-    drive,
     observer_hooks,
 )
 from repro.workloads.arrivals import Request, generate_requests

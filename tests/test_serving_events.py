@@ -16,7 +16,7 @@ from repro.baselines import FlexGenSystem, VLLMSystem
 from repro.cluster import ReplicaGroup, StreamingClusterTrace
 from repro.core.engine import AlisaSystem
 from repro.hardware.presets import V100_16GB_NODE
-from repro.serving import ContinuousBatchingEngine, ServingTrace, StreamingTrace
+from repro.serving import ContinuousBatchingEngine, StreamingTrace
 from repro.cluster.router import Router
 from repro.faults import FaultCoordinator, FaultEvent, FaultSchedule, RetryPolicy
 from repro.serving.events import (
