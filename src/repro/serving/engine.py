@@ -996,9 +996,9 @@ class ContinuousBatchingEngine:
         memo lives on the engine across admission events *and* serve()
         calls: repeated shapes (every admission in a fixed-length trace,
         every rate of a sweep) skip the simulator's ``prepare`` and the
-        pricing itself.  Every pass then adds
-        the two byte counts onto ``memory.link``, the same additions
-        ``prefill_timing`` makes, so the link ledger is unchanged.
+        pricing itself.  Every pass then adds the two byte counts onto
+        ``memory.link``, the same additions ``prefill_timing`` makes, so
+        the link ledger is unchanged.
         Returns ``(wall_clock_time, communication_time)``.
         """
         key = (batch_size, input_len, output_len)
