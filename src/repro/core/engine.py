@@ -246,9 +246,15 @@ class AlisaSystem(InferenceSimulator):
                 )
                 stats.full_solves += 1
             stats.candidates_evaluated += solution.evaluated_candidates
-            cache.store_canonical(canonical_key, CachedSchedule.from_config(
-                solution.config, workload, gpu_budget, solution.estimated_time,
-            ))
+            # With one decode step after p1 the p2 grid is {p1, p1 + 1}, so
+            # the solve picks beta for that single step; shared with the
+            # longer horizons of its bucket it can cost far more than their
+            # own optimum, so such a shape is only memoized exactly.
+            if workload.output_len - solution.config.phase2_step != 1:
+                cache.store_canonical(canonical_key, CachedSchedule.from_config(
+                    solution.config, workload, gpu_budget,
+                    solution.estimated_time,
+                ))
         if policy.memoize:
             cache.store_exact(key, solution)
         return solution

@@ -43,7 +43,11 @@ bucket the shape differs from the representative by at most
 ``input_bucket``/``output_bucket`` tokens, so the objective of the shared
 configuration is within a Lipschitz band of the shape's own optimum; the
 candidate grid itself is coarse (5 x 4 x 5), which dominates the gap in
-practice.  ``SchedulePolicy.tolerance`` documents the accepted relative
+practice.  The band assumes the representative chose its schedule over
+more than one decode step after ``p1``: over a single step the choice of
+``beta`` says nothing about longer horizons, so such a solve is memoized
+exactly but never becomes a bucket's representative or a warm-start seed.
+``SchedulePolicy.tolerance`` documents the accepted relative
 drift; the property-based suite (``tests/test_schedule_cache.py``) checks
 the bound against cold full-grid solves across hypothesis-generated
 shapes.  Runs that need bit-exact reproduction of the offline protocol set

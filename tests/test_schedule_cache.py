@@ -14,7 +14,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro._common import ConfigurationError
@@ -238,6 +238,20 @@ class TestAlisaIncrementalPrepare:
         # Derivation prices the derived config once but runs no search.
         assert stats["candidates_evaluated"] == evaluated + 1
 
+    def test_single_step_horizon_is_not_shared(self):
+        # (30, 287, 9) overflows the GPU budget at step 8, so its schedule
+        # was chosen over one decode step; a longer shape of the same
+        # bucket must solve its own.
+        system = alisa()
+        system.prepare(Workload(30, 287, 9, "w"))
+        assert system.schedule_solution.config.phase2_step == 8
+        system.prepare(Workload(30, 287, 12, "w"))
+        stats = system.schedule_stats()
+        assert stats["canonical_hits"] == 0
+        assert stats["full_solves"] == 2
+        system.prepare(Workload(30, 287, 14, "w"))
+        assert system.schedule_stats()["canonical_hits"] == 1
+
     def test_new_bucket_warm_starts_from_neighbor(self):
         system = alisa()
         system.prepare(Workload(8, 128, 64, "w"))
@@ -405,6 +419,7 @@ class TestCacheCorrectnessInvariant:
            delta_s=st.integers(min_value=-48, max_value=48),
            delta_n=st.integers(min_value=-48, max_value=48))
     @settings(max_examples=25, deadline=None)
+    @example(batch=30, input_len=287, output_len=9, delta_s=0, delta_n=3)
     def test_warm_and_canonical_solves_within_tolerance(
             self, opt_cost_model, batch, input_len, output_len, delta_s,
             delta_n):
