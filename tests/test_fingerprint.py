@@ -1,8 +1,8 @@
 """Tests for tools/fingerprint.py (the committed serving fingerprint).
 
 The check serves the whole fingerprint matrix and compares every journal
-event, record field, metadata value and sweep row with the committed
-fixture exactly — a change of one float anywhere fails it and names the
+event, record field, metadata value, sweep row and priced decode epoch
+with the committed fixture exactly — a change of one float anywhere fails it and names the
 field.
 """
 
@@ -87,3 +87,46 @@ def test_report_tallies_field_names():
         "... 4 more: ttft 1, journal 1, solver_exact_hits 1, 50.0 1"]
     assert fingerprint.report(lines, limit=0)[-1] \
         == "... 5 more: ttft 2, journal 1, solver_exact_hits 1, 50.0 1"
+
+
+def test_runs_keep_every_bit():
+    assert fingerprint.runs([0.0, 0.0, -0.0, 1.5, 3, 3, "a"]) \
+        == ["0.0*2", "-0.0", "1.5", "3*2", "a"]
+    assert fingerprint.runs([]) == []
+
+
+def test_epoch_section_builds_the_epoch_pricing_systems():
+    from repro.hardware.presets import V100_16GB_NODE, multi_gpu
+    from test_epoch_pricing import SHARD_SHAPES, SYSTEM_BUILDERS, build_system
+
+    assert list(fingerprint.EPOCH_SYSTEMS) == list(SYSTEM_BUILDERS)
+    assert list(fingerprint.EPOCH_SHARDS) == list(SHARD_SHAPES)
+    for name, build in fingerprint.EPOCH_SYSTEMS.items():
+        for shard, (gpu_count, parallelism) in \
+                fingerprint.EPOCH_SHARDS.items():
+            kwargs = {} if parallelism is None \
+                else {"parallelism": parallelism}
+            ours = build(multi_gpu(V100_16GB_NODE, gpu_count),
+                         kv_dtype="int8", **kwargs)
+            theirs = build_system(name, shard, kv_dtype="int8")
+            assert ours.pricing_signature() == theirs.pricing_signature()
+
+
+def test_budget_shapes_straddle_the_gpu_budget():
+    from repro.workloads.descriptors import Workload
+    from test_epoch_pricing import SHARD_SHAPES, build_system
+
+    for shard in SHARD_SHAPES:
+        for kv_dtype in ("fp16", "int8"):
+            system = build_system("alisa", shard, kv_dtype=kv_dtype)
+            fits, overflows = fingerprint.budget_shapes(system)
+            batch, prompt, steps = fits
+            budget = system.gpu_kv_budget_tokens(
+                Workload(batch, prompt, steps, "budget"))
+            assert prompt + steps == budget
+            assert steps >= fingerprint.BUDGET_STEPS
+            assert overflows == (batch, prompt, steps + 1)
+            # The longest prompt: one more token leaves too little room.
+            assert system.gpu_kv_budget_tokens(
+                Workload(batch, prompt + 1, 1, "budget")) - (prompt + 1) \
+                < fingerprint.BUDGET_STEPS

@@ -3,7 +3,8 @@
 Serves a fixed matrix of small configurations and compares everything a
 serve produces — the event journal, every record, the metadata (minus
 ``wall_clock_s``) and the summary — plus the rows of three
-``serving_rate_sweep`` configurations against a committed fixture::
+``serving_rate_sweep`` configurations and the priced decode epochs of
+every simulator against a committed fixture::
 
     PYTHONPATH=src python tools/fingerprint.py --check
     PYTHONPATH=src python tools/fingerprint.py --regenerate
@@ -21,6 +22,14 @@ closed-loop source, which rejects faults).  Each cell runs four engine
 variants, a half fraction of preemption (none / ``retain``) x chunked
 prefill (off / 128 tokens) x record mode (full / streaming) in which
 every pair of values appears.
+
+The epoch section prices ``epoch_timings`` for every system of the epoch
+pricing tests x ``none``/``tp-2``/``pp-2`` x fp16/int8 KV over a fixed
+list of short shapes, plus the two shapes around each system's GPU KV
+budget (``s + n == budget`` and ``budget + 1``).  Each combination gets
+a fresh system whose shapes are prepared in a fixed order, because
+ALISA's warm-started schedules depend on what it solved before; ALISA's
+chosen schedule and its estimate are recorded with the epoch.
 """
 
 from __future__ import annotations
@@ -38,9 +47,16 @@ if str(ROOT / "src") not in sys.path:
 
 import numpy as np  # noqa: E402
 
-from repro.baselines import FlexGenSystem, VLLMSystem  # noqa: E402
+from repro.baselines import (  # noqa: E402
+    AccelerateSystem,
+    DeepSpeedZeroSystem,
+    FlexGenSystem,
+    GPUOnlySystem,
+    VLLMSystem,
+)
 from repro.cluster import ReplicaGroup  # noqa: E402
 from repro.core.engine import AlisaSystem  # noqa: E402
+from repro.core.scheduler import SchedulerConfig  # noqa: E402
 from repro.experiments.serving import serving_rate_sweep  # noqa: E402
 from repro.faults import (  # noqa: E402
     FaultEvent,
@@ -48,13 +64,15 @@ from repro.faults import (  # noqa: E402
     LoadShedder,
     RetryPolicy,
 )
-from repro.hardware.presets import V100_16GB_NODE  # noqa: E402
+from repro.hardware.presets import V100_16GB_NODE, multi_gpu  # noqa: E402
 from repro.obs import Observer, SpanTracer  # noqa: E402
 from repro.serving import ContinuousBatchingEngine  # noqa: E402
+from repro.systems.cost import ParallelismSpec  # noqa: E402
 from repro.workloads.arrivals import (  # noqa: E402
     RequestStream,
     generate_requests,
 )
+from repro.workloads.descriptors import Workload  # noqa: E402
 from repro.workloads.sessions import sessions  # noqa: E402
 
 FIXTURE = ROOT / "tests" / "fixtures" / "serving_fingerprint.json"
@@ -217,6 +235,114 @@ def _sweeps() -> dict:
             for name, kwargs in configs.items()}
 
 
+#: The systems of the epoch pricing tests (``SYSTEM_BUILDERS`` in
+#: ``tests/test_epoch_pricing.py``), built the same way.
+EPOCH_SYSTEMS = {
+    "gpu-only": lambda hw, **kw: GPUOnlySystem(MODEL, hw, **kw),
+    "accelerate": lambda hw, **kw: AccelerateSystem(MODEL, hw, **kw),
+    "deepspeed-zero": lambda hw, **kw: DeepSpeedZeroSystem(MODEL, hw, **kw),
+    "flexgen": lambda hw, **kw: FlexGenSystem(MODEL, hw, **kw),
+    "vllm": lambda hw, **kw: VLLMSystem(MODEL, hw, **kw),
+    "alisa": lambda hw, **kw: AlisaSystem(MODEL, hw, kv_sparsity=0.8, **kw),
+    "alisa-static": lambda hw, **kw: AlisaSystem(
+        MODEL, hw, kv_sparsity=0.8, use_dynamic_scheduling=False, **kw),
+    "alisa-recompute": lambda hw, **kw: AlisaSystem(
+        MODEL, hw, kv_sparsity=0.8,
+        scheduler_config=SchedulerConfig(0.7, 0.4, 0, 5), **kw),
+}
+EPOCH_SHARDS = {
+    "none": (1, None),
+    "tp-2": (2, ParallelismSpec("tp", 2)),
+    "pp-2": (2, ParallelismSpec("pp", 2)),
+}
+#: ``(batch, input_len, output_len)``, priced in this order: two epochs
+#: that fit on the GPU, then, at batch 64 on one V100, one that overflows
+#: it during decode and one whose prompt already overflows it.
+EPOCH_SHAPES = ((1, 16, 8), (8, 300, 12), (64, 60, 20), (64, 200, 6))
+#: Batch size and decode steps of the two shapes around the GPU budget.
+BUDGET_BATCH, BUDGET_STEPS = 32, 8
+
+
+def budget_shapes(system) -> list[tuple[int, int, int]]:
+    """``(b, s, n)`` with ``s + n`` equal to the system's GPU KV budget,
+    then the same with one more decode step: the longest epoch that fits
+    on the GPU and the shortest that does not, for the longest prompt
+    that leaves at least :data:`BUDGET_STEPS` steps of room."""
+    def room(prompt: int) -> int:
+        workload = Workload(BUDGET_BATCH, prompt, 1, "budget")
+        return system.gpu_kv_budget_tokens(workload) - prompt
+
+    # The budget never grows with the prompt, so the room falls by at
+    # least one token per prompt token: bisect for the longest prompt.
+    low, high = 1, room(1) + 1
+    while high - low > 1:
+        middle = (low + high) // 2
+        if room(middle) >= BUDGET_STEPS:
+            low = middle
+        else:
+            high = middle
+    steps = room(low)
+    return [(BUDGET_BATCH, low, steps), (BUDGET_BATCH, low, steps + 1)]
+
+
+def runs(values: list) -> list[str]:
+    """One string per run of equal consecutive values: the value's
+    :func:`canonical` form, then ``*count`` when it repeats."""
+    result: list = []
+    for text in map(str, map(canonical, values)):
+        if result and result[-1][0] == text:
+            result[-1][1] += 1
+        else:
+            result.append([text, 1])
+    return [text + (f"*{count}" if count > 1 else "")
+            for text, count in result]
+
+
+def _epoch_timings(system, shape: tuple[int, int, int]) -> dict:
+    """Every field of the shape's priced epoch (the sequence lengths are
+    the shape's), with ALISA's schedule when it solved one.  Per-step
+    values are stored as :func:`runs`: most stay constant for a phase."""
+    workload = Workload(*shape, "fingerprint")
+    system.prepare(workload)
+    system.plan_prefill(workload)
+    timings = system.epoch_timings(workload)
+    case = {}
+    for field in dataclasses.fields(timings):
+        value = getattr(timings, field.name)
+        if field.name == "sequence_lengths":
+            continue
+        if field.name == "phases":
+            value = runs(list(value))
+        elif isinstance(value, np.ndarray):
+            value = runs(value.tolist())
+        case[field.name] = value
+    solution = getattr(system, "schedule_solution", None)
+    if solution is not None:
+        case["schedule"] = {"config": solution.config,
+                            "estimated_time": solution.estimated_time,
+                            "gpu_budget_tokens": solution.gpu_budget_tokens}
+    return case
+
+
+def _epochs() -> dict:
+    """Priced decode epochs of every system x shard shape x KV dtype."""
+    result = {}
+    for system in EPOCH_SYSTEMS:
+        for shard, (gpu_count, parallelism) in EPOCH_SHARDS.items():
+            hardware = multi_gpu(V100_16GB_NODE, gpu_count)
+            kwargs = {} if parallelism is None \
+                else {"parallelism": parallelism}
+            for kv_dtype in ("fp16", "int8"):
+                simulator = EPOCH_SYSTEMS[system](hardware, kv_dtype=kv_dtype,
+                                                  **kwargs)
+                shapes = list(EPOCH_SHAPES) + budget_shapes(simulator)
+                result[f"epoch_timings/{system}/{shard}/{kv_dtype}"] = {
+                    "x".join(map(str, shape)): _epoch_timings(simulator,
+                                                              shape)
+                    for shape in shapes}
+    return result
+
+
 def cases() -> dict:
     """Every fingerprinted case, keyed by a readable name."""
     result = {}
@@ -235,6 +361,7 @@ def cases() -> dict:
                             system, layer, source, faults, preemption,
                             chunk, mode)
     result.update(_sweeps())
+    result.update(_epochs())
     return canonical(result)
 
 
@@ -245,6 +372,8 @@ def canonical(value):
                 if key != "wall_clock_s"}
     if isinstance(value, (list, tuple)):
         return [canonical(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return canonical(value.tolist())
     if isinstance(value, (bool, str)) or value is None:
         return value
     if isinstance(value, (int, np.integer)):
