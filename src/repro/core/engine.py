@@ -346,24 +346,33 @@ class AlisaSystem(InferenceSimulator):
         static ablation evaluates its closed-form split elementwise.  Does
         not consume scheduler steps, so it can be re-invoked after a fresh
         ``prepare``/``plan_prefill`` like the step loop can.
+
+        The scheduler's phases run in order, so an epoch whose last step
+        is in Phase I never leaves it: it moves, recomputes and quantizes
+        nothing, and its plan carries no load, offload, recompute or
+        quantize arrays (an absent array prices as exactly 0.0).
         """
         num_steps = workload.output_len
         if self.use_dynamic_scheduling:
             if self._scheduler is None:
                 raise ConfigurationError("prepare() must run before planning")
             epoch = self._scheduler.plan_epoch(num_steps)
-            moved = epoch.load_tokens + epoch.offload_tokens
+            movement = {}
+            if epoch.phases[-1] != PHASE_GPU:
+                moved = epoch.load_tokens + epoch.offload_tokens
+                movement = dict(
+                    load_kv_tokens=epoch.load_tokens,
+                    offload_kv_tokens=epoch.offload_tokens,
+                    recompute_tokens=epoch.recompute_tokens,
+                    quantize_tokens=moved if self.use_compression else None)
             return EpochPlan(
                 phases=epoch.phases,
                 kv_gpu_tokens=epoch.tokens_gpu,
                 kv_cpu_tokens=epoch.tokens_cpu,
                 kept_kv=epoch.kept_tokens,
                 local_windows=epoch.kept_local,
-                load_kv_tokens=epoch.load_tokens,
-                offload_kv_tokens=epoch.offload_tokens,
-                recompute_tokens=epoch.recompute_tokens,
-                quantize_tokens=moved if self.use_compression else None,
                 swa_split=self.swa,
+                **movement,
             )
 
         # Static ablation: fixed split, sparse attention, no recomputation

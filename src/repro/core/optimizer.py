@@ -183,6 +183,18 @@ class ScheduleSolution:
                 f"evaluated_candidates={self.evaluated_candidates!r})")
 
 
+def _compute_total(cost_model: LLMCostModel, workload: Workload,
+                   swa: SWAConfig) -> float:
+    """GPU compute time of the whole decode, candidate-independent.
+
+    A Python ``sum`` over the cost model's step table in ascending
+    sequence-length order, the order every solve has always used.
+    """
+    return sum(cost_model.decode_step_times(
+        workload.batch_size, workload.input_len + 1, workload.output_len,
+        swa).tolist())
+
+
 class _FastObjective:
     """Vectorized replica of the Equation 5 objective for one solve.
 
@@ -225,11 +237,7 @@ class _FastObjective:
                          if first + n - 1 > gpu_budget else None)
         self.prefill_cpu = max(0, s - gpu_budget)
 
-        # Per-step GPU compute time is candidate-independent: sum the
-        # whole run once from the cost model's step table, in ascending
-        # sequence-length order.
-        self.compute_total = sum(cost_model.decode_step_times(
-            workload.batch_size, first, n, swa).tolist())
+        self.compute_total = _compute_total(cost_model, workload, swa)
         per_token = cost_model.kv_bytes_per_token(workload.batch_size,
                                                   kv_dtype)
         self._transfer_per_token = \
@@ -436,11 +444,17 @@ class SchedulerOptimizer:
         :meth:`_FastObjective.costs` batch before its candidates are
         compared in order, so the search visits and picks exactly what a
         candidate-at-a-time loop would.
+
+        A shape that never leaves Phase I (``p1 == n``, the whole decode
+        fits in the GPU budget) is answered in closed form, without an
+        objective or a descent: see :meth:`_solve_phase1_only`.
         """
         if gpu_budget is None:
             gpu_budget = gpu_kv_budget_tokens(self.cost_model, self.workload,
                                               self.kv_dtype, weights_on_gpu)
         p1 = phase1_end_step(gpu_budget, self.workload)
+        if p1 == self.workload.output_len:
+            return self._solve_phase1_only(gpu_budget, seed)
         p2_candidates = self._p2_candidates(p1)
         last_p2 = p2_candidates[-1]
         objective = self._make_objective(gpu_budget, p1)
@@ -506,3 +520,31 @@ class SchedulerOptimizer:
         return ScheduleSolution(config=config, estimated_time=best_time,
                                 gpu_budget_tokens=gpu_budget,
                                 evaluated_candidates=len(costs))
+
+    def _solve_phase1_only(self, gpu_budget: int,
+                           seed: tuple[float, float, float] | None
+                           ) -> ScheduleSolution:
+        """What the search returns when every step runs in Phase I.
+
+        Phase I moves nothing and the ``p2`` grid is ``{n}``, so every
+        candidate costs exactly the compute total, and the search's strict
+        ``<`` keeps the first one it priced: the grid's first candidate in
+        a cold sweep, the snapped seed in a descent.  The solution counts
+        one evaluated candidate.
+        """
+        if seed is None:
+            if not (self.alpha_grid and self.beta_grid):
+                raise ConfigurationError(
+                    "scheduler search evaluated no candidates")
+            alpha, beta = self.alpha_grid[0], self.beta_grid[0]
+        else:
+            alpha = min(self.alpha_grid, key=lambda g: abs(g - seed[0]))
+            beta = min(self.beta_grid, key=lambda g: abs(g - seed[1]))
+        n = self.workload.output_len
+        config = SchedulerConfig(offload_ratio=alpha, recompute_ratio=beta,
+                                 phase2_step=n, phase3_step=n)
+        return ScheduleSolution(
+            config=config,
+            estimated_time=_compute_total(self.cost_model, self.workload,
+                                          self.swa),
+            gpu_budget_tokens=gpu_budget, evaluated_candidates=1)

@@ -1066,7 +1066,10 @@ class ContinuousBatchingEngine:
         ``(batch, context, steps, shard shape)``, so repeated epoch shapes
         (the common case in fixed-length traces and rate sweeps) skip
         planning *and* pricing — including the simulator's per-epoch
-        ``prepare``, which for ALISA is the offline schedule search.
+        ``prepare``, which for ALISA is the offline schedule search.  On a
+        miss, an ALISA epoch that fits in the GPU KV budget never leaves
+        Phase I: its schedule is solved in closed form and its plan has
+        no movement arrays, so only its compute is priced.
         Returns ``(end_clock, steps, first_clock, comm_per_step)``.
         """
         key = (batch_size, context, num_steps,

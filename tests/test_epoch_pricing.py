@@ -24,7 +24,7 @@ from repro.baselines import (
     VLLMSystem,
 )
 from repro.core.engine import AlisaSystem
-from repro.core.scheduler import DynamicScheduler, SchedulerConfig
+from repro.core.scheduler import PHASE_GPU, DynamicScheduler, SchedulerConfig
 from repro.core.swa import SWAConfig, sequence_table
 from repro.hardware.presets import V100_16GB_NODE, multi_gpu
 from repro.serving import ContinuousBatchingEngine
@@ -78,6 +78,39 @@ def stepwise_reference(system, workload):
     return timings, memory.link
 
 
+def assert_epoch_matches_step_loop(system, shard, kv_dtype, workload):
+    """``epoch_timings`` of a fresh system equals the step loop of another
+    fresh system, element by element."""
+    simulator = build_system(system, shard, kv_dtype=kv_dtype)
+    reference, link = stepwise_reference(simulator, workload)
+    simulator = build_system(system, shard, kv_dtype=kv_dtype)
+    simulator.prepare(workload)
+    simulator.plan_prefill(workload)
+    epoch = simulator.epoch_timings(workload)
+    assert epoch.num_steps == len(reference)
+    assert epoch.phases == tuple(t.phase for t in reference)
+    for field, values in (
+            ("compute_time", epoch.compute_times),
+            ("transfer_time", epoch.transfer_times),
+            ("recompute_time", epoch.recompute_times),
+            ("overhead_time", epoch.overhead_times),
+            ("gpu_kv_bytes", epoch.gpu_kv_bytes),
+            ("cpu_kv_bytes", epoch.cpu_kv_bytes),
+            ("bytes_offloaded", epoch.bytes_offloaded),
+            ("bytes_reloaded", epoch.bytes_reloaded),
+            ("sequence_length", epoch.sequence_lengths),
+    ):
+        expected = np.array([getattr(t, field) for t in reference])
+        assert np.array_equal(values, expected), (system, field)
+    totals = np.array([t.total_time for t in reference])
+    assert np.array_equal(epoch.total_times, totals)
+    # The per-step PCIe traffic matches what the loop recorded.
+    assert float(np.sum(epoch.h2d_bytes)) == pytest.approx(
+        link.bytes_host_to_device)
+    assert float(np.sum(epoch.d2h_bytes)) == pytest.approx(
+        link.bytes_device_to_host)
+
+
 class TestEpochTimingsMatchStepLoop:
     """``epoch_timings`` is element-wise identical to the step loop."""
 
@@ -93,35 +126,27 @@ class TestEpochTimingsMatchStepLoop:
     def test_property_random_workloads(self, system, shard, kv_dtype,
                                        batch_size, input_len, output_len):
         workload = Workload(batch_size, input_len, output_len, "prop")
-        simulator = build_system(system, shard, kv_dtype=kv_dtype)
-        reference, link = stepwise_reference(simulator, workload)
-        simulator = build_system(system, shard, kv_dtype=kv_dtype)
-        simulator.prepare(workload)
-        simulator.plan_prefill(workload)
-        epoch = simulator.epoch_timings(workload)
+        assert_epoch_matches_step_loop(system, shard, kv_dtype, workload)
 
-        assert epoch.num_steps == len(reference)
-        assert epoch.phases == tuple(t.phase for t in reference)
-        for field, values in (
-                ("compute_time", epoch.compute_times),
-                ("transfer_time", epoch.transfer_times),
-                ("recompute_time", epoch.recompute_times),
-                ("overhead_time", epoch.overhead_times),
-                ("gpu_kv_bytes", epoch.gpu_kv_bytes),
-                ("cpu_kv_bytes", epoch.cpu_kv_bytes),
-                ("bytes_offloaded", epoch.bytes_offloaded),
-                ("bytes_reloaded", epoch.bytes_reloaded),
-                ("sequence_length", epoch.sequence_lengths),
-        ):
-            expected = np.array([getattr(t, field) for t in reference])
-            assert np.array_equal(values, expected), (system, field)
-        totals = np.array([t.total_time for t in reference])
-        assert np.array_equal(epoch.total_times, totals)
-        # The per-step PCIe traffic matches what the loop recorded.
-        assert float(np.sum(epoch.h2d_bytes)) == pytest.approx(
-            link.bytes_host_to_device)
-        assert float(np.sum(epoch.d2h_bytes)) == pytest.approx(
-            link.bytes_device_to_host)
+    @pytest.mark.parametrize("kv_dtype", ["fp16", "int8"])
+    @pytest.mark.parametrize("shard", sorted(SHARD_SHAPES))
+    def test_alisa_gpu_budget_boundary(self, shard, kv_dtype):
+        # With s + n == budget the epoch never leaves Phase I and its plan
+        # carries no movement arrays; one more step leaves Phase I.
+        simulator = build_system("alisa", shard, kv_dtype=kv_dtype)
+        budget = simulator.gpu_kv_budget_tokens(Workload(32, 100, 1, "b"))
+        for extra, phase1_only in ((0, True), (1, False)):
+            workload = Workload(32, 100, budget - 100 + extra, "boundary")
+            assert_epoch_matches_step_loop("alisa", shard, kv_dtype,
+                                           workload)
+            simulator.prepare(workload)
+            simulator.plan_prefill(workload)
+            plan = simulator.plan_decode_epoch(workload)
+            assert (plan.phases[-1] == PHASE_GPU) == phase1_only
+            movement = (plan.load_kv_tokens, plan.offload_kv_tokens,
+                        plan.recompute_tokens, plan.quantize_tokens)
+            assert [array is None for array in movement] \
+                == [phase1_only] * 4
 
     def test_scheduler_plan_epoch_matches_plan_step(self):
         # Direct pin of the vectorized Algorithm 2 (all three phases).

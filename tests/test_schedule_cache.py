@@ -253,10 +253,14 @@ class TestAlisaIncrementalPrepare:
         assert system.schedule_stats()["canonical_hits"] == 1
 
     def test_new_bucket_warm_starts_from_neighbor(self):
+        # Both shapes overflow the GPU budget during decode, so neither is
+        # answered in closed form: the first prepare runs the full grid.
         system = alisa()
-        system.prepare(Workload(8, 128, 64, "w"))
+        system.prepare(Workload(32, 256, 128, "w"))
+        assert system.schedule_solution.config.phase2_step < 128
+        assert system.schedule_stats()["full_solves"] == 1
         full_grid = system.schedule_stats()["candidates_evaluated"]
-        system.prepare(Workload(8, 192, 64, "w"))  # new bucket, near neighbor
+        system.prepare(Workload(32, 320, 128, "w"))  # new bucket, near
         stats = system.schedule_stats()
         assert stats["warm_solves"] == 1
         assert stats["candidates_evaluated"] < 2 * full_grid
@@ -635,22 +639,29 @@ class ReferenceObjective:
         return self.compute_total + transfer + recompute
 
 
-def reference_solve(optimizer, gpu_budget, seed=None, max_rounds=3):
+def reference_solve(optimizer, gpu_budget, seed=None, max_rounds=3,
+                    price=None):
     """:meth:`SchedulerOptimizer.solve_incremental` pricing one candidate
     at a time through :class:`ReferenceObjective`:
-    ``(config, estimated_time, evaluated_candidates)``."""
+    ``(config, estimated_time, evaluated_candidates)``.
+
+    ``price(alpha, beta, p2)``, when given, replaces the reference
+    objective.  A shape that never leaves Phase I counts one evaluated
+    candidate, as the closed-form solve does.
+    """
     workload = optimizer.workload
     p1 = phase1_end_step(gpu_budget, workload)
     p2_candidates = optimizer._p2_candidates(p1)
-    objective = ReferenceObjective(optimizer.cost_model, workload,
+    if price is None:
+        price = ReferenceObjective(optimizer.cost_model, workload,
                                    optimizer.swa, optimizer.kv_dtype,
-                                   gpu_budget, p1)
+                                   gpu_budget, p1).cost
     costs = {}
 
     def cost(alpha, beta, p2):
         key = (alpha, beta, p2_candidates[-1] if beta == 0.0 else p2)
         if key not in costs:
-            costs[key] = objective.cost(*key)
+            costs[key] = price(*key)
         return costs[key]
 
     if seed is None:
@@ -689,7 +700,8 @@ def reference_solve(optimizer, gpu_budget, seed=None, max_rounds=3):
         best = (alpha, beta, p2)
     alpha, beta, p2 = best
     config = SchedulerConfig(alpha, beta, p1, max(p1, p2))
-    return config, best_time, len(costs)
+    return (config, best_time,
+            1 if p1 == workload.output_len else len(costs))
 
 
 fractions = st.floats(min_value=0.0, max_value=1.0)
@@ -764,6 +776,87 @@ class TestBatchedObjective:
         assert rows.sum(axis=1).tolist() == [row.sum() for row in rows]
         copies = [np.array(row) for row in rows]
         assert rows.sum(axis=1).tolist() == [row.sum() for row in copies]
+
+
+class TestPhase1OnlySolve:
+    """A shape that never leaves Phase I (``p1 == n``) is solved in
+    closed form, to exactly what the search picks among its tied costs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=cost_models, batch=st.integers(1, 64),
+           input_len=st.integers(1, 2000), output_len=st.integers(1, 600),
+           room=st.integers(0, 300), recompute=st.booleans(),
+           kv_dtype=st.sampled_from(["fp16", "int8"]),
+           seed=st.none() | st.tuples(fractions, fractions, fractions),
+           max_rounds=st.integers(0, 3))
+    def test_closed_form_matches_search(self, request, model, batch,
+                                        input_len, output_len, room,
+                                        recompute, kv_dtype, seed,
+                                        max_rounds):
+        cost_model = request.getfixturevalue(model)
+        workload = Workload(batch, input_len, output_len, "t")
+        optimizer = SchedulerOptimizer(cost_model, workload, SWA,
+                                       kv_dtype=kv_dtype)
+        if not recompute:
+            optimizer.beta_grid = (0.0,)
+        budget = input_len + output_len + room
+        assert phase1_end_step(budget, workload) == output_len
+        solution = optimizer.solve_incremental(seed=seed,
+                                               max_rounds=max_rounds,
+                                               gpu_budget=budget)
+        # The search through the vectorized objective, one candidate at
+        # a time.
+        objective = optimizer._make_objective(budget, output_len)
+        config, estimate, _ = reference_solve(
+            optimizer, budget, seed, max_rounds,
+            price=lambda *candidate: objective.costs([candidate])[0])
+        assert solution.config == config
+        assert solution.estimated_time == estimate
+        assert type(solution.estimated_time) is float
+        assert solution.evaluated_candidates == 1
+        assert reference_solve(optimizer, budget, seed, max_rounds) \
+            == (config, estimate, 1)
+
+    @pytest.mark.parametrize("kv_dtype", ["fp16", "int8"])
+    def test_budget_boundary(self, opt_cost_model, kv_dtype, monkeypatch):
+        probe = Workload(8, 128, 1, "t")
+        budget = gpu_kv_budget_tokens(opt_cost_model, probe, kv_dtype)
+        fits = Workload(8, 128, budget - 128, "t")
+        overflows = Workload(8, 128, budget - 127, "t")
+        built = []
+        original = SchedulerOptimizer._make_objective
+
+        def counting(optimizer, *args):
+            built.append(args)
+            return original(optimizer, *args)
+
+        monkeypatch.setattr(SchedulerOptimizer, "_make_objective", counting)
+        for seed in (None, (0.6, 0.3, 0.5)):
+            closed = SchedulerOptimizer(
+                opt_cost_model, fits, SWA,
+                kv_dtype=kv_dtype).solve_incremental(seed=seed)
+            assert built == []
+            assert closed.evaluated_candidates == 1
+            assert closed.gpu_budget_tokens == budget
+            assert (closed.config.phase2_step, closed.config.phase3_step) \
+                == (fits.output_len, fits.output_len)
+            searched = SchedulerOptimizer(
+                opt_cost_model, overflows, SWA,
+                kv_dtype=kv_dtype).solve_incremental(seed=seed)
+            assert len(built) == 1
+            built.clear()
+            assert searched.evaluated_candidates > 1
+            assert searched.config.phase2_step == fits.output_len
+
+    def test_alisa_prepare_counts_one_candidate(self):
+        system = alisa()
+        workload = Workload(8, 128, 64, "w")  # fits on the GPU
+        system.prepare(workload)
+        assert system.schedule_stats() == dict(
+            exact_hits=0, canonical_hits=0, warm_solves=0, full_solves=1,
+            candidates_evaluated=1)
+        assert system.schedule_solution.config \
+            == SchedulerConfig(0.3, 0.0, 64, 64)
 
 
 class TestPhase3Placement:
@@ -943,7 +1036,7 @@ SOLVER_GOLDEN = {
             (0.3, 0.0, 0, 708, 90.77041317037205, 88),
         ),
         dict(exact_hits=15, canonical_hits=13, warm_solves=51,
-             full_solves=1, candidates_evaluated=501),
+             full_solves=1, candidates_evaluated=312),
     ),
     "cold": (
         (
@@ -969,7 +1062,7 @@ SOLVER_GOLDEN = {
             (0.3, 0.0, 0, 448, 74.5804998356927, 37),
         ),
         dict(exact_hits=3, canonical_hits=2, warm_solves=0,
-             full_solves=15, candidates_evaluated=722),
+             full_solves=15, candidates_evaluated=570),
     ),
     "h100": (
         (
@@ -1025,7 +1118,7 @@ SOLVER_GOLDEN = {
             (0.3, 0.6, 0, 0, 87.167618591088, 401),
         ),
         dict(exact_hits=12, canonical_hits=7, warm_solves=30,
-             full_solves=1, candidates_evaluated=346),
+             full_solves=1, candidates_evaluated=201),
     ),
     "h100-cold": (
         (
@@ -1061,7 +1154,7 @@ SOLVER_GOLDEN = {
             (0.3, 0.0, 575, 575, 13.612064559990456, 3707),
         ),
         dict(exact_hits=8, canonical_hits=2, warm_solves=0,
-             full_solves=20, candidates_evaluated=642),
+             full_solves=20, candidates_evaluated=338),
     ),
     "no-recompute": (
         (
@@ -1087,7 +1180,7 @@ SOLVER_GOLDEN = {
             (0.3, 0.0, 690, 690, 10.869508250737779, 2453),
         ),
         dict(exact_hits=3, canonical_hits=3, warm_solves=13,
-             full_solves=1, candidates_evaluated=73),
+             full_solves=1, candidates_evaluated=53),
     ),
 }
 
