@@ -261,11 +261,6 @@ class _FastObjective:
         """
         n = self.n
         plain_costs = self._plain_costs
-        if self._phase2_start == n:
-            # Every step runs in Phase I: nothing moves, and the priced
-            # transfer is 0.0, whose sum with the compute total is exact.
-            for alpha, _, _ in candidates:
-                plain_costs.setdefault(alpha, self.compute_total)
         rows: dict[tuple[float, float, int], int] = {}
         for alpha, beta, phase3_step in candidates:
             if beta > 0.0 and phase3_step < n:

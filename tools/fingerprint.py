@@ -285,7 +285,7 @@ def budget_shapes(system) -> list[tuple[int, int, int]]:
     return [(BUDGET_BATCH, low, steps), (BUDGET_BATCH, low, steps + 1)]
 
 
-def runs(values: list) -> list[str]:
+def runs(values) -> list[str]:
     """One string per run of equal consecutive values: the value's
     :func:`canonical` form, then ``*count`` when it repeats."""
     result: list = []
@@ -312,7 +312,7 @@ def _epoch_timings(system, shape: tuple[int, int, int]) -> dict:
         if field.name == "sequence_lengths":
             continue
         if field.name == "phases":
-            value = runs(list(value))
+            value = runs(value)
         elif isinstance(value, np.ndarray):
             value = runs(value.tolist())
         case[field.name] = value
@@ -372,8 +372,6 @@ def canonical(value):
                 if key != "wall_clock_s"}
     if isinstance(value, (list, tuple)):
         return [canonical(item) for item in value]
-    if isinstance(value, np.ndarray):
-        return canonical(value.tolist())
     if isinstance(value, (bool, str)) or value is None:
         return value
     if isinstance(value, (int, np.integer)):
