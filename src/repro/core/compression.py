@@ -64,10 +64,6 @@ class QuantizedTensor:
         """Recover the floating-point tensor (Equation 7, right)."""
         return dequantize(self)
 
-    def nbytes(self) -> float:
-        """Storage footprint of the codes (metadata excluded)."""
-        return self.codes.size * self.spec.bytes_per_element
-
 
 def _moveaxis_to_last(x: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(x, axis, -1)

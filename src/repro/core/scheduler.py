@@ -126,10 +126,6 @@ class SchedulerState:
     tokens_cpu: int = 0
     tokens_deleted: int = 0
 
-    @property
-    def total_tokens(self) -> int:
-        return self.tokens_gpu + self.tokens_cpu + self.tokens_deleted
-
 
 def phase3_placement(local: list[int], first_seq: int, stop_seq: int,
                      alpha: float, beta: float, budget: int

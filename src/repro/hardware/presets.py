@@ -150,10 +150,6 @@ class HardwareSpec:
         """Copy of this node with a different CPU-GPU bandwidth (ablations)."""
         return replace(self, pcie_bandwidth=bandwidth)
 
-    def with_gpu_memory(self, memory_bytes: float) -> "HardwareSpec":
-        """Copy of this node with a different GPU memory capacity."""
-        return replace(self, gpu=replace(self.gpu, memory_bytes=memory_bytes))
-
 
 V100_GPU_16GB = GPUSpec("V100-16GB", memory_bytes=16 * GB, fp16_flops=112e12,
                         hbm_bandwidth=900e9)

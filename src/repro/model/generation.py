@@ -30,10 +30,6 @@ class GenerationResult:
         """Full sequences (prompt + generated), shape ``(batch, total_len)``."""
         return np.concatenate([self.prompt_tokens, self.generated_tokens], axis=1)
 
-    @property
-    def num_generated(self) -> int:
-        return self.generated_tokens.shape[1]
-
 
 def _select_next(logits: np.ndarray, temperature: float,
                  generator: np.random.Generator) -> np.ndarray:

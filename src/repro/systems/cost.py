@@ -217,19 +217,10 @@ class LLMCostModel:
         """Total model weight size in the compute dtype."""
         return self.config.num_parameters() * self.bytes_per_element
 
-    def layer_weight_bytes(self) -> float:
-        h = self.config.hidden_size
-        per_layer_params = 4 * h * h + 2 * h * self.config.ffn_size
-        return per_layer_params * self.bytes_per_element
-
     def kv_bytes_per_token(self, batch_size: int, kv_dtype: str | None = None) -> float:
         """KV-cache bytes contributed by one token across all layers."""
         width = dtype_bytes(kv_dtype) if kv_dtype else self.bytes_per_element
         return 2.0 * width * self.config.num_layers * self.config.hidden_size * batch_size
-
-    def kv_bytes_per_token_per_layer(self, batch_size: int,
-                                     kv_dtype: str | None = None) -> float:
-        return self.kv_bytes_per_token(batch_size, kv_dtype) / self.config.num_layers
 
     def kv_bytes(self, batch_size: int, num_tokens: int,
                  kv_dtype: str | None = None) -> float:

@@ -87,9 +87,6 @@ class MemoryDevice:
     def usage(self, label: str) -> float:
         return self._allocations.get(label, 0.0)
 
-    def would_fit(self, num_bytes: float) -> bool:
-        return num_bytes <= self.free_bytes
-
 
 @dataclass
 class PCIeLink:
@@ -152,13 +149,3 @@ class MemoryHierarchy:
             cpu=MemoryDevice(hardware.cpu.name, hardware.cpu.memory_bytes),
             link=PCIeLink(hardware.node_pcie_bandwidth),
         )
-
-    def snapshot(self) -> dict[str, float]:
-        """Current memory usage and cumulative traffic, for traces."""
-        return {
-            "gpu_used_bytes": self.gpu.used_bytes,
-            "gpu_peak_bytes": self.gpu.peak_bytes,
-            "cpu_used_bytes": self.cpu.used_bytes,
-            "cpu_peak_bytes": self.cpu.peak_bytes,
-            "pcie_total_bytes": self.link.total_bytes,
-        }

@@ -31,10 +31,6 @@ class Workload:
     def max_seq_len(self) -> int:
         return self.input_len + self.output_len
 
-    @property
-    def total_generated_tokens(self) -> int:
-        return self.batch_size * self.output_len
-
     def with_batch_size(self, batch_size: int) -> "Workload":
         return replace(self, batch_size=batch_size,
                        name=f"{self.name}-b{batch_size}")
