@@ -273,8 +273,7 @@ class ReplicaGroup:
         instances hooked into every replica run and the merged event loop
         (span tracing, metric timelines — see ``docs/observability.md``);
         with none registered the serve is bit-identical to an unobserved
-        one.  Observers ride the event-driven path and cannot be combined
-        with ``exact_stepping=True`` replicas.
+        one.
 
         ``faults`` is an optional :class:`~repro.faults.FaultSchedule` of
         replica outages (``retry`` the
@@ -292,9 +291,7 @@ class ReplicaGroup:
         seed = self.seed if seed is None else seed
         observers = check_observers(observers)
         source = arrival_source(requests)
-        check_serve(any(engine.simulator.exact_stepping
-                        for engine in self.engines),
-                    source, observers, faults, retry, shedding)
+        check_serve(source, faults, retry, shedding)
         simulator = self.engines[0].simulator
 
         ordered = source.materialized
@@ -432,8 +429,8 @@ class ReplicaGroup:
 
     @staticmethod
     def _aggregate_epoch_cache(traces) -> dict[str, int] | None:
-        """Cluster-wide priced-epoch cache hits/misses (None when absent,
-        e.g. every replica ran with ``exact_stepping=True``)."""
+        """Cluster-wide priced-epoch cache hits/misses (None when every
+        replica was empty)."""
         totals = {"hits": 0, "misses": 0}
         found = False
         for trace in traces:

@@ -100,7 +100,6 @@ def serving_rate_sweep(model: str = "opt-6.7b",
                        ttft_slo_s: float = 5.0,
                        tpot_slo_s: float = 0.2,
                        exact_schedules: bool = False,
-                       exact_stepping: bool = False,
                        parallelism: tuple[str, ...] = ("none",),
                        interconnect: str = "nvlink",
                        pp_microbatches: int = 4,
@@ -137,8 +136,7 @@ def serving_rate_sweep(model: str = "opt-6.7b",
     against that class's own TTFT/TPOT SLOs.  ``preemption`` (``"retain"``
     or ``"recompute"``) builds every engine with priority scheduling:
     interactive arrivals may evict running batch requests at epoch
-    boundaries (see ``ContinuousBatchingEngine``); incompatible with
-    ``exact_stepping=True``.
+    boundaries (see ``ContinuousBatchingEngine``).
 
     ``prefill_chunk_tokens`` builds every engine with chunked prefill:
     prefills are split into budget-sized chunks interleaved with decode,
@@ -147,8 +145,7 @@ def serving_rate_sweep(model: str = "opt-6.7b",
     columns report the effect).  ``closed_loop=True`` serves each rate
     through ``workload.closed_loop()`` — turn ``t+1`` of every session
     arrives at turn ``t``'s *simulated* completion plus think time —
-    and requires a session ``workload``.  Both are event-path only
-    (incompatible with ``exact_stepping=True``).
+    and requires a session ``workload``.
 
     ``parallelism`` entries (``"none"``, ``"tp-2"``, ``"pp-4"``, ...) are
     served on an ``xN`` node derived from the model's preset at equal
@@ -171,10 +168,7 @@ def serving_rate_sweep(model: str = "opt-6.7b",
     to rate; per-serve solver counters are reported in the ``solver_*``
     columns.  ``exact_schedules=True`` makes ALISA re-solve with the
     paper's full grid search for every new epoch shape (byte-identical
-    schedules, much slower at high arrival rates).  ``exact_stepping=True``
-    prices decode epochs with the legacy per-step loop instead of the
-    vectorized epoch fast path (bit-identical traces, much slower — see
-    docs/serving.md, "Epoch pricing fast path").
+    schedules, much slower at high arrival rates).
 
     ``record_mode="streaming"`` serves every row through bounded-memory
     streaming traces (:mod:`repro.serving.sketches`): exact counts,
@@ -235,7 +229,7 @@ def serving_rate_sweep(model: str = "opt-6.7b",
             schedule_policy=policy, rates=rates, num_requests=num_requests,
             pattern=pattern, input_len=input_len, output_len=output_len,
             seed=seed, ttft_slo_s=ttft_slo_s, tpot_slo_s=tpot_slo_s,
-            exact_schedules=exact_schedules, exact_stepping=exact_stepping,
+            exact_schedules=exact_schedules,
             cluster=cluster, routing=routing,
             pp_microbatches=pp_microbatches,
             require_equal_gpus=require_equal_gpus,
@@ -252,7 +246,7 @@ def serving_rate_sweep(model: str = "opt-6.7b",
         hardware = multi_gpu(base_hardware, spec.degree, link)
         for system_name, build in SERVING_SYSTEMS.items():
             simulator = _build_simulator(system_name, build, model, hardware,
-                                         spec, policy, exact_stepping)
+                                         spec, policy)
             engines[(spec.label, system_name)] = \
                 ContinuousBatchingEngine(
                     simulator, preemption=preemption,
@@ -316,7 +310,6 @@ def serving_rate_sweep(model: str = "opt-6.7b",
     result.notes["ttft_slo_s"] = ttft_slo_s
     result.notes["tpot_slo_s"] = tpot_slo_s
     result.notes["exact_schedules"] = exact_schedules
-    result.notes["exact_stepping"] = exact_stepping
     result.notes["record_mode"] = record_mode
     result.notes["parallelism"] = tuple(specs)
     result.notes["interconnect"] = link.name
@@ -398,27 +391,24 @@ def _note_workload(result, workload, slo_classes, preemption,
 
 
 def _build_simulator(system_name, build, model, node, parallelism,
-                     schedule_policy, exact_stepping=False):
+                     schedule_policy):
     """One serving simulator for a sweep row.
 
     The single place both sweep axes construct systems, so ALISA's serving
-    configuration (``kv_sparsity=0.8`` plus the sweep's schedule policy
-    and stepping mode) can never diverge between the single-node and
-    cluster paths.
+    configuration (``kv_sparsity=0.8`` plus the sweep's schedule policy)
+    can never diverge between the single-node and cluster paths.
     """
     if system_name == "alisa":
         return AlisaSystem(model, node, kv_sparsity=0.8,
                            schedule_policy=schedule_policy,
-                           parallelism=parallelism,
-                           exact_stepping=exact_stepping)
-    return build(model, node, parallelism=parallelism,
-                 exact_stepping=exact_stepping)
+                           parallelism=parallelism)
+    return build(model, node, parallelism=parallelism)
 
 
 def _cluster_rate_sweep(result: ExperimentResult, *, model, base_hardware,
                         link, schedule_policy, rates, num_requests, pattern,
                         input_len, output_len, seed, ttft_slo_s, tpot_slo_s,
-                        exact_schedules, exact_stepping, cluster, routing,
+                        exact_schedules, cluster, routing,
                         pp_microbatches, require_equal_gpus,
                         record_mode="full", workload=None, slo_classes=None,
                         preemption=None, prefill_chunk_tokens=None,
@@ -448,8 +438,7 @@ def _cluster_rate_sweep(result: ExperimentResult, *, model, base_hardware,
     def factory_for(system_name, build):
         def factory(node, parallelism):
             return _build_simulator(system_name, build, model, node,
-                                    parallelism, schedule_policy,
-                                    exact_stepping)
+                                    parallelism, schedule_policy)
         return factory
 
     groups: dict[tuple[str, str], ReplicaGroup] = {}
@@ -519,7 +508,6 @@ def _cluster_rate_sweep(result: ExperimentResult, *, model, base_hardware,
     result.notes["ttft_slo_s"] = ttft_slo_s
     result.notes["tpot_slo_s"] = tpot_slo_s
     result.notes["exact_schedules"] = exact_schedules
-    result.notes["exact_stepping"] = exact_stepping
     result.notes["record_mode"] = record_mode
     result.notes["cluster"] = tuple(layouts)
     result.notes["routing"] = policies

@@ -23,11 +23,6 @@ per-request and per-epoch dispatch (benchmarked at <=5% for a no-op
 observer in
 ``benchmarks/test_bench_serving.py::test_bench_observer_overhead``).
 
-Observers are event-path only: combining them with a simulator built with
-``exact_stepping=True`` raises
-:class:`~repro._common.ConfigurationError`, exactly like preemption and
-chunked prefill.
-
 Subclass :class:`Observer` and override the callbacks you need; the base
 class implements every callback as a no-op, so subclasses stay compatible
 when new hooks are added.  Concrete observers shipped with the layer:

@@ -42,9 +42,9 @@ after the source closes (``close``/``finalize``) — and
 :func:`repro.serving.events.drive` runs one or many such runs off a merged
 event heap, so idle time costs nothing and several replicas interleave on
 true arrival order (see :mod:`repro.serving.events` for the heap
-invariants).  The legacy clock loop is retained behind the simulator's
-``exact_stepping=True`` escape hatch and pinned bit-identical to the event
-path in ``tests/test_epoch_pricing.py`` and
+invariants).  The clock-stepped loop it replaced survives as a test-only
+reference (``tests/clock_reference.py``), and the event path is pinned
+bit-identical to it in ``tests/test_epoch_pricing.py`` and
 ``tests/test_serving_events.py``.
 
 Sharded KV budgets (multi-GPU)
@@ -74,10 +74,9 @@ skip planning and pricing entirely.  Prefill passes and chunks are
 memoized the same way, per ``(batch, input, output)`` shape, as their
 priced time, communication time and PCIe byte counts; a hit replays the
 bytes onto the serve's link ledger.  This is behaviour-preserving: traces
-are bit-identical to the per-step loop, which remains available by
-constructing the simulator with ``exact_stepping=True`` (mirroring
-``SchedulePolicy(exact=True)``) and is pinned against the fast path in
-``tests/test_epoch_pricing.py``.
+are bit-identical to pricing every step one at a time, which
+``tests/test_epoch_pricing.py`` pins against the test-only per-step pricer
+in ``tests/clock_reference.py``.
 
 Modelling choices (all deliberate simplifications at the same granularity as
 the paper's own cost model):
@@ -481,8 +480,7 @@ class ContinuousBatchingEngine:
         running batch requests at an epoch boundary, either swapping their
         KV to host memory and back (``"retain"``, priced on the PCIe link)
         or dropping it and re-prefilling the generated context on
-        re-admission (``"recompute"``).  Preemption is event-path only —
-        combining it with ``exact_stepping=True`` raises.
+        re-admission (``"recompute"``).
     prefix_reuse:
         When True (default), the KV of a non-final session turn stays
         resident so the session's next turn is charged only its suffix (see
@@ -498,8 +496,7 @@ class ContinuousBatchingEngine:
         at most one chunk's priced time — bounded preemption latency
         independent of prompt length.  Prefix-reuse hits compose (only the
         suffix is chunked) and mid-prefill preemption retains or recomputes
-        completed chunks per ``preemption=``.  Event-path only: combining
-        it with ``exact_stepping=True`` raises.
+        completed chunks per ``preemption=``.
 
     The number of KV shards equals the simulator node's ``gpu_count`` (the
     simulator's :class:`~repro.systems.cost.ParallelismSpec` already
@@ -522,8 +519,6 @@ class ContinuousBatchingEngine:
             )
         if prefill_chunk_tokens is not None:
             validate_positive(prefill_chunk_tokens=prefill_chunk_tokens)
-        check_serve(simulator.exact_stepping, preemption=preemption,
-                    prefill_chunk_tokens=prefill_chunk_tokens)
         self.simulator = simulator
         self.max_batch_size = max_batch_size
         self.reserve_fraction = reserve_fraction
@@ -642,7 +637,7 @@ class ContinuousBatchingEngine:
     def _admit_request(self, request: Request, prefix: _PrefixCache,
                        shard_reserved: int, shard_limit: int,
                        clock: float) -> tuple[_RunningRequest, int, int]:
-        """Admission bookkeeping shared by the clock loop and event runs.
+        """Admission bookkeeping of one queued request.
 
         Returns ``(wrapper, node_delta, shard_delta)``; the caller applies
         the deltas to its reservation totals.
@@ -683,10 +678,8 @@ class ContinuousBatchingEngine:
         the goodput SLOs the streaming trace will answer for (ignored in
         full mode, where goodput is computed from the retained records).
 
-        The default path is event-driven (:class:`EngineRun` +
-        :func:`~repro.serving.events.drive`); a simulator built with
-        ``exact_stepping=True`` serves through the retained clock-stepped
-        loop instead, which is pinned bit-identical.
+        The serve is event-driven (:class:`EngineRun` +
+        :func:`~repro.serving.events.drive`).
 
         ``class_slos`` fixes the per-``slo_class`` goodput SLOs that
         :meth:`~repro.serving.sketches.StreamingTrace.per_class_summary`
@@ -697,8 +690,7 @@ class ContinuousBatchingEngine:
         ``observers`` is an optional list of :class:`repro.obs.Observer`
         instances receiving every simulated-time event (see
         ``docs/observability.md``).  Observation is passive — traces are
-        bit-identical with and without observers — and event-path only:
-        combining observers with ``exact_stepping=True`` raises.
+        bit-identical with and without observers.
 
         ``faults`` is an optional :class:`~repro.faults.FaultSchedule`
         describing replica-0 outages on this single-replica serve (see
@@ -706,8 +698,8 @@ class ContinuousBatchingEngine:
         :meth:`~repro.cluster.group.ReplicaGroup.serve`).  ``retry`` is
         the :class:`~repro.faults.RetryPolicy` for interrupted requests
         and ``shedding`` an optional :class:`~repro.faults.LoadShedder`;
-        both require ``faults``.  Fault injection is event-path only, and
-        ``faults=None`` serves are bit-identical to the pre-fault engine.
+        both require ``faults``.  ``faults=None`` serves are bit-identical
+        to the pre-fault engine.
 
         ``trace.metadata["wall_clock_s"]`` records the real time the
         simulation took, so bench regressions can be diagnosed from
@@ -716,8 +708,7 @@ class ContinuousBatchingEngine:
         started = perf_counter()
         observers = check_observers(observers)
         source = arrival_source(requests)
-        check_serve(self.simulator.exact_stepping, source, observers, faults,
-                    retry, shedding, clock_loop=True)
+        check_serve(source, faults, retry, shedding)
         trace = self.make_trace(record_mode, ttft_slo_s, tpot_slo_s,
                                 class_slos=class_slos)
         coordinator = None
@@ -732,8 +723,6 @@ class ContinuousBatchingEngine:
             if coordinator is not None:
                 coordinator.check_replicas(1)
                 trace.metadata["resilience"] = coordinator.resilience(0.0, 1)
-        elif self.simulator.exact_stepping:
-            trace = self._serve_clock_loop(source.materialized, trace)
         else:
             trace = self._serve_events(source, trace, observers, coordinator)
         trace.metadata["wall_clock_s"] = perf_counter() - started
@@ -838,116 +827,6 @@ class ContinuousBatchingEngine:
                          eager_epochs=eager_epochs, observers=observers,
                          replica=replica, fault_mode=fault_mode)
 
-    def _serve_clock_loop(self, requests: list[Request], trace):
-        """Retained clock-stepped serving loop (``exact_stepping=True``).
-
-        The pre-event-loop implementation, kept as the semantic reference:
-        the event-driven path is pinned bit-identical to it.
-        """
-        solver_before = self.simulator.schedule_stats()
-        budget = self.kv_budget_tokens(requests)
-        shard_budgets = self.shard_budgets(budget)
-        shard_limit = min(shard_budgets)
-        for request in requests:
-            footprint = self.shard_footprint(request)
-            if footprint > shard_limit:
-                raise ConfigurationError(
-                    f"request {request.request_id} needs {footprint} KV "
-                    f"tokens on each of {self.num_shards} shard(s) but the "
-                    f"tightest shard budget is {shard_limit} (node budget "
-                    f"{budget}); it can never be admitted"
-                )
-
-        pending = deque(sorted(requests,
-                               key=lambda r: (r.arrival_time, r.request_id)))
-        running: list[_RunningRequest] = []
-        prefix = _PrefixCache()
-        epoch_hits_before = self._epoch_hits
-        epoch_misses_before = self._epoch_misses
-        memory = MemoryHierarchy.from_hardware(self.simulator.hardware)
-        clock = 0.0
-        reserved = 0          # node-level KV tokens across all shards
-        shard_reserved = 0    # per-shard tokens (shards fill in lockstep)
-        peak_reserved = 0
-        peak_shard_reserved = 0
-        num_epochs = 0
-        num_steps = 0
-        comm_time = 0.0
-
-        while pending or running:
-            # FCFS admission: the queue head blocks until it fits, so
-            # requests always enter the batch in arrival order.
-            admitted: list[_RunningRequest] = []
-            while (pending and pending[0].arrival_time <= clock
-                   and self._fits(pending[0], running, shard_reserved,
-                                  shard_limit, prefix)):
-                request = pending.popleft()
-                wrapper, node_delta, shard_delta = self._admit_request(
-                    request, prefix, shard_reserved, shard_limit, clock)
-                running.append(wrapper)
-                reserved += node_delta
-                shard_reserved += shard_delta
-                admitted.append(wrapper)
-            peak_reserved = max(peak_reserved, reserved)
-            peak_shard_reserved = max(peak_shard_reserved, shard_reserved)
-
-            if not running:
-                clock = max(clock, pending[0].arrival_time)
-                continue
-
-            if admitted:
-                prefill, prefill_comm = self._prefill_time(admitted, memory)
-                clock += prefill
-                comm_time += prefill_comm
-
-            num_epochs += 1
-            clock, steps, epoch_comm = self._decode_epoch(
-                running, pending, shard_reserved, shard_limit, clock, memory,
-                trace, prefix)
-            num_steps += steps
-            comm_time += epoch_comm
-            reserved = (sum(r.request.max_seq_len for r in running)
-                        + prefix.node_total)
-            shard_reserved = (sum(self.shard_footprint(r.request)
-                                  for r in running) + prefix.shard_total)
-
-        trace.metadata.update(
-            kv_budget_tokens=budget, peak_reserved_tokens=peak_reserved,
-            num_epochs=num_epochs, num_decode_steps=num_steps,
-            pcie_bytes=memory.link.total_bytes,
-            # One entry per shard even though TP/PP shards fill in lockstep
-            # today (identical peaks): the per-shard shape is the interface
-            # data-parallel placement (see ROADMAP) will populate with
-            # genuinely divergent values.
-            shards=[
-                {"shard": index, "budget_tokens": shard_budget,
-                 "peak_reserved_tokens": peak_shard_reserved,
-                 "peak_occupancy": (peak_shard_reserved / shard_budget
-                                    if shard_budget > 0 else 0.0)}
-                for index, shard_budget in enumerate(shard_budgets)
-            ],
-            comm_time_s=comm_time,
-            comm_time_share=comm_time / clock if clock > 0 else 0.0,
-        )
-        if prefix.touched:
-            trace.metadata["prefix_cache"] = prefix.stats()
-        if not self.simulator.exact_stepping:
-            # How many decode epochs were priced fresh vs served from the
-            # epoch-price memo (cumulative counters, per-serve deltas).
-            trace.metadata["epoch_cache"] = {
-                "hits": self._epoch_hits - epoch_hits_before,
-                "misses": self._epoch_misses - epoch_misses_before,
-            }
-        solver_after = self.simulator.schedule_stats()
-        if solver_after:
-            # Per-serve increments: how the per-epoch re-prepares were served
-            # (exact/canonical cache hits vs warm-started vs full solves).
-            trace.metadata["scheduler"] = {
-                key: value - solver_before.get(key, 0)
-                for key, value in solver_after.items()
-            }
-        return trace
-
     # ------------------------------------------------------------------ #
     def _prefill_time(self, admitted: list[_RunningRequest],
                       memory: MemoryHierarchy) -> tuple[float, float]:
@@ -1023,34 +902,6 @@ class ContinuousBatchingEngine:
         link.bytes_device_to_host += d2h_bytes
         return time, comm
 
-    def _decode_epoch(self, running: list[_RunningRequest],
-                      pending: deque, shard_reserved: int, shard_limit: int,
-                      clock: float, memory: MemoryHierarchy,
-                      sink, prefix: _PrefixCache) -> tuple[float, int, float]:
-        """Decode with fixed batch composition until a completion or an
-        admissible arrival ends the epoch.
-
-        The epoch is priced through the vectorized fast path (memoized per
-        epoch shape) unless the simulator was built with
-        ``exact_stepping=True``, which restores the per-step Python loop;
-        both are bit-identical (pinned in ``tests/test_epoch_pricing.py``).
-        Returns ``(clock, steps, communication_time)``.
-        """
-        batch_size, context, num_steps = _epoch_shape(running)
-        # The batch composition is fixed for the whole epoch, so the FCFS
-        # head's admissibility is too: the epoch can only be cut by the
-        # head's arrival, and only if it would fit.
-        cut_arrival = None
-        if pending and self._fits(pending[0], running, shard_reserved,
-                                  shard_limit, prefix):
-            cut_arrival = pending[0].arrival_time
-        price = (self._price_epoch_stepwise if self.simulator.exact_stepping
-                 else self._price_epoch_fast)
-        clock, steps, first_clock, comm_per_step = price(
-            batch_size, context, num_steps, cut_arrival, clock, memory)
-        self._finish_epoch(running, sink, steps, first_clock, clock, prefix)
-        return clock, steps, steps * comm_per_step
-
     def _price_epoch_fast(self, batch_size: int, context: int,
                           num_steps: int, cut_arrival: float | None,
                           clock: float, memory: MemoryHierarchy,
@@ -1114,31 +965,6 @@ class ContinuousBatchingEngine:
         return (clocks[steps], steps, clocks[1],
                 float(timings.comm_times[0]))
 
-    def _price_epoch_stepwise(self, batch_size: int, context: int,
-                              num_steps: int, cut_arrival: float | None,
-                              clock: float, memory: MemoryHierarchy,
-                              ) -> tuple[float, int, float, float]:
-        """Legacy per-step pricing loop (``exact_stepping=True``)."""
-        workload = Workload(batch_size=batch_size, input_len=context,
-                            output_len=num_steps, name="serving-decode")
-        self.simulator.prepare(workload)
-        self.simulator.plan_prefill(workload)
-        comm_per_step = self.simulator.parallel_comm_time(workload)
-        steps = 0
-        first_clock = None
-        for step in range(workload.output_len):
-            plan = self.simulator.plan_decode_step(step, workload)
-            timing = self.simulator.step_timing(plan, step, workload, memory)
-            clock += timing.total_time
-            steps += 1
-            if first_clock is None:
-                first_clock = clock
-            if steps == workload.output_len:
-                break  # the final step completes requests; epoch over
-            if cut_arrival is not None and cut_arrival <= clock:
-                break
-        return clock, steps, first_clock, comm_per_step
-
     def _finish_epoch(self, running: list[_RunningRequest],
                       sink, steps: int, first_clock: float,
                       end_clock: float,
@@ -1198,13 +1024,14 @@ class ContinuousBatchingEngine:
 class EngineRun:
     """One serve over one engine, as a discrete-event state machine.
 
-    Re-expresses the retained clock loop event by event so that
+    Re-expresses a clock-stepped serving loop (kept as a test reference in
+    ``tests/clock_reference.py``) event by event so that
     :func:`repro.serving.events.drive` can interleave many runs on a merged
     heap.  The life cycle is: ``offer(request)`` for every routed arrival
     (in ``(arrival_time, request_id)`` order), ``advance()`` whenever the
     driver pops this run's scheduled event, ``close()`` once the arrival
     source is exhausted, and ``finalize()`` after the loop drains — which
-    writes the exact metadata the clock loop writes and returns the trace.
+    writes the serve metadata and returns the trace.
 
     State-machine invariants (they are what keep the event path
     bit-identical to the clock loop):
@@ -1878,10 +1705,7 @@ class EngineRun:
         batch_size, context, num_steps = _epoch_shape(self._running)
         self._num_epochs += 1
         cut_arrival, needs_preemption = self._cut_arrival()
-        price = (engine._price_epoch_stepwise
-                 if engine.simulator.exact_stepping
-                 else engine._price_epoch_fast)
-        end, steps, first, comm_per_step = price(
+        end, steps, first, comm_per_step = engine._price_epoch_fast(
             batch_size, context, num_steps, cut_arrival, self._clock,
             self._memory)
         # The final step of a full epoch completes its shortest requests; a
@@ -1929,9 +1753,9 @@ class EngineRun:
     def finalize(self):
         """Write the serve metadata and return the trace.
 
-        Produces exactly the metadata the retained clock loop writes —
-        including the empty-trace shape for a run that was never offered a
-        request (a replica the routing policy starved).
+        Includes the empty-trace shape for a run that was never offered a
+        request (a replica the routing policy starved), and always the
+        ``epoch_cache`` hit/miss counters of this run.
         """
         if not self.finished:
             raise ConfigurationError(
@@ -1986,11 +1810,10 @@ class EngineRun:
                 "chunked_tokens": self._chunked_tokens,
                 "max_chunk_s": self._max_chunk_s,
             }
-        if not engine.simulator.exact_stepping:
-            trace.metadata["epoch_cache"] = {
-                "hits": engine._epoch_hits - self._epoch_hits_before,
-                "misses": engine._epoch_misses - self._epoch_misses_before,
-            }
+        trace.metadata["epoch_cache"] = {
+            "hits": engine._epoch_hits - self._epoch_hits_before,
+            "misses": engine._epoch_misses - self._epoch_misses_before,
+        }
         solver_after = engine.simulator.schedule_stats()
         if solver_after:
             trace.metadata["scheduler"] = {

@@ -238,49 +238,22 @@ def arrival_source(requests) -> ArrivalSource:
     return OrderedArrivals(ordered, bounds, materialized=ordered)
 
 
-def check_serve(exact_stepping: bool, source=None, observers: tuple = (),
-                faults=None, retry=None, shedding=None,
-                preemption: str | None = None,
-                prefill_chunk_tokens: int | None = None,
-                clock_loop: bool = False) -> None:
-    """Reject every serve configuration the simulator does not implement.
+def check_serve(source, faults, retry, shedding) -> None:
+    """Reject the serve configurations whose combination has no meaning.
 
-    The one place each incompatibility is raised: engine construction
-    passes its ``preemption``/``prefill_chunk_tokens``, and both serve
-    layers pass their ``source``, observers and fault arguments.
-    ``exact_stepping`` is True when the serve (or any replica) was built
-    with ``exact_stepping=True``; ``clock_loop`` marks a serve that then
-    replays the retained clock loop, which needs a materialized list.
+    Both serve layers call this with their ``source`` and fault
+    arguments: ``retry``/``shedding`` need a ``faults`` schedule to act
+    on, and fault injection does not support closed-loop sources.
     """
-    closed_loop = source is not None and source.on_completion is not None
     if faults is None and (retry is not None or shedding is not None):
         raise ConfigurationError(
             "retry=/shedding= configure fault recovery and need a "
             "faults= schedule to act on"
         )
-    if faults is not None and closed_loop:
+    if faults is not None and source.on_completion is not None:
         raise ConfigurationError(
             "fault injection does not support closed-loop sources — "
             "lower the session trace to its open-loop request stream"
-        )
-    if not exact_stepping:
-        return
-    for enabled, feature in ((preemption is not None, "preemption"),
-                             (prefill_chunk_tokens is not None,
-                              "chunked prefill"),
-                             (bool(observers), "observers"),
-                             (faults is not None, "fault injection")):
-        if enabled:
-            raise ConfigurationError(
-                f"{feature} is only implemented on the event-driven path "
-                f"and cannot be combined with exact_stepping=True"
-            )
-    if clock_loop and source is not None and source.materialized is None:
-        kind = "closed-loop source" if closed_loop else "RequestStream"
-        raise ConfigurationError(
-            f"exact_stepping replays the retained clock loop over a "
-            f"materialized request list; serve a {kind} with the "
-            f"event-driven default instead"
         )
 
 

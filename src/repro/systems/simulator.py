@@ -23,7 +23,7 @@ admission and KV residency itself.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -191,14 +191,9 @@ class InferenceSimulator(ABC):
     def __init__(self, model: ModelConfig | str, hardware: HardwareSpec,
                  compute_dtype: str = "fp16", kv_dtype: str = "fp16",
                  weights_on_gpu: bool = True,
-                 parallelism: ParallelismSpec | None = None,
-                 exact_stepping: bool = False) -> None:
+                 parallelism: ParallelismSpec | None = None) -> None:
         self.config = get_config(model) if isinstance(model, str) else model
         self.hardware = hardware
-        #: Escape hatch mirroring ``SchedulePolicy(exact=True)``: price
-        #: decode epochs with the legacy per-step Python loop instead of
-        #: the vectorized fast path (bit-identical results, much slower).
-        self.exact_stepping = exact_stepping
         if parallelism is None:
             # Multi-GPU nodes default to tensor parallelism across all GPUs;
             # the cost model validates degree == gpu_count either way.
@@ -295,7 +290,6 @@ class InferenceSimulator(ABC):
             self.cost_model.dtype, self.kv_dtype, self.weights_on_gpu,
             self.parallelism.mode, self.parallelism.degree,
             self.parallelism.pp_microbatches, self.overlap_io,
-            self.exact_stepping,
         )
 
     # ------------------------------------------------------------------ #
@@ -492,8 +486,8 @@ class InferenceSimulator(ABC):
         """Simulate one end-to-end inference run of ``workload``.
 
         Decode steps are priced through the vectorized epoch fast path
-        (:meth:`epoch_timings`) unless ``exact_stepping=True`` restores the
-        legacy per-step loop; both produce bit-identical traces.
+        (:meth:`epoch_timings`), bit-identical to planning and pricing them
+        one step at a time (pinned by ``tests/test_epoch_pricing.py``).
         """
         memory = MemoryHierarchy.from_hardware(self.hardware)
         trace = InferenceTrace(
@@ -511,18 +505,7 @@ class InferenceSimulator(ABC):
                                                      memory)
             self._apply_memory(prefill_plan, workload, memory)
 
-            if self.exact_stepping:
-                for step in range(workload.output_len):
-                    plan = self.plan_decode_step(step, workload)
-                    timing = self.step_timing(plan, step, workload, memory)
-                    self._apply_memory(plan, workload, memory)
-                    trace.add_step(replace(
-                        timing,
-                        gpu_used_bytes=memory.gpu.used_bytes,
-                        cpu_used_bytes=memory.cpu.used_bytes,
-                    ))
-            else:
-                self._run_decode_fast(workload, memory, trace)
+            self._run_decode_fast(workload, memory, trace)
         except OutOfMemoryError as exc:
             trace.oom = True
             trace.oom_reason = str(exc)

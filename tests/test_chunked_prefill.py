@@ -288,7 +288,3 @@ class TestValidation:
             engine(chunk=0)
         with pytest.raises(ConfigurationError, match="prefill_chunk_tokens"):
             engine(chunk=-64)
-
-    def test_exact_stepping_combination_rejected(self):
-        with pytest.raises(ConfigurationError, match="exact_stepping"):
-            engine(chunk=64, exact_stepping=True)

@@ -171,11 +171,6 @@ class TestClosedLoopServe:
         leftover = engine().serve(source)
         assert leftover.num_requests == 0
 
-    def test_exact_stepping_rejected(self):
-        eng = engine(exact_stepping=True)
-        with pytest.raises(ConfigurationError, match="closed-loop"):
-            eng.serve(chat(num_sessions=2).closed_loop())
-
     def test_composes_with_preemption_classes(self):
         spec = chat(num_sessions=16, rate=6.0, seed=5,
                     interactive_fraction=0.4, mean_new_input=64,

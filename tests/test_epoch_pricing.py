@@ -5,16 +5,18 @@ The fast path (``InferenceSimulator.epoch_timings`` +
 re-expression of the per-step loop: same plans, same prices, same traces,
 bit for bit.  These tests pin that across systems, KV dtypes, shard
 shapes, and random workloads (hypothesis), and pin the serving/offline
-traces against the ``exact_stepping=True`` escape hatch.
+traces against the per-step references in ``tests/clock_reference.py``.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clock_reference import decode_stepped, price_epoch_stepwise, serve_stepped
 from repro._common import ConfigurationError
 from repro.baselines import (
     AccelerateSystem,
@@ -312,7 +314,8 @@ class TestAbsentTermsSkipped:
 
 
 class TestServingFastPathGoldenPins:
-    """serve()/run() with the fast path are bit-identical to exact stepping."""
+    """serve()/run() with the fast path are bit-identical to per-step
+    pricing through the clock-stepped references."""
 
     REQUESTS = dict(rate=16.0, input_len=256, output_len=128, seed=5)
 
@@ -324,8 +327,8 @@ class TestServingFastPathGoldenPins:
         requests = generate_requests(12, **self.REQUESTS)
         fast = ContinuousBatchingEngine(
             build_system(system, shard)).serve(requests)
-        exact = ContinuousBatchingEngine(
-            build_system(system, shard, exact_stepping=True)).serve(requests)
+        exact = serve_stepped(
+            ContinuousBatchingEngine(build_system(system, shard)), requests)
         assert fast.records == exact.records
         assert fast.summary() == exact.summary()
         for key in ("kv_budget_tokens", "peak_reserved_tokens", "num_epochs",
@@ -344,42 +347,41 @@ class TestServingFastPathGoldenPins:
         assert (second.metadata["epoch_cache"]["hits"]
                 == second.metadata["num_epochs"])
         assert second.records == first.records
-        # The exact path reports no epoch cache (it never consults one).
-        exact = ContinuousBatchingEngine(
-            build_system("alisa", exact_stepping=True)).serve(requests)
-        assert "epoch_cache" not in exact.metadata
 
     @pytest.mark.parametrize("system", ["alisa", "alisa-static", "flexgen",
                                         "accelerate", "vllm"])
     def test_offline_run_bit_identical(self, system):
         workload = Workload(16, 256, 200, "offline")
         fast = build_system(system).run(workload)
-        exact = build_system(system, exact_stepping=True).run(workload)
+        stepped = build_system(system)
+        stepped._run_decode_fast = partial(decode_stepped, stepped)
+        exact = stepped.run(workload)
         assert fast.prefill_time == exact.prefill_time
         assert fast.steps == exact.steps
         assert fast.summary() == exact.summary()
 
     def test_cluster_serve_bit_identical_to_exact_stepping(self):
         # The replica-group fast path (per-replica epoch memos, shared
-        # prefill plans) must reproduce the exact-stepping cluster trace
-        # bit for bit, including with ALISA's history-dependent default
-        # schedule policy.
+        # prefill plans) must reproduce the cluster trace of per-step
+        # epoch pricing bit for bit, including with ALISA's
+        # history-dependent default schedule policy.
         from repro.cluster import ReplicaGroup
 
-        def factory(exact_stepping):
-            def build(node, parallelism):
-                return AlisaSystem(MODEL, node, kv_sparsity=0.8,
-                                   parallelism=parallelism,
-                                   exact_stepping=exact_stepping)
-            return build
+        def build(node, parallelism):
+            return AlisaSystem(MODEL, node, kv_sparsity=0.8,
+                               parallelism=parallelism)
+
+        def group():
+            return ReplicaGroup.from_layout(build, "2x(none)",
+                                            V100_16GB_NODE, policy="jsq",
+                                            seed=3)
 
         requests = generate_requests(16, rate=32.0, pattern="bursty", seed=3)
-        fast = ReplicaGroup.from_layout(factory(False), "2x(none)",
-                                        V100_16GB_NODE, policy="jsq",
-                                        seed=3).serve(requests)
-        exact = ReplicaGroup.from_layout(factory(True), "2x(none)",
-                                         V100_16GB_NODE, policy="jsq",
-                                         seed=3).serve(requests)
+        fast = group().serve(requests)
+        stepped = group()
+        for engine in stepped.engines:
+            engine._price_epoch_fast = partial(price_epoch_stepwise, engine)
+        exact = stepped.serve(requests)
         assert fast.records == exact.records
         assert fast.summary() == exact.summary()
 

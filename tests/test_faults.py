@@ -43,10 +43,8 @@ CLASS_SLOS = {"interactive": (2.0, 0.2), "batch": (30.0, 2.0)}
 
 
 def engine(**kwargs) -> ContinuousBatchingEngine:
-    system_kwargs = {key: kwargs.pop(key) for key in ("exact_stepping",)
-                     if key in kwargs}
-    return ContinuousBatchingEngine(
-        FlexGenSystem(MODEL, V100_16GB_NODE, **system_kwargs), **kwargs)
+    return ContinuousBatchingEngine(FlexGenSystem(MODEL, V100_16GB_NODE),
+                                    **kwargs)
 
 
 def requests(n=16, rate=4.0, seed=3, **kwargs):
@@ -199,11 +197,6 @@ class TestNoFaultBitIdentity:
         with pytest.raises(ConfigurationError, match="closed-loop"):
             server.serve(source, faults=crash_at())
         assert not source.assignments  # rejected before anything ran
-
-    def test_exact_stepping_rejects_faults(self):
-        with pytest.raises(ConfigurationError):
-            engine(exact_stepping=True).serve(requests(),
-                                              faults=crash_at())
 
 
 # --------------------------------------------------------------------- #

@@ -164,19 +164,6 @@ class TestObserverValidation:
         with pytest.raises(ConfigurationError):
             engine().serve(requests(n=4), observers=[object()])
 
-    def test_exact_stepping_rejected(self):
-        with pytest.raises(ConfigurationError):
-            engine(exact_stepping=True).serve(requests(n=4),
-                                              observers=[SpanTracer()])
-
-    def test_cluster_exact_stepping_rejected(self):
-        def build(node, parallelism):
-            return FlexGenSystem(MODEL, node, parallelism=parallelism,
-                                 exact_stepping=True)
-        bad = ReplicaGroup.from_layout(build, "2x(none)", V100_16GB_NODE)
-        with pytest.raises(ConfigurationError):
-            bad.serve(requests(n=4), observers=[SpanTracer()])
-
     def test_check_observers_canonicalises(self):
         assert check_observers(None) == ()
         assert check_observers([]) == ()

@@ -1,7 +1,8 @@
 """Tests for the event-driven serving core (repro.serving.events).
 
-Covers the tentpole contracts: the event heap reproduces the retained
-clock-stepped loop bit-identically in ``record_mode="full"``, streaming
+Covers the tentpole contracts: the event heap reproduces the
+clock-stepped reference loop (``tests/clock_reference.py``)
+bit-identically in ``record_mode="full"``, streaming
 traces agree on every exact aggregate, request streams are byte-identical
 to materialized traces, and the merged cluster event stream matches
 serving the routed shares directly.
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clock_reference import serve_stepped
 from repro._common import ConfigurationError
 from repro.baselines import FlexGenSystem, VLLMSystem
 from repro.cluster import ReplicaGroup, StreamingClusterTrace
@@ -50,7 +52,7 @@ class TestEventLoopBitIdentity:
     @pytest.mark.parametrize("system", [FlexGenSystem, VLLMSystem])
     def test_event_serve_matches_clock_loop_exactly(self, system):
         trace_event = engine(system).serve(requests())
-        trace_clock = engine(system, exact_stepping=True).serve(requests())
+        trace_clock = serve_stepped(engine(system), requests())
         assert trace_event.records == trace_clock.records
         assert trace_event.summary() == trace_clock.summary()
         for key in ("kv_budget_tokens", "peak_reserved_tokens", "num_epochs",
@@ -62,7 +64,7 @@ class TestEventLoopBitIdentity:
         def build(model, node, **kwargs):
             return AlisaSystem(model, node, kv_sparsity=0.8, **kwargs)
         trace_event = engine(build).serve(requests(n=12))
-        trace_clock = engine(build, exact_stepping=True).serve(requests(n=12))
+        trace_clock = serve_stepped(engine(build), requests(n=12))
         assert trace_event.records == trace_clock.records
 
     def test_full_mode_golden_pin(self):
@@ -169,14 +171,14 @@ class TestStreamingEquivalence:
     @settings(max_examples=15, deadline=None)
     def test_property_event_loop_matches_step_loop(self, n, seed, rate):
         # For any workload: the event-driven serve is bit-identical to the
-        # retained clock-stepped loop in full mode, the streaming sketch
+        # clock-stepped reference loop in full mode, the streaming sketch
         # trace agrees with both on every exact aggregate, and its
         # percentile estimates sit within the observed value range (P²
         # estimates never extrapolate).
         trace_requests = generate_requests(n, rate, pattern="poisson",
                                            seed=seed, max_len=256)
         full = engine().serve(trace_requests)
-        stepped = engine(exact_stepping=True).serve(trace_requests)
+        stepped = serve_stepped(engine(), trace_requests)
         assert full.records == stepped.records
         stream = engine().serve(trace_requests, record_mode="streaming")
         for key in EXACT_KEYS:
@@ -275,11 +277,6 @@ class TestRequestStream:
             RequestStream(10, rate=0.0)
         with pytest.raises(ConfigurationError, match="generate_requests"):
             RequestStream(10, rate=1.0, pattern="fractal")
-
-    def test_exact_stepping_rejects_streams(self):
-        stream = RequestStream(10, rate=2.0, input_len=64, output_len=32)
-        with pytest.raises(ConfigurationError, match="exact_stepping"):
-            engine(exact_stepping=True).serve(stream)
 
 
 class TestDriveValidation:

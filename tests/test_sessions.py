@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clock_reference import serve_stepped
 from repro._common import ConfigurationError
 from repro.baselines import FlexGenSystem
 from repro.cluster import ReplicaGroup, Router
@@ -172,7 +173,7 @@ class TestPrefixReuse:
     def test_event_and_clock_paths_agree_on_sessions(self):
         workload = chat()
         trace_event = engine().serve(workload.requests())
-        trace_clock = engine(exact_stepping=True).serve(workload.requests())
+        trace_clock = serve_stepped(engine(), workload.requests())
         assert trace_event.records == trace_clock.records
         assert trace_event.metadata["prefix_cache"] == \
             trace_clock.metadata["prefix_cache"]
@@ -182,8 +183,7 @@ class TestPrefixReuse:
             return AlisaSystem(model, node, kv_sparsity=0.8, **kwargs)
         workload = chat(num_sessions=8)
         trace_event = engine(build).serve(workload.requests())
-        trace_clock = engine(build, exact_stepping=True).serve(
-            workload.requests())
+        trace_clock = serve_stepped(engine(build), workload.requests())
         assert trace_event.records == trace_clock.records
 
 
@@ -195,11 +195,9 @@ class TestPreemption:
                      interactive_fraction=0.4, mean_turns=3.0,
                      max_context=1024, mean_new_input=64, mean_output=96)
 
-    def test_unknown_mode_and_clock_loop_rejected(self):
+    def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError, match="preemption"):
             engine(preemption="swap")
-        with pytest.raises(ConfigurationError, match="exact_stepping"):
-            engine(preemption="retain", exact_stepping=True)
         assert set(PREEMPTION_MODES) == {None, "retain", "recompute"}
 
     @pytest.mark.parametrize("mode", ["retain", "recompute"])
