@@ -15,12 +15,13 @@ re-express:
   :meth:`~repro.systems.simulator.InferenceSimulator.run`, with the same
   signature as its ``_run_decode_fast``.
 
-Tests serve or run the same workload through both and require equal
-records, metadata and step timings.  Both serve helpers drive the
-engine's own admission (``_fits``, ``_admit_request``), prefill pricing
-(``_prefill_time``) and epoch bookkeeping (``_finish_epoch``), so what
-they pin is the event loop and the epoch pricer.  It is test code only:
-nothing under ``src/`` imports it.
+Tests serve or run the same workload through the library and through
+these, and require equal records, metadata and step timings.
+:func:`serve_stepped` drives the engine's own admission (``_fits``,
+``_admit_request``), prefill pricing (``_prefill_time``) and epoch
+bookkeeping (``_finish_epoch``), so what it pins is the event loop and
+the epoch pricer.  It is test code only: nothing under ``src/`` imports
+it.
 """
 
 from __future__ import annotations
