@@ -288,3 +288,8 @@ class TestValidation:
             engine(chunk=0)
         with pytest.raises(ConfigurationError, match="prefill_chunk_tokens"):
             engine(chunk=-64)
+
+    def test_exact_stepping_combination_rejected(self):
+        # The clock-stepped option is gone: systems refuse the keyword.
+        with pytest.raises(TypeError, match="exact_stepping"):
+            engine(chunk=64, exact_stepping=True)

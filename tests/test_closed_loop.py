@@ -171,6 +171,11 @@ class TestClosedLoopServe:
         leftover = engine().serve(source)
         assert leftover.num_requests == 0
 
+    def test_exact_stepping_rejected(self):
+        # The clock-stepped option is gone: systems refuse the keyword.
+        with pytest.raises(TypeError, match="exact_stepping"):
+            engine(exact_stepping=True)
+
     def test_composes_with_preemption_classes(self):
         spec = chat(num_sessions=16, rate=6.0, seed=5,
                     interactive_fraction=0.4, mean_new_input=64,

@@ -198,6 +198,14 @@ class TestNoFaultBitIdentity:
             server.serve(source, faults=crash_at())
         assert not source.assignments  # rejected before anything ran
 
+    def test_exact_stepping_rejects_faults(self):
+        # The clock-stepped option is gone: neither the system nor the
+        # engine accepts the keyword.
+        with pytest.raises(TypeError, match="exact_stepping"):
+            FlexGenSystem(MODEL, V100_16GB_NODE, exact_stepping=True)
+        with pytest.raises(TypeError, match="exact_stepping"):
+            engine(exact_stepping=True)
+
 
 # --------------------------------------------------------------------- #
 # Single-engine failure and recovery

@@ -164,6 +164,18 @@ class TestObserverValidation:
         with pytest.raises(ConfigurationError):
             engine().serve(requests(n=4), observers=[object()])
 
+    def test_exact_stepping_rejected(self):
+        # The clock-stepped option is gone: systems refuse the keyword.
+        with pytest.raises(TypeError, match="exact_stepping"):
+            engine(exact_stepping=True)
+
+    def test_cluster_exact_stepping_rejected(self):
+        def build(node, parallelism):
+            return FlexGenSystem(MODEL, node, parallelism=parallelism,
+                                 exact_stepping=True)
+        with pytest.raises(TypeError, match="exact_stepping"):
+            ReplicaGroup.from_layout(build, "2x(none)", V100_16GB_NODE)
+
     def test_check_observers_canonicalises(self):
         assert check_observers(None) == ()
         assert check_observers([]) == ()

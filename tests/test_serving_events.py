@@ -278,6 +278,11 @@ class TestRequestStream:
         with pytest.raises(ConfigurationError, match="generate_requests"):
             RequestStream(10, rate=1.0, pattern="fractal")
 
+    def test_exact_stepping_rejects_streams(self):
+        # The clock-stepped option is gone: systems refuse the keyword.
+        with pytest.raises(TypeError, match="exact_stepping"):
+            engine(exact_stepping=True)
+
 
 class TestDriveValidation:
     def test_drive_needs_runs(self):
