@@ -95,5 +95,13 @@ class FlexGenSystem(InferenceSimulator):
             offload_kv_tokens=np.full(seq.size, self._cpu_fraction),
         )
 
+    def epoch_stays_resident(self, workload: Workload) -> bool:
+        """Whether the split :meth:`prepare` would solve keeps every KV
+        tensor on the GPU: a requested ``cpu_fraction`` of 0, or a GPU
+        budget that holds the epoch's final sequence length."""
+        if self._requested_cpu_fraction is not None:
+            return self._requested_cpu_fraction == 0.0
+        return self.gpu_kv_budget_tokens(workload) >= workload.max_seq_len
+
     def pricing_signature(self) -> tuple:
         return super().pricing_signature() + (self._requested_cpu_fraction,)

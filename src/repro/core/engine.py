@@ -26,8 +26,8 @@ solves of new shapes are warm-started from the nearest solved neighbor
 (see :mod:`repro.core.schedule_cache` for the policy knobs and the
 ``exact=True`` escape hatch that restores the paper's full per-shape grid
 search).  This is what keeps the continuous-batching serving engine — which
-re-prepares the simulator every decode epoch — off the full-grid-search
-hot path.
+re-prepares the simulator for every new decode-epoch shape that spills out
+of GPU memory — off the full-grid-search hot path.
 
 For functional (accuracy) experiments use
 :class:`~repro.attention.variants.SWAAttentionPolicy` with the NumPy model
@@ -93,6 +93,7 @@ class AlisaSystem(InferenceSimulator):
             kwargs.setdefault("kv_dtype", "int8")
         super().__init__(model, hardware, **kwargs)
         self.swa = SWAConfig.from_sparsity(kv_sparsity)
+        self.step_table_split = self.swa
         self.kv_sparsity = kv_sparsity
         self.use_dynamic_scheduling = use_dynamic_scheduling
         self.use_compression = use_compression
@@ -399,14 +400,37 @@ class AlisaSystem(InferenceSimulator):
             swa_split=self.swa,
         )
 
+    def epoch_stays_resident(self, workload: Workload) -> bool:
+        """Whether the epoch fits the GPU KV budget and so stays in Phase I.
+
+        Dynamic scheduling without a fixed ``scheduler_config`` solves
+        ``p1 == n`` for a shape whose ``s + n`` fits the budget, so every
+        step is in Phase I; the static ablation's split is then all-GPU.
+        A fixed ``scheduler_config`` may enter Phase II or III at any step,
+        so it is never answered here.  A fitting dynamic shape still goes
+        through the schedule search, which keeps the
+        :class:`ScheduleCache` history of a full ``prepare``.
+        """
+        if (self.use_dynamic_scheduling
+                and self._fixed_scheduler_config is not None):
+            return False
+        gpu_budget = self.gpu_kv_budget_tokens(workload)
+        if gpu_budget < workload.max_seq_len:
+            return False
+        if self.use_dynamic_scheduling:
+            self._solve_schedule(workload, gpu_budget)
+        return True
+
     def pricing_is_shape_pure(self) -> bool:
         """Dynamic-scheduling epochs are shape-pure only under ``exact``.
 
         The full grid search solves a shape deterministically from the
         shape alone; warm-started/canonical solves seed from whatever
         nearby shapes this system's :class:`ScheduleCache` happened to see
-        first, so their priced epochs depend on solver history.  The
-        static ablation plans without the solver and is always pure.
+        first, so the priced epochs of spilling shapes depend on solver
+        history (a fitting shape never leaves Phase I, whatever it
+        solves).  The static ablation plans without the solver and is
+        always pure.
         """
         return (not self.use_dynamic_scheduling
                 or self._fixed_scheduler_config is not None

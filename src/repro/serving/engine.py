@@ -70,7 +70,10 @@ boundary (first completion or first admissible arrival) falls out of a
 running sum plus a binary search, and priced epochs are memoized by
 ``(batch, context, steps, shard shape)`` so repeated epoch shapes —
 fixed-length traces, rate sweeps, replica groups sharing a workload mix —
-skip planning and pricing entirely.  Prefill passes and chunks are
+skip planning and pricing entirely.  A new shape whose KV stays on the GPU
+(:meth:`~repro.systems.simulator.InferenceSimulator.epoch_stays_resident`)
+is not planned at all: it moves nothing, so its steps are a slice of the
+cost model's step table.  Prefill passes and chunks are
 memoized the same way, per ``(batch, input, output)`` shape, as their
 priced time, communication time and PCIe byte counts; a hit replays the
 bytes onto the serve's link ledger.  This is behaviour-preserving: traces
@@ -85,9 +88,9 @@ the paper's own cost model):
   wrapped simulator's per-step formula on an epoch workload ``(b, s, n)``
   with ``b`` the running batch, ``s`` the longest resident context, and
   ``n`` the steps until the next completion; the simulator is
-  re-``prepare``-d whenever an epoch shape is priced for the first time.
-  For ALISA this re-prepare is served *incrementally* through its
-  :class:`~repro.core.schedule_cache.ScheduleCache` — repeated epoch shapes
+  re-``prepare``-d whenever an epoch shape that may move KV is priced for
+  the first time.  For ALISA this re-prepare is served *incrementally*
+  through its :class:`~repro.core.schedule_cache.ScheduleCache` — repeated epoch shapes
   reuse their offline schedule, nearby shapes share canonical solutions,
   and new shapes are warm-started from the nearest solved neighbor —
   instead of re-running the full offline grid search per epoch (pass a
@@ -111,6 +114,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,7 +130,7 @@ from repro.serving.trace import (
     normalize_class_slos,
 )
 from repro.systems.memory import MemoryHierarchy, PCIeLink
-from repro.systems.simulator import EpochTimings, InferenceSimulator
+from repro.systems.simulator import InferenceSimulator
 from repro.workloads.arrivals import SLO_CLASSES, Request
 from repro.workloads.descriptors import Workload
 
@@ -170,6 +174,17 @@ def _epoch_shape(running: list["_RunningRequest"]) -> tuple[int, int, int]:
         if steps is None or request.output_len - generated < steps:
             steps = request.output_len - generated
     return len(running), context, steps
+
+
+class _PricedEpoch(NamedTuple):
+    """The engine's memo entry for one priced decode epoch: what serving
+    reads of it.  A byte array is ``None`` when the epoch moves no byte in
+    that direction."""
+
+    step_times: list[float]
+    comm_per_step: float
+    h2d_bytes: np.ndarray | None
+    d2h_bytes: np.ndarray | None
 
 
 @dataclass(slots=True)
@@ -541,7 +556,7 @@ class ContinuousBatchingEngine:
         # adopt_pricing_caches.
         self._prefill_prices: dict[tuple[int, int, int],
                                    tuple[float, float, float, float]] = {}
-        self._epoch_cache: dict[tuple, EpochTimings] = {}
+        self._epoch_cache: dict[tuple, _PricedEpoch] = {}
         self._epoch_hits = 0
         self._epoch_misses = 0
 
@@ -908,41 +923,31 @@ class ContinuousBatchingEngine:
                           ) -> tuple[float, int, float, float]:
         """Vectorized epoch pricing with per-shape memoization.
 
-        Prices the epoch ``Workload(batch_size, context, num_steps)``: one
-        ``epoch_timings`` call prices all ``num_steps`` steps as arrays;
-        the epoch boundary falls out of a running sum over the step times
+        Prices the epoch ``Workload(batch_size, context, num_steps)``
+        (see :meth:`_price_epoch`) once per
+        ``(batch, context, steps, shard shape)`` and memoizes what serving
+        reads of it, so repeated epoch shapes (the common case in
+        fixed-length traces and rate sweeps) skip planning *and* pricing.
+        The epoch boundary falls out of a running sum over the step times
         plus a binary search for ``cut_arrival`` (the earliest admissible
         arrival, ``None`` when no arrival can end the epoch) — no per-step
-        pricing loop.  Priced epochs are keyed by
-        ``(batch, context, steps, shard shape)``, so repeated epoch shapes
-        (the common case in fixed-length traces and rate sweeps) skip
-        planning *and* pricing — including the simulator's per-epoch
-        ``prepare``, which for ALISA is the offline schedule search.  On a
-        miss, an ALISA epoch that fits in the GPU KV budget never leaves
-        Phase I: its schedule is solved in closed form and its plan has
-        no movement arrays, so only its compute is priced.
+        pricing loop.
         Returns ``(end_clock, steps, first_clock, comm_per_step)``.
         """
         key = (batch_size, context, num_steps,
                self.simulator.parallelism.label)
-        timings = self._epoch_cache.get(key)
-        if timings is None:
+        priced = self._epoch_cache.get(key)
+        if priced is None:
             self._epoch_misses += 1
-            workload = Workload(batch_size=batch_size, input_len=context,
-                                output_len=num_steps, name="serving-decode")
-            self.simulator.prepare(workload)
-            # Re-place the already-resident context; its prefill was charged
-            # when each request was admitted, so only placement state is
-            # initialized.
-            self.simulator.plan_prefill(workload)
-            timings = self.simulator.epoch_timings(workload, memory.link)
-            self._epoch_cache[key] = timings
+            priced = self._price_epoch(batch_size, context, num_steps,
+                                       memory.link)
+            self._epoch_cache[key] = priced
         else:
             self._epoch_hits += 1
 
         # clocks[k] is the clock after k steps (sequential float adds, as
         # the step loop makes them).
-        clocks = list(accumulate(timings.step_times, initial=clock))
+        clocks = list(accumulate(priced.step_times, initial=clock))
         steps = num_steps
         if cut_arrival is not None:
             # First step whose post-step clock reaches the cut arrival; the
@@ -954,16 +959,48 @@ class ContinuousBatchingEngine:
         # that moves no bytes in the whole epoch is skipped: adding 0.0 to
         # the non-negative ledger is an identity.
         link = memory.link
-        if timings.h2d_any:
+        if priced.h2d_bytes is not None:
             link.bytes_host_to_device = float(
                 _accumulate(link.bytes_host_to_device,
-                            timings.h2d_bytes[:steps])[-1])
-        if timings.d2h_any:
+                            priced.h2d_bytes[:steps])[-1])
+        if priced.d2h_bytes is not None:
             link.bytes_device_to_host = float(
                 _accumulate(link.bytes_device_to_host,
-                            timings.d2h_bytes[:steps])[-1])
-        return (clocks[steps], steps, clocks[1],
-                float(timings.comm_times[0]))
+                            priced.d2h_bytes[:steps])[-1])
+        return clocks[steps], steps, clocks[1], priced.comm_per_step
+
+    def _price_epoch(self, batch_size: int, context: int, num_steps: int,
+                     link: PCIeLink) -> _PricedEpoch:
+        """Price every step of one decode epoch (a memo miss).
+
+        An epoch whose KV stays on the GPU
+        (:meth:`~repro.systems.simulator.InferenceSimulator.epoch_stays_resident`)
+        costs only its compute, read as a slice of the cost model's step
+        table, plus the per-step communication time — no ``prepare``, no
+        ``plan_prefill`` and no ``epoch_timings``, bit-identical to them
+        (pinned by ``tests/test_epoch_pricing.py``).  Any other epoch is
+        planned and priced in full: the simulator's ``prepare`` (for ALISA
+        the offline schedule search), ``plan_prefill`` to re-place the
+        already-resident context (its prefill was charged at admission),
+        then ``epoch_timings`` against ``link``'s bandwidth and latency.
+        """
+        simulator = self.simulator
+        workload = Workload(batch_size=batch_size, input_len=context,
+                            output_len=num_steps, name="serving-decode")
+        if simulator.epoch_stays_resident(workload):
+            step_times = simulator.cost_model.decode_step_times(
+                batch_size, context + 1, num_steps,
+                simulator.step_table_split)
+            return _PricedEpoch(step_times.tolist(),
+                                simulator.parallel_comm_time(workload),
+                                None, None)
+        simulator.prepare(workload)
+        simulator.plan_prefill(workload)
+        timings = simulator.epoch_timings(workload, link)
+        return _PricedEpoch(timings.total_times.tolist(),
+                            float(timings.comm_times[0]),
+                            timings.h2d_bytes if timings.h2d_any else None,
+                            timings.d2h_bytes if timings.d2h_any else None)
 
     def _finish_epoch(self, running: list[_RunningRequest],
                       sink, steps: int, first_clock: float,

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -164,12 +163,6 @@ class EpochTimings:
     def num_steps(self) -> int:
         return len(self.phases)
 
-    @cached_property
-    def step_times(self) -> list[float]:
-        """``total_times`` as Python floats, converted once per priced
-        epoch, for callers that accumulate a clock step by step."""
-        return self.total_times.tolist()
-
     @property
     def pcie_bytes(self) -> float:
         """Total PCIe traffic of the full epoch (reporting helper)."""
@@ -181,6 +174,12 @@ class InferenceSimulator(ABC):
 
     #: Display name used in experiment tables.
     name: str = "base"
+
+    #: The attention split whose cost-model step table prices a decode
+    #: step that moves no KV (see :meth:`epoch_stays_resident`): ``None``
+    #: for dense attention, or the system's
+    #: :class:`~repro.core.swa.SWAConfig`.
+    step_table_split: SWAConfig | None = None
 
     #: Whether the system overlaps PCIe transfers with GPU compute (FlexGen,
     #: vLLM, and ALISA pipeline I/O against compute layer by layer; naive
@@ -221,8 +220,9 @@ class InferenceSimulator(ABC):
         """Reset any per-run state before a simulation (optional hook).
 
         The continuous-batching serving engine calls this on every
-        decode-epoch pricing miss, so implementations with expensive
-        offline planning should serve repeats incrementally — see
+        decode-epoch pricing miss that :meth:`epoch_stays_resident` does
+        not answer, so implementations with expensive offline planning
+        should serve repeats incrementally — see
         :meth:`repro.core.engine.AlisaSystem.prepare`, which backs its
         schedule search with a :class:`~repro.core.schedule_cache.ScheduleCache`.
         On a prefill pricing miss the engine passes ``decode=False``: only
@@ -231,6 +231,23 @@ class InferenceSimulator(ABC):
         whose prompt placement depends on that planning, such as vLLM's
         wave count and FlexGen's static split, prepare in full either way.
         """
+
+    def epoch_stays_resident(self, workload: Workload) -> bool:
+        """Whether every decode step of ``workload`` keeps its KV on the GPU.
+
+        Such an epoch moves, recomputes and quantizes nothing, so
+        :meth:`epoch_timings` prices each step at its compute alone: the
+        slice of the cost model's step table for :attr:`step_table_split`
+        at sequence lengths ``s + 1`` to ``s + n``, plus
+        :meth:`parallel_comm_time` per step.  The serving engine prices an
+        epoch-cache miss that answers True from that slice, without
+        :meth:`prepare`, :meth:`plan_prefill` or :meth:`epoch_timings`.
+        The answer must be cheap, must leave planning state alone, and
+        may only be True when :meth:`epoch_timings` would price exactly
+        that slice.  The base class answers False, so reference baselines
+        and third-party simulators keep the planning path.
+        """
+        return False
 
     def schedule_stats(self) -> dict[str, int]:
         """Counters describing how offline planning was served (optional).
@@ -255,14 +272,16 @@ class InferenceSimulator(ABC):
         return EpochPlan.from_step_plans(plans, workload)
 
     def pricing_is_shape_pure(self) -> bool:
-        """Whether a priced epoch is a pure function of the workload shape.
+        """Whether a planned epoch is a pure function of the workload shape.
 
         True for every stateless placement policy.  Systems whose per-shape
         plan depends on solver *history* (ALISA's warm-started/canonical
         schedule search seeds from previously solved shapes) return False,
         and the cluster layer then keeps their priced-epoch caches per
         replica: sharing one across replicas with independent solver
-        caches could silently change which schedule prices a shape.
+        caches could silently change which schedule prices a shape.  The
+        answer concerns planned epochs only: one that
+        :meth:`epoch_stays_resident` is a step-table slice, pure either way.
         """
         return True
 

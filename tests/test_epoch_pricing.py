@@ -31,7 +31,7 @@ from repro.core.swa import SWAConfig, sequence_table
 from repro.hardware.presets import V100_16GB_NODE, multi_gpu
 from repro.serving import ContinuousBatchingEngine
 from repro.systems.cost import ParallelismSpec
-from repro.systems.memory import MemoryHierarchy
+from repro.systems.memory import MemoryHierarchy, PCIeLink
 from repro.workloads.arrivals import generate_requests
 from repro.workloads.descriptors import Workload
 
@@ -444,6 +444,101 @@ class TestServingFastPathGoldenPins:
         a, b = tp_group.engines
         assert a._epoch_cache is not b._epoch_cache
         assert a._prefill_prices is not b._prefill_prices
+
+
+#: Systems whose epochs stay resident exactly when ``s + n`` fits their
+#: GPU KV budget; vLLM's always do, and the other systems answer no.
+BUDGET_RESIDENT = {"flexgen", "alisa", "alisa-static"}
+
+
+class TestStepTableEpochs:
+    """An epoch-cache miss whose KV stays on the GPU is priced from the
+    cost model's step table, bit-identical to ``prepare`` +
+    ``plan_prefill`` + ``epoch_timings``."""
+
+    @staticmethod
+    def budget_shapes(simulator, batch_size, input_len):
+        """``(b, s, n)`` with ``s + n`` equal to the GPU KV budget, then one
+        step more (none when the prompt alone fills the budget)."""
+        budget = simulator.gpu_kv_budget_tokens(
+            Workload(batch_size, input_len, 1, "budget"))
+        steps = budget - input_len
+        if steps < 1:
+            return []
+        return [(batch_size, input_len, steps),
+                (batch_size, input_len, steps + 1)]
+
+    @staticmethod
+    def assert_table_priced_like_planning(engine, reference, shape):
+        """Price ``shape`` on the engine's miss path and plan it in full on
+        ``reference``; returns whether the engine read the step table."""
+        workload = Workload(*shape, "table")
+        simulator = engine.simulator
+        resident = simulator.epoch_stays_resident(workload)
+        priced = engine._price_epoch(
+            *shape, PCIeLink(simulator.hardware.node_pcie_bandwidth))
+        reference.prepare(workload)
+        reference.plan_prefill(workload)
+        timings = reference.epoch_timings(workload)
+        if resident:
+            assert priced.step_times == timings.total_times.tolist(), shape
+            assert priced.comm_per_step == float(timings.comm_times[0])
+            assert not timings.h2d_any and not timings.d2h_any, shape
+            assert priced.h2d_bytes is None and priced.d2h_bytes is None
+        return resident
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        shapes=st.lists(st.tuples(st.integers(1, 64), st.integers(1, 1500),
+                                  st.integers(1, 300)),
+                        min_size=1, max_size=3),
+        boundary=st.tuples(st.integers(1, 64), st.integers(1, 2500)),
+    )
+    @pytest.mark.parametrize("kv_dtype", ["fp16", "int8"])
+    @pytest.mark.parametrize("shard", sorted(SHARD_SHAPES))
+    @pytest.mark.parametrize("system", sorted(SYSTEM_BUILDERS))
+    def test_property_table_epochs_match_planning(self, system, shard,
+                                                  kv_dtype, shapes,
+                                                  boundary):
+        # One engine prices the shapes in order, so ALISA's solver
+        # history reaches each one; the reference plans every shape.
+        engine = ContinuousBatchingEngine(
+            build_system(system, shard, kv_dtype=kv_dtype))
+        reference = build_system(system, shard, kv_dtype=kv_dtype)
+        shapes = shapes + self.budget_shapes(reference, *boundary)
+        for batch_size, input_len, steps in shapes:
+            resident = self.assert_table_priced_like_planning(
+                engine, reference, (batch_size, input_len, steps))
+            if system == "vllm":
+                assert resident
+            elif system in BUDGET_RESIDENT:
+                budget = reference.gpu_kv_budget_tokens(
+                    Workload(batch_size, input_len, steps, "budget"))
+                assert resident == (input_len + steps <= budget)
+            else:
+                assert not resident
+
+    @pytest.mark.parametrize("shard", sorted(SHARD_SHAPES))
+    def test_fixed_schedules_and_cpu_splits(self, shard):
+        # A fixed ALISA schedule or a requested FlexGen CPU share moves KV
+        # even when the epoch fits, so they always plan; a requested share
+        # of 0 never moves KV, however long the epoch.
+        small, spilling = (1, 16, 8), (64, 1500, 300)
+        fixed = build_system("alisa-recompute", shard)
+        for fraction in (0.5, 1.0):
+            split = FlexGenSystem(MODEL, fixed.hardware, cpu_fraction=fraction,
+                                  parallelism=fixed.parallelism)
+            assert not split.epoch_stays_resident(Workload(*small, "w"))
+        assert not fixed.epoch_stays_resident(Workload(*small, "w"))
+
+        def gpu_only():
+            return FlexGenSystem(MODEL, fixed.hardware, cpu_fraction=0.0,
+                                 parallelism=fixed.parallelism)
+
+        engine = ContinuousBatchingEngine(gpu_only())
+        for shape in (small, spilling):
+            assert self.assert_table_priced_like_planning(
+                engine, gpu_only(), shape)
 
 
 class TestPrefillPriceMemo:
