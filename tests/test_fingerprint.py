@@ -49,7 +49,8 @@ def test_canonical_drops_wall_clock_and_keeps_float_reprs():
 
 def test_check_counts_what_it_cuts_off(tmp_path, monkeypatch, capsys):
     # Move one field in every case that has it: more differences than
-    # --check lists, so the rest are counted per field name.
+    # --check lists, so the rest are counted, and all of them are
+    # tallied by section and by field name.
     fixture = json.loads(fingerprint.FIXTURE.read_text())
     mutated = copy.deepcopy(fixture)
     moved = 0
@@ -66,10 +67,14 @@ def test_check_counts_what_it_cuts_off(tmp_path, monkeypatch, capsys):
     assert fingerprint.main(["--check"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "fingerprint differs from fixture.json:"
-    assert len(lines) == 1 + 40 + 1
+    assert len(lines) == 1 + 40 + 3
     assert all("/metadata/scheduler/warm_solves: expected " in line
                for line in lines[1:41])
-    assert lines[-1] == f"  ... {moved - 40} more: warm_solves {moved - 40}"
+    assert lines[-3:] == [
+        f"  ... {moved - 40} more",
+        f"  by section: serve cases {moved}, sweep 0, epoch_timings 0",
+        f"  by field: warm_solves {moved}",
+    ]
 
     monkeypatch.setattr(fingerprint, "cases", lambda: mutated)
     assert fingerprint.main(["--check"]) == 0
@@ -82,11 +87,28 @@ def test_report_tallies_field_names():
              "b/journal[7]: expected 'x', got 'y'",
              "sweep/s/rows[1]/solver_exact_hits: expected 1, got 2",
              "c/metadata/p/50.0: missing"]
-    assert fingerprint.report(lines, limit=5) == lines
-    assert fingerprint.report(lines, limit=1) == lines[:1] + [
-        "... 4 more: ttft 1, journal 1, solver_exact_hits 1, 50.0 1"]
-    assert fingerprint.report(lines, limit=0)[-1] \
-        == "... 5 more: ttft 2, journal 1, solver_exact_hits 1, 50.0 1"
+    tally = ["by section: serve cases 4, sweep 1, epoch_timings 0",
+             "by field: ttft 2, journal 1, solver_exact_hits 1, 50.0 1"]
+    assert fingerprint.report(lines, limit=5) == lines + tally
+    assert fingerprint.report(lines, limit=1) \
+        == lines[:1] + ["... 4 more"] + tally
+    assert fingerprint.report(lines, limit=0) == ["... 5 more"] + tally
+    assert fingerprint.report([]) == []
+
+
+def test_report_tallies_every_section():
+    lines = ["epoch_timings/alisa/none/fp16/1x16x8/total_times: "
+             "expected ['1.0'], got ['2.0']",
+             "sweep/faults/rows[5]/throughput: expected '1.0', got '2.0'",
+             "sweep/faults/rows[5]/solver_warm_solves: expected 1, got 0",
+             "alisa/engine/list/faults-none/preemption-none/chunk-off/full"
+             "/metadata/scheduler/warm_solves: expected 2, got 1"]
+    assert [fingerprint.section(line) for line in lines] \
+        == ["epoch_timings", "sweep", "sweep", "serve cases"]
+    assert fingerprint.report(lines, limit=0)[1:] == [
+        "by section: serve cases 1, sweep 2, epoch_timings 1",
+        "by field: total_times 1, throughput 1, solver_warm_solves 1, "
+        "warm_solves 1"]
 
 
 def test_runs_keep_every_bit():

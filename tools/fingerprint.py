@@ -452,16 +452,34 @@ def check() -> list[str]:
             for line in diff(fixture, cases())]
 
 
+#: Top-level sections of the fingerprint, in report order: every key that
+#: does not start with one of the others is a serve case.
+SECTIONS = ("serve cases", "sweep", "epoch_timings")
+
+
+def section(line: str) -> str:
+    """The top-level section a diff line falls in."""
+    head = line.partition("/")[0]
+    return head if head in SECTIONS[1:] else SECTIONS[0]
+
+
 def report(differences: list[str], limit: int = 40) -> list[str]:
-    """The first ``limit`` differences, then one line counting the rest
-    per field name, most frequent first."""
+    """The first ``limit`` differences, a count of the rest, then every
+    difference tallied by top-level section (all sections, in
+    :data:`SECTIONS` order) and by field name (most frequent first)."""
+    if not differences:
+        return []
     shown, rest = differences[:limit], differences[limit:]
-    if not rest:
-        return shown
-    tally = Counter(field_name(line) for line in rest)
-    counts = ", ".join(f"{name} {count}"
-                       for name, count in tally.most_common())
-    return shown + [f"... {len(rest)} more: {counts}"]
+    lines = list(shown)
+    if rest:
+        lines.append(f"... {len(rest)} more")
+    sections = Counter(section(line) for line in differences)
+    lines.append("by section: " + ", ".join(
+        f"{name} {sections[name]}" for name in SECTIONS))
+    fields = Counter(field_name(line) for line in differences)
+    lines.append("by field: " + ", ".join(
+        f"{name} {count}" for name, count in fields.most_common()))
+    return lines
 
 
 def main(argv=None) -> int:
