@@ -407,19 +407,14 @@ class AlisaSystem(InferenceSimulator):
         ``p1 == n`` for a shape whose ``s + n`` fits the budget, so every
         step is in Phase I; the static ablation's split is then all-GPU.
         A fixed ``scheduler_config`` may enter Phase II or III at any step,
-        so it is never answered here.  A fitting dynamic shape still goes
-        through the schedule search, which keeps the
-        :class:`ScheduleCache` history of a full ``prepare``.
+        so it is never answered here.  A fitting shape searches no
+        schedule: its ``(alpha, beta)`` prices nothing, so it neither
+        reads nor fills the :class:`ScheduleCache`.
         """
         if (self.use_dynamic_scheduling
                 and self._fixed_scheduler_config is not None):
             return False
-        gpu_budget = self.gpu_kv_budget_tokens(workload)
-        if gpu_budget < workload.max_seq_len:
-            return False
-        if self.use_dynamic_scheduling:
-            self._solve_schedule(workload, gpu_budget)
-        return True
+        return self.gpu_kv_budget_tokens(workload) >= workload.max_seq_len
 
     def pricing_is_shape_pure(self) -> bool:
         """Dynamic-scheduling epochs are shape-pure only under ``exact``.

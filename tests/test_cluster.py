@@ -384,8 +384,9 @@ class TestReplicaGroup:
         assert shared_trace.records == separate_trace.records
 
     def test_scheduler_stats_summed_across_replicas(self):
-        requests = generate_requests(12, rate=16.0, input_len=128,
-                                     output_len=64, seed=4)
+        # Heavy-tailed bursty lengths, so epochs on both replicas spill out
+        # of GPU memory and search schedules (epochs that fit search none).
+        requests = generate_requests(48, rate=64.0, pattern="bursty", seed=3)
         trace = group("2x(none)").serve(requests)
         stats = trace.metadata["scheduler"]
         assert stats["full_solves"] >= 1

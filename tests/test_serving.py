@@ -237,9 +237,14 @@ class TestIncrementalScheduling:
     """Serving behaviour of the scheduler cache (repro.core.schedule_cache)."""
 
     REQUESTS = dict(rate=16.0, input_len=256, output_len=128, seed=5)
+    #: Bursty heavy-tailed lengths: epochs of mixed batches spill out of
+    #: GPU memory, so the serve searches schedules (epochs that fit on
+    #: the GPU search none).
+    SPILLING = dict(rate=64.0, pattern="bursty", seed=3)
 
-    def _serve(self, policy=None, cache=None, num=12):
-        requests = generate_requests(num, **self.REQUESTS)
+    def _serve(self, policy=None, cache=None, requests=None):
+        if requests is None:
+            requests = generate_requests(24, **self.SPILLING)
         engine = ContinuousBatchingEngine(
             AlisaSystem(MODEL, V100_16GB_NODE, kv_sparsity=0.8,
                         schedule_policy=policy, schedule_cache=cache))
@@ -262,25 +267,55 @@ class TestIncrementalScheduling:
                                                         rel=0.05)
 
     def test_serve_reports_per_serve_solver_stats(self):
-        trace = self._serve()
+        requests = generate_requests(24, **self.SPILLING)
+        engine = ContinuousBatchingEngine(
+            AlisaSystem(MODEL, V100_16GB_NODE, kv_sparsity=0.8))
+        simulator = engine.simulator
+        answers = []
+
+        def stays_resident(workload, hook=simulator.epoch_stays_resident):
+            answers.append(hook(workload))
+            return answers[-1]
+
+        simulator.epoch_stays_resident = stays_resident
+        trace = engine.serve(requests)
         stats = trace.metadata["scheduler"]
         assert stats["full_solves"] >= 1
         searches = (stats["exact_hits"] + stats["canonical_hits"]
                     + stats["warm_solves"] + stats["full_solves"])
-        # Every decode epoch is either priced fresh (exactly one schedule
-        # search) or served whole from the engine's epoch-price memo;
-        # pricing a prefill searches nothing.
+        # Every decode epoch is either priced fresh or served whole from
+        # the engine's epoch-price memo.  A fresh epoch that spills runs
+        # exactly one schedule search; one that fits is read from the step
+        # table and searches nothing, and pricing a prefill searches
+        # nothing either.
         epoch_cache = trace.metadata["epoch_cache"]
-        assert searches == epoch_cache["misses"]
+        assert len(answers) == epoch_cache["misses"]
+        assert True in answers and False in answers
+        assert searches == answers.count(False)
         assert (epoch_cache["hits"] + epoch_cache["misses"]
                 == trace.metadata["num_epochs"])
         assert "scheduler" not in flexgen_engine().serve(
             generate_requests(4, **self.REQUESTS)).metadata
 
+    def test_fitting_serve_searches_no_schedule(self):
+        # Every epoch of this homogeneous trace fits on the GPU, so the
+        # serve prices them all from the step table: the schedule cache
+        # is never read or written, and every epoch is a memo hit or miss.
+        cache = ScheduleCache()
+        trace = self._serve(cache=cache,
+                            requests=generate_requests(12, **self.REQUESTS))
+        assert cache.stats.as_dict() == ScheduleCache().stats.as_dict()
+        assert set(trace.metadata["scheduler"].values()) == {0}
+        epoch_cache = trace.metadata["epoch_cache"]
+        assert epoch_cache["misses"] >= 1
+        assert (epoch_cache["hits"] + epoch_cache["misses"]
+                == trace.metadata["num_epochs"])
+
     def test_shared_cache_across_engines_skips_research(self):
         cache = ScheduleCache()
         self._serve(cache=cache)
         solves_first = cache.stats.full_solves + cache.stats.warm_solves
+        assert solves_first > 0
         self._serve(cache=cache)
         solves_second = (cache.stats.full_solves + cache.stats.warm_solves
                          - solves_first)
@@ -323,7 +358,12 @@ class TestServingExperiment:
         assert alisa["kv_budget_tokens"] > vllm["kv_budget_tokens"]
         assert alisa["p99_ttft_s"] <= vllm["p99_ttft_s"]
 
-    def test_rows_report_solver_stats(self, result):
+    def test_rows_report_solver_stats(self):
+        # Heavy-tailed bursty lengths, so some ALISA epochs spill out of
+        # GPU memory and search a schedule (epochs that fit search none).
+        result = run_experiment("serving_rate_sweep", rates=(64.0,),
+                                num_requests=24, pattern="bursty",
+                                input_len=None, output_len=None, seed=3)
         alisa_rows = result.filter(system="alisa")
         assert any(row["solver_full_solves"] + row["solver_warm_solves"] > 0
                    for row in alisa_rows)

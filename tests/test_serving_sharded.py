@@ -292,8 +292,11 @@ class TestScheduleCacheShardNamespacing:
         assert narrow._schedule_context != wide._schedule_context
 
     def test_shared_cache_never_crosses_shard_shapes(self):
-        requests = generate_requests(8, rate=16.0, input_len=256,
-                                     output_len=128, seed=5)
+        # Long heavy-tailed requests contend for the 2-GPU budget, so some
+        # epochs spill and search schedules (epochs that fit search none).
+        requests = generate_requests(32, rate=64.0, pattern="bursty",
+                                     seed=5, mean_input=1024,
+                                     mean_output=512)
         node = replace(V100_16GB_NODE, gpu_count=2, interconnect=NVLINK)
 
         def serve_pp(cache):
@@ -319,8 +322,10 @@ class TestScheduleCacheShardNamespacing:
         assert serve_pp(warmed) == fresh_solves
 
     def test_same_shard_shape_still_reuses(self):
-        requests = generate_requests(8, rate=16.0, input_len=256,
-                                     output_len=128, seed=5)
+        # Spilling epochs, as above, so the first serve does search.
+        requests = generate_requests(32, rate=64.0, pattern="bursty",
+                                     seed=5, mean_input=1024,
+                                     mean_output=512)
         cache = ScheduleCache()
         node = multi_gpu(V100_16GB_NODE, 2)
 
@@ -331,6 +336,7 @@ class TestScheduleCacheShardNamespacing:
 
         tp_engine().serve(requests)
         solves_first = cache.stats.full_solves + cache.stats.warm_solves
+        assert solves_first > 0
         tp_engine().serve(requests)
         assert cache.stats.full_solves + cache.stats.warm_solves == solves_first
 
