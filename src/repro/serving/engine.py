@@ -90,11 +90,12 @@ the paper's own cost model):
   ``n`` the steps until the next completion; the simulator is
   re-``prepare``-d whenever an epoch shape that may move KV is priced for
   the first time.  For ALISA this re-prepare is served *incrementally*
-  through its :class:`~repro.core.schedule_cache.ScheduleCache` — repeated epoch shapes
-  reuse their offline schedule, nearby shapes share canonical solutions,
-  and new shapes are warm-started from the nearest solved neighbor —
-  instead of re-running the full offline grid search per epoch (pass a
-  ``SchedulePolicy(exact=True)`` system to restore that behaviour);
+  through its :class:`~repro.core.schedule_cache.ScheduleCache` —
+  repeated epoch shapes reuse their offline schedule, nearby shapes share
+  canonical solutions, and new shapes are warm-started from the nearest
+  solved neighbor — instead of re-running the full offline grid search
+  per epoch (pass a ``SchedulePolicy(exact=True)`` system to restore that
+  behaviour);
 * **reservation-based admission** — admitting a request reserves its full
   ``input_len + output_len`` KV footprint against the budget (vLLM's
   conservative no-preemption watermark), so the KV budget is never exceeded

@@ -220,8 +220,8 @@ class InferenceSimulator(ABC):
         """Reset any per-run state before a simulation (optional hook).
 
         The continuous-batching serving engine calls this on every
-        decode-epoch pricing miss that :meth:`epoch_stays_resident` does
-        not answer, so implementations with expensive offline planning
+        decode-epoch pricing miss for which :meth:`epoch_stays_resident`
+        answers False, so implementations with expensive offline planning
         should serve repeats incrementally — see
         :meth:`repro.core.engine.AlisaSystem.prepare`, which backs its
         schedule search with a :class:`~repro.core.schedule_cache.ScheduleCache`.
