@@ -4,8 +4,10 @@ The fast path (``InferenceSimulator.epoch_timings`` +
 ``ContinuousBatchingEngine._price_epoch_fast``) must be a pure
 re-expression of the per-step loop: same plans, same prices, same traces,
 bit for bit.  These tests pin that across systems, KV dtypes, shard
-shapes, and random workloads (hypothesis), and pin the serving/offline
-traces against the per-step references in ``tests/clock_reference.py``.
+shapes, and random workloads (hypothesis), pin the serving/offline
+traces against the per-step references in ``tests/clock_reference.py``,
+and pin the step-table pricing of epochs that keep their KV on the GPU
+against full planning.
 """
 
 from dataclasses import replace
