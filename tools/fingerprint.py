@@ -2,9 +2,9 @@
 
 Serves a fixed matrix of small configurations and compares everything a
 serve produces — the event journal, every record, the metadata (minus
-``wall_clock_s``) and the summary — plus the rows of three
-``serving_rate_sweep`` configurations and the priced decode epochs of
-every simulator against a committed fixture::
+``wall_clock_s``) and the summary — plus the rows and column order of
+eight ``serving_rate_sweep`` configurations and the priced decode epochs
+of every simulator against a committed fixture::
 
     PYTHONPATH=src python tools/fingerprint.py --check
     PYTHONPATH=src python tools/fingerprint.py --regenerate
@@ -204,8 +204,12 @@ class _FirstTurns:
 
 def _sweeps() -> dict:
     """The ``serving_rate_sweep`` configurations of the host-cost
-    benchmark's three workloads (``perfbench/bench_workloads.py``), on
-    one seed."""
+    benchmark's three workloads (``perfbench/bench_workloads.py``, all on
+    the cluster axis), on one seed, plus five on the parallelism axis:
+    span-traced SLO classes over ``none``/``tp-2``/``pp-2``, sessions
+    with ``retain`` preemption and chunked prefill in streaming mode,
+    a crash outage with retries and shedding, closed-loop sessions with
+    SLO classes, and streaming sessions with SLO classes."""
     seed = 100
     retry = RetryPolicy(max_retries=4, backoff_s=0.05)
     outages = FaultSchedule([
@@ -229,10 +233,37 @@ def _sweeps() -> dict:
             cluster=("2x(none)",), routing="jsq", faults=outages,
             retry=retry, slo_classes=CLASS_SLOS,
             observers=lambda: [SpanTracer()]),
+        "parallelism-spans": dict(
+            rates=(4.0, 16.0), num_requests=16, pattern="bursty",
+            input_len=None, output_len=None, seed=seed,
+            parallelism=("none", "tp-2", "pp-2"), slo_classes=CLASS_SLOS,
+            observers=lambda: [SpanTracer()]),
+        "parallelism-sessions": dict(
+            rates=(4.0,), seed=seed, parallelism=("none", "tp-2"),
+            workload=sessions(24, seed=seed, interactive_fraction=0.5),
+            preemption="retain", prefill_chunk_tokens=128,
+            record_mode="streaming"),
+        "parallelism-faults": dict(
+            rates=(8.0,), num_requests=24, pattern="bursty", seed=seed,
+            parallelism=("none", "tp-2"),
+            faults=FaultSchedule([FaultEvent(0, 0.5, 1.5, mode="crash")]),
+            retry=RetryPolicy(max_retries=2, backoff_s=0.05),
+            shedding=LoadShedder()),
+        "parallelism-closed-loop": dict(
+            rates=(2.0,), seed=seed, parallelism=("none", "tp-2"),
+            workload=sessions(16, seed=seed, interactive_fraction=0.5),
+            closed_loop=True, slo_classes=CLASS_SLOS),
+        "parallelism-streaming-classes": dict(
+            rates=(4.0, 16.0), seed=seed, parallelism=("none", "tp-2"),
+            workload=sessions(16, seed=seed, interactive_fraction=0.5),
+            record_mode="streaming", slo_classes=CLASS_SLOS),
     }
-    return {f"sweep/{name}": {"rows": serving_rate_sweep(
-                model=MODEL, **kwargs).rows}
-            for name, kwargs in configs.items()}
+    sweeps = {}
+    for name, kwargs in configs.items():
+        rows = serving_rate_sweep(model=MODEL, **kwargs).rows
+        # Column order is part of a row: ``diff`` walks dict keys sorted.
+        sweeps[f"sweep/{name}"] = {"columns": list(rows[0]), "rows": rows}
+    return sweeps
 
 
 #: The systems of the epoch pricing tests (``SYSTEM_BUILDERS`` in
