@@ -21,9 +21,15 @@ On top of that sits the **cluster axis**: ``cluster`` entries
 replica groups (:mod:`repro.cluster`) — N sharded replicas behind a
 load-balancing router — and one invocation compares scale-up against
 scale-out at equal total GPU count, per routing policy.
+
+Both axes run through one sweep body: a parallelism entry is served as
+a one-replica cluster (``"tp-2"`` is the layout ``1x(tp-2)``), and only
+a row's label and load columns depend on the axis.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from repro._common import ConfigurationError
 from repro.baselines import BASELINE_SYSTEMS
@@ -34,10 +40,8 @@ from repro.experiments.base import ExperimentResult, register
 from repro.hardware.presets import (
     get_interconnect,
     hardware_for_model,
-    multi_gpu,
     validate_equal_gpu_count,
 )
-from repro.serving import ContinuousBatchingEngine
 from repro.systems.cost import ParallelismSpec
 from repro.workloads.arrivals import generate_requests
 
@@ -151,7 +155,10 @@ def serving_rate_sweep(model: str = "opt-6.7b",
     served on an ``xN`` node derived from the model's preset at equal
     per-GPU memory, joined by the named ``interconnect`` preset; every
     (system, parallelism) pair sees the same arrival traces, so rows are
-    directly comparable across the axis.
+    directly comparable across the axis.  Each entry is served as a
+    one-replica cluster; its rows carry ``parallelism``, ``gpu_count``
+    and the replica's ``peak_reserved_tokens``, ``peak_shard_occupancy``
+    and ``comm_time_share``.
 
     ``cluster`` switches the sweep to the data-parallel axis instead:
     entries (``"tp-4"``, ``"2x(tp-2)"``, ``"4x(tp-1)"``) become
@@ -161,7 +168,10 @@ def serving_rate_sweep(model: str = "opt-6.7b",
     comparison is deterministic.
     ``require_equal_gpus`` (default on) rejects cluster entries that spend
     unequal total GPU counts, keeping the comparison honest; the two axes
-    are mutually exclusive.
+    are mutually exclusive, and an empty one raises.  Cluster rows carry
+    ``cluster``, ``num_replicas``, ``parallelism`` (per replica),
+    ``gpu_count``, ``routing``, ``tokens_imbalance`` and
+    ``dispatch_counts``.
 
     Each system is built once per parallelism/cluster entry and reused
     across the whole sweep, so ALISA's schedule caches stay warm from rate
@@ -211,108 +221,131 @@ def serving_rate_sweep(model: str = "opt-6.7b",
             "closed_loop=True needs a session workload carrying a "
             "closed_loop() source (pass workload=sessions(...))"
         )
-    if cluster is None:
-        if routing is not None:
-            raise ConfigurationError(
-                "routing only applies to the cluster axis; pass "
-                "cluster=(...) alongside it"
-            )
-    else:
-        if tuple(parallelism) != ("none",):
-            raise ConfigurationError(
-                "the cluster and parallelism axes are mutually exclusive; "
-                "put per-replica sharding inside the cluster entries "
-                "(e.g. cluster=('2x(tp-2)',))"
-            )
-        return _cluster_rate_sweep(
-            result, model=model, base_hardware=base_hardware, link=link,
-            schedule_policy=policy, rates=rates, num_requests=num_requests,
-            pattern=pattern, input_len=input_len, output_len=output_len,
-            seed=seed, ttft_slo_s=ttft_slo_s, tpot_slo_s=tpot_slo_s,
-            exact_schedules=exact_schedules,
-            cluster=cluster, routing=routing,
-            pp_microbatches=pp_microbatches,
-            require_equal_gpus=require_equal_gpus,
-            record_mode=record_mode, workload=workload,
-            slo_classes=slo_classes, preemption=preemption,
-            prefill_chunk_tokens=prefill_chunk_tokens,
-            closed_loop=closed_loop, observers=observers,
-            faults=faults, retry=retry, shedding=shedding)
-    engines: dict[tuple[str, str], ContinuousBatchingEngine] = {}
-    specs: dict[str, ParallelismSpec] = {}
-    for entry in parallelism:
-        spec = ParallelismSpec.parse(entry, pp_microbatches=pp_microbatches)
-        specs[spec.label] = spec
-        hardware = multi_gpu(base_hardware, spec.degree, link)
+    scale_out = cluster is not None
+    if not scale_out and routing is not None:
+        raise ConfigurationError(
+            "routing only applies to the cluster axis; pass "
+            "cluster=(...) alongside it"
+        )
+    if scale_out and tuple(parallelism) != ("none",):
+        raise ConfigurationError(
+            "the cluster and parallelism axes are mutually exclusive; "
+            "put per-replica sharding inside the cluster entries "
+            "(e.g. cluster=('2x(tp-2)',))"
+        )
+    routing = "round-robin" if routing is None else routing
+    policies = (routing,) if isinstance(routing, str) else tuple(routing)
+    if not policies:
+        raise ConfigurationError("routing needs at least one policy")
+    axis, entries = (("cluster", cluster) if scale_out
+                     else ("parallelism", parallelism))
+
+    # A parallelism entry is a one-replica cluster: both axes serve
+    # through ReplicaGroups, and only the label and load columns differ.
+    layouts: dict[str, ClusterLayout] = {}
+    for entry in entries:
+        layout = (ClusterLayout.parse(entry, pp_microbatches=pp_microbatches)
+                  if scale_out else
+                  ClusterLayout(parallelism=ParallelismSpec.parse(
+                      entry, pp_microbatches=pp_microbatches)))
+        layouts.setdefault(layout.label, layout)
+    if not layouts:
+        raise ConfigurationError(f"{axis} needs at least one layout entry")
+    if scale_out and require_equal_gpus:
+        validate_equal_gpu_count(*[layout.cluster_spec(base_hardware, link)
+                                   for layout in layouts.values()])
+
+    # Built once per (layout, system) and reused across every rate and
+    # routing policy, so ALISA's schedule caches stay warm for the sweep.
+    groups: dict[tuple[str, str], ReplicaGroup] = {}
+    for label, layout in layouts.items():
         for system_name, build in SERVING_SYSTEMS.items():
-            simulator = _build_simulator(system_name, build, model, hardware,
-                                         spec, policy)
-            engines[(spec.label, system_name)] = \
-                ContinuousBatchingEngine(
-                    simulator, preemption=preemption,
-                    prefill_chunk_tokens=prefill_chunk_tokens)
+            groups[(label, system_name)] = ReplicaGroup.from_layout(
+                partial(_build_simulator, system_name, build, model,
+                        schedule_policy=policy),
+                layout, base_hardware, interconnect=link, seed=seed,
+                preemption=preemption,
+                prefill_chunk_tokens=prefill_chunk_tokens)
+
     for rate in rates:
         # Closed-loop sources are single-use (arrivals are consumed as the
-        # engine feeds completions back), so each serve gets a fresh one.
+        # replicas feed completions back), so each serve gets a fresh one.
         requests = (None if closed_loop else
                     _rate_requests(rate, workload, num_requests, pattern,
                                    seed, input_len, output_len))
-        for (label, system_name), engine in engines.items():
-            spec = specs[label]
-            source = (workload.with_rate(rate).closed_loop()
-                      if closed_loop else requests)
-            trace = engine.serve(source, record_mode=record_mode,
-                                 ttft_slo_s=ttft_slo_s,
-                                 tpot_slo_s=tpot_slo_s,
-                                 class_slos=slo_classes,
-                                 observers=(observers()
-                                            if observers is not None
-                                            else None),
-                                 faults=faults, retry=retry,
-                                 shedding=shedding)
-            summary = trace.summary()
-            solver = trace.metadata.get("scheduler", {})
-            shards = trace.metadata["shards"]
-            result.add(
-                model=model, hardware=engine.simulator.hardware.name,
-                system=system_name, parallelism=label,
-                gpu_count=spec.degree,
-                rate_req_per_s=rate, pattern=pattern,
-                num_requests=summary["num_requests"],
-                duration_s=summary["duration_s"],
-                throughput_tokens_per_s=summary["throughput_tokens_per_s"],
-                goodput_tokens_per_s=trace.goodput(ttft_slo_s=ttft_slo_s,
-                                                   tpot_slo_s=tpot_slo_s),
-                mean_queueing_delay_s=summary["mean_queueing_delay_s"],
-                p50_ttft_s=summary["p50_ttft_s"],
-                p99_ttft_s=summary["p99_ttft_s"],
-                p50_tpot_s=summary["p50_tpot_s"],
-                p99_tpot_s=summary["p99_tpot_s"],
-                p99_latency_s=summary["p99_latency_s"],
-                kv_budget_tokens=trace.metadata["kv_budget_tokens"],
-                peak_reserved_tokens=trace.metadata["peak_reserved_tokens"],
-                peak_shard_occupancy=max(
-                    (shard["peak_occupancy"] for shard in shards),
-                    default=0.0),
-                comm_time_share=trace.metadata["comm_time_share"],
-                prefix_hit_rate=summary["prefix_hit_rate"],
-                num_preemptions=summary["num_preemptions"],
-                p99_preemption_latency_s=summary[
-                    "p99_preemption_latency_s"],
-                prefill_chunks_per_request=summary[
-                    "prefill_chunks_per_request"],
-                **_per_class_columns(trace, slo_classes),
-                **_attribution_columns(trace),
-                **_resilience_columns(trace),
-                **{f"solver_{name}": solver.get(name, 0)
-                   for name in SOLVER_STAT_COLUMNS},
-            )
+        for (label, system_name), group in groups.items():
+            layout = layouts[label]
+            for route_policy in policies:
+                source = (workload.with_rate(rate).closed_loop()
+                          if closed_loop else requests)
+                trace = group.serve(
+                    source, policy=route_policy, seed=seed,
+                    record_mode=record_mode, ttft_slo_s=ttft_slo_s,
+                    tpot_slo_s=tpot_slo_s, class_slos=slo_classes,
+                    observers=observers() if observers is not None else None,
+                    faults=faults, retry=retry, shedding=shedding)
+                summary = trace.summary()
+                solver = trace.metadata.get("scheduler", {})
+                if scale_out:
+                    labels = dict(cluster=label,
+                                  num_replicas=layout.num_replicas,
+                                  parallelism=layout.parallelism.label,
+                                  gpu_count=layout.total_gpus,
+                                  routing=route_policy)
+                    load = dict(
+                        tokens_imbalance=summary["tokens_imbalance"],
+                        dispatch_counts=tuple(
+                            trace.metadata["routing"]["dispatch_counts"]))
+                else:
+                    labels = dict(parallelism=label,
+                                  gpu_count=layout.total_gpus)
+                    replica = trace.replica_traces[0].metadata
+                    load = dict(
+                        peak_reserved_tokens=replica["peak_reserved_tokens"],
+                        peak_shard_occupancy=max(
+                            (shard["peak_occupancy"]
+                             for shard in replica["shards"]), default=0.0),
+                        comm_time_share=replica["comm_time_share"])
+                result.add(
+                    model=model, hardware=group.cluster.node.name,
+                    system=system_name, **labels,
+                    rate_req_per_s=rate, pattern=pattern,
+                    num_requests=summary["num_requests"],
+                    duration_s=summary["duration_s"],
+                    throughput_tokens_per_s=summary[
+                        "throughput_tokens_per_s"],
+                    goodput_tokens_per_s=trace.goodput(
+                        ttft_slo_s=ttft_slo_s, tpot_slo_s=tpot_slo_s),
+                    mean_queueing_delay_s=summary["mean_queueing_delay_s"],
+                    p50_ttft_s=summary["p50_ttft_s"],
+                    p99_ttft_s=summary["p99_ttft_s"],
+                    p50_tpot_s=summary["p50_tpot_s"],
+                    p99_tpot_s=summary["p99_tpot_s"],
+                    p99_latency_s=summary["p99_latency_s"],
+                    kv_budget_tokens=trace.metadata["kv_budget_tokens"],
+                    **load,
+                    prefix_hit_rate=summary["prefix_hit_rate"],
+                    num_preemptions=summary["num_preemptions"],
+                    p99_preemption_latency_s=summary[
+                        "p99_preemption_latency_s"],
+                    prefill_chunks_per_request=summary[
+                        "prefill_chunks_per_request"],
+                    **_per_class_columns(trace, slo_classes),
+                    **_attribution_columns(trace),
+                    **_resilience_columns(trace),
+                    **{f"solver_{name}": solver.get(name, 0)
+                       for name in SOLVER_STAT_COLUMNS},
+                )
     result.notes["ttft_slo_s"] = ttft_slo_s
     result.notes["tpot_slo_s"] = tpot_slo_s
     result.notes["exact_schedules"] = exact_schedules
     result.notes["record_mode"] = record_mode
-    result.notes["parallelism"] = tuple(specs)
+    result.notes[axis] = tuple(layouts)
+    if scale_out:
+        result.notes["routing"] = policies
     result.notes["interconnect"] = link.name
+    if scale_out:
+        result.notes["seed"] = seed
     _note_workload(result, workload, slo_classes, preemption,
                    input_len, output_len,
                    prefill_chunk_tokens=prefill_chunk_tokens,
@@ -322,7 +355,7 @@ def serving_rate_sweep(model: str = "opt-6.7b",
 
 def _rate_requests(rate, workload, num_requests, pattern, seed,
                    input_len, output_len):
-    """The request trace one swept rate serves (shared by both axes)."""
+    """The request trace one swept rate serves."""
     if workload is not None:
         return workload.with_rate(rate).requests()
     return generate_requests(num_requests, rate, pattern=pattern, seed=seed,
@@ -373,7 +406,7 @@ def _resilience_columns(trace) -> dict:
 def _note_workload(result, workload, slo_classes, preemption,
                    input_len, output_len, prefill_chunk_tokens=None,
                    closed_loop=False, faults=None) -> None:
-    """Workload/SLO-class notes shared by both sweep axes."""
+    """Workload, SLO-class and serving-mode notes of a sweep."""
     result.notes["workload"] = ("sessions" if workload is not None
                                 else "single-shot")
     result.notes["slo_classes"] = (dict(slo_classes) if slo_classes else None)
@@ -392,129 +425,15 @@ def _note_workload(result, workload, slo_classes, preemption,
 
 def _build_simulator(system_name, build, model, node, parallelism,
                      schedule_policy):
-    """One serving simulator for a sweep row.
+    """One replica's serving simulator for a sweep row.
 
-    The single place both sweep axes construct systems, so ALISA's serving
-    configuration (``kv_sparsity=0.8`` plus the sweep's schedule policy)
-    can never diverge between the single-node and cluster paths.
+    The single place the sweep constructs systems: ALISA gets its serving
+    configuration (``kv_sparsity=0.8`` plus the sweep's schedule policy),
+    the baselines their registered constructor, each on the replica's
+    node under the layout's parallelism.
     """
     if system_name == "alisa":
         return AlisaSystem(model, node, kv_sparsity=0.8,
                            schedule_policy=schedule_policy,
                            parallelism=parallelism)
     return build(model, node, parallelism=parallelism)
-
-
-def _cluster_rate_sweep(result: ExperimentResult, *, model, base_hardware,
-                        link, schedule_policy, rates, num_requests, pattern,
-                        input_len, output_len, seed, ttft_slo_s, tpot_slo_s,
-                        exact_schedules, cluster, routing,
-                        pp_microbatches, require_equal_gpus,
-                        record_mode="full", workload=None, slo_classes=None,
-                        preemption=None, prefill_chunk_tokens=None,
-                        closed_loop=False, observers=None, faults=None,
-                        retry=None, shedding=None) -> ExperimentResult:
-    """Cluster-axis body of :func:`serving_rate_sweep`.
-
-    One :class:`ReplicaGroup` per (cluster entry, system), reused across
-    every rate and routing policy so the per-replica schedule caches stay
-    warm for the whole sweep.
-    """
-    if routing is None:
-        routing = ("round-robin",)
-    policies = (routing,) if isinstance(routing, str) else tuple(routing)
-    if not policies:
-        raise ConfigurationError("routing needs at least one policy")
-    layouts: dict[str, ClusterLayout] = {}
-    for entry in cluster:
-        layout = ClusterLayout.parse(entry, pp_microbatches=pp_microbatches)
-        layouts.setdefault(layout.label, layout)
-    if not layouts:
-        raise ConfigurationError("cluster needs at least one layout entry")
-    if require_equal_gpus:
-        validate_equal_gpu_count(*[layout.cluster_spec(base_hardware, link)
-                                   for layout in layouts.values()])
-
-    def factory_for(system_name, build):
-        def factory(node, parallelism):
-            return _build_simulator(system_name, build, model, node,
-                                    parallelism, schedule_policy)
-        return factory
-
-    groups: dict[tuple[str, str], ReplicaGroup] = {}
-    for label, layout in layouts.items():
-        for system_name, build in SERVING_SYSTEMS.items():
-            groups[(label, system_name)] = ReplicaGroup.from_layout(
-                factory_for(system_name, build), layout, base_hardware,
-                interconnect=link, seed=seed, preemption=preemption,
-                prefill_chunk_tokens=prefill_chunk_tokens)
-
-    for rate in rates:
-        requests = (None if closed_loop else
-                    _rate_requests(rate, workload, num_requests, pattern,
-                                   seed, input_len, output_len))
-        for (label, system_name), group in groups.items():
-            layout = layouts[label]
-            for route_policy in policies:
-                source = (workload.with_rate(rate).closed_loop()
-                          if closed_loop else requests)
-                trace = group.serve(source, policy=route_policy, seed=seed,
-                                    record_mode=record_mode,
-                                    ttft_slo_s=ttft_slo_s,
-                                    tpot_slo_s=tpot_slo_s,
-                                    class_slos=slo_classes,
-                                    observers=(observers()
-                                               if observers is not None
-                                               else None),
-                                    faults=faults, retry=retry,
-                                    shedding=shedding)
-                summary = trace.summary()
-                solver = trace.metadata.get("scheduler", {})
-                result.add(
-                    model=model, hardware=group.cluster.node.name,
-                    system=system_name, cluster=label,
-                    num_replicas=layout.num_replicas,
-                    parallelism=layout.parallelism.label,
-                    gpu_count=layout.total_gpus, routing=route_policy,
-                    rate_req_per_s=rate, pattern=pattern,
-                    num_requests=summary["num_requests"],
-                    duration_s=summary["duration_s"],
-                    throughput_tokens_per_s=summary[
-                        "throughput_tokens_per_s"],
-                    goodput_tokens_per_s=trace.goodput(
-                        ttft_slo_s=ttft_slo_s, tpot_slo_s=tpot_slo_s),
-                    mean_queueing_delay_s=summary["mean_queueing_delay_s"],
-                    p50_ttft_s=summary["p50_ttft_s"],
-                    p99_ttft_s=summary["p99_ttft_s"],
-                    p50_tpot_s=summary["p50_tpot_s"],
-                    p99_tpot_s=summary["p99_tpot_s"],
-                    p99_latency_s=summary["p99_latency_s"],
-                    kv_budget_tokens=trace.metadata["kv_budget_tokens"],
-                    tokens_imbalance=summary["tokens_imbalance"],
-                    dispatch_counts=tuple(
-                        trace.metadata["routing"]["dispatch_counts"]),
-                    prefix_hit_rate=summary["prefix_hit_rate"],
-                    num_preemptions=summary["num_preemptions"],
-                    p99_preemption_latency_s=summary[
-                        "p99_preemption_latency_s"],
-                    prefill_chunks_per_request=summary[
-                        "prefill_chunks_per_request"],
-                    **_per_class_columns(trace, slo_classes),
-                    **_attribution_columns(trace),
-                    **_resilience_columns(trace),
-                    **{f"solver_{name}": solver.get(name, 0)
-                       for name in SOLVER_STAT_COLUMNS},
-                )
-    result.notes["ttft_slo_s"] = ttft_slo_s
-    result.notes["tpot_slo_s"] = tpot_slo_s
-    result.notes["exact_schedules"] = exact_schedules
-    result.notes["record_mode"] = record_mode
-    result.notes["cluster"] = tuple(layouts)
-    result.notes["routing"] = policies
-    result.notes["interconnect"] = link.name
-    result.notes["seed"] = seed
-    _note_workload(result, workload, slo_classes, preemption,
-                   input_len, output_len,
-                   prefill_chunk_tokens=prefill_chunk_tokens,
-                   closed_loop=closed_loop, faults=faults)
-    return result

@@ -396,3 +396,15 @@ class TestParallelServingSweep:
         for row in result.rows:
             assert row["parallelism"] == "none"
             assert row["gpu_count"] == 1
+
+    @pytest.mark.parametrize("axis, message", [
+        (dict(parallelism=()), "parallelism needs at least one layout"),
+        (dict(cluster=()), "cluster needs at least one layout"),
+        (dict(cluster=("tp-2",), routing=()),
+         "routing needs at least one policy"),
+    ], ids=["parallelism", "cluster", "routing"])
+    def test_empty_axis_is_rejected(self, axis, message):
+        # An empty axis would otherwise return a sweep with no rows.
+        with pytest.raises(ConfigurationError, match=message):
+            run_experiment("serving_rate_sweep", rates=(4.0,),
+                           num_requests=4, **axis)
