@@ -163,11 +163,6 @@ class EpochTimings:
     def num_steps(self) -> int:
         return len(self.phases)
 
-    @property
-    def pcie_bytes(self) -> float:
-        """Total PCIe traffic of the full epoch (reporting helper)."""
-        return float(np.sum(self.h2d_bytes) + np.sum(self.d2h_bytes))
-
 
 class InferenceSimulator(ABC):
     """Base class: runs the prefill + decode loop over step plans."""
