@@ -299,15 +299,22 @@ class ReplicaGroup:
             # Routing pre-pass (pure, independent of simulation) so each
             # replica's KV-budget probe sees exactly its share's length
             # maxima — identical budgets to serving the shares directly.
-            dispatch, _ = self._route_fn(policy, seed)
-            indices = [dispatch(request) for request in ordered]
-            share_bounds = [None] * self.num_replicas
-            counts = [0] * self.num_replicas
-            for request, index in zip(ordered, indices):
-                counts[index] += 1
-                max_input, max_output = share_bounds[index] or (0, 0)
-                share_bounds[index] = (max(max_input, request.input_len),
-                                       max(max_output, request.output_len))
+            dispatch, _ = self._route_fn(policy, seed)  # validates policy
+            if self.num_replicas == 1:
+                # Every policy sends the whole list to the one replica.
+                indices = [0] * len(ordered)
+                share_bounds = [source.length_bounds]
+                counts = [len(ordered)]
+            else:
+                indices = [dispatch(request) for request in ordered]
+                share_bounds = [None] * self.num_replicas
+                counts = [0] * self.num_replicas
+                for request, index in zip(ordered, indices):
+                    counts[index] += 1
+                    max_input, max_output = share_bounds[index] or (0, 0)
+                    share_bounds[index] = (
+                        max(max_input, request.input_len),
+                        max(max_output, request.output_len))
             replay = iter(indices)
             route = lambda request: next(replay)  # noqa: E731
             router = None

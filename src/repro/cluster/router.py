@@ -37,6 +37,7 @@ run-to-run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappop, heappush
 
 from repro._common import ConfigurationError, rng, validate_positive
@@ -97,12 +98,6 @@ class Router:
         self.num_replicas = num_replicas
         self.policy = policy
         self.seed = seed
-        # Tie-break preference: a seeded permutation fixed for the router's
-        # lifetime.  `_preference[i]` is replica i's rank; among equally
-        # loaded replicas the lowest rank wins, so ties resolve identically
-        # run-to-run for the same seed (and differently across seeds).
-        self._preference = [int(rank)
-                            for rank in rng(seed).permutation(num_replicas)]
         self._loads = [_ReplicaLoad() for _ in range(num_replicas)]
         self._rr_next = 0
         #: session-affinity pins: ``session_id -> replica index``.
@@ -111,6 +106,17 @@ class Router:
         #: candidate set until :meth:`mark_up`.  Empty on fault-free serves,
         #: so health filtering never perturbs their routing.
         self._down: set[int] = set()
+
+    @cached_property
+    def _preference(self) -> list[int]:
+        """Tie-break preference: a seeded permutation fixed for the
+        router's lifetime.  ``_preference[i]`` is replica i's rank; among
+        equally loaded replicas the lowest rank wins, so ties resolve
+        identically run-to-run for the same seed (and differently across
+        seeds).  Drawn on the first tie-break: round-robin never needs it.
+        """
+        return [int(rank)
+                for rank in rng(self.seed).permutation(self.num_replicas)]
 
     # ------------------------------------------------------------------ #
     # replica health (driven by repro.faults.FaultCoordinator)
@@ -158,7 +164,10 @@ class Router:
             while index in self._down:
                 index = (index + 1) % self.num_replicas
             self._rr_next = (index + 1) % self.num_replicas
-        elif self.policy == "jsq":
+            # Round-robin never reads load state: count the dispatch only.
+            self._loads[index].dispatched += 1
+            return index
+        if self.policy == "jsq":
             index = self._argmin(
                 lambda i: self._loads[i].outstanding_tokens(clock))
         elif self.policy == "session-affinity":

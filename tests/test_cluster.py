@@ -288,6 +288,22 @@ class TestReplicaGroup:
         assert cluster_trace.tokens_imbalance == 1.0
 
     @pytest.mark.parametrize("policy", ROUTING_POLICIES)
+    def test_single_replica_serves_like_direct_serve_under_every_policy(
+            self, policy):
+        requests = generate_requests(12, rate=16.0, pattern="bursty",
+                                     seed=5)
+        single = group("none")
+        direct = ContinuousBatchingEngine(
+            alisa_factory(V100_16GB_NODE, ParallelismSpec())).serve(requests)
+        trace = single.serve(requests, policy=policy)
+        assert trace.records == direct.records
+        assert (trace.metadata["kv_budget_tokens"]
+                == direct.metadata["kv_budget_tokens"])
+        assert trace.metadata["routing"]["dispatch_counts"] == [12]
+        with pytest.raises(ConfigurationError, match="routing policy"):
+            single.serve(requests, policy="random")
+
+    @pytest.mark.parametrize("policy", ROUTING_POLICIES)
     def test_bursty_trace_completes_under_every_policy(self, policy):
         requests = generate_requests(24, rate=16.0, pattern="bursty",
                                      seed=1)  # ShareGPT-style lengths
