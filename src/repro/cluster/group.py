@@ -263,7 +263,8 @@ class ReplicaGroup:
         record per request; ``"streaming"`` a
         :class:`~repro.cluster.trace.StreamingClusterTrace` in O(1) memory
         whose goodput SLOs are fixed by ``ttft_slo_s``/``tpot_slo_s`` (and,
-        per SLO class, by ``class_slos``).
+        per SLO class, by ``class_slos``); in full mode those SLOs are the
+        default ones.
         ``metadata["routing"]`` records the policy, seed, and per-replica
         dispatch counts, ``metadata["replicas"]`` the per-replica
         breakdowns.  ``event_journal``, when given, receives every
@@ -360,7 +361,8 @@ class ReplicaGroup:
                     _feedback(record)
         runs = [engine.start_run(
                     engine.make_trace(record_mode, ttft_slo_s, tpot_slo_s,
-                                      quantiles=() if streaming else None),
+                                      quantiles=() if streaming else None,
+                                      class_slos=class_slos),
                     *(share or (None, None)), observer=observer,
                     eager_epochs=feedback is not None, observers=observers,
                     replica=index, fault_mode=faults is not None)
@@ -426,7 +428,8 @@ class ReplicaGroup:
         else:
             cluster_trace = ClusterTrace.merge(
                 traces, system=simulator.name, model=simulator.config.name,
-                metadata=metadata)
+                metadata=metadata, ttft_slo_s=ttft_slo_s,
+                tpot_slo_s=tpot_slo_s, class_slos=class_slos)
         if coordinator is not None:
             coordinator.complete(cluster_trace, self.num_replicas)
         if streaming:

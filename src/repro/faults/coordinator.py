@@ -228,9 +228,7 @@ class FaultCoordinator:
         terminal records in ``(completion_time, request_id)`` order, then
         write ``metadata["resilience"]`` over the resulting duration."""
         if self._record_sink is None:
-            trace.records.extend(self.records)
-            trace.records.sort(
-                key=lambda r: (r.completion_time, r.request_id))
+            trace.extend_sorted(self.records)
         trace.metadata["resilience"] = self.resilience(trace.duration,
                                                        num_replicas)
 

@@ -33,7 +33,6 @@ from repro.serving.events import (
 from repro.serving.sketches import (
     DEFAULT_QUANTILES,
     P2Quantile,
-    StreamingGoodput,
     StreamingMean,
     StreamingPercentiles,
     StreamingTrace,
@@ -41,6 +40,7 @@ from repro.serving.sketches import (
 from repro.serving.trace import (
     RequestRecord,
     ServingTrace,
+    StreamingGoodput,
     normalize_class_slos,
 )
 from repro.workloads.arrivals import Request, RequestStream

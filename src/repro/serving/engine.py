@@ -30,8 +30,10 @@ scheduler-cache counters.
 ``record_mode="streaming"`` swaps the retained trace for a
 :class:`~repro.serving.sketches.StreamingTrace`: the same summary surface,
 O(1) memory, percentiles estimated by P² sketches, and goodput SLOs fixed
-at serve time (``ttft_slo_s``/``tpot_slo_s``).  Everything except the
-percentile estimates is exact and identical to the retained trace.
+at serve time (``ttft_slo_s``/``tpot_slo_s``).  Both modes read every
+exact figure from one :class:`~repro.serving.trace.TraceTotals` fold, so
+everything except the percentile estimates is identical to the retained
+trace whenever both fold the records in the same order.
 
 Event-driven core
 -----------------
@@ -125,11 +127,7 @@ from repro.serving.events import (ADMISSION, COMPLETION, EPOCH_BOUNDARY,
                                   check_observers, check_serve, drive,
                                   notify_finish, observer_hooks)
 from repro.serving.sketches import DEFAULT_QUANTILES, StreamingTrace
-from repro.serving.trace import (
-    RequestRecord,
-    ServingTrace,
-    normalize_class_slos,
-)
+from repro.serving.trace import RequestRecord, ServingTrace
 from repro.systems.memory import MemoryHierarchy, PCIeLink
 from repro.systems.simulator import InferenceSimulator
 from repro.workloads.arrivals import SLO_CLASSES, Request
@@ -691,8 +689,8 @@ class ContinuousBatchingEngine:
         ``"streaming"`` returns a
         :class:`~repro.serving.sketches.StreamingTrace` with the same
         summary surface in O(1) memory — ``ttft_slo_s``/``tpot_slo_s`` fix
-        the goodput SLOs the streaming trace will answer for (ignored in
-        full mode, where goodput is computed from the retained records).
+        the goodput SLOs the streaming trace will answer for (in full mode
+        they are the default, and the retained records answer any other).
 
         The serve is event-driven (:class:`EngineRun` +
         :func:`~repro.serving.events.drive`).
@@ -700,8 +698,8 @@ class ContinuousBatchingEngine:
         ``class_slos`` fixes the per-``slo_class`` goodput SLOs that
         :meth:`~repro.serving.sketches.StreamingTrace.per_class_summary`
         will answer for.  Like the scalar SLOs it only *binds* in
-        streaming mode (full mode computes per-class figures from the
-        retained records on demand), but it is validated in both.
+        streaming mode (full mode refolds its retained records for other
+        class SLOs), but it is validated in both.
 
         ``observers`` is an optional list of :class:`repro.obs.Observer`
         instances receiving every simulated-time event (see
@@ -785,13 +783,10 @@ class ContinuousBatchingEngine:
                                     "label": parallelism.label},
                     "record_mode": record_mode}
         if record_mode == "full":
-            # Full mode derives per-class figures from the retained records
-            # on demand, but a malformed mapping should fail here, exactly
-            # as it would have in streaming mode.
-            normalize_class_slos(class_slos)
             return ServingTrace(system=self.simulator.name,
                                 model=self.simulator.config.name,
-                                metadata=metadata)
+                                metadata=metadata, ttft_slo_s=ttft_slo_s,
+                                tpot_slo_s=tpot_slo_s, class_slos=class_slos)
         if record_mode == "streaming":
             return StreamingTrace(system=self.simulator.name,
                                   model=self.simulator.config.name,

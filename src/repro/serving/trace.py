@@ -19,9 +19,10 @@ latency definitions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro._common import ConfigurationError
-from repro.evaluation.metrics import percentiles, serving_goodput
+from repro.evaluation.metrics import percentiles
 from repro.workloads.arrivals import SLO_CLASSES
 
 #: Terminal states a request can reach.  Every arrival terminates as
@@ -162,24 +163,201 @@ class RequestRecord:
         return self.completion_time - self.arrival_time
 
 
+class StreamingGoodput:
+    """Tokens from SLO-compliant requests, folded record by record.
+
+    Mirrors :func:`repro.evaluation.metrics.serving_goodput` (a request is
+    compliant when ``ttft <= ttft_slo_s`` and ``tpot <= tpot_slo_s``; a
+    ``None`` SLO leaves that dimension unconstrained) — but the judgment is
+    made when each record is observed, so the SLOs are fixed up front.
+    Every trace goodput, trace-wide or per class, in either record mode,
+    is judged here.
+    """
+
+    __slots__ = ("ttft_slo_s", "tpot_slo_s", "good_tokens")
+
+    def __init__(self, ttft_slo_s: float | None = None,
+                 tpot_slo_s: float | None = None) -> None:
+        self.ttft_slo_s = ttft_slo_s
+        self.tpot_slo_s = tpot_slo_s
+        self.good_tokens = 0
+
+    def observe(self, record: RequestRecord) -> None:
+        self.observe_latencies(record.ttft, record.tpot, record.output_len)
+
+    def observe_latencies(self, ttft: float, tpot: float,
+                          output_len: int) -> None:
+        """:meth:`observe` from a record's already-derived figures."""
+        if self.ttft_slo_s is not None and ttft > self.ttft_slo_s:
+            return
+        if self.tpot_slo_s is not None and tpot > self.tpot_slo_s:
+            return
+        self.good_tokens += output_len
+
+    def goodput(self, duration_s: float) -> float:
+        if duration_s <= 0:
+            return 0.0
+        return self.good_tokens / duration_s
+
+
+class TraceTotals:
+    """Every exact figure of a trace, folded one record at a time.
+
+    Both record modes read their counts, token totals, makespan, mean
+    delays, goodput, per-class tables, prefix hits, preemptions and chunks
+    from one of these; only :meth:`fold` computes them.  A streaming trace
+    folds each record as it is observed; a full trace folds its retained
+    records in their final order.  Float totals are left-to-right ``+=``
+    sums, so two traces that fold the same records in the same order agree
+    bit for bit.
+
+    ``classes`` holds one accumulator per SLO class seen, judged against
+    that class's entry of ``class_slos``.  A class accumulator tallies only
+    the figures :meth:`ServingTrace.per_class_summary` reports
+    (``completed``, ``tokens``, ``ttft_total``, ``queueing_total``,
+    ``goodput``); its trace-wide fields stay zero.
+    """
+
+    __slots__ = ("class_slos", "count", "completed", "failed", "shed",
+                 "retries", "tokens", "duration", "ttft_total",
+                 "queueing_total", "goodput", "classes", "prefix_bearing",
+                 "prefix_hits", "preemptions", "prefill_chunks")
+
+    def __init__(self, ttft_slo_s: float | None = None,
+                 tpot_slo_s: float | None = None,
+                 class_slos: dict | None = None) -> None:
+        self.class_slos = class_slos or {}
+        self.count = self.completed = self.failed = self.shed = 0
+        self.retries = self.tokens = 0
+        self.duration = self.ttft_total = self.queueing_total = 0.0
+        self.goodput = StreamingGoodput(ttft_slo_s, tpot_slo_s)
+        self.classes: dict[str, TraceTotals] = {}
+        self.prefix_bearing = self.prefix_hits = 0
+        self.preemptions = self.prefill_chunks = 0
+
+    def fold(self, record: RequestRecord) \
+            -> tuple[float, float, float, float] | None:
+        """Fold one terminated request; return its ``(ttft, tpot,
+        e2e_latency, queueing_delay)`` when it completed, else ``None``.
+
+        ``failed``/``shed`` records (fault injection only) extend the
+        makespan and the resilience counters but no latency or token
+        figure: they never generated tokens.  The derived figures are
+        computed once, with the float expressions of the
+        :class:`RequestRecord` properties.
+        """
+        self.count += 1
+        self.retries += record.retries
+        completion = record.completion_time
+        if completion > self.duration:
+            self.duration = completion
+        status = record.status
+        if status != "completed":
+            if status == "failed":
+                self.failed += 1
+            else:
+                self.shed += 1
+            return None
+        arrival = record.arrival_time
+        first = record.first_token_time
+        output_len = record.output_len
+        queueing = record.admission_time - arrival
+        ttft = first - arrival
+        tpot = ((completion - first) / (output_len - 1)
+                if output_len > 1 else 0.0)
+        self._tally(output_len, ttft, tpot, queueing)
+        slo_class = record.slo_class
+        totals = self.classes.get(slo_class)
+        if totals is None:
+            totals = self.classes[slo_class] = TraceTotals(
+                *self.class_slos.get(slo_class, (None, None)))
+        totals._tally(output_len, ttft, tpot, queueing)
+        if record.prefix_len > 0:
+            self.prefix_bearing += 1
+            self.prefix_hits += record.prefix_hit
+        self.preemptions += record.preemptions
+        self.prefill_chunks += record.prefill_chunks
+        return ttft, tpot, completion - arrival, queueing
+
+    def _tally(self, output_len: int, ttft: float, tpot: float,
+               queueing: float) -> None:
+        """The completed-request figures both trace and class keep."""
+        self.completed += 1
+        self.tokens += output_len
+        self.ttft_total += ttft
+        self.queueing_total += queueing
+        self.goodput.observe_latencies(ttft, tpot, output_len)
+
+
 @dataclass
 class ServingTrace:
-    """End-to-end record of one simulated serving run."""
+    """End-to-end record of one simulated serving run.
+
+    Every exact figure (counts, tokens, makespan, means, goodput, the
+    per-class table) is read from one :class:`TraceTotals` fold of
+    ``records``, made on the first read in the records' final order and
+    kept.  Records reach the trace through :meth:`observe` or
+    :meth:`extend_sorted`, which drop the kept fold; ``records`` itself is
+    not to be mutated once a figure has been read.  The fold judges
+    goodput against ``ttft_slo_s``/``tpot_slo_s`` and ``class_slos`` (the
+    serve's SLOs); :meth:`goodput` and :meth:`per_class_summary` at other
+    SLOs make one fresh fold each.
+
+    :class:`~repro.serving.sketches.StreamingTrace` is the same summary
+    over a fold made as records arrive, with no records retained.
+    """
 
     system: str
     model: str
-    records: list[RequestRecord] = field(default_factory=list)
+    records: list[RequestRecord] | None = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
+    ttft_slo_s: float | None = None
+    tpot_slo_s: float | None = None
+    class_slos: dict | None = None
+    _folded: TraceTotals | None = field(default=None, init=False,
+                                        repr=False, compare=False)
 
-    def add_record(self, record: RequestRecord) -> None:
-        self.records.append(record)
+    def __post_init__(self) -> None:
+        self.class_slos = normalize_class_slos(self.class_slos)
 
     def observe(self, record: RequestRecord) -> None:
-        """Record-sink entry point shared with
-        :class:`~repro.serving.sketches.StreamingTrace` — the serving
-        engine writes completions through ``observe`` so either record
-        mode can sit behind it."""
+        """Record sink: retain ``record``.  The serving engine writes
+        completions through ``observe`` so either record mode can sit
+        behind it."""
         self.records.append(record)
+        self._folded = None
+
+    def extend_sorted(self, records) -> None:
+        """Add ``records`` and put every record in ``(completion_time,
+        request_id)`` order, the final order summaries fold (a
+        fault-injected serve adds its failed and shed records this way)."""
+        self.records.extend(records)
+        self.records.sort(key=lambda r: (r.completion_time, r.request_id))
+        self._folded = None
+
+    # ------------------------------------------------------------------ #
+    # the fold
+    # ------------------------------------------------------------------ #
+    def _fold(self, ttft_slo_s, tpot_slo_s, class_slos) -> TraceTotals:
+        totals = TraceTotals(ttft_slo_s, tpot_slo_s, class_slos)
+        for record in self.records:
+            totals.fold(record)
+        return totals
+
+    @property
+    def _totals(self) -> TraceTotals:
+        if self._folded is None:
+            self._folded = self._fold(self.ttft_slo_s, self.tpot_slo_s,
+                                      self.class_slos)
+        return self._folded
+
+    def _totals_for(self, ttft_slo_s, tpot_slo_s,
+                    class_slos: dict) -> TraceTotals:
+        """Totals whose goodput is judged against the given SLOs."""
+        if (ttft_slo_s, tpot_slo_s, class_slos) == \
+                (self.ttft_slo_s, self.tpot_slo_s, self.class_slos):
+            return self._totals
+        return self._fold(ttft_slo_s, tpot_slo_s, class_slos)
 
     # ------------------------------------------------------------------ #
     # aggregate metrics
@@ -187,7 +365,7 @@ class ServingTrace:
     @property
     def num_requests(self) -> int:
         """Every terminated request, whatever its status."""
-        return len(self.records)
+        return self._totals.count
 
     @property
     def completed_records(self) -> list[RequestRecord]:
@@ -203,52 +381,52 @@ class ServingTrace:
     @property
     def duration(self) -> float:
         """Makespan: serve start (t=0) to the last request's termination."""
-        if not self.records:
-            return 0.0
-        return max(record.completion_time for record in self.records)
+        return self._totals.duration
 
     @property
     def generated_tokens(self) -> int:
-        return sum(record.output_len for record in self.completed_records)
+        return self._totals.tokens
 
     @property
     def throughput(self) -> float:
         """Generated tokens per second over the whole run (0 when empty)."""
-        if self.duration <= 0:
+        totals = self._totals
+        if totals.duration <= 0:
             return 0.0
-        return self.generated_tokens / self.duration
+        return totals.tokens / totals.duration
+
+    def _percentiles(self, figure: str, qs) -> dict[float, float]:
+        """Exact percentiles of one :class:`RequestRecord` figure over the
+        completed records (``{}`` when none completed)."""
+        records = self.completed_records
+        if not records:
+            return {}
+        return percentiles(map(attrgetter(figure), records), qs)
 
     def ttft_percentiles(self, qs=(50, 90, 99)) -> dict[float, float]:
-        records = self.completed_records
-        if not records:
-            return {}
-        return percentiles((r.ttft for r in records), qs)
+        return self._percentiles("ttft", qs)
 
     def tpot_percentiles(self, qs=(50, 90, 99)) -> dict[float, float]:
-        records = self.completed_records
-        if not records:
-            return {}
-        return percentiles((r.tpot for r in records), qs)
+        return self._percentiles("tpot", qs)
 
     def latency_percentiles(self, qs=(50, 90, 99)) -> dict[float, float]:
-        records = self.completed_records
-        if not records:
-            return {}
-        return percentiles((r.e2e_latency for r in records), qs)
+        return self._percentiles("e2e_latency", qs)
 
     def goodput(self, ttft_slo_s: float | None = None,
                 tpot_slo_s: float | None = None) -> float:
-        """SLO-conditioned token goodput (tokens per second)."""
-        return serving_goodput(self.completed_records, self.duration,
-                               ttft_slo_s=ttft_slo_s, tpot_slo_s=tpot_slo_s)
+        """SLO-conditioned token goodput (tokens per second); with no SLO
+        it equals :attr:`throughput`."""
+        if ttft_slo_s is None and tpot_slo_s is None:
+            return self.throughput
+        totals = self._totals_for(ttft_slo_s, tpot_slo_s, self.class_slos)
+        return totals.goodput.goodput(totals.duration)
 
     @property
     def mean_queueing_delay(self) -> float:
-        records = self.completed_records
-        if not records:
+        totals = self._totals
+        if totals.completed == 0:
             return 0.0
-        return (sum(r.queueing_delay for r in records)
-                / len(records))
+        return totals.queueing_total / totals.completed
 
     # ------------------------------------------------------------------ #
     # resilience accounting (fault injection; all zero without faults)
@@ -256,17 +434,17 @@ class ServingTrace:
     @property
     def num_failed(self) -> int:
         """Requests that exhausted their retry budget under failures."""
-        return sum(1 for r in self.records if r.status == "failed")
+        return self._totals.failed
 
     @property
     def num_shed(self) -> int:
         """Requests dropped by degraded-mode load shedding."""
-        return sum(1 for r in self.records if r.status == "shed")
+        return self._totals.shed
 
     @property
     def num_retries(self) -> int:
         """Total re-dispatches across all terminated requests."""
-        return sum(r.retries for r in self.records)
+        return self._totals.retries
 
     # ------------------------------------------------------------------ #
     # session / SLO-class columns
@@ -278,17 +456,15 @@ class ServingTrace:
         Only requests that declared a shared prefix (``prefix_len > 0``)
         count; a trace with no session turns reports 0.0.
         """
-        bearing = hits = 0
-        for record in self.completed_records:
-            if record.prefix_len > 0:
-                bearing += 1
-                hits += record.prefix_hit
-        return hits / bearing if bearing else 0.0
+        totals = self._totals
+        if totals.prefix_bearing == 0:
+            return 0.0
+        return totals.prefix_hits / totals.prefix_bearing
 
     @property
     def num_preemptions(self) -> int:
         """Total preemptions suffered across all completed requests."""
-        return sum(record.preemptions for record in self.completed_records)
+        return self._totals.preemptions
 
     @property
     def preemption_waits(self) -> list[float]:
@@ -315,11 +491,10 @@ class ServingTrace:
     @property
     def prefill_chunks_per_request(self) -> float:
         """Mean prefill chunks per request (0.0 when chunking is off)."""
-        records = self.completed_records
-        if not records:
+        totals = self._totals
+        if totals.completed == 0:
             return 0.0
-        return (sum(record.prefill_chunks for record in records)
-                / len(records))
+        return totals.prefill_chunks / totals.completed
 
     def per_class_summary(self, class_slos: dict | None = None) -> dict:
         """Per-SLO-class breakdown: ``{slo_class: {metric: value}}``.
@@ -331,25 +506,25 @@ class ServingTrace:
         Goodput divides by the whole trace's duration, so class columns sum
         to the trace totals.
         """
-        slos = normalize_class_slos(class_slos)
-        grouped: dict[str, list[RequestRecord]] = {}
-        for record in self.completed_records:
-            grouped.setdefault(record.slo_class, []).append(record)
-        duration = self.duration
+        requested = normalize_class_slos(class_slos)
+        totals = (self._totals_for(self.ttft_slo_s, self.tpot_slo_s,
+                                   requested)
+                  if requested else self._totals)
+        duration = totals.duration
         out = {}
-        for name in sorted(grouped):
-            records = grouped[name]
-            ttft_slo_s, tpot_slo_s = slos.get(name, (None, None))
+        for name in sorted(totals.classes):
+            group = totals.classes[name]
+            if requested:
+                goodput = group.goodput.goodput(duration)
+            else:
+                goodput = group.tokens / duration if duration > 0 else 0.0
             out[name] = {
-                "num_requests": len(records),
-                "generated_tokens": sum(r.output_len for r in records),
-                "goodput_tokens_per_s": serving_goodput(
-                    records, duration, ttft_slo_s=ttft_slo_s,
-                    tpot_slo_s=tpot_slo_s),
-                "mean_ttft_s": sum(r.ttft for r in records) / len(records),
-                "mean_queueing_delay_s": (sum(r.queueing_delay
-                                              for r in records)
-                                          / len(records)),
+                "num_requests": group.completed,
+                "generated_tokens": group.tokens,
+                "goodput_tokens_per_s": goodput,
+                "mean_ttft_s": group.ttft_total / group.completed,
+                "mean_queueing_delay_s": (group.queueing_total
+                                          / group.completed),
             }
         return out
 

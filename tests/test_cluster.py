@@ -303,6 +303,14 @@ class TestReplicaGroup:
         with pytest.raises(ConfigurationError, match="routing policy"):
             single.serve(requests, policy="random")
 
+    @pytest.mark.parametrize("record_mode", ["full", "streaming"])
+    def test_malformed_class_slos_raise_in_both_record_modes(
+            self, record_mode):
+        requests = generate_requests(4, rate=16.0, seed=5)
+        with pytest.raises(ConfigurationError, match="slo_class"):
+            group("2x(none)").serve(requests, record_mode=record_mode,
+                                    class_slos={"premium": (1.0, 0.1)})
+
     @pytest.mark.parametrize("policy", ROUTING_POLICIES)
     def test_bursty_trace_completes_under_every_policy(self, policy):
         requests = generate_requests(24, rate=16.0, pattern="bursty",

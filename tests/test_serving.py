@@ -152,10 +152,28 @@ class TestServingMetrics:
     def test_trace_percentiles_match_numpy(self):
         trace = ServingTrace(system="s", model="m")
         for i, ttft in enumerate((0.1, 0.4, 0.2, 0.9, 0.3)):
-            trace.add_record(self._record(i, ttft=ttft, tpot=0.01))
+            trace.observe(self._record(i, ttft=ttft, tpot=0.01))
         ttfts = [r.ttft for r in trace.records]
         assert trace.ttft_percentiles()[99.0] == np.percentile(ttfts, 99)
         assert trace.ttft_percentiles()[50.0] == np.percentile(ttfts, 50)
+
+    def test_trace_refolds_after_new_records(self):
+        # Figures are folded once and kept; each way records reach the
+        # trace must drop the kept fold, and extend_sorted must leave the
+        # records in (completion_time, request_id) order.
+        trace = ServingTrace(system="s", model="m")
+        trace.observe(self._record(0, ttft=0.5, tpot=0.1))
+        assert (trace.num_requests, trace.generated_tokens) == (1, 10)
+        trace.observe(self._record(1, ttft=0.2, tpot=0.1))
+        assert (trace.num_requests, trace.generated_tokens) == (2, 20)
+        shed = RequestRecord(request_id=2, arrival_time=0.5,
+                             admission_time=1.0, first_token_time=1.0,
+                             completion_time=1.0, input_len=8,
+                             output_len=10, status="shed")
+        trace.extend_sorted([shed])
+        assert [r.request_id for r in trace.records] == [2, 1, 0]
+        assert (trace.num_requests, trace.num_shed,
+                trace.generated_tokens) == (3, 1, 20)
 
 
 class TestContinuousBatchingEngine:

@@ -12,12 +12,16 @@ from repro.serving.sketches import (
     _FOLD_BUFFER,
     DEFAULT_QUANTILES,
     P2Quantile,
-    StreamingGoodput,
     StreamingMean,
     StreamingPercentiles,
     StreamingTrace,
 )
-from repro.serving.trace import RequestRecord, ServingTrace
+from repro.serving.trace import (
+    RequestRecord,
+    ServingTrace,
+    StreamingGoodput,
+    normalize_class_slos,
+)
 from repro.workloads.arrivals import SLO_CLASSES
 
 
@@ -90,41 +94,51 @@ class UnbufferedBank(StreamingPercentiles):
             estimator.observe(value)
 
 
-class ReferenceTrace(StreamingTrace):
-    """Reference record fold: every figure read through the record's
-    properties, one accumulator method call per figure, unbuffered P²
-    banks — the per-accumulator path :meth:`StreamingTrace.observe` must
+class ReferenceTrace:
+    """Reference record fold, independent of the trace classes: every
+    figure read through the record's properties, one accumulator per
+    figure (:class:`StreamingMean`, :class:`StreamingGoodput`, unbuffered
+    P² banks) — what the one fold of :class:`StreamingTrace` must
     reproduce exactly."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        if self._quantiles is not None:
-            self._ttft = UnbufferedBank(self._quantiles)
-            self._tpot = UnbufferedBank(self._quantiles)
-            self._latency = UnbufferedBank(self._quantiles)
-        self._queueing = StreamingMean()
-        self._reference_classes = {}
+    def __init__(self, system, model, quantiles=DEFAULT_QUANTILES,
+                 ttft_slo_s=None, tpot_slo_s=None, class_slos=None):
+        self.system, self.model = system, model
+        self.slos = (ttft_slo_s, tpot_slo_s)
+        self.class_slos = normalize_class_slos(class_slos)
+        self.banks = ([UnbufferedBank(quantiles) for _ in range(3)]
+                      if quantiles else None)
+        self.preempt_wait = P2Quantile(0.99) if quantiles else None
+        self.count = self.failed = self.shed = self.retries = 0
+        self.tokens = 0
+        self.duration = 0.0
+        self.queueing = StreamingMean()
+        self.chunks = StreamingMean()
+        self.good = StreamingGoodput(ttft_slo_s, tpot_slo_s)
+        self.classes = {}
+        self.prefix_bearing = self.prefix_hits = self.preemptions = 0
 
     def observe(self, record):
-        self._count += 1
-        self._retries += record.retries
-        if record.completion_time > self._duration:
-            self._duration = record.completion_time
+        self.count += 1
+        self.retries += record.retries
+        self.duration = max(self.duration, record.completion_time)
         if record.status != "completed":
             if record.status == "failed":
-                self._failed += 1
+                self.failed += 1
             else:
-                self._shed += 1
+                self.shed += 1
             return
-        self._completed += 1
-        self._tokens += record.output_len
-        self._queueing.observe(record.queueing_delay)
-        self._goodput.observe(record)
-        if self._ttft is not None:
-            self._ttft.observe(record.ttft)
-            self._tpot.observe(record.tpot)
-            self._latency.observe(record.e2e_latency)
-        accumulator = self._reference_classes.get(record.slo_class)
+        self.tokens += record.output_len
+        self.queueing.observe(record.queueing_delay)
+        self.chunks.observe(record.prefill_chunks)
+        self.good.observe(record)
+        if self.banks is not None:
+            for bank, value in zip(self.banks, (record.ttft, record.tpot,
+                                                record.e2e_latency)):
+                bank.observe(value)
+            if record.preempting:
+                self.preempt_wait.observe(record.queueing_delay)
+        accumulator = self.classes.get(record.slo_class)
         if accumulator is None:
             ttft_slo_s, tpot_slo_s = self.class_slos.get(record.slo_class,
                                                          (None, None))
@@ -132,43 +146,76 @@ class ReferenceTrace(StreamingTrace):
                            "queueing": StreamingMean(),
                            "goodput": StreamingGoodput(ttft_slo_s,
                                                        tpot_slo_s)}
-            self._reference_classes[record.slo_class] = accumulator
+            self.classes[record.slo_class] = accumulator
         accumulator["tokens"] += record.output_len
         accumulator["ttft"].observe(record.ttft)
         accumulator["queueing"].observe(record.queueing_delay)
         accumulator["goodput"].observe(record)
         if record.prefix_len > 0:
-            self._prefix_bearing += 1
-            self._prefix_hits += record.prefix_hit
-        self._preemptions += record.preemptions
-        self._prefill_chunks += record.prefill_chunks
-        if record.preempting and self._preempt_wait is not None:
-            self._preempt_wait.observe(record.queueing_delay)
+            self.prefix_bearing += 1
+            self.prefix_hits += record.prefix_hit
+        self.preemptions += record.preemptions
+
+    def rate(self, tokens):
+        return tokens / self.duration if self.duration > 0 else 0.0
+
+    def goodput(self, ttft_slo_s=None, tpot_slo_s=None):
+        if ttft_slo_s is None and tpot_slo_s is None:
+            return self.rate(self.tokens)
+        assert (ttft_slo_s, tpot_slo_s) == self.slos
+        return self.good.goodput(self.duration)
 
     @property
-    def mean_queueing_delay(self):
-        return self._queueing.mean
+    def p99_preemption_latency(self):
+        if self.preempt_wait is None or self.preempt_wait.count == 0:
+            return 0.0
+        return self.preempt_wait.value
 
     def per_class_summary(self, class_slos=None):
-        super().per_class_summary(class_slos)  # the same SLO validation
-        unconstrained = not class_slos
-        duration = self._duration
+        constrained = bool(normalize_class_slos(class_slos))
+        if constrained:
+            assert normalize_class_slos(class_slos) == self.class_slos
         out = {}
-        for name in sorted(self._reference_classes):
-            accumulator = self._reference_classes[name]
-            if unconstrained:
-                goodput = (accumulator["tokens"] / duration
-                           if duration > 0 else 0.0)
-            else:
-                goodput = accumulator["goodput"].goodput(duration)
+        for name in sorted(self.classes):
+            accumulator = self.classes[name]
             out[name] = {
                 "num_requests": accumulator["ttft"].count,
                 "generated_tokens": accumulator["tokens"],
-                "goodput_tokens_per_s": goodput,
+                "goodput_tokens_per_s": (
+                    accumulator["goodput"].goodput(self.duration)
+                    if constrained else self.rate(accumulator["tokens"])),
                 "mean_ttft_s": accumulator["ttft"].mean,
                 "mean_queueing_delay_s": accumulator["queueing"].mean,
             }
         return out
+
+    def summary(self):
+        ttft, tpot, latency = ([bank.values() for bank in self.banks]
+                               if self.banks is not None else [{}] * 3)
+        return {
+            "system": self.system,
+            "model": self.model,
+            "num_requests": self.count,
+            "generated_tokens": self.tokens,
+            "duration_s": self.duration,
+            "throughput_tokens_per_s": self.rate(self.tokens),
+            "mean_queueing_delay_s": self.queueing.mean,
+            "p50_ttft_s": ttft.get(50.0, 0.0),
+            "p90_ttft_s": ttft.get(90.0, 0.0),
+            "p99_ttft_s": ttft.get(99.0, 0.0),
+            "p50_tpot_s": tpot.get(50.0, 0.0),
+            "p99_tpot_s": tpot.get(99.0, 0.0),
+            "p50_latency_s": latency.get(50.0, 0.0),
+            "p99_latency_s": latency.get(99.0, 0.0),
+            "prefix_hit_rate": (self.prefix_hits / self.prefix_bearing
+                                if self.prefix_bearing else 0.0),
+            "num_preemptions": self.preemptions,
+            "p99_preemption_latency_s": self.p99_preemption_latency,
+            "prefill_chunks_per_request": self.chunks.mean,
+            "num_failed": self.failed,
+            "num_shed": self.shed,
+            "num_retries": self.retries,
+        }
 
 
 def record(request_id, arrival, admission, first, completion,
@@ -591,6 +638,20 @@ class TestTraceFoldMatchesReference:
         assert trace.goodput() == reference.goodput()
         assert trace.p99_preemption_latency == \
             reference.p99_preemption_latency
+        # A full trace folds its retained records through the same
+        # accumulator: every exact figure agrees bit for bit.
+        full = ServingTrace("sys", "m")
+        for rec in records:
+            full.observe(rec)
+        exact = [key for key in trace.summary()
+                 if not key.startswith(("p50_", "p90_", "p99_"))]
+        assert {key: full.summary()[key] for key in exact} == \
+            {key: trace.summary()[key] for key in exact}
+        assert full.goodput(ttft_slo_s, tpot_slo_s) == \
+            trace.goodput(ttft_slo_s, tpot_slo_s)
+        assert full.per_class_summary(class_slos) == \
+            trace.per_class_summary(class_slos)
+        assert full.per_class_summary() == trace.per_class_summary()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(),
@@ -608,3 +669,23 @@ class TestTraceFoldMatchesReference:
         records = random_records(seed, 3 * _FOLD_BUFFER + 11)
         self.assert_same(records, DEFAULT_QUANTILES, 2.0, 0.5,
                          {"interactive": (1.0, 0.2), "batch": (None, 1.0)})
+
+    def test_float_totals_are_left_to_right_sums(self):
+        # 1.0 + 1e-16 rounds back to 1.0, so ten tiny delays after a large
+        # one vanish from a left-to-right sum but not from a compensated
+        # one (Python 3.12's ``sum``): both record modes must agree on
+        # the former.
+        delays = [1.0] + [1e-16] * 10
+        records = [RequestRecord(request_id=i, arrival_time=0.0,
+                                 admission_time=delay,
+                                 first_token_time=delay,
+                                 completion_time=delay + 1.0,
+                                 input_len=8, output_len=2,
+                                 slo_class="interactive")
+                   for i, delay in enumerate(delays)]
+        self.assert_same(records, DEFAULT_QUANTILES, 2.0, 0.5,
+                         {"interactive": (1.0, 0.2)})
+        full = ServingTrace("sys", "m", records=records)
+        assert full.mean_queueing_delay == 1.0 / len(delays)
+        assert full.per_class_summary()["interactive"]["mean_ttft_s"] == \
+            1.0 / len(delays)
