@@ -336,19 +336,15 @@ class StreamingTrace(ServingTrace):
         if record.preempting:
             self._preempt_wait.observe(queueing)
 
-    def _totals_for(self, ttft_slo_s, tpot_slo_s,
-                    class_slos: dict) -> TraceTotals:
-        """The running totals, if the SLOs are the ones they were judged
-        against; other SLOs would need the retained records."""
-        requested = (ttft_slo_s, tpot_slo_s, class_slos)
+    def _fold(self, ttft_slo_s, tpot_slo_s, class_slos) -> TraceTotals:
+        """A fold at SLOs other than the built ones: impossible, since
+        each record is gone once folded."""
         built = (self.ttft_slo_s, self.tpot_slo_s, self.class_slos)
-        if requested != built:
-            raise ConfigurationError(
-                f"streaming goodput was accumulated for SLOs (ttft, tpot, "
-                f"class) {built!r}; {requested!r} would need the retained "
-                f"records (record_mode='full')"
-            )
-        return self._folded
+        raise ConfigurationError(
+            f"streaming goodput was accumulated for SLOs (ttft, tpot, "
+            f"class) {built!r}; {(ttft_slo_s, tpot_slo_s, class_slos)!r} "
+            f"would need the retained records (record_mode='full')"
+        )
 
     def _percentiles(self, figure: str, qs) -> dict[float, float]:
         if self._banks is None or self._folded.completed == 0:
