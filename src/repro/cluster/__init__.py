@@ -5,11 +5,11 @@ scales it *up*: a :class:`ReplicaGroup` runs several independent sharded
 :class:`~repro.serving.engine.ContinuousBatchingEngine` replicas, a
 :class:`Router` load-balances the arrival trace across them (round-robin,
 join-shortest-queue by KV footprint, or least-loaded by estimated
-completion time), and a :class:`ClusterTrace` merges the per-replica
-serving traces into cluster-level latency/goodput metrics while keeping
-per-replica breakdowns.  :class:`ClusterLayout` parses the compact axis
-labels (``"tp-4"``, ``"2x(tp-2)"``) the serving sweep's ``cluster`` axis
-accepts.
+completion time), and a :class:`ClusterTrace`, fed every replica's records
+as they are produced, reports cluster-level latency/goodput metrics while
+keeping per-replica breakdowns.  :class:`ClusterLayout` parses the
+compact axis labels (``"tp-4"``, ``"2x(tp-2)"``) the serving sweep's
+``cluster`` axis accepts.
 """
 
 from repro.cluster.group import ReplicaGroup, SimulatorFactory

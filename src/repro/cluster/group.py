@@ -4,8 +4,8 @@ A :class:`ReplicaGroup` owns N independent
 :class:`~repro.serving.engine.ContinuousBatchingEngine` replicas — each
 with its own simulator, hardware node, parallelism spec, and schedule
 cache — and serves one arrival trace by routing every request to exactly
-one replica (:class:`~repro.cluster.router.Router`), simulating each
-replica over its share, and merging the per-replica traces into a
+one replica (:class:`~repro.cluster.router.Router`) and simulating each
+replica over its share; every replica run forwards its records to one
 :class:`~repro.cluster.trace.ClusterTrace`.
 
 This is the scale-out axis on top of the scale-up axis: tensor/pipeline
@@ -34,8 +34,8 @@ from repro.serving.events import (
     arrival_source,
     check_observers,
     check_serve,
-    drive,
     notify_finish,
+    serve_runs,
 )
 from repro.systems.cost import LLMCostModel, ParallelismSpec
 from repro.systems.simulator import InferenceSimulator
@@ -259,12 +259,14 @@ class ReplicaGroup:
         list is routed by a pre-pass (it sizes each replica's budget from
         its share), every other serve routes live.
 
-        ``record_mode="full"`` returns a :class:`ClusterTrace` with one
-        record per request; ``"streaming"`` a
-        :class:`~repro.cluster.trace.StreamingClusterTrace` in O(1) memory
-        whose goodput SLOs are fixed by ``ttft_slo_s``/``tpot_slo_s`` (and,
-        per SLO class, by ``class_slos``); in full mode those SLOs are the
-        default ones.
+        Runs forward their records to a cluster trace built before the
+        drive (:func:`~repro.serving.events.serve_runs`, shared with the
+        engine).  ``record_mode="full"`` returns a :class:`ClusterTrace`
+        with one record per request, sorted by completion time;
+        ``"streaming"`` a :class:`~repro.cluster.trace.StreamingClusterTrace`
+        in O(1) memory whose goodput SLOs are fixed by
+        ``ttft_slo_s``/``tpot_slo_s`` (and, per SLO class, by
+        ``class_slos``); in full mode those SLOs are the default ones.
         ``metadata["routing"]`` records the policy, seed, and per-replica
         dispatch counts, ``metadata["replicas"]`` the per-replica
         breakdowns.  ``event_journal``, when given, receives every
@@ -339,26 +341,18 @@ class ReplicaGroup:
                 return target
 
         streaming = record_mode == "streaming"
-        cluster_trace = None
-        observer = None
-        if streaming:
-            cluster_trace = StreamingClusterTrace(
-                system=simulator.name, model=simulator.config.name,
-                ttft_slo_s=ttft_slo_s, tpot_slo_s=tpot_slo_s,
-                class_slos=class_slos)
-            observer = cluster_trace.observe
+        cluster_trace = (StreamingClusterTrace if streaming else ClusterTrace)(
+            system=simulator.name, model=simulator.config.name,
+            ttft_slo_s=ttft_slo_s, tpot_slo_s=tpot_slo_s,
+            class_slos=class_slos)
+        observer = cluster_trace.observe
         feedback = source.on_completion
         if feedback is not None:
-            # Every completion must reach a closed-loop source so it can
-            # schedule the session's next turn; the cluster-level
-            # streaming sink (when any) still sees each record exactly
-            # once.
-            if observer is None:
-                observer = feedback
-            else:
-                def observer(record, _sink=observer, _feedback=feedback):
-                    _sink(record)
-                    _feedback(record)
+            # Every completion must also reach a closed-loop source so it
+            # can schedule the session's next turn.
+            def observer(record, _sink=observer, _feedback=feedback):
+                _sink(record)
+                _feedback(record)
         runs = [engine.start_run(
                     engine.make_trace(record_mode, ttft_slo_s, tpot_slo_s,
                                       quantiles=() if streaming else None,
@@ -368,37 +362,29 @@ class ReplicaGroup:
                     replica=index, fault_mode=faults is not None)
                 for index, (engine, share) in enumerate(zip(self.engines,
                                                             share_bounds))]
-        coordinator = None
-        if faults is not None:
-            from repro.faults import FaultCoordinator
-            coordinator = FaultCoordinator(faults, retry=retry,
-                                           shedder=shedding)
-            # Terminal failed/shed records flow straight into the streaming
-            # sink; in full mode they collect on the coordinator and join
-            # the merged records below.
-            coordinator.bind(runs, route, router=router,
-                             observers=observers,
-                             record_sink=observer if streaming else None)
         if router is None:
             for request, index in zip(ordered, indices):
                 # Legacy contract: an impossible request raises before any
                 # simulation happens (live routing checks at arrival).
                 runs[index].check_admissible(request)
-        drive(source, runs, route, journal=event_journal,
-              observers=observers, faults=coordinator)
-        traces = [run.finalize() for run in runs]
+        traces = serve_runs(source, runs, route, cluster_trace,
+                            journal=event_journal, observers=observers,
+                            faults=faults, retry=retry, shedding=shedding,
+                            router=router)
+        cluster_trace.replica_traces = traces
 
         # Live routing tallies dispatches as the event loop runs, so the
-        # counts exist only after drive(); the list pre-pass knew them
+        # counts exist only after the drive; the list pre-pass knew them
         # upfront.
         dispatch_counts = counts if router is None else router.dispatch_counts
-        metadata = {
+        metadata = cluster_trace.metadata
+        metadata.update({
             "routing": {"policy": policy, "seed": seed,
                         "dispatch_counts": list(dispatch_counts)},
             "num_replicas": self.num_replicas,
             "total_gpus": self.total_gpus,
             "record_mode": record_mode,
-        }
+        })
         if source.length_bounds is not None:
             # Cluster capacity is a hardware fact: probe every replica's
             # budget against the whole trace, so the reported budget does
@@ -422,18 +408,7 @@ class ReplicaGroup:
             # deltas sum without double counting.
             metadata["epoch_cache"] = epoch_cache
         metadata["wall_clock_s"] = perf_counter() - started
-        if streaming:
-            cluster_trace.replica_traces = traces
-            cluster_trace.metadata.update(metadata)
-        else:
-            cluster_trace = ClusterTrace.merge(
-                traces, system=simulator.name, model=simulator.config.name,
-                metadata=metadata, ttft_slo_s=ttft_slo_s,
-                tpot_slo_s=tpot_slo_s, class_slos=class_slos)
-        if coordinator is not None:
-            coordinator.complete(cluster_trace, self.num_replicas)
-        if streaming:
-            describe_replicas(cluster_trace.metadata, traces)
+        describe_replicas(metadata, traces)
         notify_finish(observers, cluster_trace, class_slos)
         return cluster_trace
 

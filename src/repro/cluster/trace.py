@@ -1,20 +1,23 @@
-"""Cluster-level serving trace: per-replica traces merged into one view.
+"""Cluster-level serving trace: every replica's records in one view.
 
 A :class:`ClusterTrace` *is a* :class:`~repro.serving.trace.ServingTrace`
 over the union of every replica's request records (and a
 :class:`StreamingClusterTrace` a :class:`StreamingTrace` over every
 replica's completions), so all the percentile, throughput, and goodput
-machinery applies unchanged at cluster scope.  The per-replica traces are
-kept intact (and summarised in ``metadata["replicas"]``) so imbalance
-between replicas stays visible after the merge.
+machinery applies unchanged at cluster scope.  A replica group builds the
+cluster trace of its record mode before it drives, and every replica run
+forwards each record to it as the record is produced.  The per-replica
+traces are kept intact (and summarised in ``metadata["replicas"]``) so
+imbalance between replicas stays visible at cluster scope.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 
-from repro.serving.sketches import DEFAULT_QUANTILES, StreamingTrace
-from repro.serving.trace import ServingTrace
+from repro.serving.sketches import StreamingTrace
+from repro.serving.trace import RequestRecord, ServingTrace
 
 
 def describe_replicas(metadata: dict, traces) -> None:
@@ -69,32 +72,25 @@ class _ReplicaView:
 
 @dataclass
 class ClusterTrace(_ReplicaView, ServingTrace):
-    """One serving run of a whole replica group."""
+    """One serving run of a whole replica group (``record_mode="full"``).
+
+    Every replica run forwards its records here as it produces them.  A
+    run whose epoch was priced late (it blocked awaiting its next queue
+    head) delivers records out of completion order, so :meth:`observe`
+    inserts each after every record that completed no later: records
+    stay sorted by completion time (equal times keep delivery order), and
+    a single replica's records keep the engine's order exactly.
+    """
 
     replica_traces: list[ServingTrace] = field(default_factory=list)
 
-    @classmethod
-    def merge(cls, traces: list[ServingTrace], system: str,
-              model: str, metadata: dict | None = None,
-              ttft_slo_s: float | None = None,
-              tpot_slo_s: float | None = None,
-              class_slos: dict | None = None) -> "ClusterTrace":
-        """Merge per-replica traces into one cluster-level trace.
-
-        Records are ordered by completion time with a *stable* sort, so a
-        single-replica merge preserves the engine's record order exactly —
-        the degenerate cluster is bit-identical to serving directly.
-        The SLOs are the serve's, which the merged trace's goodput is
-        judged against by default.
-        """
-        records = [record for trace in traces for record in trace.records]
-        records.sort(key=lambda record: record.completion_time)
-        merged = cls(system=system, model=model, records=records,
-                     metadata=dict(metadata or {}), replica_traces=traces,
-                     ttft_slo_s=ttft_slo_s, tpot_slo_s=tpot_slo_s,
-                     class_slos=class_slos)
-        describe_replicas(merged.metadata, traces)
-        return merged
+    def observe(self, record: RequestRecord) -> None:
+        records = self.records
+        if records and record.completion_time < records[-1].completion_time:
+            insort(records, record, key=lambda r: r.completion_time)
+        else:
+            records.append(record)
+        self._folded = None
 
 
 class StreamingClusterTrace(_ReplicaView, StreamingTrace):
@@ -111,14 +107,3 @@ class StreamingClusterTrace(_ReplicaView, StreamingTrace):
     ``metadata["replicas"]`` need only counts, totals, and delays, exactly
     the fields :func:`describe_replicas` reports.
     """
-
-    def __init__(self, system: str, model: str, metadata: dict | None = None,
-                 quantiles=DEFAULT_QUANTILES,
-                 ttft_slo_s: float | None = None,
-                 tpot_slo_s: float | None = None,
-                 class_slos: dict | None = None,
-                 replica_traces: list[StreamingTrace] | None = None) -> None:
-        super().__init__(system, model, metadata=metadata,
-                         quantiles=quantiles, ttft_slo_s=ttft_slo_s,
-                         tpot_slo_s=tpot_slo_s, class_slos=class_slos)
-        self.replica_traces: list[StreamingTrace] = list(replica_traces or [])

@@ -16,8 +16,10 @@ failure and the affected requests' terminal records:
   live gauges) and parks arrivals while no replica is up;
 * it terminates requests that exhaust the retry budget (or are shed, or
   are still parked when the loop drains) as ``failed``/``shed``
-  :class:`~repro.serving.trace.RequestRecord` entries, and annotates
-  completed records with their retry count.
+  :class:`~repro.serving.trace.RequestRecord` entries, collected until
+  :meth:`FaultCoordinator.complete` adds them to the serve's trace in
+  either record mode, and annotates completed records with their retry
+  count.
 
 The coordinator is duck-typed against the runs and router (it never
 imports :mod:`repro.serving.engine` or :mod:`repro.cluster`), which keeps
@@ -39,8 +41,8 @@ class FaultCoordinator:
     """Binds a schedule + retry policy + shedder to one serve.
 
     Single-serve, like an observer: build a fresh coordinator per serve
-    (the serve layers do this internally from their ``faults=``/``retry=``/
-    ``shedding=`` keywords).
+    (:func:`repro.serving.events.serve_runs` does this for both serve
+    layers from their ``faults=``/``retry=``/``shedding=`` keywords).
     """
 
     def __init__(self, schedule: FaultSchedule,
@@ -53,8 +55,8 @@ class FaultCoordinator:
         self.schedule = schedule
         self.retry = retry if retry is not None else RetryPolicy()
         self.shedder = shedder
-        #: Terminal ``failed``/``shed`` records (full record mode; in
-        #: streaming mode they flow through ``record_sink`` instead).
+        #: Terminal ``failed``/``shed`` records, added to the serve's trace
+        #: by :meth:`complete`.
         self.records: list[RequestRecord] = []
         self.num_failures = 0
         self.num_retries = 0
@@ -72,41 +74,31 @@ class FaultCoordinator:
         self._attempts: dict[int, int] = {}
         self._staged: dict[int, object] = {}
         self._parked: list[tuple] = []
-        self._bound = False
 
     # ------------------------------------------------------------------ #
     # wiring
     # ------------------------------------------------------------------ #
-    def bind(self, runs, route, router=None, observers=(),
-             record_sink=None) -> None:
-        """Attach the serve's runs, routing, and sinks before driving.
+    def bind(self, runs, route, router=None, observers=()) -> None:
+        """Attach the serve's runs, routing and observers before driving.
 
         ``route(request) -> index`` must only ever return an up replica
         (the health-aware router guarantees this; the coordinator parks
-        arrivals itself while *no* replica is up).  ``record_sink``, when
-        given, receives terminal ``failed``/``shed`` records as they
-        happen (streaming mode); otherwise they collect in
-        :attr:`records`.
+        arrivals itself while *no* replica is up).  A schedule naming a
+        replica the serve does not have raises here.
         """
-        self.check_replicas(len(runs))
+        if self.schedule.max_replica() >= len(runs):
+            raise ConfigurationError(
+                f"fault schedule names replica "
+                f"{self.schedule.max_replica()} but the serve has only "
+                f"{len(runs)} replicas"
+            )
         self._runs = list(runs)
         self._route = route
         self._router = router
         self._observers = tuple(observers)
-        self._record_sink = record_sink
         self._gauges = [run.gauges() for run in self._runs]
         for run in self._runs:
             run.set_record_filter(self.annotate)
-        self._bound = True
-
-    def check_replicas(self, num_replicas: int) -> None:
-        """Raise if the schedule names a replica the serve does not have."""
-        if self.schedule.max_replica() >= num_replicas:
-            raise ConfigurationError(
-                f"fault schedule names replica "
-                f"{self.schedule.max_replica()} but the serve has only "
-                f"{num_replicas} replicas"
-            )
 
     def timeline(self):
         """The schedule's merged ``(time, kind, replica)`` event stream."""
@@ -202,7 +194,7 @@ class FaultCoordinator:
 
     def _terminate(self, request, time: float, status: str) -> None:
         instant = max(time, request.arrival_time)
-        record = RequestRecord(
+        self.records.append(RequestRecord(
             request_id=request.request_id,
             arrival_time=request.arrival_time,
             admission_time=instant,
@@ -214,21 +206,18 @@ class FaultCoordinator:
             prefix_len=getattr(request, "prefix_len", 0),
             status=status,
             retries=self._attempts.get(request.request_id, 0),
-        )
-        if self._record_sink is not None:
-            self._record_sink(record)
-        else:
-            self.records.append(record)
+        ))
 
     # ------------------------------------------------------------------ #
     # resilience accounting
     # ------------------------------------------------------------------ #
     def complete(self, trace, num_replicas: int) -> None:
-        """Finish the serve's trace: in full record mode merge the
-        terminal records in ``(completion_time, request_id)`` order, then
-        write ``metadata["resilience"]`` over the resulting duration."""
-        if self._record_sink is None:
-            trace.extend_sorted(self.records)
+        """Finish the serve's trace: add the terminal records (a full
+        trace merges them in ``(completion_time, request_id)`` order, a
+        streaming one folds them — they fold only counts and the
+        makespan, so late is exact), then write ``metadata["resilience"]``
+        over the resulting duration."""
+        trace.extend_sorted(self.records)
         trace.metadata["resilience"] = self.resilience(trace.duration,
                                                        num_replicas)
 

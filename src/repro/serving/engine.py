@@ -124,26 +124,14 @@ import numpy as np
 from repro._common import ConfigurationError, validate_positive
 from repro.serving.events import (ADMISSION, COMPLETION, EPOCH_BOUNDARY,
                                   PREEMPTION, PREFILL_CHUNK, arrival_source,
-                                  check_observers, check_serve, drive,
-                                  notify_finish, observer_hooks)
+                                  check_observers, check_serve,
+                                  notify_finish, observer_hooks, serve_runs)
 from repro.serving.sketches import DEFAULT_QUANTILES, StreamingTrace
 from repro.serving.trace import RequestRecord, ServingTrace
 from repro.systems.memory import MemoryHierarchy, PCIeLink
 from repro.systems.simulator import InferenceSimulator
 from repro.workloads.arrivals import SLO_CLASSES, Request
 from repro.workloads.descriptors import Workload
-
-
-def _mark_empty(trace) -> None:
-    """Write the metadata of a serve that was offered no request."""
-    trace.metadata.update(kv_budget_tokens=0, peak_reserved_tokens=0,
-                          num_epochs=0, num_decode_steps=0, pcie_bytes=0.0,
-                          shards=[], comm_time_s=0.0, comm_time_share=0.0)
-
-
-def _route_to_zero(request: Request) -> int:
-    """A single-replica serve's routing: every arrival joins run 0."""
-    return 0
 
 
 #: Accepted values of ``ContinuousBatchingEngine(preemption=...)``.
@@ -692,8 +680,9 @@ class ContinuousBatchingEngine:
         the goodput SLOs the streaming trace will answer for (in full mode
         they are the default, and the retained records answer any other).
 
-        The serve is event-driven (:class:`EngineRun` +
-        :func:`~repro.serving.events.drive`).
+        The serve drives one :class:`EngineRun` through
+        :func:`~repro.serving.events.serve_runs`, the serve body a
+        replica group shares; an empty list drives an idle run.
 
         ``class_slos`` fixes the per-``slo_class`` goodput SLOs that
         :meth:`~repro.serving.sketches.StreamingTrace.per_class_summary`
@@ -725,44 +714,20 @@ class ContinuousBatchingEngine:
         check_serve(source, faults, retry, shedding)
         trace = self.make_trace(record_mode, ttft_slo_s, tpot_slo_s,
                                 class_slos=class_slos)
-        coordinator = None
-        if faults is not None:
-            from repro.faults import FaultCoordinator
-            coordinator = FaultCoordinator(faults, retry=retry,
-                                           shedder=shedding)
-        if source.length_bounds is None:
-            # An empty list: nothing to serve, but a schedule naming
-            # replicas this serve does not have is still a bad config.
-            _mark_empty(trace)
-            if coordinator is not None:
-                coordinator.check_replicas(1)
-                trace.metadata["resilience"] = coordinator.resilience(0.0, 1)
-        else:
-            trace = self._serve_events(source, trace, observers, coordinator)
+        feedback = source.on_completion
+        run = self.start_run(trace, *(source.length_bounds or (None, None)),
+                             observer=feedback,
+                             eager_epochs=feedback is not None,
+                             observers=observers,
+                             fault_mode=faults is not None)
+        for request in source.materialized or ():
+            run.check_admissible(request)  # legacy contract: OOM up front
+        serve_runs(source, [run], lambda request: 0, trace,
+                   observers=observers, faults=faults, retry=retry,
+                   shedding=shedding)
         trace.metadata["wall_clock_s"] = perf_counter() - started
         notify_finish(observers, trace, class_slos)
         return trace
-
-    def _serve_events(self, source, trace, observers: tuple, coordinator):
-        """Drive one run over ``source`` through the event loop."""
-        run = self.start_run(trace, *source.length_bounds,
-                             observer=source.on_completion,
-                             eager_epochs=source.on_completion is not None,
-                             observers=observers,
-                             fault_mode=coordinator is not None)
-        if coordinator is not None:
-            streaming = isinstance(trace, StreamingTrace)
-            coordinator.bind([run], _route_to_zero, router=None,
-                             observers=observers,
-                             record_sink=trace.observe if streaming else None)
-        for request in source.materialized or ():
-            run.check_admissible(request)  # legacy contract: OOM up front
-        drive(source, [run], _route_to_zero, observers=observers,
-              faults=coordinator)
-        result = run.finalize()
-        if coordinator is not None:
-            coordinator.complete(result, 1)
-        return result
 
     def make_trace(self, record_mode: str, ttft_slo_s: float | None = None,
                    tpot_slo_s: float | None = None, quantiles=None,
@@ -1808,7 +1773,10 @@ class EngineRun:
                 "drained_bytes": self._drained_bytes,
             }
         if self._offered == 0:
-            _mark_empty(trace)
+            trace.metadata.update(
+                kv_budget_tokens=0, peak_reserved_tokens=0, num_epochs=0,
+                num_decode_steps=0, pcie_bytes=0.0, shards=[],
+                comm_time_s=0.0, comm_time_share=0.0)
             return trace
         trace.metadata.update(
             kv_budget_tokens=self._budget,

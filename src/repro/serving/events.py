@@ -25,7 +25,8 @@ an arrival only when it precedes the heap's earliest entry, so turns a
 closed-loop source injects on a completion are served in true time
 order.  Fault injection adds three steps to the same loop: the schedule's
 timeline enters the heap up front, stale run events are skipped by
-sequence number, and arrivals dispatch through the coordinator.
+sequence number, and arrivals dispatch through the coordinator.  Both
+serve layers drive through :func:`serve_runs`, the one serve body.
 
 Heap invariants
 ---------------
@@ -440,3 +441,31 @@ def drive(source, runs: list[ReplicaRun],
                 f"scheduled no event while holding work (driver invariant "
                 f"violation)"
             )
+
+
+def serve_runs(source, runs: list[ReplicaRun],
+               route: Callable[[Request], int], trace,
+               journal: list | None = None, observers: tuple = (),
+               faults=None, retry=None, shedding=None,
+               router=None) -> list:
+    """The one serve body: bind faults, drive ``runs``, finalize them.
+
+    Each serve layer builds the ``trace`` it returns before the drive, and
+    the runs feed it their records, so nothing here depends on the layer
+    or the record mode.  ``faults`` (a :class:`~repro.faults.FaultSchedule`)
+    binds a :class:`~repro.faults.FaultCoordinator` with ``retry``,
+    ``shedding`` and the health-aware ``router``; once the runs are
+    finalized it adds its failed and shed records and
+    ``metadata["resilience"]`` to ``trace``.  Returns the run traces.
+    """
+    coordinator = None
+    if faults is not None:
+        from repro.faults import FaultCoordinator
+        coordinator = FaultCoordinator(faults, retry=retry, shedder=shedding)
+        coordinator.bind(runs, route, router=router, observers=observers)
+    drive(source, runs, route, journal=journal, observers=observers,
+          faults=coordinator)
+    traces = [run.finalize() for run in runs]
+    if coordinator is not None:
+        coordinator.complete(trace, len(runs))
+    return traces

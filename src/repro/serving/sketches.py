@@ -336,6 +336,11 @@ class StreamingTrace(ServingTrace):
         if record.preempting:
             self._preempt_wait.observe(queueing)
 
+    def extend_sorted(self, records) -> None:
+        """Fold ``records``: no records are kept, so none are reordered."""
+        for record in records:
+            self.observe(record)
+
     def _fold(self, ttft_slo_s, tpot_slo_s, class_slos) -> TraceTotals:
         """A fold at SLOs other than the built ones: impossible, since
         each record is gone once folded."""

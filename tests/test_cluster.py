@@ -1,6 +1,7 @@
 """Tests for repro.cluster: layouts, routing, replica groups, cluster sweep."""
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, field, replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from repro.core.engine import AlisaSystem
 from repro.experiments import run_experiment
 from repro.experiments.serving import max_sustained_rate
 from repro.hardware.presets import V100_16GB_NODE, V100_16GB_X2_NODE, multi_gpu
+from repro.obs import Observer
 from repro.serving import ContinuousBatchingEngine
 from repro.systems.cost import ParallelismSpec
 from repro.workloads.arrivals import generate_requests
@@ -417,6 +419,44 @@ class TestReplicaGroup:
         per_replica = [replica.metadata["scheduler"]["full_solves"]
                        for replica in trace.replica_traces]
         assert stats["full_solves"] == sum(per_replica)
+
+
+class _Delivery(Observer):
+    """Records in the order the replica runs deliver them."""
+
+    def __init__(self) -> None:
+        self.records = []
+
+    def on_completion(self, replica, record):
+        self.records.append(record)
+
+
+def test_full_cluster_records_keep_the_merge_order():
+    # The reference is the rule the cluster trace used when it merged the
+    # finished replica traces: a stable completion-time sort of their
+    # concatenated records.  Runs deliver records live, some of them out
+    # of completion order (an epoch priced late by a blocked run).
+    requests = [replace(request, slo_class="interactive" if index % 3 == 0
+                        else "batch")
+                for index, request in enumerate(generate_requests(
+                    20, 4.0, pattern="bursty", seed=3, max_len=512))]
+    late = 0
+    for policy, preemption, chunk in itertools.product(
+            ("round-robin", "jsq"), (None, "retain"), (None, 128)):
+        kwargs = {"max_batch_size": 4} if preemption else {}
+        cluster = group(factory=lambda node, parallelism: VLLMSystem(
+            MODEL, node, parallelism=parallelism), policy=policy, seed=3,
+            preemption=preemption, prefill_chunk_tokens=chunk, **kwargs)
+        delivery = _Delivery()
+        trace = cluster.serve(requests, observers=[delivery])
+        merged = sorted((record for replica in trace.replica_traces
+                         for record in replica.records),
+                        key=lambda record: record.completion_time)
+        assert trace.records == merged, (policy, preemption, chunk)
+        times = [record.completion_time for record in delivery.records]
+        late += any(later < earlier
+                    for earlier, later in zip(times, times[1:]))
+    assert late > 0
 
 
 class TestClusterSweep:

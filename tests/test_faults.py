@@ -267,22 +267,51 @@ class TestEngineFaults:
                                      for r in trace.records)
 
     def test_streaming_summary_matches_full(self):
-        faults = crash_at(fail=2.0, recover=4.0)
-        full = engine().serve(requests(), faults=faults,
-                              retry=RetryPolicy(max_retries=1))
-        streaming = engine().serve(requests(), faults=faults,
-                                   retry=RetryPolicy(max_retries=1),
-                                   record_mode="streaming")
-        full_summary = full.summary()
-        stream_summary = streaming.summary()
-        for key in ("num_requests", "generated_tokens", "duration_s",
-                    "num_failed", "num_shed", "num_retries",
-                    "throughput_tokens_per_s"):
-            assert stream_summary[key] == full_summary[key], key
+        # The engine retries; the 2-replica group sheds batch arrivals
+        # while degraded and fails what the crash interrupts, so both
+        # terminal statuses are added to the trace after the drive.
+        cases = [
+            (engine, requests, dict(faults=crash_at(fail=2.0, recover=4.0),
+                                    retry=RetryPolicy(max_retries=1))),
+            (group, mixed_classes, dict(faults=crash_at(fail=1.0,
+                                                        recover=2.5),
+                                        retry=RetryPolicy(max_retries=0),
+                                        shedding=LoadShedder())),
+        ]
+        for server, source, kwargs in cases:
+            full = server().serve(source(), **kwargs)
+            streaming = server().serve(source(), record_mode="streaming",
+                                       **kwargs)
+            full_summary = full.summary()
+            stream_summary = streaming.summary()
+            for key in ("num_requests", "generated_tokens", "duration_s",
+                        "num_failed", "num_shed", "num_retries",
+                        "throughput_tokens_per_s"):
+                assert stream_summary[key] == full_summary[key], key
+            assert (streaming.metadata["resilience"]
+                    == full.metadata["resilience"])
+        assert full.num_failed > 0 and full.num_shed > 0
 
     def test_schedule_naming_missing_replica_rejected(self):
         with pytest.raises(ConfigurationError, match="replica"):
             engine().serve(requests(), faults=crash_at(replica=1))
+
+    @pytest.mark.parametrize("record_mode", ["full", "streaming"])
+    def test_empty_list_drives_its_schedule_like_one_replica_group(
+            self, record_mode):
+        # An empty serve runs an idle run through the fault timeline, so
+        # the engine counts the crash exactly as a one-replica group does.
+        one = ReplicaGroup.from_layout(
+            lambda node, parallelism: FlexGenSystem(
+                MODEL, node, parallelism=parallelism),
+            "1x(none)", V100_16GB_NODE)
+        served = [server.serve([], faults=crash_at(), record_mode=record_mode)
+                  for server in (engine(), one)]
+        resilience = [trace.metadata["resilience"] for trace in served]
+        assert resilience[0] == resilience[1]
+        assert resilience[0]["num_failures"] == 1
+        assert served[0].metadata["faults"]["num_failures"] == 1
+        assert served[0].num_requests == 0
 
 
 # --------------------------------------------------------------------- #
