@@ -409,22 +409,15 @@ class RunGauges:
     @property
     def queue_depth(self) -> int:
         """Requests queued at the replica, not yet admitted."""
-        run = self._run
-        if run._priority:
-            return sum(len(queue)
-                       for queue in run._pending_classes.values())
-        return len(run._pending)
+        return sum(len(lane) for lane in self._run._lanes)
 
     @property
     def queue_depth_by_class(self) -> dict[str, int]:
         """Queue depth per SLO class (all classes, zeros included)."""
-        run = self._run
-        if run._priority:
-            return {name: len(queue)
-                    for name, queue in run._pending_classes.items()}
         depths = {name: 0 for name in SLO_CLASSES}
-        for request in run._pending:
-            depths[request.slo_class] += 1
+        for lane in self._run._lanes:
+            for request in lane:
+                depths[request.slo_class] += 1
         return depths
 
     @property
@@ -1035,12 +1028,12 @@ class EngineRun:
     bit-identical to the clock loop):
 
     * at most one scheduled event, and it is immutable once priced —
-      arrivals only append behind the FCFS queue head the pricing used;
-    * a decode epoch is priced only when the next queue head is known
-      (queue non-empty or run closed); otherwise the run *blocks* and
-      consumes no work until ``offer``/``close`` unblocks it;
-    * an idle run with a queued head wakes exactly at
-      ``max(clock, head.arrival_time)`` (the clock loop's idle jump);
+      arrivals only append behind the FCFS lane heads the pricing used;
+    * a decode epoch is priced only when a lane head is known (a lane
+      non-empty or run closed); otherwise the run *blocks* and consumes
+      no work until ``offer``/``close`` unblocks it;
+    * an idle run with a queued head wakes exactly at its earliest lane
+      head's ``max(clock, arrival_time)`` (the clock loop's idle jump);
     * admission, prefill, and epoch pricing reuse the engine's own
       methods — the two paths share every formula;
     * the reservation counters are kept incrementally (the clock loop
@@ -1075,15 +1068,16 @@ class EngineRun:
         self._shard_budgets = engine.shard_budgets(budget_tokens)
         self._shard_limit = min(self._shard_budgets)
         self._memory = MemoryHierarchy.from_hardware(engine.simulator.hardware)
-        self._pending: deque[Request] = deque()
+        #: The queue: FCFS lanes, highest first — one per SLO class (in
+        #: ``SLO_CLASSES`` order) under preemption, else one shared lane.
+        #: ``_preempted`` parks preempted wrappers; their requests sit back
+        #: at their lane heads until re-admitted.
+        lanes = len(SLO_CLASSES) if engine.preemption is not None else 1
+        self._lanes: list[deque[Request]] = [deque() for _ in range(lanes)]
+        self._lane_of = {name: min(rank, lanes - 1)
+                         for rank, name in enumerate(SLO_CLASSES)}
         self._running: list[_RunningRequest] = []
         self._prefix = _PrefixCache()
-        #: Priority scheduling state (``engine.preemption`` set): one FCFS
-        #: queue per SLO class, plus the wrappers of preempted requests
-        #: awaiting re-admission (their requests sit back in the queues).
-        self._priority = engine.preemption is not None
-        self._pending_classes: dict[str, deque[Request]] = {
-            name: deque() for name in SLO_CLASSES} if self._priority else {}
         self._preempted: dict[int, _RunningRequest] = {}
         self._num_preemptions = 0
         self._swap_bytes = 0.0
@@ -1212,10 +1206,7 @@ class EngineRun:
             if now > request.arrival_time:
                 self._dispatched_at[request.request_id] = now
         self.check_admissible(request)
-        if self._priority:
-            self._pending_classes[request.slo_class].append(request)
-        else:
-            self._pending.append(request)
+        self._lanes[self._lane_of[request.slo_class]].append(request)
         self._offered += 1
         if self._on_arrival:
             for hook in self._on_arrival:
@@ -1318,14 +1309,9 @@ class EngineRun:
         fail_clock = self._clock
         interrupted: list[tuple[float, Request, _RunningRequest | None]] = []
         queued: list[Request] = []
-        if self._priority:
-            for name in SLO_CLASSES:
-                queue = self._pending_classes[name]
-                queued.extend(queue)
-                queue.clear()
-        else:
-            queued.extend(self._pending)
-            self._pending.clear()
+        for lane in self._lanes:
+            queued.extend(lane)
+            lane.clear()
         for request in queued:
             # A preempted request sits in the queue with its wrapper parked
             # in _preempted; under drain the wrapper's host-resident KV
@@ -1373,9 +1359,7 @@ class EngineRun:
     # ------------------------------------------------------------------ #
     @property
     def _has_pending(self) -> bool:
-        if self._priority:
-            return any(self._pending_classes.values())
-        return bool(self._pending)
+        return any(self._lanes)
 
     def _ready_time(self, request: Request) -> float:
         """When ``request`` may be admitted here: its arrival, or its
@@ -1384,17 +1368,13 @@ class EngineRun:
                                        request.arrival_time)
 
     def _next_arrival(self) -> float:
-        """Earliest queued arrival (any class); queues must be non-empty."""
-        if self._priority:
-            return min(queue[0].arrival_time
-                       for queue in self._pending_classes.values() if queue)
-        return self._pending[0].arrival_time
+        """Earliest queued arrival (any lane); some lane must be non-empty."""
+        return min(lane[0].arrival_time for lane in self._lanes if lane)
 
     def _cycle(self) -> tuple[float, str] | None:
         """One admission round at the current clock, then (re)schedule."""
         engine = self.engine
-        admitted = (self._admit_priority() if self._priority
-                    else self._admit_fifo())
+        admitted = self._admit_priority()
         if self._reserved > self._peak_reserved:
             self._peak_reserved = self._reserved
         if self._shard_reserved > self._peak_shard_reserved:
@@ -1421,47 +1401,33 @@ class EngineRun:
                         hook(self.replica, prefill_start, self._clock, batch)
         return self._schedule()
 
-    def _admit_fifo(self) -> list[_RunningRequest]:
-        """FCFS admission: the queue head blocks until it fits."""
-        engine = self.engine
-        pending, running = self._pending, self._running
-        late = self._dispatched_at
-        admitted: list[_RunningRequest] = []
-        while (pending and pending[0].arrival_time <= self._clock
-               and (not late or self._ready_time(pending[0]) <= self._clock)
-               and engine._fits(pending[0], running, self._shard_reserved,
-                                self._shard_limit, self._prefix)):
-            admitted.append(self._admit_one(pending.popleft()))
-        return admitted
-
     def _admit_priority(self) -> list[_RunningRequest]:
-        """Priority admission: highest arrived class first, may preempt.
+        """The admission round: the head of the highest ready lane first.
 
-        The candidate is always the head of the highest-priority class
-        whose head has arrived.  An infeasible candidate blocks itself
-        *and* every lower class (strict priority — lower-class requests
-        never jump a starved higher class), unless it is entitled to evict
-        enough lower-priority running requests to fit.
+        A candidate (ready per :meth:`_ready_time`) that does not fit blocks
+        itself *and* every lower lane (strict priority), unless it is
+        entitled to evict enough lower-lane running requests to fit.  With
+        one lane nothing is ever entitled, and this is FCFS: the queue
+        head blocks until it fits.
         """
         engine = self.engine
-        running = self._running
+        lanes, running = self._lanes, self._running
+        late = self._dispatched_at
         admitted: list[_RunningRequest] = []
         while True:
-            candidate_queue = None
-            for name in SLO_CLASSES:
-                queue = self._pending_classes[name]
-                if queue and self._ready_time(queue[0]) <= self._clock:
-                    candidate_queue = queue
+            for lane in lanes:
+                if lane and (self._ready_time(lane[0]) if late
+                             else lane[0].arrival_time) <= self._clock:
                     break
-            if candidate_queue is None:
+            else:
                 break
-            candidate = candidate_queue[0]
+            candidate = lane[0]
             if engine._fits(candidate, running, self._shard_reserved,
                             self._shard_limit, self._prefix):
-                admitted.append(self._admit_one(candidate_queue.popleft()))
+                admitted.append(self._admit_one(lane.popleft()))
             elif self._can_preempt(candidate):
                 self._preempt_for(candidate)
-                wrapper = self._admit_one(candidate_queue.popleft())
+                wrapper = self._admit_one(lane.popleft())
                 # Its queueing delay is the preemption latency the chunk
                 # budget bounds (ServingTrace.p99_preemption_latency).
                 wrapper.preempting = True
@@ -1516,13 +1482,15 @@ class EngineRun:
         return wrapper
 
     def _can_preempt(self, candidate: Request) -> bool:
-        """Could evicting every lower-priority running request fit
+        """Could evicting every lower-lane running request fit
         ``candidate``?  (The actual eviction stops as soon as it fits.)"""
         engine = self.engine
-        rank = SLO_CLASSES.index
-        candidate_rank = rank(candidate.slo_class)
+        lane_of = self._lane_of
+        candidate_lane = lane_of[candidate.slo_class]
+        if candidate_lane == len(self._lanes) - 1:
+            return False  # the lowest lane (or the only one) has no victims
         victims = [r for r in self._running
-                   if rank(r.request.slo_class) > candidate_rank]
+                   if lane_of[r.request.slo_class] > candidate_lane]
         if not victims:
             return False
         if (engine.max_batch_size is not None
@@ -1535,20 +1503,20 @@ class EngineRun:
                 - self._prefix.shard_total <= self._shard_limit)
 
     def _preempt_for(self, candidate: Request) -> None:
-        """Evict lower-priority running requests until ``candidate`` fits.
+        """Evict lower-lane running requests until ``candidate`` fits.
 
         Victims are evicted latest-admitted-first (LIFO — the least sunk
         work is sacrificed) and their requests re-enqueued at the head of
-        their class queue, which keeps that queue (arrival, id)-sorted
-        because earlier-admitted requests have earlier keys.
+        their lane, which keeps that lane (arrival, id)-sorted because
+        earlier-admitted requests have earlier keys.
         """
         engine = self.engine
-        rank = SLO_CLASSES.index
-        candidate_rank = rank(candidate.slo_class)
+        lane_of = self._lane_of
+        candidate_lane = lane_of[candidate.slo_class]
         running = self._running
         for index in range(len(running) - 1, -1, -1):
             victim = running[index]
-            if rank(victim.request.slo_class) <= candidate_rank:
+            if lane_of[victim.request.slo_class] <= candidate_lane:
                 continue
             self._evict(victim, index)
             if engine._fits(candidate, running, self._shard_reserved,
@@ -1591,7 +1559,7 @@ class EngineRun:
             self._recompute_tokens += resident
         victim.chunk_remaining = 0
         self._preempted[request.request_id] = victim
-        self._pending_classes[request.slo_class].appendleft(request)
+        self._lanes[self._lane_of[request.slo_class]].appendleft(request)
         if self._obs:
             for ob in self._obs:
                 ob.on_preemption(self.replica, evict_start, self._clock,
@@ -1625,34 +1593,27 @@ class EngineRun:
 
         Returns ``(ready_time, needs_preemption)``, where a head's ready
         time is when it may be admitted (:meth:`_ready_time`).  The batch
-        is fixed for the whole epoch, so each queue head's feasibility is
-        too.  In
-        priority mode an *arrived* head was just refused by the admission
-        round — it is infeasible against this batch and blocks its own and
-        every lower class, but higher classes keep their cuts.
+        is fixed for the whole epoch, so each lane head's feasibility is
+        too.  A head that fits or can preempt cuts the epoch at its ready
+        time — one already ready (``offer`` scheduled this epoch without an
+        admission round) cuts it after one step.  A *ready* head that can
+        do neither blocks every lower lane, as it does in admission; one
+        not yet ready is skipped.
         """
         engine = self.engine
-        if not self._priority:
-            pending = self._pending
-            if pending and engine._fits(pending[0], self._running,
-                                        self._shard_reserved,
-                                        self._shard_limit, self._prefix):
-                return self._ready_time(pending[0]), False
-            return None, False
         best: tuple[float, bool] | None = None
-        for name in SLO_CLASSES:
-            queue = self._pending_classes[name]
-            if not queue:
+        for lane in self._lanes:
+            if not lane:
                 continue
-            head = queue[0]
+            head = lane[0]
             ready = self._ready_time(head)
-            if ready <= self._clock:
-                break
             fits = engine._fits(head, self._running, self._shard_reserved,
                                 self._shard_limit, self._prefix)
             if fits or self._can_preempt(head):
                 if best is None or ready < best[0]:
                     best = (ready, not fits)
+            elif ready <= self._clock:
+                break
         return best if best is not None else (None, False)
 
     def _schedule_chunk(self) -> tuple[float, str]:

@@ -16,12 +16,14 @@ from hypothesis import strategies as st
 
 from clock_reference import serve_stepped
 from repro._common import ConfigurationError
-from repro.baselines import FlexGenSystem
+from repro.baselines import FlexGenSystem, VLLMSystem
 from repro.cluster import ReplicaGroup, Router
 from repro.core.engine import AlisaSystem
 from repro.hardware.presets import V100_16GB_NODE
+from repro.obs import Observer
 from repro.serving import PREEMPTION_MODES, ContinuousBatchingEngine
-from repro.workloads.arrivals import SLO_CLASSES, generate_requests
+from repro.serving.events import ADMISSION, ARRIVAL, COMPLETION, EPOCH_BOUNDARY
+from repro.workloads.arrivals import SLO_CLASSES, Request, generate_requests
 from repro.workloads.sessions import (
     SessionRequest,
     SessionTrace,
@@ -243,6 +245,43 @@ class TestPreemption:
         assert armed.num_preemptions == 0
         assert armed.records == fifo.records
         assert "preemption" in armed.metadata  # mode recorded even if idle
+
+    @pytest.mark.parametrize("slo_class", SLO_CLASSES)
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("system", [VLLMSystem, FlexGenSystem,
+                                        AlisaSystem])
+    def test_one_class_preemption_serve_equals_fifo(self, system, seed,
+                                                    slo_class):
+        # With every request in one SLO class, its lane is the only one in
+        # use and no running request sits in a lower lane, so priority
+        # admission and its epoch cut must reduce to FCFS exactly.
+        requests = [dataclasses.replace(request, slo_class=slo_class)
+                    for request in generate_requests(
+                        20, 4.0, pattern="bursty", seed=seed, max_len=512)]
+        fifo = engine(system).serve(requests)
+        armed = engine(system, preemption="retain").serve(requests)
+        assert armed.records == fifo.records
+
+    def test_arrived_head_offered_to_a_blocked_run_cuts_after_one_step(self):
+        # The first request's prefill carries the run's clock past the
+        # second's arrival while the run waits for its next queue head, so
+        # ``offer`` queues the second already arrived.  It fits, so the
+        # epoch ends after one step and admits it, not at a completion.
+        class Journal(Observer):
+            def __init__(self):
+                self.kinds = []
+
+            def on_event(self, time, kind, replica):
+                self.kinds.append(kind)
+
+        journal = Journal()
+        requests = [Request(0, 0.0, 512, 64), Request(1, 1e-6, 32, 8)]
+        trace = engine(preemption="retain").serve(requests,
+                                                  observers=[journal])
+        assert journal.kinds[:5] == [ARRIVAL, ADMISSION, ARRIVAL,
+                                     EPOCH_BOUNDARY, COMPLETION]
+        first, second = sorted(trace.records, key=lambda r: r.request_id)
+        assert second.admission_time == first.first_token_time
 
 
 # --------------------------------------------------------------------- #
