@@ -193,8 +193,7 @@ class ReplicaGroup:
 
         Wraps a fresh :class:`Router` exactly the way a front-end load
         balancer runs — one decision per arrival, knowing only the dispatch
-        history.  The eager pre-pass (:meth:`route`, and :meth:`serve`
-        over a fault-free list) and live routing in the event loop both
+        history.  :meth:`route` and the live routing of :meth:`serve` both
         call through here, so their assignments are identical by
         construction.
         """
@@ -255,9 +254,8 @@ class ReplicaGroup:
         every replica feeds back through the source's ``on_completion``
         observer, and replicas run with ``eager_epochs=True``.  All three
         kinds are driven as one
-        :class:`~repro.serving.events.ArrivalSource`; only a fault-free
-        list is routed by a pre-pass (it sizes each replica's budget from
-        its share), every other serve routes live.
+        :class:`~repro.serving.events.ArrivalSource` and routed live, and
+        every replica sizes its KV budget from the source's length bounds.
 
         Runs forward their records to a cluster trace built before the
         drive (:func:`~repro.serving.events.serve_runs`, shared with the
@@ -297,43 +295,13 @@ class ReplicaGroup:
         check_serve(source, faults, retry, shedding)
         simulator = self.engines[0].simulator
 
-        ordered = source.materialized
-        if ordered is not None and faults is None:
-            # Routing pre-pass (pure, independent of simulation) so each
-            # replica's KV-budget probe sees exactly its share's length
-            # maxima — identical budgets to serving the shares directly.
-            dispatch, _ = self._route_fn(policy, seed)  # validates policy
-            if self.num_replicas == 1:
-                # Every policy sends the whole list to the one replica.
-                indices = [0] * len(ordered)
-                share_bounds = [source.length_bounds]
-                counts = [len(ordered)]
-            else:
-                indices = [dispatch(request) for request in ordered]
-                share_bounds = [None] * self.num_replicas
-                counts = [0] * self.num_replicas
-                for request, index in zip(ordered, indices):
-                    counts[index] += 1
-                    max_input, max_output = share_bounds[index] or (0, 0)
-                    share_bounds[index] = (
-                        max(max_input, request.input_len),
-                        max(max_output, request.output_len))
-            replay = iter(indices)
-            route = lambda request: next(replay)  # noqa: E731
-            router = None
-        else:
-            # Live routing: streams and closed loops never materialize,
-            # and fault serves must route around replicas that are down
-            # (retries re-route anyway).  Every replica's budget probe
-            # uses the source's global length bounds — any request may
-            # land anywhere.
-            share_bounds = [source.length_bounds] * self.num_replicas
-            route, router = self._route_fn(policy, seed)
-
+        # Every serve routes live, at each arrival: any request may land on
+        # any replica, so every replica's budget probe uses the source's
+        # length bounds, and an impossible request raises at its arrival.
+        route, router = self._route_fn(policy, seed)
         if observers:
-            # Wrap the routing closure so observers see every assignment —
-            # covers both the live-router and the replay path, without the
-            # router itself learning about observation.
+            # Wrap the routing closure so observers see every assignment,
+            # without the router itself learning about observation.
             def route(request, _inner=route):
                 target = _inner(request)
                 for ob in observers:
@@ -357,30 +325,20 @@ class ReplicaGroup:
                     engine.make_trace(record_mode, ttft_slo_s, tpot_slo_s,
                                       quantiles=() if streaming else None,
                                       class_slos=class_slos),
-                    *(share or (None, None)), observer=observer,
-                    eager_epochs=feedback is not None, observers=observers,
-                    replica=index, fault_mode=faults is not None)
-                for index, (engine, share) in enumerate(zip(self.engines,
-                                                            share_bounds))]
-        if router is None:
-            for request, index in zip(ordered, indices):
-                # Legacy contract: an impossible request raises before any
-                # simulation happens (live routing checks at arrival).
-                runs[index].check_admissible(request)
+                    *(source.length_bounds or (None, None)),
+                    observer=observer, eager_epochs=feedback is not None,
+                    observers=observers, replica=index,
+                    fault_mode=faults is not None)
+                for index, engine in enumerate(self.engines)]
         traces = serve_runs(source, runs, route, cluster_trace,
                             journal=event_journal, observers=observers,
                             faults=faults, retry=retry, shedding=shedding,
                             router=router)
         cluster_trace.replica_traces = traces
-
-        # Live routing tallies dispatches as the event loop runs, so the
-        # counts exist only after the drive; the list pre-pass knew them
-        # upfront.
-        dispatch_counts = counts if router is None else router.dispatch_counts
         metadata = cluster_trace.metadata
         metadata.update({
             "routing": {"policy": policy, "seed": seed,
-                        "dispatch_counts": list(dispatch_counts)},
+                        "dispatch_counts": list(router.dispatch_counts)},
             "num_replicas": self.num_replicas,
             "total_gpus": self.total_gpus,
             "record_mode": record_mode,

@@ -19,13 +19,13 @@ and returns a
 :class:`~repro.serving.trace.RequestRecord` per input request, with ordered
 timestamps ``arrival <= admission <= first_token <= completion``.  Requests
 are admitted strictly in ``(arrival_time, request_id)`` order (FCFS — the
-queue head blocks admission until it fits).  A request whose KV footprint
-can never fit raises
-:class:`~repro._common.ConfigurationError` up front rather than deadlocking
-or silently truncating.  Trace metadata reports the node KV budget, peak
-reservation, per-shard budgets/occupancy, epoch/step counts, PCIe traffic,
-communication-time share, and (for systems that plan offline) per-serve
-scheduler-cache counters.
+queue head blocks admission until it fits; under preemption, per SLO-class
+lane).  A request whose KV footprint can never fit raises
+:class:`~repro._common.ConfigurationError` at its arrival rather than
+deadlocking or silently truncating.  Trace metadata reports the node KV
+budget, peak reservation, per-shard budgets/occupancy, epoch/step counts,
+PCIe traffic, communication-time share, and (for systems that plan
+offline) per-serve scheduler-cache counters.
 
 ``record_mode="streaming"`` swaps the retained trace for a
 :class:`~repro.serving.sketches.StreamingTrace`: the same summary surface,
@@ -659,8 +659,8 @@ class ContinuousBatchingEngine:
 
         ``requests`` is a list of :class:`Request`, a
         :class:`~repro.workloads.arrivals.RequestStream` (bounded memory:
-        the stream is consumed one arrival at a time and never
-        materialized) or a closed-loop session source
+        the stream is consumed one arrival at a time) or a closed-loop
+        session source
         (:meth:`~repro.workloads.sessions.SessionTrace.closed_loop`) — all
         three are driven as one
         :class:`~repro.serving.events.ArrivalSource`; a closed loop is fed
@@ -713,8 +713,6 @@ class ContinuousBatchingEngine:
                              eager_epochs=feedback is not None,
                              observers=observers,
                              fault_mode=faults is not None)
-        for request in source.materialized or ():
-            run.check_admissible(request)  # legacy contract: OOM up front
         serve_runs(source, [run], lambda request: 0, trace,
                    observers=observers, faults=faults, retry=retry,
                    shedding=shedding)

@@ -148,10 +148,6 @@ class ArrivalSource(Protocol):
     #: loop schedules follow-up turns from it), or ``None`` for an open
     #: loop.  :func:`drive` itself only peeks and pops.
     on_completion: Callable | None
-    #: The whole request list in dispatch order when the source is a
-    #: materialized list (the serve layers size budgets and check
-    #: admissibility up front from it), else ``None``.
-    materialized: list[Request] | None
 
     def peek_time(self) -> float | None:
         """Arrival time of the earliest ready request (None when none)."""
@@ -177,10 +173,9 @@ class OrderedArrivals:
 
     on_completion = None
 
-    def __init__(self, arrivals, length_bounds: tuple[int, int] | None = None,
-                 materialized: list[Request] | None = None) -> None:
+    def __init__(self, arrivals,
+                 length_bounds: tuple[int, int] | None = None) -> None:
         self.length_bounds = length_bounds
-        self.materialized = materialized
         self._arrivals = iter(arrivals)
         self._last_key: tuple[float, int] | None = None
         self._next: Request | None = None
@@ -236,7 +231,7 @@ def arrival_source(requests) -> ArrivalSource:
     ordered = sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
     bounds = ((max(r.input_len for r in ordered),
                max(r.output_len for r in ordered)) if ordered else None)
-    return OrderedArrivals(ordered, bounds, materialized=ordered)
+    return OrderedArrivals(ordered, bounds)
 
 
 def check_serve(source, faults, retry, shedding) -> None:

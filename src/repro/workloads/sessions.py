@@ -322,10 +322,6 @@ class ClosedLoopSessions:
     serve a pure function of ``(spec seed, engine configuration)``.
     """
 
-    #: Turns exist only once earlier turns complete, so there is no list
-    #: to size budgets from up front (``length_bounds`` bounds them).
-    materialized = None
-
     def __init__(self, spec: SessionTrace) -> None:
         self._spec = spec
         self._scripts = spec._scripts()

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._common import ConfigurationError
-from repro.baselines import FlexGenSystem
+from repro.baselines import FlexGenSystem, VLLMSystem
 from repro.cluster import ReplicaGroup
 from repro.cluster.router import Router
 from repro.core.engine import AlisaSystem
@@ -197,6 +197,43 @@ class TestNoFaultBitIdentity:
         with pytest.raises(ConfigurationError, match="closed-loop"):
             server.serve(source, faults=crash_at())
         assert not source.assignments  # rejected before anything ran
+
+    @pytest.mark.parametrize("record_mode", ["full", "streaming"])
+    @pytest.mark.parametrize("policy", ["round-robin", "jsq"])
+    @pytest.mark.parametrize("system", [FlexGenSystem, VLLMSystem])
+    def test_empty_schedule_equals_no_faults_on_a_list(self, system, policy,
+                                                       record_mode):
+        # A list routes live either way, so an empty schedule changes
+        # nothing but the fault blocks: the same records, summary and
+        # metadata, per-replica KV budgets included.
+        def build(node, parallelism):
+            return system(MODEL, node, parallelism=parallelism)
+
+        def serve(**fault_kwargs):
+            cluster = ReplicaGroup.from_layout(build, "2x(none)",
+                                               V100_16GB_NODE, policy=policy,
+                                               seed=3)
+            return cluster.serve(requests(), record_mode=record_mode,
+                                 class_slos=CLASS_SLOS, **fault_kwargs)
+
+        def without_fault_blocks(value):
+            if isinstance(value, dict):
+                return {key: without_fault_blocks(item)
+                        for key, item in value.items()
+                        if key not in ("faults", "resilience",
+                                       "wall_clock_s")}
+            if isinstance(value, list):
+                return [without_fault_blocks(item) for item in value]
+            return value
+
+        plain, empty = serve(), serve(faults=FaultSchedule([]))
+        assert "resilience" in empty.metadata
+        if record_mode == "full":
+            assert empty.records == plain.records
+        assert empty.summary() == plain.summary()
+        assert empty.per_class_summary() == plain.per_class_summary()
+        assert without_fault_blocks(empty.metadata) == \
+            without_fault_blocks(plain.metadata)
 
     def test_exact_stepping_rejects_faults(self):
         # The clock-stepped option is gone: neither the system nor the

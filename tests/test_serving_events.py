@@ -413,7 +413,6 @@ class ScriptedLoop:
     ``think`` seconds later."""
 
     length_bounds = (64, 32)
-    materialized = None
     on_completion = None
 
     def __init__(self, first, follow_ups, think, log):
