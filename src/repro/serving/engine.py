@@ -1423,7 +1423,7 @@ class EngineRun:
             if engine._fits(candidate, running, self._shard_reserved,
                             self._shard_limit, self._prefix):
                 admitted.append(self._admit_one(lane.popleft()))
-            elif self._can_preempt(candidate):
+            elif lane is not lanes[-1] and self._can_preempt(candidate):
                 self._preempt_for(candidate)
                 wrapper = self._admit_one(lane.popleft())
                 # Its queueing delay is the preemption latency the chunk
@@ -1432,7 +1432,7 @@ class EngineRun:
                 admitted.append(wrapper)
             else:
                 break
-        if self._num_preemptions and admitted:
+        if admitted and self._num_preemptions:
             # A same-cycle preemption may have evicted a request admitted
             # moments earlier; it must not be prefilled as admitted.
             still_running = {id(r) for r in running}
@@ -1481,12 +1481,12 @@ class EngineRun:
 
     def _can_preempt(self, candidate: Request) -> bool:
         """Could evicting every lower-lane running request fit
-        ``candidate``?  (The actual eviction stops as soon as it fits.)"""
+        ``candidate``?  (The actual eviction stops as soon as it fits.)
+        Callers skip it in O(1) for the lowest lane (the only lane without
+        preemption), which has no lower-lane victims."""
         engine = self.engine
         lane_of = self._lane_of
         candidate_lane = lane_of[candidate.slo_class]
-        if candidate_lane == len(self._lanes) - 1:
-            return False  # the lowest lane (or the only one) has no victims
         victims = [r for r in self._running
                    if lane_of[r.request.slo_class] > candidate_lane]
         if not victims:
@@ -1598,21 +1598,21 @@ class EngineRun:
         do neither blocks every lower lane, as it does in admission; one
         not yet ready is skipped.
         """
-        engine = self.engine
-        best: tuple[float, bool] | None = None
-        for lane in self._lanes:
+        engine, lanes, late = self.engine, self._lanes, self._dispatched_at
+        cut, needs_preemption = None, False
+        for lane in lanes:
             if not lane:
                 continue
             head = lane[0]
-            ready = self._ready_time(head)
+            ready = self._ready_time(head) if late else head.arrival_time
             fits = engine._fits(head, self._running, self._shard_reserved,
                                 self._shard_limit, self._prefix)
-            if fits or self._can_preempt(head):
-                if best is None or ready < best[0]:
-                    best = (ready, not fits)
+            if fits or (lane is not lanes[-1] and self._can_preempt(head)):
+                if cut is None or ready < cut:
+                    cut, needs_preemption = ready, not fits
             elif ready <= self._clock:
                 break
-        return best if best is not None else (None, False)
+        return cut, needs_preemption
 
     def _schedule_chunk(self) -> tuple[float, str]:
         """Price the next prefill chunk off the backlog head.
