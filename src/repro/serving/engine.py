@@ -112,14 +112,14 @@ the paper's own cost model):
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import accumulate
 from time import perf_counter
 from typing import NamedTuple
-
-import numpy as np
 
 from repro._common import ConfigurationError, validate_positive
 from repro.serving.events import (ADMISSION, COMPLETION, EPOCH_BOUNDARY,
@@ -136,16 +136,6 @@ from repro.workloads.descriptors import Workload
 
 #: Accepted values of ``ContinuousBatchingEngine(preemption=...)``.
 PREEMPTION_MODES = (None, "retain", "recompute")
-
-
-def _accumulate(start: float, values: np.ndarray) -> np.ndarray:
-    """Running totals of ``start + values[0] + ... `` (sequential adds).
-
-    ``np.cumsum`` accumulates left to right, so seeding it with ``start``
-    reproduces the exact float additions of ``clock += value`` loops —
-    which keeps the fast path bit-identical to step-wise accounting.
-    """
-    return np.cumsum(np.concatenate(((start,), values)))[1:]
 
 
 def _epoch_shape(running: list["_RunningRequest"]) -> tuple[int, int, int]:
@@ -165,13 +155,15 @@ def _epoch_shape(running: list["_RunningRequest"]) -> tuple[int, int, int]:
 
 class _PricedEpoch(NamedTuple):
     """The engine's memo entry for one priced decode epoch: what serving
-    reads of it.  A byte array is ``None`` when the epoch moves no byte in
-    that direction."""
+    reads of it, as plain Python floats, so a memo hit does no NumPy work.
+    ``h2d_bytes``/``d2h_bytes`` hold the per-step PCIe bytes of each
+    direction, or ``None`` when the epoch moves no byte in that
+    direction."""
 
     step_times: list[float]
     comm_per_step: float
-    h2d_bytes: np.ndarray | None
-    d2h_bytes: np.ndarray | None
+    h2d_bytes: list[float] | None
+    d2h_bytes: list[float] | None
 
 
 @dataclass(slots=True)
@@ -883,7 +875,10 @@ class ContinuousBatchingEngine:
         The epoch boundary falls out of a running sum over the step times
         plus a binary search for ``cut_arrival`` (the earliest admissible
         arrival, ``None`` when no arrival can end the epoch) — no per-step
-        pricing loop.
+        pricing loop.  The taken steps' PCIe bytes are replayed onto
+        ``memory.link`` by sequential float adds over the memo's byte
+        lists, so a memo hit is plain Python and the ledger is
+        bit-identical to per-step recording.
         Returns ``(end_clock, steps, first_clock, comm_per_step)``.
         """
         key = (batch_size, context, num_steps,
@@ -907,18 +902,20 @@ class ContinuousBatchingEngine:
             # steps can end the epoch by admission.
             steps = bisect_left(clocks, cut_arrival, 1, num_steps)
         # Replay the steps' PCIe traffic onto the serve-level link ledger
-        # (sequential adds, identical to per-step recording).  A direction
-        # that moves no bytes in the whole epoch is skipped: adding 0.0 to
-        # the non-negative ledger is an identity.
+        # with left-to-right float adds, the exact adds (in the same order)
+        # of per-step recording.  Not sum(): it compensates on Python 3.12+
+        # and would move fractional totals.  A direction that moves no
+        # bytes in the whole epoch is skipped: adding 0.0 to the
+        # non-negative ledger is an identity.
         link = memory.link
         if priced.h2d_bytes is not None:
-            link.bytes_host_to_device = float(
-                _accumulate(link.bytes_host_to_device,
-                            priced.h2d_bytes[:steps])[-1])
+            link.bytes_host_to_device = reduce(
+                operator.add, priced.h2d_bytes[:steps],
+                link.bytes_host_to_device)
         if priced.d2h_bytes is not None:
-            link.bytes_device_to_host = float(
-                _accumulate(link.bytes_device_to_host,
-                            priced.d2h_bytes[:steps])[-1])
+            link.bytes_device_to_host = reduce(
+                operator.add, priced.d2h_bytes[:steps],
+                link.bytes_device_to_host)
         return clocks[steps], steps, clocks[1], priced.comm_per_step
 
     def _price_epoch(self, batch_size: int, context: int, num_steps: int,
@@ -949,10 +946,10 @@ class ContinuousBatchingEngine:
         simulator.prepare(workload)
         simulator.plan_prefill(workload)
         timings = simulator.epoch_timings(workload, link)
-        return _PricedEpoch(timings.total_times.tolist(),
-                            float(timings.comm_times[0]),
-                            timings.h2d_bytes if timings.h2d_any else None,
-                            timings.d2h_bytes if timings.d2h_any else None)
+        return _PricedEpoch(
+            timings.total_times.tolist(), float(timings.comm_times[0]),
+            timings.h2d_bytes.tolist() if timings.h2d_any else None,
+            timings.d2h_bytes.tolist() if timings.d2h_any else None)
 
     def _finish_epoch(self, running: list[_RunningRequest],
                       sink, steps: int, first_clock: float,
@@ -1411,6 +1408,7 @@ class EngineRun:
         engine = self.engine
         lanes, running = self._lanes, self._running
         late = self._dispatched_at
+        preemptions = self._num_preemptions
         admitted: list[_RunningRequest] = []
         while True:
             for lane in lanes:
@@ -1432,9 +1430,10 @@ class EngineRun:
                 admitted.append(wrapper)
             else:
                 break
-        if admitted and self._num_preemptions:
-            # A same-cycle preemption may have evicted a request admitted
-            # moments earlier; it must not be prefilled as admitted.
+        if admitted and self._num_preemptions != preemptions:
+            # A preemption in this round may have evicted a request admitted
+            # moments earlier; it must not be prefilled as admitted.  Only
+            # this round's preemptions can evict what this round admitted.
             still_running = {id(r) for r in running}
             admitted = [r for r in admitted if id(r) in still_running]
         return admitted

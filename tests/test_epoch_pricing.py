@@ -32,6 +32,7 @@ from repro.core.scheduler import PHASE_GPU, DynamicScheduler, SchedulerConfig
 from repro.core.swa import SWAConfig, sequence_table
 from repro.hardware.presets import V100_16GB_NODE, multi_gpu
 from repro.serving import ContinuousBatchingEngine
+from repro.serving.engine import _PricedEpoch
 from repro.systems.cost import ParallelismSpec
 from repro.systems.memory import MemoryHierarchy, PCIeLink
 from repro.workloads.arrivals import generate_requests
@@ -446,6 +447,85 @@ class TestServingFastPathGoldenPins:
         a, b = tp_group.engines
         assert a._epoch_cache is not b._epoch_cache
         assert a._prefill_prices is not b._prefill_prices
+
+
+class TestEpochByteReplay:
+    """A memo hit replays the taken steps' PCIe bytes onto the serve's link
+    ledger with left-to-right float adds, the order per-step recording
+    adds them in, and the memo holds no NumPy arrays."""
+
+    SHAPE = (4, 256)
+
+    def replay(self, engine, h2d_bytes, d2h_bytes, start, cut_arrival=None):
+        """Seed the memo with a one-second-per-step epoch of the given
+        byte lists, replay it from ``start`` at clock 0.0, return the
+        link and the steps taken."""
+        num_steps = len(h2d_bytes)
+        batch, context = self.SHAPE
+        key = (batch, context, num_steps,
+               engine.simulator.parallelism.label)
+        engine._epoch_cache[key] = _PricedEpoch(
+            step_times=[1.0] * num_steps, comm_per_step=0.0,
+            h2d_bytes=h2d_bytes, d2h_bytes=d2h_bytes)
+        memory = MemoryHierarchy.from_hardware(engine.simulator.hardware)
+        link = memory.link
+        link.bytes_host_to_device = start
+        link.bytes_device_to_host = start
+        _, steps, _, _ = engine._price_epoch_fast(
+            batch, context, num_steps, cut_arrival, 0.0, memory)
+        assert engine._epoch_hits == 1 and engine._epoch_misses == 0
+        return link, steps
+
+    @staticmethod
+    def left_to_right(start, values):
+        total = start
+        for value in values:
+            total += value
+        return total
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 17])
+    def test_add_order_is_left_to_right(self, k):
+        # Each +1.0 onto 2**53 rounds back to 2**53 (ties to even).  A sum
+        # that adds the ones among themselves first (NumPy's pairwise
+        # np.sum, the compensated sum() of Python 3.12+) lands above it.
+        engine = ContinuousBatchingEngine(build_system("alisa"))
+        link, steps = self.replay(engine, [1.0] * k, None, 2.0 ** 53)
+        assert steps == k
+        assert link.bytes_host_to_device == self.left_to_right(
+            2.0 ** 53, [1.0] * k) == 2.0 ** 53
+        assert link.bytes_host_to_device != 2.0 ** 53 + k
+        # A direction the epoch does not move is left alone.
+        assert link.bytes_device_to_host == 2.0 ** 53
+
+    def test_cut_epoch_replays_only_taken_steps(self):
+        engine = ContinuousBatchingEngine(build_system("alisa"))
+        h2d, d2h = [0.1 * (i + 1) for i in range(9)], [0.7] * 9
+        link, steps = self.replay(engine, h2d, d2h, 0.3, cut_arrival=4.5)
+        assert steps == 5
+        assert link.bytes_host_to_device == self.left_to_right(0.3, h2d[:5])
+        assert link.bytes_device_to_host == self.left_to_right(0.3, d2h[:5])
+
+    @pytest.mark.parametrize("system,kwargs,requests", [
+        ("flexgen", {"cpu_fraction": 0.5},
+         dict(input_len=256, output_len=128)),
+        ("alisa", {}, dict(input_len=1024, output_len=512)),
+    ])
+    def test_spilling_serve_memoizes_plain_floats(self, system, kwargs,
+                                                  requests):
+        engine = ContinuousBatchingEngine(build_system(system, **kwargs))
+        trace = engine.serve(
+            generate_requests(12, rate=16.0, seed=5, **requests))
+        assert trace.metadata["pcie_bytes"] > 0
+        entries = list(engine._epoch_cache.values())
+        assert any(entry.h2d_bytes is not None or entry.d2h_bytes is not None
+                   for entry in entries)
+        for entry in entries:
+            for field in entry:
+                assert not isinstance(field, np.ndarray)
+            for values in (entry.step_times, entry.h2d_bytes,
+                           entry.d2h_bytes):
+                if values is not None:
+                    assert all(type(value) is float for value in values)
 
 
 #: Systems whose epochs stay resident exactly when ``s + n`` fits their
