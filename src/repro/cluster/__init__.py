@@ -7,15 +7,15 @@ scales it *up*: a :class:`ReplicaGroup` runs several independent sharded
 join-shortest-queue by KV footprint, or least-loaded by estimated
 completion time), and a :class:`ClusterTrace`, fed every replica's records
 as they are produced, reports cluster-level latency/goodput metrics while
-keeping per-replica breakdowns.  :class:`ClusterLayout` parses the
-compact axis labels (``"tp-4"``, ``"2x(tp-2)"``) the serving sweep's
-``cluster`` axis accepts.
+each replica's light :class:`ReplicaTrace` view keeps its breakdown.
+:class:`ClusterLayout` parses the compact axis labels (``"tp-4"``,
+``"2x(tp-2)"``) the serving sweep's ``cluster`` axis accepts.
 """
 
 from repro.cluster.group import ReplicaGroup, SimulatorFactory
 from repro.cluster.layout import ClusterLayout
 from repro.cluster.router import ROUTING_POLICIES, Router
-from repro.cluster.trace import ClusterTrace, StreamingClusterTrace
+from repro.cluster.trace import ClusterTrace, ReplicaTrace, StreamingClusterTrace
 from repro.hardware.presets import (
     ClusterSpec,
     cluster_of,
@@ -28,6 +28,7 @@ __all__ = [
     "ClusterSpec",
     "ClusterTrace",
     "ReplicaGroup",
+    "ReplicaTrace",
     "Router",
     "SimulatorFactory",
     "StreamingClusterTrace",

@@ -5,7 +5,8 @@ A :class:`ReplicaGroup` owns N independent
 with its own simulator, hardware node, parallelism spec, and schedule
 cache — and serves one arrival trace by routing every request to exactly
 one replica (:class:`~repro.cluster.router.Router`) and simulating each
-replica over its share; every replica run forwards its records to one
+replica over its share; every replica run hands its records, through a
+light :class:`~repro.cluster.trace.ReplicaTrace` view, to one
 :class:`~repro.cluster.trace.ClusterTrace`.
 
 This is the scale-out axis on top of the scale-up axis: tensor/pipeline
@@ -22,7 +23,7 @@ from typing import Callable
 from repro._common import ConfigurationError
 from repro.cluster.layout import ClusterLayout
 from repro.cluster.router import Router
-from repro.cluster.trace import ClusterTrace, StreamingClusterTrace, describe_replicas
+from repro.cluster.trace import ClusterTrace, ReplicaTrace, StreamingClusterTrace, describe_replicas
 from repro.hardware.presets import (
     NVLINK,
     ClusterSpec,
@@ -193,9 +194,7 @@ class ReplicaGroup:
 
         Wraps a fresh :class:`Router` exactly the way a front-end load
         balancer runs — one decision per arrival, knowing only the dispatch
-        history.  :meth:`route` and the live routing of :meth:`serve` both
-        call through here, so their assignments are identical by
-        construction.
+        history.
         """
         router = Router(self.num_replicas, policy, seed)
         # Round-robin never reads load state, so skip the per-replica
@@ -212,22 +211,6 @@ class ReplicaGroup:
 
         return route, router
 
-    def route(self, requests: list[Request], policy: str | None = None,
-              seed: int | None = None) -> list[list[Request]]:
-        """Split ``requests`` into one per-replica trace (dispatch order).
-
-        Requests are dispatched in ``(arrival_time, request_id)`` order —
-        the order a front-end sees them — and each lands on exactly one
-        replica.  Pure function of ``(requests, policy, seed)``.
-        """
-        dispatch, _ = self._route_fn(self.policy if policy is None else policy,
-                                     self.seed if seed is None else seed)
-        assignments: list[list[Request]] = [[] for _ in self.engines]
-        for request in sorted(requests,
-                              key=lambda r: (r.arrival_time, r.request_id)):
-            assignments[dispatch(request)].append(request)
-        return assignments
-
     # ------------------------------------------------------------------ #
     # serving
     # ------------------------------------------------------------------ #
@@ -243,8 +226,8 @@ class ReplicaGroup:
         Every replica becomes an event-driven
         :class:`~repro.serving.engine.EngineRun` and
         :func:`~repro.serving.events.drive` interleaves them on one heap:
-        routing fires at true arrival instants (dispatch order, exactly the
-        decisions :meth:`route` makes) and idle replicas consume zero work.
+        routing fires at true arrival instants, in dispatch order, and idle
+        replicas consume zero work.
         ``requests`` is a list or a bounded-memory
         :class:`~repro.workloads.arrivals.RequestStream`.
 
@@ -257,18 +240,22 @@ class ReplicaGroup:
         :class:`~repro.serving.events.ArrivalSource` and routed live, and
         every replica sizes its KV budget from the source's length bounds.
 
-        Runs forward their records to a cluster trace built before the
+        Each run writes into a :class:`~repro.cluster.trace.ReplicaTrace`
+        view that hands every record to a cluster trace built before the
         drive (:func:`~repro.serving.events.serve_runs`, shared with the
-        engine).  ``record_mode="full"`` returns a :class:`ClusterTrace`
-        with one record per request, sorted by completion time;
+        engine), so each record is folded once.  ``record_mode="full"``
+        returns a :class:`ClusterTrace` with one record per request,
+        sorted by completion time;
         ``"streaming"`` a :class:`~repro.cluster.trace.StreamingClusterTrace`
         in O(1) memory whose goodput SLOs are fixed by
         ``ttft_slo_s``/``tpot_slo_s`` (and, per SLO class, by
         ``class_slos``); in full mode those SLOs are the default ones.
         ``metadata["routing"]`` records the policy, seed, and per-replica
         dispatch counts, ``metadata["replicas"]`` the per-replica
-        breakdowns.  ``event_journal``, when given, receives every
-        processed ``(time, kind, replica)`` event (a test/debug surface).
+        breakdowns (``replica_traces`` holds the views: run metadata, and
+        in full mode the replica's records in delivery order).
+        ``event_journal``, when given, receives every processed
+        ``(time, kind, replica)`` event (a test/debug surface).
 
         ``observers`` is an optional list of :class:`repro.obs.Observer`
         instances hooked into every replica run and the merged event loop
@@ -313,20 +300,13 @@ class ReplicaGroup:
             system=simulator.name, model=simulator.config.name,
             ttft_slo_s=ttft_slo_s, tpot_slo_s=tpot_slo_s,
             class_slos=class_slos)
-        observer = cluster_trace.observe
         feedback = source.on_completion
-        if feedback is not None:
-            # Every completion must also reach a closed-loop source so it
-            # can schedule the session's next turn.
-            def observer(record, _sink=observer, _feedback=feedback):
-                _sink(record)
-                _feedback(record)
         runs = [engine.start_run(
-                    engine.make_trace(record_mode, ttft_slo_s, tpot_slo_s,
-                                      quantiles=() if streaming else None,
-                                      class_slos=class_slos),
+                    ReplicaTrace(engine._trace_metadata(record_mode),
+                                 cluster_trace.observe,
+                                 keep_records=not streaming),
                     *(source.length_bounds or (None, None)),
-                    observer=observer, eager_epochs=feedback is not None,
+                    observer=feedback, eager_epochs=feedback is not None,
                     observers=observers, replica=index,
                     fault_mode=faults is not None)
                 for index, engine in enumerate(self.engines)]
@@ -347,7 +327,7 @@ class ReplicaGroup:
             # Cluster capacity is a hardware fact: probe every replica's
             # budget against the whole trace, so the reported budget does
             # not shrink when a routing policy starves a replica (an empty
-            # replica's own trace reports budget 0).
+            # replica's view reports budget 0).
             metadata["kv_budget_tokens"] = sum(
                 engine.kv_budget_tokens_for_bounds(*source.length_bounds)
                 for engine in self.engines)

@@ -5,10 +5,12 @@ over the union of every replica's request records (and a
 :class:`StreamingClusterTrace` a :class:`StreamingTrace` over every
 replica's completions), so all the percentile, throughput, and goodput
 machinery applies unchanged at cluster scope.  A replica group builds the
-cluster trace of its record mode before it drives, and every replica run
-forwards each record to it as the record is produced.  The per-replica
-traces are kept intact (and summarised in ``metadata["replicas"]``) so
-imbalance between replicas stays visible at cluster scope.
+cluster trace of its record mode before it drives.  Each replica run
+writes into a light :class:`ReplicaTrace` view, which tallies four
+figures and hands every record on to the cluster trace as it is produced,
+so each record is folded once, by the cluster trace.  The views are
+summarised in ``metadata["replicas"]``, so imbalance between replicas
+stays visible at cluster scope.
 """
 
 from __future__ import annotations
@@ -39,11 +41,53 @@ def describe_replicas(metadata: dict, traces) -> None:
         sum(trace.metadata.get("kv_budget_tokens", 0) for trace in traces))
 
 
+class ReplicaTrace:
+    """One replica's share of a group serve: a light view, not a trace.
+
+    Its run's ``finalize`` fills ``metadata``.  :meth:`observe` keeps the
+    record (full mode only; ``records`` is ``None`` when streaming),
+    tallies the four figures :func:`describe_replicas` reports, then hands
+    the record to the cluster trace, the only place it is folded.  The
+    tally runs in delivery order, not in the cluster trace's final order:
+    a fault-injected full trace re-sorts records that share a completion
+    time, and a float sum depends on its order.  Runs deliver completed
+    records only, so failed and shed records enter no tally.
+    """
+
+    __slots__ = ("metadata", "records", "num_requests", "generated_tokens",
+                 "duration", "_queueing_total", "_sink")
+
+    def __init__(self, metadata: dict, sink, keep_records: bool) -> None:
+        self.metadata = metadata
+        self.records: list[RequestRecord] | None = (
+            [] if keep_records else None)
+        self.num_requests = self.generated_tokens = 0
+        self.duration = self._queueing_total = 0.0
+        self._sink = sink
+
+    def observe(self, record: RequestRecord) -> None:
+        if self.records is not None:
+            self.records.append(record)
+        self.num_requests += 1
+        self.generated_tokens += record.output_len
+        completion = record.completion_time
+        if completion > self.duration:
+            self.duration = completion
+        self._queueing_total += record.admission_time - record.arrival_time
+        self._sink(record)
+
+    @property
+    def mean_queueing_delay(self) -> float:
+        if self.num_requests == 0:
+            return 0.0
+        return self._queueing_total / self.num_requests
+
+
 class _ReplicaView:
     """What a cluster trace adds to its record mode's summary: the
-    per-replica traces it was built from."""
+    per-replica views its runs wrote into."""
 
-    replica_traces: list
+    replica_traces: list[ReplicaTrace]
 
     @property
     def num_replicas(self) -> int:
@@ -82,7 +126,7 @@ class ClusterTrace(_ReplicaView, ServingTrace):
     a single replica's records keep the engine's order exactly.
     """
 
-    replica_traces: list[ServingTrace] = field(default_factory=list)
+    replica_traces: list[ReplicaTrace] = field(default_factory=list)
 
     def observe(self, record: RequestRecord) -> None:
         records = self.records
@@ -102,8 +146,6 @@ class StreamingClusterTrace(_ReplicaView, StreamingTrace):
     float sums depend on their order, so its float means can differ from
     the full-mode trace's in the last bits (integer counts and totals do
     not); P² percentile estimates are deterministic given the event order.
-    The per-replica sinks are lightweight :class:`StreamingTrace` objects
-    with percentile sketches disabled — their summaries in
-    ``metadata["replicas"]`` need only counts, totals, and delays, exactly
-    the fields :func:`describe_replicas` reports.
+    Its :class:`ReplicaTrace` views keep no records; their tallies equal
+    full mode's bit for bit, since both modes tally in delivery order.
     """

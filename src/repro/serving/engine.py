@@ -126,7 +126,7 @@ from repro.serving.events import (ADMISSION, COMPLETION, EPOCH_BOUNDARY,
                                   PREEMPTION, PREFILL_CHUNK, arrival_source,
                                   check_observers, check_serve,
                                   notify_finish, observer_hooks, serve_runs)
-from repro.serving.sketches import DEFAULT_QUANTILES, StreamingTrace
+from repro.serving.sketches import StreamingTrace
 from repro.serving.trace import RequestRecord, ServingTrace
 from repro.systems.memory import MemoryHierarchy, PCIeLink
 from repro.systems.simulator import InferenceSimulator
@@ -713,42 +713,35 @@ class ContinuousBatchingEngine:
         return trace
 
     def make_trace(self, record_mode: str, ttft_slo_s: float | None = None,
-                   tpot_slo_s: float | None = None, quantiles=None,
+                   tpot_slo_s: float | None = None,
                    class_slos: dict | None = None):
         """Empty trace of the requested ``record_mode``, base metadata set.
 
-        ``quantiles`` (streaming mode only) overrides the percentile ranks
-        the streaming trace sketches; ``None`` keeps the defaults.  The
-        cluster layer passes ``quantiles=()`` for its per-replica sinks,
-        whose summaries need only counts and totals — that disables the
-        sketches entirely.
+        A replica group does not build one per replica: its runs write
+        into :class:`~repro.cluster.trace.ReplicaTrace` views over
+        :meth:`_trace_metadata`, and only the cluster trace folds records.
         """
+        trace_class = ServingTrace if record_mode == "full" else StreamingTrace
+        return trace_class(system=self.simulator.name,
+                           model=self.simulator.config.name,
+                           metadata=self._trace_metadata(record_mode),
+                           ttft_slo_s=ttft_slo_s, tpot_slo_s=tpot_slo_s,
+                           class_slos=class_slos)
+
+    def _trace_metadata(self, record_mode: str) -> dict:
+        """Base metadata of a trace of ``record_mode`` (validated)."""
+        if record_mode not in ("full", "streaming"):
+            raise ConfigurationError(
+                f"unknown record_mode {record_mode!r}; known: ['full', "
+                f"'streaming']"
+            )
         parallelism = self.simulator.parallelism
-        metadata = {"hardware": self.simulator.hardware.name,
-                    "kv_dtype": self.simulator.kv_dtype,
-                    "parallelism": {"mode": parallelism.mode,
-                                    "degree": parallelism.degree,
-                                    "label": parallelism.label},
-                    "record_mode": record_mode}
-        if record_mode == "full":
-            return ServingTrace(system=self.simulator.name,
-                                model=self.simulator.config.name,
-                                metadata=metadata, ttft_slo_s=ttft_slo_s,
-                                tpot_slo_s=tpot_slo_s, class_slos=class_slos)
-        if record_mode == "streaming":
-            return StreamingTrace(system=self.simulator.name,
-                                  model=self.simulator.config.name,
-                                  metadata=metadata,
-                                  quantiles=(DEFAULT_QUANTILES
-                                             if quantiles is None
-                                             else quantiles),
-                                  ttft_slo_s=ttft_slo_s,
-                                  tpot_slo_s=tpot_slo_s,
-                                  class_slos=class_slos)
-        raise ConfigurationError(
-            f"unknown record_mode {record_mode!r}; known: ['full', "
-            f"'streaming']"
-        )
+        return {"hardware": self.simulator.hardware.name,
+                "kv_dtype": self.simulator.kv_dtype,
+                "parallelism": {"mode": parallelism.mode,
+                                "degree": parallelism.degree,
+                                "label": parallelism.label},
+                "record_mode": record_mode}
 
     def start_run(self, trace, max_input_len: int | None = None,
                   max_output_len: int | None = None,
@@ -757,17 +750,22 @@ class ContinuousBatchingEngine:
                   fault_mode: bool = False) -> "EngineRun":
         """Begin one event-driven serve over this engine.
 
+        The run writes into ``trace``: its ``observe`` takes each completed
+        record and :meth:`EngineRun.finalize` fills its ``metadata`` (a
+        :meth:`make_trace` trace, or a replica group's
+        :class:`~repro.cluster.trace.ReplicaTrace` view).
+
         ``max_input_len``/``max_output_len`` bound the lengths of every
         request the run will be offered — they size the KV-budget probe
         exactly like :meth:`kv_budget_tokens` does for a list.  ``None``
         builds an idle run that may never be offered a request (a replica a
         routing policy starved; it finalizes to the empty-trace metadata).
-        ``observer`` is an extra per-record sink called after the trace
-        observes each completion (the cluster layer's streaming fan-out,
-        or a closed-loop source's ``on_completion``).  ``eager_epochs``
-        must be True for runs driven by a closed-loop source: the run then
-        prices epochs without waiting for its next queue head (which may
-        depend on its own completions).  ``observers`` are the serve's
+        ``observer`` is called with each completed record after the trace
+        observes it: a closed-loop source's ``on_completion`` feedback.
+        ``eager_epochs`` must be True for runs driven by a closed-loop
+        source: the run then prices epochs without waiting for its next
+        queue head (which may depend on its own completions).
+        ``observers`` are the serve's
         observability hooks (see :mod:`repro.obs`) and ``replica`` the
         index they see this run as.  Drive the run (alone or merged
         with others) through :func:`repro.serving.events.drive`, then call
@@ -967,9 +965,11 @@ class ContinuousBatchingEngine:
         ``sink`` is anything with ``observe(record)``: a
         :class:`~repro.serving.trace.ServingTrace`, a
         :class:`~repro.serving.sketches.StreamingTrace`, or an
-        :class:`EngineRun` fanning records out to both a trace and a
-        cluster-level sink.  Returns the finishers, in batch order, so the
-        caller can release their reservations.
+        :class:`EngineRun` handing records to its trace (a replica
+        group's :class:`~repro.cluster.trace.ReplicaTrace` view among
+        them), closed-loop feedback and observers.  Returns the
+        finishers, in batch order, so the caller can release their
+        reservations.
         """
         finished = []
         survivors = []
@@ -1143,7 +1143,7 @@ class EngineRun:
             hook(self.replica, self._clock, event, session_id, tokens)
 
     # ------------------------------------------------------------------ #
-    # record sink (fans out to the trace and an optional cluster sink)
+    # record sink (the trace, then closed-loop feedback and observers)
     # ------------------------------------------------------------------ #
     def observe(self, record: RequestRecord) -> None:
         if self._record_filter is not None:

@@ -300,9 +300,8 @@ class StreamingTrace(ServingTrace):
     * goodput can only be judged against the SLOs fixed at construction,
       since each record is gone once folded.
 
-    ``quantiles=None`` disables percentile sketches entirely (the
-    percentile methods then return ``{}``); the cluster layer uses this for
-    its per-replica sinks, whose summaries only need counts and totals.
+    ``quantiles`` are the percentile ranks the sketches track; at least
+    one is needed.
     """
 
     def __init__(self, system: str, model: str, metadata: dict | None = None,
@@ -315,18 +314,16 @@ class StreamingTrace(ServingTrace):
                          ttft_slo_s=ttft_slo_s, tpot_slo_s=tpot_slo_s,
                          class_slos=class_slos)
         self._folded = TraceTotals(ttft_slo_s, tpot_slo_s, self.class_slos)
-        quantiles = tuple(quantiles) if quantiles else None
-        self._banks = None if quantiles is None else {
-            figure: StreamingPercentiles(quantiles)
-            for figure in ("ttft", "tpot", "e2e_latency")}
-        self._preempt_wait = (P2Quantile(0.99) if quantiles is not None
-                              else None)
+        quantiles = tuple(quantiles)
+        self._banks = {figure: StreamingPercentiles(quantiles)
+                       for figure in ("ttft", "tpot", "e2e_latency")}
+        self._preempt_wait = P2Quantile(0.99)
 
     def observe(self, record: RequestRecord) -> None:
         """Fold one terminated-request record into the running summary
         and its derived figures into the sketches."""
         figures = self._folded.fold(record)
-        if figures is None or self._banks is None:
+        if figures is None:
             return
         ttft, tpot, latency, queueing = figures
         banks = self._banks
@@ -352,7 +349,7 @@ class StreamingTrace(ServingTrace):
         )
 
     def _percentiles(self, figure: str, qs) -> dict[float, float]:
-        if self._banks is None or self._folded.completed == 0:
+        if self._folded.completed == 0:
             return {}
         bank = self._banks[figure]
         values = bank.values()
@@ -367,7 +364,7 @@ class StreamingTrace(ServingTrace):
     @property
     def p99_preemption_latency(self) -> float:
         """P² estimate of the P99 preemptor queueing delay (0.0 when
-        nothing preempted, or when sketches are disabled)."""
-        if self._preempt_wait is None or self._preempt_wait.count == 0:
+        nothing preempted)."""
+        if self._preempt_wait.count == 0:
             return 0.0
         return self._preempt_wait.value

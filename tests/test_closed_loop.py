@@ -229,8 +229,8 @@ class TestClusterClosedLoop:
         first = group().serve(spec.closed_loop())
         second = group().serve(spec.closed_loop())
         assert first.summary() == second.summary()
-        assert [r.summary() for r in first.replica_traces] == \
-            [r.summary() for r in second.replica_traces]
+        assert [(r.records, r.metadata) for r in first.replica_traces] == \
+            [(r.records, r.metadata) for r in second.replica_traces]
 
     def test_streaming_cluster_matches_full(self):
         spec = chat(num_sessions=16)

@@ -1,6 +1,7 @@
 """Tests for repro.cluster: layouts, routing, replica groups, cluster sweep."""
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import pytest
@@ -21,9 +22,11 @@ from repro.cluster import (
 from repro.core.engine import AlisaSystem
 from repro.experiments import run_experiment
 from repro.experiments.serving import max_sustained_rate
+from repro.faults import FaultEvent, FaultSchedule, LoadShedder, RetryPolicy
 from repro.hardware.presets import V100_16GB_NODE, V100_16GB_X2_NODE, multi_gpu
 from repro.obs import Observer
 from repro.serving import ContinuousBatchingEngine
+from repro.serving.trace import TraceTotals
 from repro.systems.cost import ParallelismSpec
 from repro.workloads.arrivals import generate_requests
 from repro.workloads.sessions import SessionRequest
@@ -397,10 +400,6 @@ class TestReplicaGroup:
     def test_shared_estimates_dispatch_like_per_replica_ones(self, policy):
         requests = generate_requests(40, rate=16.0, pattern="bursty",
                                      seed=7)
-        shared = group("3x(none)", policy=policy)
-        separate = group("3x(none)", policy=policy)
-        separate._service_estimates = [{} for _ in separate.engines]
-        assert shared.route(requests) == separate.route(requests)
         shared_trace = group("3x(none)", policy=policy).serve(requests)
         separate = group("3x(none)", policy=policy)
         separate._service_estimates = [{} for _ in separate.engines]
@@ -457,6 +456,41 @@ def test_full_cluster_records_keep_the_merge_order():
         late += any(later < earlier
                     for earlier, later in zip(times, times[1:]))
     assert late > 0
+
+
+@pytest.mark.parametrize("faulted", [False, True],
+                         ids=["faults=None", "crash"])
+@pytest.mark.parametrize("record_mode", ["full", "streaming"])
+def test_group_serve_folds_each_record_once(monkeypatch, record_mode,
+                                            faulted):
+    # Only the cluster trace folds a record: a replica's view tallies its
+    # four figures itself.  Crashes with retry and shedding on add failed
+    # and shed records, which reach the cluster trace alone.
+    requests = [replace(request, slo_class="interactive" if index % 3 == 0
+                        else "batch")
+                for index, request in enumerate(generate_requests(
+                    40, 8.0, pattern="bursty", seed=11, max_len=512))]
+    kwargs = {}
+    if faulted:
+        kwargs = {"faults": FaultSchedule([FaultEvent(0, 1.0, 2.0),
+                                           FaultEvent(1, 2.5, 3.5)]),
+                  "retry": RetryPolicy(max_retries=1, backoff_s=0.05),
+                  "shedding": LoadShedder()}
+    folds = Counter()
+    fold = TraceTotals.fold
+
+    def counted_fold(totals, record):
+        folds[record.request_id] += 1
+        return fold(totals, record)
+
+    monkeypatch.setattr(TraceTotals, "fold", counted_fold)
+    trace = group(factory=flexgen_factory, policy="jsq").serve(
+        requests, record_mode=record_mode, **kwargs)
+    summary = trace.summary()
+    monkeypatch.undo()
+    assert folds == Counter(request.request_id for request in requests)
+    if faulted:
+        assert summary["num_failed"] > 0 and summary["num_shed"] > 0
 
 
 class TestClusterSweep:

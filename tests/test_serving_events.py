@@ -8,6 +8,8 @@ to materialized traces, and the merged cluster event stream matches
 serving the routed shares directly.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,9 +20,15 @@ from repro.baselines import FlexGenSystem, VLLMSystem
 from repro.cluster import ReplicaGroup, StreamingClusterTrace
 from repro.core.engine import AlisaSystem
 from repro.hardware.presets import V100_16GB_NODE
-from repro.serving import ContinuousBatchingEngine, StreamingTrace
+from repro.serving import ContinuousBatchingEngine, ServingTrace, StreamingTrace
 from repro.cluster.router import Router
-from repro.faults import FaultCoordinator, FaultEvent, FaultSchedule, RetryPolicy
+from repro.faults import (
+    FaultCoordinator,
+    FaultEvent,
+    FaultSchedule,
+    LoadShedder,
+    RetryPolicy,
+)
 from repro.serving.events import (
     ADMISSION,
     ARRIVAL,
@@ -144,22 +152,51 @@ class TestStreamingEquivalence:
         assert stream.metadata["routing"] == full.metadata["routing"]
         assert stream.metadata["replicas"] == full.metadata["replicas"]
 
+    @pytest.mark.parametrize("faulted", [False, True],
+                             ids=["faults=None", "crash"])
     @pytest.mark.parametrize("policy", ["round-robin", "jsq"])
     @pytest.mark.parametrize("seed", [3, 11, 29])
-    def test_streaming_replica_breakdown_matches_full(self, policy, seed):
+    def test_streaming_replica_breakdown_matches_full(self, policy, seed,
+                                                      faulted):
         # Every per-replica field — counts, tokens, makespan, mean queueing
-        # delay, budgets, peaks, comm share — is exact in both modes.
+        # delay, budgets, peaks, comm share — is exact in both modes, with
+        # crashes, retries and shedding too: each view tallies its run's
+        # completed records in delivery order, and failed and shed records
+        # reach no view.
         def factory(node, parallelism):
             return VLLMSystem(MODEL, node, parallelism=parallelism)
         group = ReplicaGroup.from_layout(factory, "2x(none)",
                                          V100_16GB_NODE, policy=policy)
         trace = requests(n=40, rate=8.0, seed=seed)
-        full = group.serve(trace)
-        stream = group.serve(trace, record_mode="streaming")
+        kwargs = {}
+        if faulted:
+            trace = [replace(request, slo_class="interactive"
+                             if index % 3 == 0 else "batch")
+                     for index, request in enumerate(trace)]
+            kwargs = {"faults": FaultSchedule([FaultEvent(0, 1.0, 2.0),
+                                               FaultEvent(1, 2.5, 3.5)]),
+                      "retry": RetryPolicy(max_retries=1, backoff_s=0.05),
+                      "shedding": LoadShedder()}
+        full = group.serve(trace, **kwargs)
+        stream = group.serve(trace, record_mode="streaming", **kwargs)
         assert len(full.metadata["replicas"]) == 2
         assert stream.metadata["replicas"] == full.metadata["replicas"]
         assert stream.metadata["kv_budget_tokens"] == \
             full.metadata["kv_budget_tokens"]
+        completed = full.num_requests - full.num_failed - full.num_shed
+        assert completed == len(full.completed_records)
+        if faulted:
+            assert completed < full.num_requests
+        for cluster in (full, stream):
+            assert sum(replica["num_requests"] for replica
+                       in cluster.metadata["replicas"]) == completed
+        for view in full.replica_traces:
+            retained = ServingTrace("sys", "m", records=view.records)
+            assert (view.num_requests, view.generated_tokens,
+                    view.duration, view.mean_queueing_delay) == \
+                (retained.num_requests, retained.generated_tokens,
+                 retained.duration, retained.mean_queueing_delay)
+        assert all(view.records is None for view in stream.replica_traces)
 
     def test_unknown_record_mode_raises(self):
         with pytest.raises(ConfigurationError, match="record_mode"):

@@ -106,9 +106,8 @@ class ReferenceTrace:
         self.system, self.model = system, model
         self.slos = (ttft_slo_s, tpot_slo_s)
         self.class_slos = normalize_class_slos(class_slos)
-        self.banks = ([UnbufferedBank(quantiles) for _ in range(3)]
-                      if quantiles else None)
-        self.preempt_wait = P2Quantile(0.99) if quantiles else None
+        self.banks = [UnbufferedBank(quantiles) for _ in range(3)]
+        self.preempt_wait = P2Quantile(0.99)
         self.count = self.failed = self.shed = self.retries = 0
         self.tokens = 0
         self.duration = 0.0
@@ -132,12 +131,11 @@ class ReferenceTrace:
         self.queueing.observe(record.queueing_delay)
         self.chunks.observe(record.prefill_chunks)
         self.good.observe(record)
-        if self.banks is not None:
-            for bank, value in zip(self.banks, (record.ttft, record.tpot,
-                                                record.e2e_latency)):
-                bank.observe(value)
-            if record.preempting:
-                self.preempt_wait.observe(record.queueing_delay)
+        for bank, value in zip(self.banks, (record.ttft, record.tpot,
+                                            record.e2e_latency)):
+            bank.observe(value)
+        if record.preempting:
+            self.preempt_wait.observe(record.queueing_delay)
         accumulator = self.classes.get(record.slo_class)
         if accumulator is None:
             ttft_slo_s, tpot_slo_s = self.class_slos.get(record.slo_class,
@@ -167,7 +165,7 @@ class ReferenceTrace:
 
     @property
     def p99_preemption_latency(self):
-        if self.preempt_wait is None or self.preempt_wait.count == 0:
+        if self.preempt_wait.count == 0:
             return 0.0
         return self.preempt_wait.value
 
@@ -190,8 +188,7 @@ class ReferenceTrace:
         return out
 
     def summary(self):
-        ttft, tpot, latency = ([bank.values() for bank in self.banks]
-                               if self.banks is not None else [{}] * 3)
+        ttft, tpot, latency = [bank.values() for bank in self.banks]
         return {
             "system": self.system,
             "model": self.model,
@@ -393,13 +390,10 @@ class TestStreamingTrace:
                 pytest.approx(full.summary()[key], rel=0.15, abs=1e-3)
 
     def test_quantiles_disabled_returns_empty(self):
-        _, stream = self.full_and_streaming(quantiles=())
-        assert stream.ttft_percentiles() == {}
-        assert stream.tpot_percentiles() == {}
-        assert stream.latency_percentiles() == {}
-        summary = stream.summary()
-        assert summary["p50_ttft_s"] == 0.0
-        assert summary["num_requests"] == 50
+        # Sketches cannot be switched off: a streaming trace needs at
+        # least one percentile rank.
+        with pytest.raises(ConfigurationError, match="percentile rank"):
+            StreamingTrace(system="sys", model="m", quantiles=())
 
     def test_unconfigured_percentile_rank_raises(self):
         _, stream = self.full_and_streaming()
@@ -655,13 +649,12 @@ class TestTraceFoldMatchesReference:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(),
-           quantiles=st.sampled_from([DEFAULT_QUANTILES, ()]),
            ttft_slo_s=slo, tpot_slo_s=slo, class_ttft=slo, class_tpot=slo)
-    def test_drawn_records(self, data, quantiles, ttft_slo_s, tpot_slo_s,
-                           class_ttft, class_tpot):
+    def test_drawn_records(self, data, ttft_slo_s, tpot_slo_s, class_ttft,
+                           class_tpot):
         n = data.draw(st.integers(0, 40))
         records = [data.draw(request_records(i)) for i in range(n)]
-        self.assert_same(records, quantiles, ttft_slo_s, tpot_slo_s,
+        self.assert_same(records, DEFAULT_QUANTILES, ttft_slo_s, tpot_slo_s,
                          {"interactive": (class_ttft, class_tpot)})
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
