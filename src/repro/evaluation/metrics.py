@@ -76,15 +76,47 @@ def percentiles(values, qs=(50, 90, 99)) -> dict[float, float]:
 
     Uses :func:`numpy.percentile`'s default linear interpolation, so the
     serving reports match what any NumPy post-processing would compute.
-    Every rank comes from one call, which partitions the array once; each
-    value equals that rank's own ``np.percentile`` bit for bit.
+    The values are sorted once and each rank is interpolated in Python
+    floats by NumPy's own steps, so it equals that rank's
+    :func:`numpy.percentile` bit for bit without that call's fixed
+    overhead.  (The one exception: NumPy partitions rather than sorts, so
+    where ``-0.0`` and ``0.0`` tie at a rank the zero's sign may differ;
+    serving figures are never negative.)  A NaN anywhere gives NaN; a
+    rank outside [0, 100] raises :class:`ConfigurationError`.
     """
-    arr = np.asarray(list(values), dtype=np.float64)
+    arr = np.fromiter(values, dtype=np.float64)
     if arr.size == 0:
         raise ConfigurationError("percentiles require at least one value")
-    qs = list(qs)
-    return {float(q): value
-            for q, value in zip(qs, np.percentile(arr, qs).tolist())}
+    arr.sort()
+    item = arr.item
+    last = arr.size - 1
+    top = item(last)
+    result: dict[float, float] = {}
+    for q in qs:
+        q = float(q)
+        fraction = q / 100.0
+        if not 0.0 <= fraction <= 1.0:
+            raise ConfigurationError(
+                f"percentile ranks must lie in [0, 100], got {q!r}"
+            )
+        if top != top:  # NaN sorts last and poisons every rank
+            result[q] = top
+            continue
+        virtual = last * fraction
+        if virtual >= last:
+            # NumPy clips both neighbours to index -1 and measures gamma
+            # from that clipped index, not from ``floor(virtual)``.
+            below = above = top
+            gamma = virtual + 1.0
+        else:
+            index = int(virtual)
+            below = item(index)
+            above = item(index + 1)
+            gamma = virtual - index
+        step = above - below
+        result[q] = (above - step * (1.0 - gamma) if gamma >= 0.5
+                     else below + step * gamma)
+    return result
 
 
 def serving_goodput(records, duration_s: float, ttft_slo_s: float | None = None,

@@ -40,9 +40,8 @@ from __future__ import annotations
 import bisect
 import math
 
-import numpy as np
-
 from repro._common import ConfigurationError
+from repro.evaluation.metrics import percentiles
 from repro.serving.trace import RequestRecord, ServingTrace, TraceTotals
 
 #: Percentile ranks tracked by default — the ones ``summary()`` reports.
@@ -59,8 +58,9 @@ class P2Quantile:
     ``q/2`` and ``(1+q)/2``.  Each observation shifts marker positions and
     adjusts heights by a piecewise-parabolic (hence P²) interpolation, so
     the estimate converges without retaining observations.  Below five
-    observations the exact values are kept and the quantile is computed
-    directly (matching :func:`numpy.percentile`).
+    observations the exact values are kept and the quantile comes from
+    :func:`repro.evaluation.metrics.percentiles`, the exact kernel the
+    retained traces use (equal to :func:`numpy.percentile` bit for bit).
     """
 
     __slots__ = ("quantile", "count", "_markers", "_positions", "_desired",
@@ -197,8 +197,9 @@ class P2Quantile:
                 "the quantile of an empty stream is undefined"
             )
         if self._positions is None:
-            # Fewer than five observations: exact, matching np.percentile.
-            return float(np.percentile(self._markers, self.quantile * 100.0))
+            # Fewer than five observations: exact, as a retained trace.
+            rank = self.quantile * 100.0
+            return percentiles(self._markers, (rank,))[rank]
         return self._markers[2]
 
 

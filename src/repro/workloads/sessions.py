@@ -261,26 +261,32 @@ class SessionTrace:
         # context budget; later turns end the session rather than overflow.
         input_cap = self.max_context // 2
         output_cap = self.max_context - input_cap
-
-        def sample(mean: int, cap: int) -> int:
-            mu = np.log(mean) - self.sigma ** 2 / 2.0
-            length = generator.lognormal(mu, self.sigma)
-            return int(np.clip(np.round(length), 1, cap))
+        # Scalar draws in a fixed order: input, output, think time, then
+        # the early-end check (docs/workloads.md).  ``mu`` keeps NumPy's
+        # ``log``, which may differ from libm's in the last bit; ``round``
+        # rounds half to even, and capping before rounding keeps an
+        # overflowed draw finite.
+        sigma = self.sigma
+        lognormal = generator.lognormal
+        input_mu = float(np.log(self.mean_new_input)) - sigma ** 2 / 2.0
+        output_mu = float(np.log(self.mean_output)) - sigma ** 2 / 2.0
 
         scripts: list[tuple] = []
-        for session_id in range(self.num_sessions):
-            slo_class = str(classes[session_id])
+        for start, slo_class, count in zip(starts.tolist(), classes.tolist(),
+                                           turn_counts.tolist()):
             prefix = 0
             script: list[tuple] = []
-            for _ in range(int(turn_counts[session_id])):
-                new_input = sample(self.mean_new_input, input_cap)
-                output = sample(self.mean_output, output_cap)
-                think = float(generator.exponential(self.mean_think_s))
+            for _ in range(count):
+                new_input = max(
+                    round(min(lognormal(input_mu, sigma), input_cap)), 1)
+                output = max(
+                    round(min(lognormal(output_mu, sigma), output_cap)), 1)
+                think = generator.exponential(self.mean_think_s)
                 if prefix + new_input + output > self.max_context:
                     break  # context budget exhausted: session ends early
                 script.append((prefix, new_input, output, think))
                 prefix += new_input + output
-            scripts.append((float(starts[session_id]), slo_class, script))
+            scripts.append((start, slo_class, script))
         return scripts
 
     def _turns(self) -> list[tuple]:

@@ -1,12 +1,16 @@
 """Tests for the serving layer: arrival traces, continuous batching, metrics."""
 
+import math
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro._common import ConfigurationError
 from repro.baselines import FlexGenSystem, VLLMSystem
@@ -98,8 +102,8 @@ class TestServingMetrics:
 
     @pytest.mark.parametrize("size", [1, 2, 3, 10, 257, 1001])
     def test_percentiles_equal_one_call_per_rank(self, rng, size):
-        # One np.percentile call for every rank must reproduce a call per
-        # rank bit for bit, with ties and on the smallest arrays.
+        # One kernel call for every rank must reproduce an np.percentile
+        # call per rank bit for bit, with ties and on the smallest arrays.
         qs = (0, 25, 50, 90, 99, 99.9, 100)
         for values in (rng.exponential(1.0, size=size),
                        rng.integers(0, 3, size=size).astype(float)):
@@ -109,9 +113,54 @@ class TestServingMetrics:
                 assert type(result[float(q)]) is float
                 assert result[float(q)] == float(np.percentile(values, q))
 
+    @given(values=st.lists(
+               st.one_of(st.floats(-1e9, 1e9),
+                         st.sampled_from([0.0, 0.5, 1.0, 3.0, math.inf])),
+               min_size=1, max_size=300),
+           zero=st.sampled_from([0.0, -0.0]),
+           nan_at=st.one_of(st.none(), st.integers(0, 299)),
+           drawn=st.lists(st.one_of(st.floats(0.0, 100.0),
+                                    st.integers(0, 100)), max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_percentiles_equal_numpy_bitwise(self, values, zero, nan_at,
+                                             drawn):
+        # Ties (the sampled pool), zeros, +inf (whose neighbours give
+        # inf - inf = NaN inside NumPy's lerp) and NaN all included.  All
+        # zeros share one sign: NumPy partitions where the kernel sorts, so
+        # the two may order a tie of -0.0 and 0.0 differently (serving
+        # figures are never negative).
+        values = [zero if value == 0.0 else value for value in values]
+        if nan_at is not None:
+            values[nan_at % len(values)] = math.nan
+        qs = [0, 50, 90, 99, 99.9, 100, *drawn]
+        result = percentiles(iter(values), qs)
+        arr = np.array(values)
+        with np.errstate(invalid="ignore"):
+            expected = [float(np.percentile(arr, q)) for q in qs]
+        for q, want in zip(qs, expected):
+            got = result[float(q)]
+            assert type(got) is float
+            if math.isnan(want):
+                assert math.isnan(got), q
+            else:
+                assert struct.pack("d", got) == struct.pack("d", want), q
+
+    @pytest.mark.parametrize("q", [-1, -1e-9, 100.0000001, 101, math.nan,
+                                   math.inf, -math.inf])
+    def test_percentiles_rank_out_of_range_raises(self, q):
+        with pytest.raises(ValueError):
+            np.percentile([1.0, 2.0], q)  # the behaviour being kept
+        with pytest.raises(ValueError):
+            percentiles([1.0, 2.0], (50, q))
+
     def test_percentiles_empty_raises(self):
         with pytest.raises(ConfigurationError):
             percentiles([])
+
+    @pytest.mark.parametrize("values", [(), iter(()), np.array([])])
+    def test_percentiles_empty_iterables_raise(self, values):
+        with pytest.raises(ConfigurationError):
+            percentiles(values)
 
     def _record(self, request_id, ttft, tpot, output_len=10):
         first = 1.0 + ttft

@@ -9,13 +9,16 @@ stay bit-identical to the event core's frozen golden pin.
 """
 
 import dataclasses
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clock_reference import serve_stepped
-from repro._common import ConfigurationError
+from session_reference import scripts_numpy_scalar
+from repro._common import ConfigurationError, rng
 from repro.baselines import FlexGenSystem, VLLMSystem
 from repro.cluster import ReplicaGroup, Router
 from repro.core.engine import AlisaSystem
@@ -23,7 +26,12 @@ from repro.hardware.presets import V100_16GB_NODE
 from repro.obs import Observer
 from repro.serving import PREEMPTION_MODES, ContinuousBatchingEngine
 from repro.serving.events import ADMISSION, ARRIVAL, COMPLETION, EPOCH_BOUNDARY
-from repro.workloads.arrivals import SLO_CLASSES, Request, generate_requests
+from repro.workloads.arrivals import (
+    ARRIVAL_PATTERNS,
+    SLO_CLASSES,
+    Request,
+    generate_requests,
+)
 from repro.workloads.sessions import (
     SessionRequest,
     SessionTrace,
@@ -134,6 +142,80 @@ class TestSessionLowering:
             assert request.input_len == record.input_len
             assert request.output_len == record.output_len
             assert request.slo_class == record.slo_class
+
+
+# --------------------------------------------------------------------- #
+# Scalar lowering vs. the NumPy-scalar reference
+# --------------------------------------------------------------------- #
+def lowered(spec):
+    """Everything a spec lowers to, as exact reprs (types and float bits)."""
+    source = spec.closed_loop()
+    return {
+        "scripts": repr(spec._scripts()),
+        "requests": repr(spec.requests()),
+        "single_shot": repr(spec.single_shot()),
+        "closed_loop": repr((source._scripts, source.num_turns,
+                             source.length_bounds)),
+    }
+
+
+def lowered_by_reference(spec):
+    with mock.patch.object(SessionTrace, "_scripts", scripts_numpy_scalar):
+        return lowered(spec)
+
+
+class TestScalarLowering:
+    """The scalar draws reproduce the NumPy-scalar lowering bit for bit.
+
+    Draw order (input, output, think time, then the early-end check) is
+    the contract: one generator drives every draw, so a reordered or
+    skipped draw shifts every later session.
+    """
+
+    @given(seed=st.integers(0, 2**16),
+           pattern=st.sampled_from(sorted(ARRIVAL_PATTERNS)),
+           num_sessions=st.integers(1, 12),
+           mean_turns=st.floats(1.0, 8.0),
+           sigma=st.sampled_from([0.1, 0.8, 1.7, 3.0]),
+           max_context=st.sampled_from([2, 3, 17, 96, 2048]),
+           mean_new_input=st.integers(1, 300),
+           mean_output=st.integers(1, 300),
+           interactive_fraction=st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_lowering_equals_reference(self, seed, pattern, num_sessions,
+                                       mean_turns, sigma, max_context,
+                                       mean_new_input, mean_output,
+                                       interactive_fraction):
+        spec = sessions(num_sessions, 3.0, seed=seed, pattern=pattern,
+                        mean_turns=mean_turns, sigma=sigma,
+                        max_context=max_context,
+                        mean_new_input=mean_new_input,
+                        mean_output=mean_output,
+                        interactive_fraction=interactive_fraction)
+        got, expected = lowered(spec), lowered_by_reference(spec)
+        for part in expected:
+            assert got[part] == expected[part], part
+
+    @pytest.mark.parametrize("seed", [0, 7, 1234])
+    @pytest.mark.parametrize("pattern", sorted(ARRIVAL_PATTERNS))
+    def test_caps_and_early_ends_are_exercised(self, seed, pattern):
+        # A heavy tail against a small context: lengths hit both caps and
+        # sessions end before their drawn turn count, and the lowering
+        # still equals the reference.
+        spec = sessions(24, 2.0, seed=seed, pattern=pattern, sigma=2.5,
+                        max_context=64, mean_turns=6.0, mean_new_input=24,
+                        mean_output=24)
+        scripts = spec._scripts()
+        turn_counts = np.minimum(
+            rng(seed + 1).geometric(1.0 / spec.mean_turns,
+                                    size=spec.num_sessions),
+            spec.max_turns)
+        turns = [turn for _, _, script in scripts for turn in script]
+        assert any(turn[1] == 32 for turn in turns)  # input cap
+        assert any(turn[2] == 32 for turn in turns)  # output cap
+        assert any(len(script) < count for (_, _, script), count
+                   in zip(scripts, turn_counts.tolist()))
+        assert lowered(spec) == lowered_by_reference(spec)
 
 
 # --------------------------------------------------------------------- #
