@@ -109,7 +109,8 @@ class VLLMSystem(InferenceSimulator):
         return EpochPlan(phases=(phase,) * workload.output_len,
                          kv_gpu_tokens=seq, kv_cpu_tokens=np.zeros(seq.size))
 
-    def epoch_stays_resident(self, workload: Workload) -> bool:
+    def epoch_stays_resident(self, batch_size: int, context: int,
+                             num_steps: int) -> bool:
         """Always: a wave plan never moves KV, and the wave count only
         changes the phase label, which epoch pricing does not read."""
         return True

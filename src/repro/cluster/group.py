@@ -38,7 +38,7 @@ from repro.serving.events import (
     notify_finish,
     serve_runs,
 )
-from repro.systems.cost import LLMCostModel, ParallelismSpec
+from repro.systems.cost import ParallelismSpec, share_step_tables
 from repro.systems.simulator import InferenceSimulator
 from repro.workloads.arrivals import Request
 
@@ -107,25 +107,24 @@ class ReplicaGroup:
         force.  Schedule caches are never shared.
 
         Router service estimates and decode-step time tables depend on
-        the cost model alone, so every replica with an equal
-        ``pricing_signature`` reads one estimate dict and one set of step
-        tables, whatever its admission knobs.  That includes ALISA
-        replicas: their priced epochs depend on solver history, but the
-        compute time of a step does not.
+        the cost model alone, so every replica whose cost model has an
+        equal :attr:`~repro.systems.cost.LLMCostModel.identity` (config,
+        hardware, dtype, parallelism) reads one estimate dict and one step
+        table store, whatever its simulator's other knobs or admission
+        knobs.  That includes ALISA replicas, whose priced epochs depend
+        on solver history while the compute time of a step does not, and
+        FlexGen replicas with different ``cpu_fraction`` settings.
         """
+        share_step_tables([engine.simulator.cost_model
+                           for engine in self.engines], {})
         leaders: dict[tuple, ContinuousBatchingEngine] = {}
         estimates: dict[tuple, dict[tuple[int, int], float]] = {}
-        cost_models: dict[tuple, LLMCostModel] = {}
         self._service_estimates: list[dict[tuple[int, int], float]] = []
         for engine in self.engines:
-            signature = engine.simulator.pricing_signature()
-            self._service_estimates.append(
-                estimates.setdefault(signature, {}))
-            cost_model = engine.simulator.cost_model
-            step_leader = cost_models.setdefault(signature, cost_model)
-            if step_leader is not cost_model:
-                cost_model.adopt_step_tables(step_leader)
-            key = (signature, engine.max_batch_size, engine.reserve_fraction)
+            self._service_estimates.append(estimates.setdefault(
+                engine.simulator.cost_model.identity, {}))
+            key = (engine.simulator.pricing_signature(),
+                   engine.max_batch_size, engine.reserve_fraction)
             leader = leaders.setdefault(key, engine)
             if leader is not engine:
                 engine.adopt_pricing_caches(
@@ -177,7 +176,10 @@ class ReplicaGroup:
         at the final context length — deliberately the *router's* coarse
         view (it overcharges decode and ignores batching), priced by the
         replica's own cost model so heterogeneous replicas estimate
-        honestly.  Cached per ``(input_len, output_len)`` shape.
+        honestly.  The decode step is read from the cost model's dense
+        batch-1 step table, which equals
+        :meth:`~repro.systems.cost.LLMCostModel.decode_step_time` bit for
+        bit.  Cached per ``(input_len, output_len)`` shape.
         """
         key = (request.input_len, request.output_len)
         cached = self._service_estimates[replica].get(key)
@@ -185,7 +187,8 @@ class ReplicaGroup:
             cost_model = self.engines[replica].simulator.cost_model
             cached = (cost_model.prefill_time(1, request.input_len)
                       + request.output_len
-                      * cost_model.decode_step_time(1, request.max_seq_len))
+                      * cost_model.decode_step_list(1, request.max_seq_len,
+                                                    1)[0])
             self._service_estimates[replica][key] = cached
         return cached
 

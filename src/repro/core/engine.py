@@ -400,7 +400,8 @@ class AlisaSystem(InferenceSimulator):
             swa_split=self.swa,
         )
 
-    def epoch_stays_resident(self, workload: Workload) -> bool:
+    def epoch_stays_resident(self, batch_size: int, context: int,
+                             num_steps: int) -> bool:
         """Whether the epoch fits the GPU KV budget and so stays in Phase I.
 
         Dynamic scheduling without a fixed ``scheduler_config`` solves
@@ -414,7 +415,8 @@ class AlisaSystem(InferenceSimulator):
         if (self.use_dynamic_scheduling
                 and self._fixed_scheduler_config is not None):
             return False
-        return self.gpu_kv_budget_tokens(workload) >= workload.max_seq_len
+        return (self._kv_budget_tokens(batch_size, context)
+                >= context + num_steps)
 
     def pricing_is_shape_pure(self) -> bool:
         """Dynamic-scheduling epochs are shape-pure only under ``exact``.

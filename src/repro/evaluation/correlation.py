@@ -14,7 +14,12 @@ from repro._common import ConfigurationError
 
 
 def spearman_correlation(reference: np.ndarray, candidate: np.ndarray) -> float:
-    """Spearman rank correlation between two attention-score distributions."""
+    """Spearman rank correlation between two attention-score distributions.
+
+    The Pearson correlation (``np.corrcoef``) of the two average-rank
+    vectors (:func:`average_ranks`), as ``scipy.stats.spearmanr`` computes
+    it.  Constant inputs and inputs holding a NaN give 0.0.
+    """
     reference = np.asarray(reference, dtype=np.float64)
     candidate = np.asarray(candidate, dtype=np.float64)
     if reference.shape != candidate.shape:
@@ -23,14 +28,34 @@ def spearman_correlation(reference: np.ndarray, candidate: np.ndarray) -> float:
         raise ConfigurationError("need at least 3 positions to correlate")
     if np.allclose(reference, reference[0]) or np.allclose(candidate, candidate[0]):
         return 0.0
-    # Imported here: scipy costs most of a second to import, and the
-    # serving layer reaches this module through repro.evaluation.
-    from scipy import stats
-
-    rho, _ = stats.spearmanr(reference, candidate)
-    if np.isnan(rho):
+    if np.isnan(reference).any() or np.isnan(candidate).any():
         return 0.0
-    return float(rho)
+    # Non-constant, NaN-free inputs have non-constant ranks, so rho is
+    # finite.  Columns, as scipy stacks them, give its rho bit for bit.
+    ranks = np.column_stack((average_ranks(reference), average_ranks(candidate)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+
+
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array, ties given the mean of their ranks.
+
+    The rule of ``scipy.stats.rankdata(method="average")``: a run of
+    ``k`` equal values occupying sorted positions ``i + 1`` to ``i + k``
+    all get ``i + (k + 1) / 2``.
+    """
+    values = np.asarray(values, dtype=np.float64).ravel()
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    starts = np.empty(values.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    group = np.cumsum(starts)
+    # bounds[g - 1] is how many values sort before group g, and bounds[g]
+    # how many sort up to its end.
+    bounds = np.append(np.flatnonzero(starts), values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = 0.5 * (bounds[group] + bounds[group - 1] + 1)
+    return ranks
 
 
 def score_distribution(received_attention: np.ndarray,

@@ -42,7 +42,7 @@ from repro.hardware.presets import (
     hardware_for_model,
     validate_equal_gpu_count,
 )
-from repro.systems.cost import ParallelismSpec
+from repro.systems.cost import LLMCostModel, ParallelismSpec, share_step_tables
 from repro.workloads.arrivals import generate_requests
 
 #: Systems compared in the serving sweep: constructors keyed by name.
@@ -257,15 +257,20 @@ def serving_rate_sweep(model: str = "opt-6.7b",
 
     # Built once per (layout, system) and reused across every rate and
     # routing policy, so ALISA's schedule caches stay warm for the sweep.
+    # Cost models of equal identity read one step-table store across
+    # systems, local to this call: every sweep starts cold.
     groups: dict[tuple[str, str], ReplicaGroup] = {}
+    step_tables: dict[tuple, LLMCostModel] = {}
     for label, layout in layouts.items():
         for system_name, build in SERVING_SYSTEMS.items():
-            groups[(label, system_name)] = ReplicaGroup.from_layout(
+            group = groups[(label, system_name)] = ReplicaGroup.from_layout(
                 partial(_build_simulator, system_name, build, model,
                         schedule_policy=policy),
                 layout, base_hardware, interconnect=link, seed=seed,
                 preemption=preemption,
                 prefill_chunk_tokens=prefill_chunk_tokens)
+            share_step_tables([engine.simulator.cost_model
+                               for engine in group.engines], step_tables)
 
     for rate in rates:
         # Closed-loop sources are single-use (arrivals are consumed as the

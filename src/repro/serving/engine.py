@@ -921,26 +921,30 @@ class ContinuousBatchingEngine:
         """Price every step of one decode epoch (a memo miss).
 
         An epoch whose KV stays on the GPU
-        (:meth:`~repro.systems.simulator.InferenceSimulator.epoch_stays_resident`)
-        costs only its compute, read as a slice of the cost model's step
-        table, plus the per-step communication time — no ``prepare``, no
-        ``plan_prefill`` and no ``epoch_timings``, bit-identical to them
-        (pinned by ``tests/test_epoch_pricing.py``).  Any other epoch is
-        planned and priced in full: the simulator's ``prepare`` (for ALISA
-        the offline schedule search), ``plan_prefill`` to re-place the
-        already-resident context (its prefill was charged at admission),
-        then ``epoch_timings`` against ``link``'s bandwidth and latency.
+        (:meth:`~repro.systems.simulator.InferenceSimulator.epoch_stays_resident`,
+        asked with ``(b, s, n)``) costs only its compute plus the per-step
+        communication time.  It is plain Python: the slice
+        ``[s + 1 : s + 1 + n]`` of the list view of the cost model's step
+        table (:meth:`~repro.systems.cost.LLMCostModel.decode_step_list`)
+        and ``cost_model.parallel_comm_time(b)`` — no workload, no
+        ``prepare``, no ``plan_prefill`` and no ``epoch_timings``,
+        bit-identical to them (pinned by ``tests/test_epoch_pricing.py``).
+        Only an epoch that plans builds a workload: the simulator's
+        ``prepare`` (for ALISA the offline schedule search),
+        ``plan_prefill`` to re-place the already-resident context (its
+        prefill was charged at admission), then ``epoch_timings`` against
+        ``link``'s bandwidth and latency.
         """
         simulator = self.simulator
+        if simulator.epoch_stays_resident(batch_size, context, num_steps):
+            cost_model = simulator.cost_model
+            return _PricedEpoch(
+                cost_model.decode_step_list(batch_size, context + 1,
+                                            num_steps,
+                                            simulator.step_table_split),
+                cost_model.parallel_comm_time(batch_size), None, None)
         workload = Workload(batch_size=batch_size, input_len=context,
                             output_len=num_steps, name="serving-decode")
-        if simulator.epoch_stays_resident(workload):
-            step_times = simulator.cost_model.decode_step_times(
-                batch_size, context + 1, num_steps,
-                simulator.step_table_split)
-            return _PricedEpoch(step_times.tolist(),
-                                simulator.parallel_comm_time(workload),
-                                None, None)
         simulator.prepare(workload)
         simulator.plan_prefill(workload)
         timings = simulator.epoch_timings(workload, link)

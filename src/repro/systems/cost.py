@@ -120,6 +120,22 @@ class ParallelismSpec:
         return "none" if self.degree == 1 else f"{self.mode}-{self.degree}"
 
 
+def share_step_tables(cost_models, leaders: dict) -> None:
+    """Let cost models of equal :attr:`LLMCostModel.identity` share one
+    step-table store.
+
+    ``leaders`` maps an identity to the cost model whose store it reads;
+    each cost model whose identity is new becomes that leader, and every
+    other one adopts its leader's tables (:meth:`LLMCostModel.adopt_step_tables`).
+    Pass a dict that lives as long as the sharing should, never a
+    process-wide one.
+    """
+    for cost_model in cost_models:
+        leader = leaders.setdefault(cost_model.identity, cost_model)
+        if leader is not cost_model:
+            cost_model.adopt_step_tables(leader)
+
+
 @dataclass(frozen=True)
 class OpCost:
     """Cost of a single operator instance."""
@@ -171,15 +187,28 @@ class LLMCostModel:
                 f"node {hardware.name!r} has no interconnect; multi-GPU "
                 "execution needs one for its collective-communication terms"
             )
+        # The model config is frozen, so its weight bytes are priced once.
+        self._weight_bytes = config.num_parameters() * self.bytes_per_element
         # Per-batch-size decode constants of the vectorized step formula:
         # the qkv/out projection rooflines and the FFN time do not depend
         # on the sequence length (see _decode_constants).
         self._decode_constant_cache: dict[int, tuple] = {}
         # Decode-step times keyed by (batch_size, split), indexed by
-        # sequence length (see decode_step_times).  Per cost model, so
-        # every freshly built system prices its own table; replica groups
-        # share one between equal-signature replicas (adopt_step_tables).
+        # sequence length (see decode_step_times), each with a list view
+        # made whenever the table grows (decode_step_list).  Per cost
+        # model, so every freshly built system prices its own tables;
+        # equal-identity cost models of a replica group or a sweep share
+        # one store (adopt_step_tables).
         self._step_tables: dict[tuple, np.ndarray] = {}
+        self._step_lists: dict[tuple, list[float]] = {}
+
+    @property
+    def identity(self) -> tuple:
+        """``(config, hardware, dtype, parallelism)``: every input of the
+        step formulas.  Cost models with equal identities price every
+        step identically, so they may share step tables
+        (:meth:`adopt_step_tables`)."""
+        return (self.config, self.hardware, self.dtype, self.parallelism)
 
     @property
     def effective_pcie_bandwidth(self) -> float:
@@ -206,7 +235,7 @@ class LLMCostModel:
         capacity = (self.hardware.gpu.memory_bytes * gpu_count
                     * (1.0 - reserve_fraction))
         if weights_on_gpu:
-            capacity -= self.weight_bytes()
+            capacity -= self._weight_bytes
         capacity -= gpu_count * self.activation_bytes(batch_size, input_len)
         return capacity
 
@@ -215,7 +244,7 @@ class LLMCostModel:
     # ------------------------------------------------------------------ #
     def weight_bytes(self) -> float:
         """Total model weight size in the compute dtype."""
-        return self.config.num_parameters() * self.bytes_per_element
+        return self._weight_bytes
 
     def kv_bytes_per_token(self, batch_size: int, kv_dtype: str | None = None) -> float:
         """KV-cache bytes contributed by one token across all layers."""
@@ -525,38 +554,69 @@ class LLMCostModel:
         at least doubles when it grows, so a run of increasing lengths
         re-prices only logarithmically often.
         """
-        if first_seq <= 0:
-            raise ConfigurationError("sequence lengths must be positive")
         end = first_seq + num_steps
-        key = (batch_size, split)
-        table = self._step_tables.get(key)
-        if table is None or end > table.size:
-            start = 1 if table is None else table.size
-            size = max(end, 256 if table is None else 2 * table.size)
-            seq = np.arange(start, size)
-            grown = np.empty(size)
-            if table is None:
-                grown[0] = np.nan  # no sequence has length 0
-            else:
-                grown[:start] = table
-            if split is None:
-                grown[start:] = self.decode_step_time_batch(batch_size, seq)
-            else:
-                local, global_ = split.split_budget_batch(seq)
-                grown[start:] = self.decode_step_time_batch(
-                    batch_size, seq, kept_kv=local + global_,
-                    local_windows=local)
-            grown.flags.writeable = False
-            table = self._step_tables[key] = grown
+        table = self._step_tables.get((batch_size, split))
+        if table is None or end > table.size or first_seq <= 0:
+            table = self._grow_step_table(batch_size, split, first_seq, end)
         return table[first_seq:end]
 
-    def adopt_step_tables(self, other: "LLMCostModel") -> None:
-        """Read and grow ``other``'s step tables from now on.
+    def decode_step_list(self, batch_size: int, first_seq: int,
+                         num_steps: int, split=None) -> list[float]:
+        """:meth:`decode_step_times` as a list of Python floats.
 
-        Only valid between cost models that price identically (the
-        replica group checks equal simulator pricing signatures).
+        A slice of the table's list view, made once each time the table
+        grows, so a read costs no NumPy call.  The same table entries,
+        so ``decode_step_list(...) == decode_step_times(...).tolist()``.
+        """
+        end = first_seq + num_steps
+        values = self._step_lists.get((batch_size, split))
+        if values is None or end > len(values) or first_seq <= 0:
+            self._grow_step_table(batch_size, split, first_seq, end)
+            values = self._step_lists[(batch_size, split)]
+        return values[first_seq:end]
+
+    def _grow_step_table(self, batch_size: int, split, first_seq: int,
+                         end: int) -> np.ndarray:
+        """Grow the ``(batch_size, split)`` table to hold lengths below
+        ``end``, and remake its list view."""
+        if first_seq <= 0:
+            raise ConfigurationError("sequence lengths must be positive")
+        key = (batch_size, split)
+        table = self._step_tables.get(key)
+        start = 1 if table is None else table.size
+        size = max(end, 256 if table is None else 2 * table.size)
+        seq = np.arange(start, size)
+        grown = np.empty(size)
+        if table is None:
+            grown[0] = np.nan  # no sequence has length 0
+        else:
+            grown[:start] = table
+        if split is None:
+            grown[start:] = self.decode_step_time_batch(batch_size, seq)
+        else:
+            local, global_ = split.split_budget_batch(seq)
+            grown[start:] = self.decode_step_time_batch(
+                batch_size, seq, kept_kv=local + global_,
+                local_windows=local)
+        grown.flags.writeable = False
+        self._step_tables[key] = grown
+        self._step_lists[key] = grown.tolist()
+        return grown
+
+    def adopt_step_tables(self, other: "LLMCostModel") -> None:
+        """Read and grow ``other``'s step tables and their list views
+        from now on.
+
+        Only valid between cost models with equal :attr:`identity`: a
+        step's time depends on nothing else.  A replica group shares one
+        store between its equal-identity replicas, and a serving sweep
+        between every equal-identity cost model it builds, whatever the
+        system; tables of different attention splits stay apart under
+        their ``split`` key.  Nothing outlives the sharing cost models,
+        so every sweep starts with empty tables.
         """
         self._step_tables = other._step_tables
+        self._step_lists = other._step_lists
 
     def quantize_time_batch(self, batch_size: int,
                             num_tokens: np.ndarray) -> np.ndarray:

@@ -227,20 +227,25 @@ class InferenceSimulator(ABC):
         wave count and FlexGen's static split, prepare in full either way.
         """
 
-    def epoch_stays_resident(self, workload: Workload) -> bool:
-        """Whether every decode step of ``workload`` keeps its KV on the GPU.
+    def epoch_stays_resident(self, batch_size: int, context: int,
+                             num_steps: int) -> bool:
+        """Whether every decode step of the epoch ``(b, s, n)`` keeps its
+        KV on the GPU.
 
-        Such an epoch moves, recomputes and quantizes nothing, so
-        :meth:`epoch_timings` prices each step at its compute alone: the
-        slice of the cost model's step table for :attr:`step_table_split`
-        at sequence lengths ``s + 1`` to ``s + n``, plus
-        :meth:`parallel_comm_time` per step.  The serving engine prices an
-        epoch-cache miss that answers True from that slice, without
-        :meth:`prepare`, :meth:`plan_prefill` or :meth:`epoch_timings`.
-        The answer must be cheap, must leave planning state alone, and
-        may only be True when :meth:`epoch_timings` would price exactly
-        that slice.  The base class answers False, so reference baselines
-        and third-party simulators keep the planning path.
+        ``b`` sequences decode ``n`` steps from a resident context of
+        ``s`` tokens.  Such an epoch moves, recomputes and quantizes
+        nothing, so :meth:`epoch_timings` prices each step at its compute
+        alone: the slice of the cost model's step table for
+        :attr:`step_table_split` at sequence lengths ``s + 1`` to
+        ``s + n``, plus :meth:`parallel_comm_time` per step.  The serving
+        engine prices an epoch-cache miss that answers True from that
+        slice, without building a workload and without :meth:`prepare`,
+        :meth:`plan_prefill` or :meth:`epoch_timings`.  The answer must
+        be cheap (plain arithmetic, no workload), must leave planning
+        state alone, and may only be True when :meth:`epoch_timings`
+        would price exactly that slice.  The base class answers False, so
+        reference baselines and third-party simulators keep the planning
+        path.
         """
         return False
 
@@ -584,9 +589,15 @@ class InferenceSimulator(ABC):
         :meth:`~repro.systems.cost.LLMCostModel.kv_budget_bytes`, shared
         with the offline scheduler's capacity constraint.
         """
-        capacity = self.cost_model.kv_budget_bytes(
-            workload.batch_size, workload.input_len,
-            weights_on_gpu=self.weights_on_gpu,
-            reserve_fraction=reserve_fraction)
-        per_token = self.kv_token_bytes(workload)
+        return self._kv_budget_tokens(workload.batch_size, workload.input_len,
+                                      reserve_fraction)
+
+    def _kv_budget_tokens(self, batch_size: int, input_len: int,
+                          reserve_fraction: float = 0.05) -> int:
+        """:meth:`gpu_kv_budget_tokens` of a ``(b, s)`` shape, without a
+        workload."""
+        cost = self.cost_model
+        capacity = cost.kv_budget_bytes(batch_size, input_len,
+                                        self.weights_on_gpu, reserve_fraction)
+        per_token = cost.kv_bytes_per_token(batch_size, self.kv_dtype)
         return max(1, int(capacity // per_token)) if capacity > 0 else 1

@@ -556,7 +556,7 @@ class TestStepTableEpochs:
         ``reference``; returns whether the engine read the step table."""
         workload = Workload(*shape, "table")
         simulator = engine.simulator
-        resident = simulator.epoch_stays_resident(workload)
+        resident = simulator.epoch_stays_resident(*shape)
         priced = engine._price_epoch(
             *shape, PCIeLink(simulator.hardware.node_pcie_bandwidth))
         reference.prepare(workload)
@@ -610,8 +610,8 @@ class TestStepTableEpochs:
         for fraction in (0.5, 1.0):
             split = FlexGenSystem(MODEL, fixed.hardware, cpu_fraction=fraction,
                                   parallelism=fixed.parallelism)
-            assert not split.epoch_stays_resident(Workload(*small, "w"))
-        assert not fixed.epoch_stays_resident(Workload(*small, "w"))
+            assert not split.epoch_stays_resident(*small)
+        assert not fixed.epoch_stays_resident(*small)
 
         def gpu_only():
             return FlexGenSystem(MODEL, fixed.hardware, cpu_fraction=0.0,
@@ -775,8 +775,12 @@ class TestStepTable:
     def test_slices_match_batch_and_scalar(self, system, shard, kv_dtype):
         simulator = build_system(system, shard, kv_dtype=kv_dtype)
         cost = simulator.cost_model
+        # The last shape spans the router's service-estimate decode term
+        # (ReplicaGroup.estimate_service_time reads the dense batch-1
+        # table in place of decode_step_time).
         for split in self.splits(simulator):
-            for batch_size, first, count in ((1, 1, 40), (7, 300, 90)):
+            for batch_size, first, count in ((1, 1, 40), (7, 300, 90),
+                                             (1, 1, 5000)):
                 seq = np.arange(first, first + count)
                 times = cost.decode_step_times(batch_size, first, count,
                                                split)
@@ -792,6 +796,69 @@ class TestStepTable:
                             batch_size, q, kept_kv=local + global_,
                             local_window=local)
                     assert value == scalar, (split, batch_size, q)
+
+    def test_list_view_follows_growth_and_adoption(self):
+        def assert_views(cost):
+            assert set(cost._step_lists) == set(cost._step_tables)
+            for key, table in cost._step_tables.items():
+                values = cost._step_lists[key]
+                # Entry 0 is NaN (no sequence has length 0).
+                assert len(values) == table.size
+                assert values[1:] == table[1:].tolist()
+
+        cost = build_system("alisa").cost_model
+        for first, count in ((1, 100), (200, 200), (390, 700), (5, 2000)):
+            for split in (None, SWAConfig(0.2)):
+                times = cost.decode_step_times(3, first, count, split)
+                assert cost.decode_step_list(3, first, count, split) \
+                    == times.tolist()
+                assert_views(cost)
+        # A list read that grows the table remakes both views.
+        values = cost.decode_step_list(16, 4000, 10)
+        assert values == cost.decode_step_times(16, 4000, 10).tolist()
+        assert all(type(value) is float for value in values)
+        assert_views(cost)
+        with pytest.raises(ConfigurationError):
+            cost.decode_step_list(1, 0, 4)
+
+        adopter = build_system("vllm").cost_model
+        adopter.adopt_step_tables(cost)
+        assert adopter._step_lists is cost._step_lists
+        adopter.decode_step_list(3, 9000, 5)  # grows the shared table
+        assert cost._step_tables[(3, None)].size >= 9005
+        assert_views(cost)
+
+    def test_sweep_builds_each_table_once_per_identity(self, monkeypatch):
+        from repro.experiments.serving import serving_rate_sweep
+        from repro.systems.cost import LLMCostModel
+
+        built = []
+        price = LLMCostModel.decode_step_time_batch
+
+        def counting(self, batch_size, kv_lens, kept_kv=None,
+                     local_windows=None):
+            built.append((self.identity, batch_size, local_windows is None,
+                          int(kv_lens[0]), int(kv_lens[-1])))
+            return price(self, batch_size, kv_lens, kept_kv, local_windows)
+
+        monkeypatch.setattr(LLMCostModel, "decode_step_time_batch",
+                            counting)
+
+        def sweep():
+            built.clear()
+            serving_rate_sweep(rates=(2.0, 8.0), num_requests=12,
+                               cluster=("2x(none)",))
+            return sorted(built, key=repr)
+
+        first = sweep()
+        # vLLM, FlexGen and ALISA replicas all have one cost-model
+        # identity; ALISA's SWA tables are kept under their own key.
+        assert len({entry[0] for entry in first}) == 1
+        assert {entry[2] for entry in first} == {True, False}
+        ranges = [entry[1:] for entry in first]
+        assert len(ranges) == len(set(ranges)), "a table range was rebuilt"
+        # Nothing outlives a sweep: the next one builds the same tables.
+        assert sweep() == first
 
     def test_growth_boundary_with_interleaved_keys(self):
         cost = build_system("alisa").cost_model
@@ -874,3 +941,19 @@ class TestStepTable:
              ContinuousBatchingEngine(build_system("alisa", "tp-2"))])
         a, b = (engine.simulator.cost_model for engine in mixed.engines)
         assert a._step_tables is not b._step_tables
+
+    def test_equal_cost_models_share_tables_across_signatures(self):
+        from repro.cluster import ReplicaGroup
+
+        flexgen = ReplicaGroup(
+            [ContinuousBatchingEngine(FlexGenSystem(MODEL, V100_16GB_NODE)),
+             ContinuousBatchingEngine(FlexGenSystem(MODEL, V100_16GB_NODE,
+                                                    cpu_fraction=0.5))])
+        first, second = (engine.simulator for engine in flexgen.engines)
+        assert first.pricing_signature() != second.pricing_signature()
+        assert first.cost_model.identity == second.cost_model.identity
+        assert first.cost_model._step_tables is second.cost_model._step_tables
+        assert first.cost_model._step_lists is second.cost_model._step_lists
+        # Unequal signatures still keep their priced epochs apart.
+        engines = flexgen.engines
+        assert engines[0]._epoch_cache is not engines[1]._epoch_cache

@@ -340,8 +340,9 @@ class TestIncrementalScheduling:
         simulator = engine.simulator
         answers = []
 
-        def stays_resident(workload, hook=simulator.epoch_stays_resident):
-            answers.append(hook(workload))
+        def stays_resident(batch_size, context, num_steps,
+                           hook=simulator.epoch_stays_resident):
+            answers.append(hook(batch_size, context, num_steps))
             return answers[-1]
 
         simulator.epoch_stays_resident = stays_resident
@@ -448,15 +449,19 @@ class TestServingExperiment:
 
 
 def test_serving_import_leaves_scipy_out():
-    # scipy is needed only by Figure 4's Spearman correlation; importing
-    # the serving and cluster layers must not pay for it.
+    # The package is NumPy-only: importing the serving and cluster layers,
+    # and computing Figure 4's Spearman correlations, load no scipy.
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, (
                    str(src), os.environ.get("PYTHONPATH")))))
     result = subprocess.run(
         [sys.executable, "-c",
-         "import sys, repro.serving, repro.cluster; "
+         "import sys, repro.serving, repro.cluster\n"
+         "from repro.experiments import run_experiment\n"
+         "rows = run_experiment('fig04_distributions', prompt_len=32, "
+         "num_steps=8).rows\n"
+         "assert len(rows) == 4, rows\n"
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"

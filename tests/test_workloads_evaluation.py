@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro._common import ConfigurationError
 from repro.attention.variants import make_policy
 from repro.evaluation.accuracy import evaluate_policy_on_dataset, sweep_sparsity
 from repro.evaluation.correlation import (
+    average_ranks,
     distribution_summary,
     score_distribution,
     spearman_correlation,
@@ -217,6 +220,53 @@ class TestSparsityAndCorrelation:
 
     def test_spearman_constant_input(self):
         assert spearman_correlation(np.ones(5), np.arange(5.0)) == 0.0
+
+    def test_spearman_nan_input(self):
+        a = np.array([1.0, np.nan, 3.0, 4.0])
+        assert spearman_correlation(a, np.arange(4.0)) == 0.0
+
+    def test_average_ranks_ties_by_hand(self):
+        assert average_ranks(np.array([10.0, 20.0, 20.0, 5.0])).tolist() \
+            == [2.0, 3.5, 3.5, 1.0]
+        assert average_ranks(np.array([3.0, 3.0, 3.0])).tolist() \
+            == [2.0, 2.0, 2.0]
+        assert average_ranks(np.array([2.0, 1.0, 2.0, 1.0, 2.0])).tolist() \
+            == [4.0, 1.5, 4.0, 1.5, 4.0]
+        assert average_ranks(np.array([-0.0, 0.0, np.inf, -np.inf])).tolist() \
+            == [2.5, 2.5, 4.0, 1.0]
+
+    def test_spearman_ties_by_hand(self):
+        # Ranks [1.5, 1.5, 3, 4] against [1, 2, 3, 4]: Pearson of the
+        # centred ranks [-1, -1, 0.5, 1.5] and [-1.5, -0.5, 0.5, 1.5] is
+        # 4.5 / sqrt(4.5 * 5).
+        rho = spearman_correlation(np.array([1.0, 1.0, 2.0, 3.0]),
+                                   np.arange(4.0))
+        assert rho == pytest.approx(4.5 / np.sqrt(4.5 * 5.0), abs=1e-15)
+        assert spearman_correlation(np.array([1.0, 2.0, 2.0, 3.0]),
+                                    np.array([3.0, 2.0, 2.0, 1.0])) \
+            == pytest.approx(-1.0, abs=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), size=st.integers(3, 40))
+    def test_spearman_matches_scipy(self, data, size):
+        stats = pytest.importorskip("scipy.stats")
+        # Few distinct values, so most draws carry ties.
+        values = st.one_of(
+            st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+        a = np.array(data.draw(st.lists(values, min_size=size,
+                                        max_size=size)))
+        b = np.array(data.draw(st.lists(values, min_size=size,
+                                        max_size=size)))
+        assert np.array_equal(average_ranks(a), stats.rankdata(a))
+        assert np.array_equal(average_ranks(b), stats.rankdata(b))
+        if np.allclose(a, a[0]) or np.allclose(b, b[0]):
+            # A (nearly) constant input answers 0.0 before any ranking.
+            assert spearman_correlation(a, b) == 0.0
+            return
+        expected = stats.spearmanr(a, b)[0]
+        assert spearman_correlation(a, b) == pytest.approx(expected,
+                                                           abs=1e-12)
 
     def test_distribution_summary(self):
         summary = distribution_summary(np.array([10.0, 1.0, 1.0, 1.0, 1.0,
