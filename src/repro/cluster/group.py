@@ -106,14 +106,18 @@ class ReplicaGroup:
         epochs stay per replica unless the exact schedule policy is in
         force.  Schedule caches are never shared.
 
-        Router service estimates and decode-step time tables depend on
-        the cost model alone, so every replica whose cost model has an
-        equal :attr:`~repro.systems.cost.LLMCostModel.identity` (config,
-        hardware, dtype, parallelism) reads one estimate dict and one step
-        table store, whatever its simulator's other knobs or admission
-        knobs.  That includes ALISA replicas, whose priced epochs depend
-        on solver history while the compute time of a step does not, and
-        FlexGen replicas with different ``cpu_fraction`` settings.
+        Router service estimates, decode-step time tables and prefill
+        times depend on the cost model alone, so every replica whose cost
+        model has an equal
+        :attr:`~repro.systems.cost.LLMCostModel.identity` (config,
+        hardware, dtype, parallelism) reads one estimate dict and one
+        store of step tables and prefill times, whatever its simulator's
+        other knobs or admission knobs: a resident prefill-memo miss of
+        one replica and a router estimate of the same ``(b, n)`` price
+        the prefill formula once.  That includes ALISA replicas, whose
+        priced epochs depend on solver history while the compute time of
+        a step does not, and FlexGen replicas with different
+        ``cpu_fraction`` settings.
         """
         share_step_tables([engine.simulator.cost_model
                            for engine in self.engines], {})

@@ -78,10 +78,12 @@ is not planned at all: it moves nothing, so its steps are a slice of the
 cost model's step table.  Prefill passes and chunks are
 memoized the same way, per ``(batch, input, output)`` shape, as their
 priced time, communication time and PCIe byte counts; a hit replays the
-bytes onto the serve's link ledger.  This is behaviour-preserving: traces
-are bit-identical to pricing every step one at a time, which
-``tests/test_epoch_pricing.py`` pins against the test-only per-step pricer
-in ``tests/clock_reference.py``.
+bytes onto the serve's link ledger.  A new prefill shape that stays
+resident is not planned either: it costs the cost model's (memoized)
+``prefill_time`` plus its communication time and moves nothing.  This is
+behaviour-preserving: traces are bit-identical to pricing every step one
+at a time, which ``tests/test_epoch_pricing.py`` pins against the
+test-only per-step pricer in ``tests/clock_reference.py``.
 
 Modelling choices (all deliberate simplifications at the same granularity as
 the paper's own cost model):
@@ -823,35 +825,54 @@ class ContinuousBatchingEngine:
                        memory: MemoryHierarchy) -> tuple[float, float]:
         """Price one prefill pass of shape ``(batch, input, output)``.
 
-        Pricing is deterministic per shape, so each shape is priced once —
-        ``prepare(decode=False)`` + ``plan_prefill`` + ``prefill_timing``
-        against a fresh link with the serve link's bandwidth and latency —
-        into ``(time, comm, h2d_bytes, d2h_bytes)``.  ``decode=False``
-        tells the simulator that only the prompt is placed: ALISA places
-        it from its GPU budget without solving a decode schedule.  The
-        memo lives on the engine across admission events *and* serve()
-        calls: repeated shapes (every admission in a fixed-length trace,
-        every rate of a sweep) skip the simulator's ``prepare`` and the
-        pricing itself.  Every pass then adds the two byte counts onto
-        ``memory.link``, the same additions ``prefill_timing`` makes, so
-        the link ledger is unchanged.
+        Pricing is deterministic per shape, so each shape is priced once
+        into ``(time, comm, h2d_bytes, d2h_bytes)``.  A shape whose KV
+        stays on the GPU
+        (:meth:`~repro.systems.simulator.InferenceSimulator.epoch_stays_resident`,
+        asked with ``(b, input, output)``) places its whole prompt on the
+        GPU, moving and quantizing nothing, so it costs only
+        ``cost_model.prefill_time(b, input)`` plus
+        ``cost_model.parallel_comm_time(b, input)`` and moves 0 bytes: no
+        workload, no ``prepare``, no ``plan_prefill``, bit-identical to
+        them (pinned by ``tests/test_epoch_pricing.py``).  Any other
+        shape runs ``prepare(decode=False)`` + ``plan_prefill`` +
+        ``prefill_timing`` against a fresh link with the serve link's
+        bandwidth and latency.  ``decode=False`` tells the simulator that
+        only the prompt is placed: ALISA places it from its GPU budget
+        without solving a decode schedule.  The memo lives on the engine
+        across admission events *and* serve() calls: repeated shapes
+        (every admission in a fixed-length trace, every rate of a sweep)
+        skip pricing entirely.  Every pass then adds the two byte counts
+        onto ``memory.link``, the same additions ``prefill_timing`` makes,
+        so the link ledger is unchanged.
         Returns ``(wall_clock_time, communication_time)``.
         """
         key = (batch_size, input_len, output_len)
         priced = self._prefill_prices.get(key)
         if priced is None:
-            workload = Workload(batch_size=batch_size, input_len=input_len,
-                                output_len=output_len, name="serving-prefill")
             simulator = self.simulator
-            simulator.prepare(workload, decode=False)
-            plan = simulator.plan_prefill(workload)
-            link = PCIeLink(memory.link.bandwidth_bytes_per_s,
-                            memory.link.latency_s)
-            time = simulator.prefill_timing(plan, workload,
-                                            replace(memory, link=link))
-            comm = simulator.parallel_comm_time(workload, query_len=input_len)
-            priced = (time, comm, link.bytes_host_to_device,
-                      link.bytes_device_to_host)
+            if simulator.epoch_stays_resident(batch_size, input_len,
+                                              output_len):
+                cost_model = simulator.cost_model
+                priced = (cost_model.prefill_time(batch_size, input_len),
+                          cost_model.parallel_comm_time(batch_size,
+                                                        input_len),
+                          0.0, 0.0)
+            else:
+                workload = Workload(batch_size=batch_size,
+                                    input_len=input_len,
+                                    output_len=output_len,
+                                    name="serving-prefill")
+                simulator.prepare(workload, decode=False)
+                plan = simulator.plan_prefill(workload)
+                link = PCIeLink(memory.link.bandwidth_bytes_per_s,
+                                memory.link.latency_s)
+                time = simulator.prefill_timing(plan, workload,
+                                                replace(memory, link=link))
+                comm = simulator.parallel_comm_time(workload,
+                                                    query_len=input_len)
+                priced = (time, comm, link.bytes_host_to_device,
+                          link.bytes_device_to_host)
             self._prefill_prices[key] = priced
         time, comm, h2d_bytes, d2h_bytes = priced
         link = memory.link

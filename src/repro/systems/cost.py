@@ -122,7 +122,7 @@ class ParallelismSpec:
 
 def share_step_tables(cost_models, leaders: dict) -> None:
     """Let cost models of equal :attr:`LLMCostModel.identity` share one
-    step-table store.
+    step-table store (decode step tables and prefill times).
 
     ``leaders`` maps an identity to the cost model whose store it reads;
     each cost model whose identity is new becomes that leader, and every
@@ -195,19 +195,21 @@ class LLMCostModel:
         self._decode_constant_cache: dict[int, tuple] = {}
         # Decode-step times keyed by (batch_size, split), indexed by
         # sequence length (see decode_step_times), each with a list view
-        # made whenever the table grows (decode_step_list).  Per cost
-        # model, so every freshly built system prices its own tables;
+        # made whenever the table grows (decode_step_list), and prefill
+        # times keyed by (batch_size, prompt_len) (prefill_time).  Per
+        # cost model, so every freshly built system prices its own;
         # equal-identity cost models of a replica group or a sweep share
         # one store (adopt_step_tables).
         self._step_tables: dict[tuple, np.ndarray] = {}
         self._step_lists: dict[tuple, list[float]] = {}
+        self._prefill_times: dict[tuple[int, int], float] = {}
 
     @property
     def identity(self) -> tuple:
         """``(config, hardware, dtype, parallelism)``: every input of the
-        step formulas.  Cost models with equal identities price every
-        step identically, so they may share step tables
-        (:meth:`adopt_step_tables`)."""
+        step and prefill formulas.  Cost models with equal identities
+        price every decode step and prefill pass identically, so they may
+        share step tables and prefill times (:meth:`adopt_step_tables`)."""
         return (self.config, self.hardware, self.dtype, self.parallelism)
 
     @property
@@ -433,11 +435,16 @@ class LLMCostModel:
                        kept_kv: int | None = None, local_window: int = 0,
                        query_len: int = 1) -> float:
         """:meth:`attention_breakdown`'s ``total_time`` without building
-        its records: the same rooflines, summed in the same order."""
+        its records: the same rooflines (:meth:`_roofline_time`), summed
+        in the same order, with the GPU's rates read once per call."""
+        gpu = self.hardware.gpu
+        flop_rate = gpu.effective_flops
+        bandwidth = gpu.hbm_bandwidth
         total = 0
         for _, flops, bytes_moved, min_time in self._attention_ops(
                 batch_size, kv_len, kept_kv, local_window, query_len):
-            total += self._roofline_time(flops, bytes_moved, min_time)
+            total += max(flops / flop_rate, bytes_moved / bandwidth,
+                         min_time)
         return total
 
     # ------------------------------------------------------------------ #
@@ -604,19 +611,21 @@ class LLMCostModel:
         return grown
 
     def adopt_step_tables(self, other: "LLMCostModel") -> None:
-        """Read and grow ``other``'s step tables and their list views
-        from now on.
+        """Read and grow ``other``'s step tables, their list views and
+        its prefill times from now on.
 
         Only valid between cost models with equal :attr:`identity`: a
-        step's time depends on nothing else.  A replica group shares one
-        store between its equal-identity replicas, and a serving sweep
-        between every equal-identity cost model it builds, whatever the
-        system; tables of different attention splits stay apart under
-        their ``split`` key.  Nothing outlives the sharing cost models,
-        so every sweep starts with empty tables.
+        step's or a prefill pass's time depends on nothing else.  A
+        replica group shares one store between its equal-identity
+        replicas, and a serving sweep between every equal-identity cost
+        model it builds, whatever the system; tables of different
+        attention splits stay apart under their ``split`` key.  Nothing
+        outlives the sharing cost models, so every sweep starts with an
+        empty store.
         """
         self._step_tables = other._step_tables
         self._step_lists = other._step_lists
+        self._prefill_times = other._prefill_times
 
     def quantize_time_batch(self, batch_size: int,
                             num_tokens: np.ndarray) -> np.ndarray:
@@ -666,7 +675,22 @@ class LLMCostModel:
         return self._parallel_forward_time(base, batch_size, query_len=1)
 
     def prefill_time(self, batch_size: int, prompt_len: int) -> float:
-        """GPU time of the prefilling stage (dense attention, with TP/PP)."""
+        """GPU time of the prefilling stage (dense attention, with TP/PP).
+
+        Priced once per ``(batch_size, prompt_len)`` into the store that
+        equal-identity cost models share (:meth:`adopt_step_tables`), so
+        serving admissions, chunks and router estimates of one shape pay
+        the formula once.
+        """
+        key = (batch_size, prompt_len)
+        time = self._prefill_times.get(key)
+        if time is None:
+            time = self._prefill_times[key] = self._prefill_time(batch_size,
+                                                                 prompt_len)
+        return time
+
+    def _prefill_time(self, batch_size: int, prompt_len: int) -> float:
+        """The prefill formula behind :meth:`prefill_time`'s memo."""
         attention = self.attention_time(batch_size, prompt_len,
                                         query_len=prompt_len)
         ffn = self.ffn_time(batch_size, query_len=prompt_len)

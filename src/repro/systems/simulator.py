@@ -220,11 +220,13 @@ class InferenceSimulator(ABC):
         should serve repeats incrementally — see
         :meth:`repro.core.engine.AlisaSystem.prepare`, which backs its
         schedule search with a :class:`~repro.core.schedule_cache.ScheduleCache`.
-        On a prefill pricing miss the engine passes ``decode=False``: only
+        On a prefill pricing miss for which :meth:`epoch_stays_resident`
+        answers False the engine passes ``decode=False``: only
         :meth:`plan_prefill` follows, so planning that only decode steps
         read may be skipped (ALISA skips its schedule search).  Systems
         whose prompt placement depends on that planning, such as vLLM's
         wave count and FlexGen's static split, prepare in full either way.
+        A miss that answers True does not prepare at all.
         """
 
     def epoch_stays_resident(self, batch_size: int, context: int,
@@ -240,12 +242,22 @@ class InferenceSimulator(ABC):
         ``s + n``, plus :meth:`parallel_comm_time` per step.  The serving
         engine prices an epoch-cache miss that answers True from that
         slice, without building a workload and without :meth:`prepare`,
-        :meth:`plan_prefill` or :meth:`epoch_timings`.  The answer must
-        be cheap (plain arithmetic, no workload), must leave planning
-        state alone, and may only be True when :meth:`epoch_timings`
-        would price exactly that slice.  The base class answers False, so
-        reference baselines and third-party simulators keep the planning
-        path.
+        :meth:`plan_prefill` or :meth:`epoch_timings`.
+
+        The answer also covers the prompt: when it is True, the
+        :meth:`plan_prefill` of ``Workload(b, s, n)`` places all ``s``
+        prompt tokens on the GPU and moves, quantizes and charges nothing
+        else, so :meth:`prefill_timing` is the cost model's
+        ``prefill_time(b, s)`` alone.  The engine prices a prefill-memo
+        miss of shape ``(b, input, output)`` that answers True that way,
+        again without a workload or :meth:`prepare`.
+
+        The answer must be cheap (plain arithmetic, no workload), must
+        leave planning state alone, and may only be True when
+        :meth:`epoch_timings` would price exactly that slice and
+        :meth:`prefill_timing` exactly that compute.  The base class
+        answers False, so reference baselines and third-party simulators
+        keep the planning path.
         """
         return False
 

@@ -623,6 +623,109 @@ class TestStepTableEpochs:
                 engine, gpu_only(), shape)
 
 
+class TestResidentPrefill:
+    """A prefill-memo miss whose KV stays on the GPU is priced from the
+    cost model alone, bit-identical to ``prepare(decode=False)`` +
+    ``plan_prefill`` + ``prefill_timing`` + ``parallel_comm_time`` on a
+    fresh link, and never prepares."""
+
+    @staticmethod
+    def count_prepares(simulator):
+        """Record the ``decode`` flag of every ``prepare`` on ``simulator``."""
+        calls = []
+        prepare = simulator.prepare
+
+        def counting(workload, decode=True):
+            calls.append(decode)
+            return prepare(workload, decode)
+
+        simulator.prepare = counting
+        return calls
+
+    @staticmethod
+    def planned(reference, shape):
+        """``(time, comm, h2d, d2h)`` of ``shape`` planned in full on
+        ``reference``, against a fresh link."""
+        workload = Workload(*shape, "serving-prefill")
+        reference.prepare(workload, decode=False)
+        plan = reference.plan_prefill(workload)
+        memory = MemoryHierarchy.from_hardware(reference.hardware)
+        time = reference.prefill_timing(plan, workload, memory)
+        comm = reference.parallel_comm_time(workload, query_len=shape[1])
+        return (time, comm, memory.link.bytes_host_to_device,
+                memory.link.bytes_device_to_host)
+
+    def assert_priced_like_planning(self, engine, calls, reference, shape):
+        """Price ``shape`` on the engine's miss path and plan it in full on
+        ``reference``; returns whether the shape stayed resident."""
+        simulator = engine.simulator
+        resident = simulator.epoch_stays_resident(*shape)
+        memory = MemoryHierarchy.from_hardware(simulator.hardware)
+        prepared = len(calls)
+        time, comm = engine._price_prefill(*shape, memory)
+        priced = engine._prefill_prices[shape]
+        expected = self.planned(reference, shape)
+        assert priced == expected and (time, comm) == expected[:2], shape
+        assert all(type(a) is type(b) for a, b in zip(priced, expected))
+        if resident:
+            assert priced[2:] == (0.0, 0.0), shape
+            assert memory.link.total_bytes == 0.0
+            assert len(calls) == prepared, "a resident miss prepared"
+        else:
+            assert calls[prepared:] == [False], shape
+        return resident
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        shapes=st.lists(st.tuples(st.integers(1, 64), st.integers(1, 1500),
+                                  st.integers(1, 300)),
+                        min_size=1, max_size=3, unique=True),
+        boundary=st.tuples(st.integers(1, 64), st.integers(1, 2500)),
+    )
+    @pytest.mark.parametrize("kv_dtype", ["fp16", "int8"])
+    @pytest.mark.parametrize("shard", sorted(SHARD_SHAPES))
+    @pytest.mark.parametrize("system", sorted(SYSTEM_BUILDERS))
+    def test_property_resident_prefills_match_planning(self, system, shard,
+                                                       kv_dtype, shapes,
+                                                       boundary):
+        engine = ContinuousBatchingEngine(
+            build_system(system, shard, kv_dtype=kv_dtype))
+        calls = self.count_prepares(engine.simulator)
+        reference = build_system(system, shard, kv_dtype=kv_dtype)
+        boundary_shapes = TestStepTableEpochs.budget_shapes(reference,
+                                                            *boundary)
+        for shape in dict.fromkeys(shapes + boundary_shapes):
+            resident = self.assert_priced_like_planning(engine, calls,
+                                                        reference, shape)
+            if system == "vllm":
+                assert resident
+            elif system not in BUDGET_RESIDENT:
+                assert not resident
+        if boundary_shapes and system in BUDGET_RESIDENT:
+            # s + n equal to the budget fits; one step more spills.
+            assert [engine.simulator.epoch_stays_resident(*shape)
+                    for shape in boundary_shapes] == [True, False]
+
+    @pytest.mark.parametrize("shard", sorted(SHARD_SHAPES))
+    def test_fixed_schedules_and_cpu_splits_plan(self, shard):
+        # A fixed ALISA schedule or a requested FlexGen CPU share may move
+        # KV however small the shape, so their prefills still plan.
+        gpu_count, parallelism = SHARD_SHAPES[shard]
+        hardware = multi_gpu(V100_16GB_NODE, gpu_count)
+        builders = [
+            partial(build_system, "alisa-recompute", shard),
+            partial(FlexGenSystem, MODEL, hardware, cpu_fraction=0.5,
+                    parallelism=parallelism),
+        ]
+        for build in builders:
+            engine = ContinuousBatchingEngine(build())
+            calls = self.count_prepares(engine.simulator)
+            assert not self.assert_priced_like_planning(
+                engine, calls, build(), (1, 16, 8))
+        # The CPU share moved half of the prompt to the host.
+        assert engine._prefill_prices[(1, 16, 8)][3] > 0.0
+
+
 class TestPrefillPriceMemo:
     """The per-shape prefill memo prices exactly like direct pricing."""
 
@@ -824,6 +927,7 @@ class TestStepTable:
         adopter = build_system("vllm").cost_model
         adopter.adopt_step_tables(cost)
         assert adopter._step_lists is cost._step_lists
+        assert adopter._prefill_times is cost._prefill_times
         adopter.decode_step_list(3, 9000, 5)  # grows the shared table
         assert cost._step_tables[(3, None)].size >= 9005
         assert_views(cost)
@@ -858,6 +962,36 @@ class TestStepTable:
         ranges = [entry[1:] for entry in first]
         assert len(ranges) == len(set(ranges)), "a table range was rebuilt"
         # Nothing outlives a sweep: the next one builds the same tables.
+        assert sweep() == first
+
+    def test_sweep_prices_each_prefill_once_per_identity(self,
+                                                         monkeypatch):
+        from repro.experiments.serving import serving_rate_sweep
+        from repro.systems.cost import LLMCostModel
+
+        priced = []
+        formula = LLMCostModel._prefill_time
+
+        def counting(self, batch_size, prompt_len):
+            priced.append((self.identity, batch_size, prompt_len))
+            return formula(self, batch_size, prompt_len)
+
+        monkeypatch.setattr(LLMCostModel, "_prefill_time", counting)
+
+        def sweep():
+            priced.clear()
+            serving_rate_sweep(rates=(2.0, 8.0), num_requests=12,
+                               cluster=("2x(none)",), input_len=None,
+                               output_len=None)
+            return sorted(priced, key=repr)
+
+        first = sweep()
+        # Admissions, chunks and router estimates of every system and
+        # replica share one memo per cost-model identity.
+        assert len({entry[0] for entry in first}) == 1
+        assert len(first) > 1
+        assert len(first) == len(set(first)), "a prefill was priced twice"
+        # Nothing outlives a sweep: the next one prices the same shapes.
         assert sweep() == first
 
     def test_growth_boundary_with_interleaved_keys(self):
@@ -932,6 +1066,7 @@ class TestStepTable:
         first, second = (engine.simulator.cost_model
                          for engine in group.engines)
         assert first._step_tables is second._step_tables
+        assert first._prefill_times is second._prefill_times
         group.serve(generate_requests(12, rate=8.0, input_len=256,
                                       output_len=64, seed=1))
         assert first._step_tables  # filled by the serve, read by both

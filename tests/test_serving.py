@@ -340,12 +340,15 @@ class TestIncrementalScheduling:
         simulator = engine.simulator
         answers = []
 
-        def stays_resident(batch_size, context, num_steps,
-                           hook=simulator.epoch_stays_resident):
-            answers.append(hook(batch_size, context, num_steps))
-            return answers[-1]
+        # Prefill pricing asks the residency hook too, so only the
+        # answers of epoch pricing are counted.
+        def price_epoch(batch_size, context, num_steps, link,
+                        price=engine._price_epoch):
+            answers.append(simulator.epoch_stays_resident(
+                batch_size, context, num_steps))
+            return price(batch_size, context, num_steps, link)
 
-        simulator.epoch_stays_resident = stays_resident
+        engine._price_epoch = price_epoch
         trace = engine.serve(requests)
         stats = trace.metadata["scheduler"]
         assert stats["full_solves"] >= 1
