@@ -3,7 +3,7 @@
 Serves a fixed matrix of small configurations and compares everything a
 serve produces — the event journal, every record, the metadata (minus
 ``wall_clock_s``) and the summary — plus the rows and column order of
-eight ``serving_rate_sweep`` configurations and the priced decode epochs
+nine ``serving_rate_sweep`` configurations and the priced decode epochs
 of every simulator against a committed fixture::
 
     PYTHONPATH=src python tools/fingerprint.py --check
@@ -205,7 +205,9 @@ class _FirstTurns:
 def _sweeps() -> dict:
     """The ``serving_rate_sweep`` configurations of the host-cost
     benchmark's three workloads (``perfbench/bench_workloads.py``, all on
-    the cluster axis), on one seed, plus five on the parallelism axis:
+    the cluster axis), on one seed; a bursty JSQ sweep over ``1x(none)``
+    and ``2x(none)``, whose equal-signature engines in different groups
+    price the same shapes; and five on the parallelism axis:
     span-traced SLO classes over ``none``/``tp-2``/``pp-2``, sessions
     with ``retain`` preemption and chunked prefill in streaming mode,
     a crash outage with retries and shedding, closed-loop sessions with
@@ -233,6 +235,11 @@ def _sweeps() -> dict:
             cluster=("2x(none)",), routing="jsq", faults=outages,
             retry=retry, slo_classes=CLASS_SLOS,
             observers=lambda: [SpanTracer()]),
+        "mixed-replicas": dict(
+            rates=(8.0, 64.0), num_requests=24, pattern="bursty",
+            input_len=None, output_len=None, seed=3,
+            cluster=("1x(none)", "2x(none)"), require_equal_gpus=False,
+            routing="jsq"),
         "parallelism-spans": dict(
             rates=(4.0, 16.0), num_requests=16, pattern="bursty",
             input_len=None, output_len=None, seed=seed,
