@@ -38,7 +38,7 @@ from repro.serving.events import (
     notify_finish,
     serve_runs,
 )
-from repro.systems.cost import ParallelismSpec, share_step_tables
+from repro.systems import ParallelismSpec, PricingStore
 from repro.systems.simulator import InferenceSimulator
 from repro.workloads.arrivals import Request
 
@@ -67,11 +67,23 @@ class ReplicaGroup:
         trace a pure function of one seed.
     cluster:
         Optional :class:`ClusterSpec` recorded in trace metadata.
+    pricing:
+        The :class:`~repro.systems.pricing.PricingStore` whose memos the
+        replicas read (a new one when ``None``).  Replicas of equal cost
+        model identity share step tables, prefill times and router
+        service estimates; replicas of equal pricing signature and batch
+        cap share priced prefills, and priced epochs too when their
+        pricing is shape-pure (ALISA's default schedule search seeds from
+        replica-local solver history, so its priced epochs stay per
+        replica).  Schedule caches are never shared.  Pass one store to
+        several groups (as ``serving_rate_sweep`` does) to share across
+        them.
     """
 
     def __init__(self, engines: list[ContinuousBatchingEngine],
                  policy: str = "round-robin", seed: int | None = 0,
-                 cluster: ClusterSpec | None = None) -> None:
+                 cluster: ClusterSpec | None = None,
+                 pricing: PricingStore | None = None) -> None:
         if not engines:
             raise ConfigurationError("a replica group needs at least one "
                                      "replica engine")
@@ -88,52 +100,8 @@ class ReplicaGroup:
         self.policy = policy
         self.seed = seed
         self.cluster = cluster
-        self._share_pricing_caches()
-
-    def _share_pricing_caches(self) -> None:
-        """Let replicas with identical pricing share prefill/epoch caches.
-
-        Replicas routed shares of one arrival trace see heavily overlapping
-        epoch and prefill shapes; when their simulators price identically
-        (equal ``pricing_signature``) and their engines use the same
-        admission knobs, the first replica to price a shape serves it for
-        all of them.  Priced prefills are always safe to share (placement
-        depends only on the shape and the KV budget, and equal signatures
-        mean equal link bandwidth).  Priced epochs are shared only when
-        the simulator's pricing is *shape-pure*
-        (``pricing_is_shape_pure``): ALISA's warm-started schedule search
-        seeds from its own replica-local solver history, so its priced
-        epochs stay per replica unless the exact schedule policy is in
-        force.  Schedule caches are never shared.
-
-        Router service estimates, decode-step time tables and prefill
-        times depend on the cost model alone, so every replica whose cost
-        model has an equal
-        :attr:`~repro.systems.cost.LLMCostModel.identity` (config,
-        hardware, dtype, parallelism) reads one estimate dict and one
-        store of step tables and prefill times, whatever its simulator's
-        other knobs or admission knobs: a resident prefill-memo miss of
-        one replica and a router estimate of the same ``(b, n)`` price
-        the prefill formula once.  That includes ALISA replicas, whose
-        priced epochs depend on solver history while the compute time of
-        a step does not, and FlexGen replicas with different
-        ``cpu_fraction`` settings.
-        """
-        share_step_tables([engine.simulator.cost_model
-                           for engine in self.engines], {})
-        leaders: dict[tuple, ContinuousBatchingEngine] = {}
-        estimates: dict[tuple, dict[tuple[int, int], float]] = {}
-        self._service_estimates: list[dict[tuple[int, int], float]] = []
-        for engine in self.engines:
-            self._service_estimates.append(estimates.setdefault(
-                engine.simulator.cost_model.identity, {}))
-            key = (engine.simulator.pricing_signature(),
-                   engine.max_batch_size, engine.reserve_fraction)
-            leader = leaders.setdefault(key, engine)
-            if leader is not engine:
-                engine.adopt_pricing_caches(
-                    leader,
-                    share_epochs=engine.simulator.pricing_is_shape_pure())
+        self.pricing = PricingStore() if pricing is None else pricing
+        self._estimates = [self.pricing.attach(engine) for engine in engines]
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -143,12 +111,14 @@ class ReplicaGroup:
                     layout: ClusterLayout | str, base: HardwareSpec,
                     interconnect: InterconnectSpec = NVLINK,
                     policy: str = "round-robin", seed: int | None = 0,
+                    pricing: PricingStore | None = None,
                     **engine_kwargs) -> "ReplicaGroup":
         """Build a group from a cluster layout over a single-GPU base node.
 
         ``simulator_factory(node, parallelism)`` is called once per replica,
         so every replica gets an independent simulator — and with it its own
-        schedule cache and placement state.
+        schedule cache and placement state.  ``pricing`` is passed to the
+        group (see the class docstring).
         """
         if isinstance(layout, str):
             layout = ClusterLayout.parse(layout)
@@ -159,7 +129,7 @@ class ReplicaGroup:
                 **engine_kwargs)
             for _ in range(spec.num_replicas)
         ]
-        return cls(engines, policy=policy, seed=seed, cluster=spec)
+        return cls(engines, policy, seed, spec, pricing)
 
     @property
     def num_replicas(self) -> int:
@@ -183,17 +153,18 @@ class ReplicaGroup:
         honestly.  The decode step is read from the cost model's dense
         batch-1 step table, which equals
         :meth:`~repro.systems.cost.LLMCostModel.decode_step_time` bit for
-        bit.  Cached per ``(input_len, output_len)`` shape.
+        bit.  Cached per ``(input_len, output_len)`` shape in the memo the
+        pricing store keeps for the replica's cost-model identity.
         """
         key = (request.input_len, request.output_len)
-        cached = self._service_estimates[replica].get(key)
+        cached = self._estimates[replica].get(key)
         if cached is None:
             cost_model = self.engines[replica].simulator.cost_model
             cached = (cost_model.prefill_time(1, request.input_len)
                       + request.output_len
                       * cost_model.decode_step_list(1, request.max_seq_len,
                                                     1)[0])
-            self._service_estimates[replica][key] = cached
+            self._estimates[replica][key] = cached
         return cached
 
     def _route_fn(self, policy: str, seed: int | None):

@@ -42,7 +42,7 @@ from repro.hardware.presets import (
     hardware_for_model,
     validate_equal_gpu_count,
 )
-from repro.systems.cost import LLMCostModel, ParallelismSpec, share_step_tables
+from repro.systems import ParallelismSpec, PricingStore
 from repro.workloads.arrivals import generate_requests
 
 #: Systems compared in the serving sweep: constructors keyed by name.
@@ -176,7 +176,10 @@ def serving_rate_sweep(model: str = "opt-6.7b",
     Each system is built once per parallelism/cluster entry and reused
     across the whole sweep, so ALISA's schedule caches stay warm from rate
     to rate; per-serve solver counters are reported in the ``solver_*``
-    columns.  ``exact_schedules=True`` makes ALISA re-solve with the
+    columns.  Every group reads one
+    :class:`~repro.systems.pricing.PricingStore` made for this call, so
+    equal-key pricing memos are shared across entries and systems, and
+    no memo outlives the sweep.  ``exact_schedules=True`` makes ALISA re-solve with the
     paper's full grid search for every new epoch shape (byte-identical
     schedules, much slower at high arrival rates).
 
@@ -257,20 +260,18 @@ def serving_rate_sweep(model: str = "opt-6.7b",
 
     # Built once per (layout, system) and reused across every rate and
     # routing policy, so ALISA's schedule caches stay warm for the sweep.
-    # Cost models of equal identity read one step-table store across
-    # systems, local to this call: every sweep starts cold.
+    # Every group reads one pricing store, local to this call: equal keys
+    # share memos across layouts and systems, and every sweep starts cold.
     groups: dict[tuple[str, str], ReplicaGroup] = {}
-    step_tables: dict[tuple, LLMCostModel] = {}
+    pricing = PricingStore()
     for label, layout in layouts.items():
         for system_name, build in SERVING_SYSTEMS.items():
-            group = groups[(label, system_name)] = ReplicaGroup.from_layout(
+            groups[(label, system_name)] = ReplicaGroup.from_layout(
                 partial(_build_simulator, system_name, build, model,
                         schedule_policy=policy),
                 layout, base_hardware, interconnect=link, seed=seed,
-                preemption=preemption,
+                pricing=pricing, preemption=preemption,
                 prefill_chunk_tokens=prefill_chunk_tokens)
-            share_step_tables([engine.simulator.cost_model
-                               for engine in group.engines], step_tables)
 
     for rate in rates:
         # Closed-loop sources are single-use (arrivals are consumed as the

@@ -70,9 +70,11 @@ Decode epochs are priced **vectorized**: one
 prices all steps of a fixed-composition epoch as NumPy arrays, the epoch
 boundary (first completion or first admissible arrival) falls out of a
 running sum plus a binary search, and priced epochs are memoized by
-``(batch, context, steps, shard shape)`` so repeated epoch shapes —
-fixed-length traces, rate sweeps, replica groups sharing a workload mix —
-skip planning and pricing entirely.  A new shape whose KV stays on the GPU
+``(batch, context, steps)`` so repeated epoch shapes — fixed-length
+traces, rate sweeps, replica groups sharing a workload mix — skip
+planning and pricing entirely.  The memos live in a
+:class:`~repro.systems.pricing.PricingStore` whose key (pricing
+signature and batch cap) fixes everything else a price depends on.  A new shape whose KV stays on the GPU
 (:meth:`~repro.systems.simulator.InferenceSimulator.epoch_stays_resident`)
 is not planned at all: it moves nothing, so its steps are a slice of the
 cost model's step table.  Prefill passes and chunks are
@@ -131,6 +133,7 @@ from repro.serving.events import (ADMISSION, COMPLETION, EPOCH_BOUNDARY,
 from repro.serving.sketches import StreamingTrace
 from repro.serving.trace import RequestRecord, ServingTrace
 from repro.systems.memory import MemoryHierarchy, PCIeLink
+from repro.systems.pricing import PricingStore
 from repro.systems.simulator import InferenceSimulator
 from repro.workloads.arrivals import SLO_CLASSES, Request
 from repro.workloads.descriptors import Workload
@@ -453,15 +456,6 @@ class ContinuousBatchingEngine:
     max_batch_size:
         Optional cap on concurrently running requests (``None`` = limited
         only by the KV budget).
-    reserve_fraction:
-        GPU memory head-room fraction forwarded to
-        :meth:`~repro.systems.simulator.InferenceSimulator.gpu_kv_budget_tokens`.
-    schedule_cache:
-        Optional shared schedule cache injected into simulators that plan
-        offline (currently :class:`~repro.core.engine.AlisaSystem`).  Lets
-        several engines — e.g. one per arrival rate in a sweep — reuse each
-        other's solved epoch shapes.  Ignored by simulators without a
-        ``schedule_cache`` attribute.
     preemption:
         ``None`` (default) serves strictly FCFS.  ``"retain"`` or
         ``"recompute"`` enables priority scheduling over the request
@@ -494,8 +488,6 @@ class ContinuousBatchingEngine:
 
     def __init__(self, simulator: InferenceSimulator,
                  max_batch_size: int | None = None,
-                 reserve_fraction: float = 0.05,
-                 schedule_cache=None,
                  preemption: str | None = None,
                  prefix_reuse: bool = True,
                  prefill_chunk_tokens: int | None = None) -> None:
@@ -510,45 +502,18 @@ class ContinuousBatchingEngine:
             validate_positive(prefill_chunk_tokens=prefill_chunk_tokens)
         self.simulator = simulator
         self.max_batch_size = max_batch_size
-        self.reserve_fraction = reserve_fraction
         self.preemption = preemption
         self.prefix_reuse = prefix_reuse
         self.prefill_chunk_tokens = prefill_chunk_tokens
         self.num_shards = simulator.hardware.gpu_count
-        if schedule_cache is not None:
-            if not hasattr(simulator, "schedule_cache"):
-                raise ConfigurationError(
-                    f"simulator {simulator.name!r} does not plan offline and "
-                    "cannot adopt a schedule cache"
-                )
-            simulator.schedule_cache = schedule_cache
-        # Pricing caches, engine state so they survive across serve() calls
-        # (a rate sweep reuses one engine per configuration).  Priced
-        # prefills are deterministic per workload shape; priced epochs are
-        # deterministic per (b, s, n, shard shape).  ReplicaGroup shares
-        # both across replicas whose simulators price identically — see
-        # adopt_pricing_caches.
-        self._prefill_prices: dict[tuple[int, int, int],
-                                   tuple[float, float, float, float]] = {}
+        # Pricing memos, engine state so they survive across serve() calls
+        # (a rate sweep reuses one engine per configuration).  The engine's
+        # PricingStore hands out the priced-prefill memo and, for
+        # shape-pure pricing, the priced-epoch memo; a replica group's
+        # store replaces this engine's own (see repro.systems.pricing).
         self._epoch_cache: dict[tuple, _PricedEpoch] = {}
-        self._epoch_hits = 0
-        self._epoch_misses = 0
-
-    def adopt_pricing_caches(self, other: "ContinuousBatchingEngine",
-                             share_epochs: bool = True) -> None:
-        """Share priced-prefill (and optionally priced-epoch) caches.
-
-        Only valid when both engines' simulators have equal
-        :meth:`~repro.systems.simulator.InferenceSimulator.pricing_signature`
-        and the engines use the same admission knobs — the caller
-        (:class:`~repro.cluster.group.ReplicaGroup`) checks this, and
-        passes ``share_epochs=False`` for simulators whose priced epochs
-        are not pure functions of the shape
-        (:meth:`~repro.systems.simulator.InferenceSimulator.pricing_is_shape_pure`).
-        """
-        self._prefill_prices = other._prefill_prices
-        if share_epochs:
-            self._epoch_cache = other._epoch_cache
+        self._epoch_hits = self._epoch_misses = 0
+        PricingStore().attach(self)
 
     # ------------------------------------------------------------------ #
     # admission control
@@ -583,7 +548,7 @@ class ContinuousBatchingEngine:
             output_len=max_output_len,
             name="serving-probe",
         )
-        return self.simulator.gpu_kv_budget_tokens(probe, self.reserve_fraction)
+        return self.simulator.gpu_kv_budget_tokens(probe)
 
     def shard_budgets(self, node_budget_tokens: int) -> list[int]:
         """Per-shard KV-token budgets (one shard per GPU).
@@ -839,8 +804,9 @@ class ContinuousBatchingEngine:
         ``prefill_timing`` against a fresh link with the serve link's
         bandwidth and latency.  ``decode=False`` tells the simulator that
         only the prompt is placed: ALISA places it from its GPU budget
-        without solving a decode schedule.  The memo lives on the engine
-        across admission events *and* serve() calls: repeated shapes
+        without solving a decode schedule.  The memo lives in the engine's
+        :class:`~repro.systems.pricing.PricingStore` across admission
+        events *and* serve() calls: repeated shapes
         (every admission in a fixed-length trace, every rate of a sweep)
         skip pricing entirely.  Every pass then adds the two byte counts
         onto ``memory.link``, the same additions ``prefill_timing`` makes,
@@ -874,6 +840,8 @@ class ContinuousBatchingEngine:
                 priced = (time, comm, link.bytes_host_to_device,
                           link.bytes_device_to_host)
             self._prefill_prices[key] = priced
+        else:
+            self.pricing.prefill_hits += 1
         time, comm, h2d_bytes, d2h_bytes = priced
         link = memory.link
         link.bytes_host_to_device += h2d_bytes
@@ -887,8 +855,8 @@ class ContinuousBatchingEngine:
         """Vectorized epoch pricing with per-shape memoization.
 
         Prices the epoch ``Workload(batch_size, context, num_steps)``
-        (see :meth:`_price_epoch`) once per
-        ``(batch, context, steps, shard shape)`` and memoizes what serving
+        (see :meth:`_price_epoch`) once per ``(batch, context, steps)``
+        (the store's key fixes the shard shape) and memoizes what serving
         reads of it, so repeated epoch shapes (the common case in
         fixed-length traces and rate sweeps) skip planning *and* pricing.
         The epoch boundary falls out of a running sum over the step times
@@ -900,8 +868,7 @@ class ContinuousBatchingEngine:
         bit-identical to per-step recording.
         Returns ``(end_clock, steps, first_clock, comm_per_step)``.
         """
-        key = (batch_size, context, num_steps,
-               self.simulator.parallelism.label)
+        key = (batch_size, context, num_steps)
         priced = self._epoch_cache.get(key)
         if priced is None:
             self._epoch_misses += 1

@@ -1,4 +1,5 @@
-"""System-level substrates: memory devices, PCIe link, cost model, traces."""
+"""System-level substrates: memory devices, PCIe link, cost model, pricing
+memos, traces."""
 
 from repro.systems.cost import (
     AttentionBreakdown,
@@ -7,6 +8,7 @@ from repro.systems.cost import (
     ParallelismSpec,
 )
 from repro.systems.memory import MemoryDevice, MemoryHierarchy, PCIeLink
+from repro.systems.pricing import PricingStore
 from repro.systems.trace import InferenceTrace, StepTiming
 
 __all__ = [
@@ -18,5 +20,6 @@ __all__ = [
     "OpCost",
     "ParallelismSpec",
     "PCIeLink",
+    "PricingStore",
     "StepTiming",
 ]

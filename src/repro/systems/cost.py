@@ -120,22 +120,6 @@ class ParallelismSpec:
         return "none" if self.degree == 1 else f"{self.mode}-{self.degree}"
 
 
-def share_step_tables(cost_models, leaders: dict) -> None:
-    """Let cost models of equal :attr:`LLMCostModel.identity` share one
-    step-table store (decode step tables and prefill times).
-
-    ``leaders`` maps an identity to the cost model whose store it reads;
-    each cost model whose identity is new becomes that leader, and every
-    other one adopts its leader's tables (:meth:`LLMCostModel.adopt_step_tables`).
-    Pass a dict that lives as long as the sharing should, never a
-    process-wide one.
-    """
-    for cost_model in cost_models:
-        leader = leaders.setdefault(cost_model.identity, cost_model)
-        if leader is not cost_model:
-            cost_model.adopt_step_tables(leader)
-
-
 @dataclass(frozen=True)
 class OpCost:
     """Cost of a single operator instance."""
@@ -197,9 +181,9 @@ class LLMCostModel:
         # sequence length (see decode_step_times), each with a list view
         # made whenever the table grows (decode_step_list), and prefill
         # times keyed by (batch_size, prompt_len) (prefill_time).  Per
-        # cost model, so every freshly built system prices its own;
-        # equal-identity cost models of a replica group or a sweep share
-        # one store (adopt_step_tables).
+        # cost model, so every freshly built system prices its own; a
+        # serving engine's PricingStore replaces them with the memos of
+        # its identity (repro.systems.pricing).
         self._step_tables: dict[tuple, np.ndarray] = {}
         self._step_lists: dict[tuple, list[float]] = {}
         self._prefill_times: dict[tuple[int, int], float] = {}
@@ -208,8 +192,9 @@ class LLMCostModel:
     def identity(self) -> tuple:
         """``(config, hardware, dtype, parallelism)``: every input of the
         step and prefill formulas.  Cost models with equal identities
-        price every decode step and prefill pass identically, so they may
-        share step tables and prefill times (:meth:`adopt_step_tables`)."""
+        price every decode step and prefill pass identically, so a
+        :class:`~repro.systems.pricing.PricingStore` gives them one set of
+        step tables and prefill times."""
         return (self.config, self.hardware, self.dtype, self.parallelism)
 
     @property
@@ -610,23 +595,6 @@ class LLMCostModel:
         self._step_lists[key] = grown.tolist()
         return grown
 
-    def adopt_step_tables(self, other: "LLMCostModel") -> None:
-        """Read and grow ``other``'s step tables, their list views and
-        its prefill times from now on.
-
-        Only valid between cost models with equal :attr:`identity`: a
-        step's or a prefill pass's time depends on nothing else.  A
-        replica group shares one store between its equal-identity
-        replicas, and a serving sweep between every equal-identity cost
-        model it builds, whatever the system; tables of different
-        attention splits stay apart under their ``split`` key.  Nothing
-        outlives the sharing cost models, so every sweep starts with an
-        empty store.
-        """
-        self._step_tables = other._step_tables
-        self._step_lists = other._step_lists
-        self._prefill_times = other._prefill_times
-
     def quantize_time_batch(self, batch_size: int,
                             num_tokens: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`quantize_time` over an array of token counts."""
@@ -677,10 +645,11 @@ class LLMCostModel:
     def prefill_time(self, batch_size: int, prompt_len: int) -> float:
         """GPU time of the prefilling stage (dense attention, with TP/PP).
 
-        Priced once per ``(batch_size, prompt_len)`` into the store that
-        equal-identity cost models share (:meth:`adopt_step_tables`), so
-        serving admissions, chunks and router estimates of one shape pay
-        the formula once.
+        Priced once per ``(batch_size, prompt_len)`` into a memo that
+        equal-identity cost models of one
+        :class:`~repro.systems.pricing.PricingStore` share, so serving
+        admissions, chunks and router estimates of one shape pay the
+        formula once.
         """
         key = (batch_size, prompt_len)
         time = self._prefill_times.get(key)

@@ -289,9 +289,10 @@ class InferenceSimulator(ABC):
         True for every stateless placement policy.  Systems whose per-shape
         plan depends on solver *history* (ALISA's warm-started/canonical
         schedule search seeds from previously solved shapes) return False,
-        and the cluster layer then keeps their priced-epoch caches per
-        replica: sharing one across replicas with independent solver
-        caches could silently change which schedule prices a shape.  The
+        and a :class:`~repro.systems.pricing.PricingStore` then keeps
+        their priced-epoch memos per engine: sharing one across engines
+        with independent solver caches could silently change which
+        schedule prices a shape.  The
         answer concerns planned epochs only: one that
         :meth:`epoch_stays_resident` is a step-table slice, pure either way.
         """
@@ -303,9 +304,9 @@ class InferenceSimulator(ABC):
         Two simulators with equal signatures price identical workload
         shapes identically (given equal solver history — see
         :meth:`pricing_is_shape_pure`), so serving-layer caches (prefill
-        plans, priced epochs) may be shared between their engines —
-        :class:`~repro.cluster.group.ReplicaGroup` does exactly that for
-        replicas built from one factory.  Subclasses with extra pricing
+        plans, priced epochs) may be shared between their engines — a
+        :class:`~repro.systems.pricing.PricingStore` keys them by it.
+        Subclasses with extra pricing
         knobs must extend the tuple (see ``AlisaSystem``).
         """
         hw = self.hardware

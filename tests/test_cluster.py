@@ -374,26 +374,30 @@ class TestReplicaGroup:
 
     def test_equal_signatures_share_service_estimates(self):
         duo = group("2x(none)", policy="jsq")
-        first, second = duo._service_estimates
+        first, second = duo._estimates
         assert first is second
         request = generate_requests(1, rate=1.0, input_len=96,
                                     output_len=48)[0]
         estimate = duo.estimate_service_time(0, request)
         assert first == {(96, 48): estimate}
         assert duo.estimate_service_time(1, request) == estimate
+        # The group's store holds the one memo both replicas read.
+        assert duo.pricing.stats()["service_estimates"] == {"entries": 1}
 
     def test_different_signatures_keep_separate_estimates(self):
         engines = [
             ContinuousBatchingEngine(VLLMSystem(MODEL, node))
             for node in (V100_16GB_NODE, multi_gpu(V100_16GB_NODE, 2))]
         mixed = ReplicaGroup(engines, policy="jsq")
-        first, second = mixed._service_estimates
+        first, second = mixed._estimates
         assert first is not second
         request = generate_requests(1, rate=1.0, input_len=96,
                                     output_len=48)[0]
         assert (mixed.estimate_service_time(0, request)
                 != mixed.estimate_service_time(1, request))
         assert len(first) == len(second) == 1
+        # One store, two identities: two memos of one entry each.
+        assert mixed.pricing.stats()["service_estimates"] == {"entries": 2}
 
     @pytest.mark.parametrize("policy", ["jsq", "least-loaded",
                                         "session-affinity"])
@@ -402,7 +406,7 @@ class TestReplicaGroup:
                                      seed=7)
         shared_trace = group("3x(none)", policy=policy).serve(requests)
         separate = group("3x(none)", policy=policy)
-        separate._service_estimates = [{} for _ in separate.engines]
+        separate._estimates = [{} for _ in separate.engines]
         separate_trace = separate.serve(requests)
         assert (shared_trace.metadata["routing"]["dispatch_counts"]
                 == separate_trace.metadata["routing"]["dispatch_counts"])

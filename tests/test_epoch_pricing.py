@@ -35,6 +35,7 @@ from repro.serving import ContinuousBatchingEngine
 from repro.serving.engine import _PricedEpoch
 from repro.systems.cost import ParallelismSpec
 from repro.systems.memory import MemoryHierarchy, PCIeLink
+from repro.systems.pricing import PricingStore
 from repro.workloads.arrivals import generate_requests
 from repro.workloads.descriptors import Workload
 
@@ -408,6 +409,7 @@ class TestServingFastPathGoldenPins:
         group = ReplicaGroup.from_layout(factory, "2x(none)",
                                          V100_16GB_NODE, policy="jsq")
         first, second = group.engines
+        assert first.pricing is second.pricing is group.pricing
         # Prefill plans are shape-pure for every system: always shared.
         assert first._prefill_prices is second._prefill_prices
         # ALISA's default warm-started schedules depend on replica-local
@@ -420,6 +422,11 @@ class TestServingFastPathGoldenPins:
         requests = generate_requests(12, **self.REQUESTS)
         trace = group.serve(requests)
         assert trace.num_requests == 12
+        # The store holds one prefill memo and both per-replica epoch memos.
+        stats = group.pricing.stats()
+        assert stats["prefill"]["entries"] == len(first._prefill_prices) > 0
+        assert stats["epoch"]["entries"] == (len(first._epoch_cache)
+                                             + len(second._epoch_cache))
 
         # ...but shape-pure pricing (exact schedules, stateless baselines)
         # shares epochs cluster-wide.
@@ -445,6 +452,7 @@ class TestServingFastPathGoldenPins:
             [ContinuousBatchingEngine(build_system("alisa")),
              ContinuousBatchingEngine(build_system("alisa", "tp-2"))])
         a, b = tp_group.engines
+        assert a.pricing is b.pricing  # one store, two keys
         assert a._epoch_cache is not b._epoch_cache
         assert a._prefill_prices is not b._prefill_prices
 
@@ -462,9 +470,7 @@ class TestEpochByteReplay:
         link and the steps taken."""
         num_steps = len(h2d_bytes)
         batch, context = self.SHAPE
-        key = (batch, context, num_steps,
-               engine.simulator.parallelism.label)
-        engine._epoch_cache[key] = _PricedEpoch(
+        engine._epoch_cache[(batch, context, num_steps)] = _PricedEpoch(
             step_times=[1.0] * num_steps, comm_per_step=0.0,
             h2d_bytes=h2d_bytes, d2h_bytes=d2h_bytes)
         memory = MemoryHierarchy.from_hardware(engine.simulator.hardware)
@@ -795,6 +801,100 @@ class TestPrefillPriceMemo:
         assert shapes and all(shape[1:] == (256, 128) for shape in shapes)
 
 
+class TestPricingStoreStats:
+    """``PricingStore.stats()`` counts every memo of its scope exactly."""
+
+    @staticmethod
+    def record_prefills(monkeypatch) -> list:
+        """Record every priced prefill shape with the memo it reads."""
+        shapes = []
+        price = ContinuousBatchingEngine._price_prefill
+
+        def recording(engine, batch_size, input_len, output_len, memory):
+            shapes.append((id(engine._prefill_prices), batch_size,
+                           input_len, output_len))
+            return price(engine, batch_size, input_len, output_len, memory)
+
+        monkeypatch.setattr(ContinuousBatchingEngine, "_price_prefill",
+                            recording)
+        return shapes
+
+    @staticmethod
+    def assert_counts(stats, shapes, replica_traces):
+        prefill, epoch = stats["prefill"], stats["epoch"]
+        # Every miss prices one new shape of its memo; the rest are hits.
+        assert prefill["misses"] == len(set(shapes)) == prefill["entries"]
+        assert prefill["hits"] == len(shapes) - len(set(shapes)) > 0
+        # Epoch counts are the engines' own, the ones traces report.
+        reported = [replica.metadata["epoch_cache"]
+                    for replica in replica_traces]
+        assert epoch["hits"] == sum(cache["hits"] for cache in reported) > 0
+        assert epoch["misses"] == sum(cache["misses"] for cache in reported)
+        assert epoch["entries"] == epoch["misses"]
+
+    def test_group_serve_counts(self, monkeypatch):
+        from repro.cluster import ReplicaGroup
+
+        shapes = self.record_prefills(monkeypatch)
+        group = ReplicaGroup.from_layout(
+            lambda node, parallelism: AlisaSystem(
+                MODEL, node, kv_sparsity=0.8, parallelism=parallelism),
+            "2x(none)", V100_16GB_NODE, policy="jsq")
+        requests = generate_requests(24, rate=16.0, input_len=128,
+                                     output_len=64, seed=3)
+        # The second serve reads the epochs the first one priced.
+        traces = [group.serve(requests) for _ in range(2)]
+        stats = group.pricing.stats()
+        self.assert_counts(stats, shapes, [
+            replica for trace in traces for replica in trace.replica_traces])
+        assert stats["service_estimates"]["entries"] > 0
+        assert stats["step_tables"] == stats["step_lists"]
+
+    def test_sweep_counts_and_starts_cold(self, monkeypatch):
+        from repro.cluster import ReplicaGroup
+        from repro.experiments import serving
+        from repro.experiments.serving import serving_rate_sweep
+
+        stores, traces = [], []
+
+        class RecordingStore(PricingStore):
+            def __init__(self):
+                super().__init__()
+                stores.append(self)
+
+        serve = ReplicaGroup.serve
+
+        def recording_serve(group, *args, **kwargs):
+            traces.append(serve(group, *args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(serving, "PricingStore", RecordingStore)
+        monkeypatch.setattr(ReplicaGroup, "serve", recording_serve)
+        shapes = self.record_prefills(monkeypatch)
+
+        def sweep():
+            stores.clear()
+            traces.clear()
+            shapes.clear()
+            serving_rate_sweep(rates=(8.0, 64.0), num_requests=24,
+                               pattern="bursty", input_len=None,
+                               output_len=None, seed=3,
+                               cluster=("1x(none)", "2x(none)"),
+                               require_equal_gpus=False, routing="jsq")
+            (store,) = stores  # one store for the whole call
+            stats = store.stats()
+            self.assert_counts(stats, shapes, [
+                replica for trace in traces
+                for replica in trace.replica_traces])
+            return store, stats
+
+        first, first_stats = sweep()
+        second, second_stats = sweep()
+        # A second sweep builds a new store and counts from zero.
+        assert second is not first
+        assert second_stats == first_stats
+
+
 class TestPrefillOnlyPrepare:
     """Pricing a prefill with ``prepare(decode=False)`` gives the prices a
     full ``prepare`` gives, on every system and shard shape."""
@@ -924,13 +1024,21 @@ class TestStepTable:
         with pytest.raises(ConfigurationError):
             cost.decode_step_list(1, 0, 4)
 
-        adopter = build_system("vllm").cost_model
-        adopter.adopt_step_tables(cost)
+        # Equal identities in one store read and grow one set of tables.
+        store = PricingStore()
+        engines = [ContinuousBatchingEngine(build_system(name))
+                   for name in ("alisa", "vllm")]
+        for engine in engines:
+            store.attach(engine)
+        cost, adopter = (engine.simulator.cost_model for engine in engines)
+        assert adopter.identity == cost.identity
         assert adopter._step_lists is cost._step_lists
         assert adopter._prefill_times is cost._prefill_times
+        cost.decode_step_list(3, 1, 100)
         adopter.decode_step_list(3, 9000, 5)  # grows the shared table
         assert cost._step_tables[(3, None)].size >= 9005
         assert_views(cost)
+        assert store.stats()["step_tables"] == {"entries": 1}
 
     def test_sweep_builds_each_table_once_per_identity(self, monkeypatch):
         from repro.experiments.serving import serving_rate_sweep
@@ -1070,11 +1178,14 @@ class TestStepTable:
         group.serve(generate_requests(12, rate=8.0, input_len=256,
                                       output_len=64, seed=1))
         assert first._step_tables  # filled by the serve, read by both
+        assert (group.pricing.stats()["step_tables"]["entries"]
+                == len(first._step_tables))
 
         mixed = ReplicaGroup(
             [ContinuousBatchingEngine(build_system("alisa")),
              ContinuousBatchingEngine(build_system("alisa", "tp-2"))])
         a, b = (engine.simulator.cost_model for engine in mixed.engines)
+        assert mixed.engines[0].pricing is mixed.engines[1].pricing
         assert a._step_tables is not b._step_tables
 
     def test_equal_cost_models_share_tables_across_signatures(self):
@@ -1091,4 +1202,5 @@ class TestStepTable:
         assert first.cost_model._step_lists is second.cost_model._step_lists
         # Unequal signatures still keep their priced epochs apart.
         engines = flexgen.engines
+        assert engines[0].pricing is engines[1].pricing is flexgen.pricing
         assert engines[0]._epoch_cache is not engines[1]._epoch_cache

@@ -393,7 +393,9 @@ class TestIncrementalScheduling:
         assert solves_second == 0  # identical trace: every epoch memoized
 
     def test_cache_injection_rejected_for_non_planning_systems(self):
-        with pytest.raises(ConfigurationError):
+        # A schedule cache is the simulator's own (AlisaSystem takes one);
+        # the engine has no such knob.
+        with pytest.raises(TypeError, match="schedule_cache"):
             ContinuousBatchingEngine(FlexGenSystem(MODEL, V100_16GB_NODE),
                                      schedule_cache=ScheduleCache())
 
