@@ -319,7 +319,7 @@ class ReplicaGroup:
             metadata["scheduler"] = scheduler
         epoch_cache = self._aggregate_epoch_cache(traces)
         if epoch_cache is not None:
-            # Exact even when replicas share one pricing cache: each
+            # Exact even when replicas share one priced-epoch memo: each
             # engine's hit/miss counters are per engine, so per-replica
             # deltas sum without double counting.
             metadata["epoch_cache"] = epoch_cache

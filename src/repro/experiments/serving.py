@@ -179,9 +179,9 @@ def serving_rate_sweep(model: str = "opt-6.7b",
     columns.  Every group reads one
     :class:`~repro.systems.pricing.PricingStore` made for this call, so
     equal-key pricing memos are shared across entries and systems, and
-    no memo outlives the sweep.  ``exact_schedules=True`` makes ALISA re-solve with the
-    paper's full grid search for every new epoch shape (byte-identical
-    schedules, much slower at high arrival rates).
+    no memo outlives the sweep.  ``exact_schedules=True`` makes ALISA
+    re-solve with the paper's full grid search for every new epoch shape
+    (byte-identical schedules, much slower at high arrival rates).
 
     ``record_mode="streaming"`` serves every row through bounded-memory
     streaming traces (:mod:`repro.serving.sketches`): exact counts,

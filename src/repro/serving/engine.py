@@ -74,7 +74,8 @@ running sum plus a binary search, and priced epochs are memoized by
 traces, rate sweeps, replica groups sharing a workload mix — skip
 planning and pricing entirely.  The memos live in a
 :class:`~repro.systems.pricing.PricingStore` whose key (pricing
-signature and batch cap) fixes everything else a price depends on.  A new shape whose KV stays on the GPU
+signature and batch cap) fixes everything else a price depends on.
+A new shape whose KV stays on the GPU
 (:meth:`~repro.systems.simulator.InferenceSimulator.epoch_stays_resident`)
 is not planned at all: it moves nothing, so its steps are a slice of the
 cost model's step table.  Prefill passes and chunks are
