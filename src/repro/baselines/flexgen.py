@@ -47,7 +47,8 @@ class FlexGenSystem(InferenceSimulator):
         if self._requested_cpu_fraction is not None:
             self._cpu_fraction = self._requested_cpu_fraction
             return
-        budget_tokens = self.gpu_kv_budget_tokens(workload)
+        budget_tokens = self.gpu_kv_budget_tokens(workload.batch_size,
+                                                  workload.input_len)
         max_tokens = workload.max_seq_len
         if budget_tokens >= max_tokens:
             self._cpu_fraction = 0.0
@@ -102,7 +103,7 @@ class FlexGenSystem(InferenceSimulator):
         budget that holds the epoch's final sequence length."""
         if self._requested_cpu_fraction is not None:
             return self._requested_cpu_fraction == 0.0
-        return (self._kv_budget_tokens(batch_size, context)
+        return (self.gpu_kv_budget_tokens(batch_size, context)
                 >= context + num_steps)
 
     def pricing_signature(self) -> tuple:

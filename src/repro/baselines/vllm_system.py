@@ -69,11 +69,7 @@ class VLLMSystem(InferenceSimulator):
         if lengths in self._sequence_capacity:
             capacity = self._sequence_capacity[lengths]
         else:
-            per_sequence_workload = Workload(
-                batch_size=1, input_len=workload.input_len,
-                output_len=workload.output_len, name="per-seq",
-            )
-            budget_tokens = self.gpu_kv_budget_tokens(per_sequence_workload)
+            budget_tokens = self.gpu_kv_budget_tokens(1, workload.input_len)
             budget_blocks = budget_tokens // self.block_size
             per_seq_blocks = self._blocks_per_sequence(workload)
             capacity = (None if per_seq_blocks <= 0

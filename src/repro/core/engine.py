@@ -143,7 +143,8 @@ class AlisaSystem(InferenceSimulator):
         static ablation and a fixed ``scheduler_config`` search nothing,
         so they prepare as for a decode.
         """
-        gpu_budget = self.gpu_kv_budget_tokens(workload)
+        gpu_budget = self.gpu_kv_budget_tokens(workload.batch_size,
+                                               workload.input_len)
         if not self.use_dynamic_scheduling:
             # Static ablation: FlexGen-style fixed split sized for the final
             # sequence length, with sparse attention still enabled.
@@ -207,8 +208,7 @@ class AlisaSystem(InferenceSimulator):
                 return hit
 
         if policy.exact:
-            solution = self._make_optimizer(workload).solve(
-                weights_on_gpu=self.weights_on_gpu)
+            solution = self._make_optimizer(workload).solve(gpu_budget)
             stats.full_solves += 1
             stats.candidates_evaluated += solution.evaluated_candidates
             if policy.memoize:
@@ -234,7 +234,6 @@ class AlisaSystem(InferenceSimulator):
                           if policy.warm_start else None)
             if seed_entry is not None:
                 solution = optimizer.solve_incremental(
-                    weights_on_gpu=self.weights_on_gpu,
                     seed=(seed_entry.offload_ratio, seed_entry.recompute_ratio,
                           seed_entry.phase3_fraction),
                     max_rounds=policy.max_refine_rounds,
@@ -242,9 +241,7 @@ class AlisaSystem(InferenceSimulator):
                 )
                 stats.warm_solves += 1
             else:
-                solution = optimizer.solve_incremental(
-                    weights_on_gpu=self.weights_on_gpu, gpu_budget=gpu_budget,
-                )
+                solution = optimizer.solve_incremental(gpu_budget=gpu_budget)
                 stats.full_solves += 1
             stats.candidates_evaluated += solution.evaluated_candidates
             # With one decode step after p1 the p2 grid is {p1, p1 + 1}, so
@@ -415,7 +412,7 @@ class AlisaSystem(InferenceSimulator):
         if (self.use_dynamic_scheduling
                 and self._fixed_scheduler_config is not None):
             return False
-        return (self._kv_budget_tokens(batch_size, context)
+        return (self.gpu_kv_budget_tokens(batch_size, context)
                 >= context + num_steps)
 
     def pricing_is_shape_pure(self) -> bool:

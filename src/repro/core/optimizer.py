@@ -9,9 +9,10 @@ applies a greedy search over the combined objective.
 
 This module reproduces that flow:
 
-* :class:`CostParameters` collects the Table II notation for one run;
-* :func:`gpu_kv_budget_tokens` solves the capacity constraint, yielding
-  ``p1`` (the step at which KV tensors stop fitting in GPU memory);
+* :func:`phase1_end_step` solves the capacity constraint, yielding ``p1``
+  (the step at which KV tensors stop fitting in GPU memory) from the cost
+  model's KV budget
+  (:meth:`~repro.systems.cost.LLMCostModel.kv_budget_tokens`);
 * :class:`ProfileTable` plays the role of the paper's offline profiling:
   step compute times come from the cost model's step table
   (:meth:`~repro.systems.cost.LLMCostModel.decode_step_times`) and
@@ -33,12 +34,13 @@ uses it through :mod:`repro.core.schedule_cache`.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable
-from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from repro._common import ConfigurationError, dtype_bytes, validate_fraction
+from repro._common import ConfigurationError
 from repro.core.scheduler import (
     DynamicScheduler,
     SchedulerConfig,
@@ -48,55 +50,6 @@ from repro.core.scheduler import (
 from repro.core.swa import SWAConfig, sequence_table
 from repro.systems.cost import LLMCostModel
 from repro.workloads.descriptors import Workload
-
-
-@dataclass(frozen=True)
-class CostParameters:
-    """The notation of Table II, bundled for one run."""
-
-    hidden_size: int          # h
-    num_layers: int           # l
-    batch_size: int           # b
-    input_len: int            # s
-    output_len: int           # n
-    caching_ratio: float      # r
-    pcie_bandwidth: float     # B
-    kv_dtype: str = "fp16"
-
-    @property
-    def kv_bytes_per_token(self) -> float:
-        """The paper's ``4 * b * l * h`` bytes per token (FP16), generalized
-        to other KV dtypes."""
-        return (2.0 * dtype_bytes(self.kv_dtype) * self.batch_size
-                * self.num_layers * self.hidden_size)
-
-    def transfer_time(self, moved_tokens: float) -> float:
-        """Equation 3: time to move ``moved_tokens`` tokens over PCIe."""
-        if moved_tokens < 0:
-            raise ConfigurationError("moved_tokens must be non-negative")
-        return moved_tokens * self.kv_bytes_per_token / self.pcie_bandwidth
-
-
-def gpu_kv_budget_tokens(cost_model: LLMCostModel, workload: Workload,
-                         kv_dtype: str = "fp16",
-                         weights_on_gpu: bool = True,
-                         reserve_fraction: float = 0.05) -> int:
-    """How many KV tokens fit in node GPU memory for this model and workload.
-
-    The byte accounting (multi-GPU aggregation, weights charged once,
-    activations per GPU) is
-    :meth:`~repro.systems.cost.LLMCostModel.kv_budget_bytes` — the same
-    source the serving engine's admission budget uses, so the scheduler's
-    capacity constraint can never diverge from admission control.
-    """
-    validate_fraction(reserve_fraction=reserve_fraction)
-    budget_bytes = max(0.0, cost_model.kv_budget_bytes(
-        workload.batch_size, workload.input_len,
-        weights_on_gpu=weights_on_gpu, reserve_fraction=reserve_fraction))
-    per_token = cost_model.kv_bytes_per_token(workload.batch_size, kv_dtype)
-    if per_token <= 0:
-        raise ConfigurationError("per-token KV size must be positive")
-    return max(1, int(budget_bytes // per_token))
 
 
 def phase1_end_step(budget_tokens: int, workload: Workload) -> int:
@@ -187,12 +140,14 @@ def _compute_total(cost_model: LLMCostModel, workload: Workload,
                    swa: SWAConfig) -> float:
     """GPU compute time of the whole decode, candidate-independent.
 
-    A Python ``sum`` over the cost model's step table in ascending
-    sequence-length order, the order every solve has always used.
+    Left-to-right float adds over the cost model's step table in
+    ascending sequence-length order, the order every solve has always
+    used.  Not ``sum()``: it compensates on Python 3.12+ and would move
+    the last digit.
     """
-    return sum(cost_model.decode_step_times(
+    return reduce(operator.add, cost_model.decode_step_times(
         workload.batch_size, workload.input_len + 1, workload.output_len,
-        swa).tolist())
+        swa).tolist(), 0)
 
 
 class _FastObjective:
@@ -367,10 +322,16 @@ class SchedulerOptimizer:
         plans = scheduler.plan_run(self.workload.output_len)
         return self.estimate_plan_time(plans)
 
-    def solve(self, weights_on_gpu: bool = True) -> ScheduleSolution:
-        """Run the search and return the best scheduler configuration."""
-        gpu_budget = gpu_kv_budget_tokens(self.cost_model, self.workload,
-                                          self.kv_dtype, weights_on_gpu)
+    def solve(self, gpu_budget: int | None = None) -> ScheduleSolution:
+        """Run the search and return the best scheduler configuration.
+
+        ``gpu_budget`` is the GPU KV budget in tokens; ``None`` takes the
+        cost model's with the weights on the GPU.
+        """
+        if gpu_budget is None:
+            gpu_budget = self.cost_model.kv_budget_tokens(
+                self.workload.batch_size, self.workload.input_len,
+                self.kv_dtype)
         p1 = phase1_end_step(gpu_budget, self.workload)
         p2_candidates = self._p2_candidates(p1)
 
@@ -421,7 +382,7 @@ class SchedulerOptimizer:
         return objective.costs([(config.offload_ratio, config.recompute_ratio,
                                  config.phase3_step)])[0]
 
-    def solve_incremental(self, weights_on_gpu: bool = True,
+    def solve_incremental(self,
                           seed: tuple[float, float, float] | None = None,
                           max_rounds: int = 3,
                           gpu_budget: int | None = None) -> ScheduleSolution:
@@ -445,8 +406,9 @@ class SchedulerOptimizer:
         objective or a descent: see :meth:`_solve_phase1_only`.
         """
         if gpu_budget is None:
-            gpu_budget = gpu_kv_budget_tokens(self.cost_model, self.workload,
-                                              self.kv_dtype, weights_on_gpu)
+            gpu_budget = self.cost_model.kv_budget_tokens(
+                self.workload.batch_size, self.workload.input_len,
+                self.kv_dtype)
         p1 = phase1_end_step(gpu_budget, self.workload)
         if p1 == self.workload.output_len:
             return self._solve_phase1_only(gpu_budget, seed)

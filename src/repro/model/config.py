@@ -74,12 +74,6 @@ class ModelConfig:
         embeddings = self.vocab_size * self.hidden_size
         return self.num_layers * per_layer + 2 * embeddings
 
-    def kv_bytes_per_token(self, dtype_bytes: float = 2.0) -> float:
-        """Bytes of KV cache contributed by a single token in a single batch
-        element, across all layers (the paper's ``4·l·h`` bytes for FP16,
-        i.e. 2 tensors × 2 bytes × l × h)."""
-        return 2.0 * dtype_bytes * self.num_layers * self.hidden_size
-
     def scaled(self, **overrides) -> "ModelConfig":
         """Return a copy of this config with fields replaced."""
         return replace(self, **overrides)

@@ -26,7 +26,7 @@ from repro.obs.attribution import (
     format_blame_table,
     request_components,
 )
-from repro.obs.observer import Observer, validate_observers
+from repro.obs.observer import Observer
 from repro.obs.spans import SpanTracer
 from repro.obs.timeline import MetricsTimeline
 
@@ -37,5 +37,4 @@ __all__ = [
     "blame_table",
     "format_blame_table",
     "request_components",
-    "validate_observers",
 ]

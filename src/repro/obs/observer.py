@@ -33,8 +33,6 @@ export, SLO attribution) and :class:`~repro.obs.timeline.MetricsTimeline`
 
 from __future__ import annotations
 
-from repro._common import ConfigurationError
-
 
 class Observer:
     """No-op base class for serving observers.
@@ -133,30 +131,3 @@ for _name, _callback in vars(Observer).items():
     if _name.startswith("on_"):
         _callback.noop_hook = True
 del _name, _callback
-
-
-def validate_observers(observers) -> list:
-    """Canonicalise an ``observers=`` argument to a list of observers.
-
-    Accepts ``None`` (no observers — the zero-overhead path) or an
-    iterable of objects implementing the :class:`Observer` callbacks.
-    Duck-typed on purpose (the engine never imports this module), but a
-    plainly wrong argument — a bare observer instead of a list, or an
-    object with none of the callbacks — fails here rather than deep in a
-    serve.
-    """
-    if observers is None:
-        return []
-    if not isinstance(observers, (list, tuple)):
-        raise ConfigurationError(
-            "observers must be a list/tuple of Observer-like objects "
-            f"(got {type(observers).__name__}; wrap a single observer "
-            "in a list)"
-        )
-    for observer in observers:
-        if not callable(getattr(observer, "on_completion", None)):
-            raise ConfigurationError(
-                f"observer {observer!r} does not implement the Observer "
-                "callbacks (subclass repro.obs.Observer)"
-            )
-    return list(observers)

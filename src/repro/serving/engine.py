@@ -107,9 +107,10 @@ the paper's own cost model):
   ``input_len + output_len`` KV footprint against the budget (vLLM's
   conservative no-preemption watermark), so the KV budget is never exceeded
   mid-flight and vLLM-style preemption waves never trigger;
-* **inline prefill** — newly admitted requests are prefilled in one batched
-  prefill that stalls decoding (ORCA's prioritized prefill iterations; no
-  chunked prefill);
+* **prioritized prefill** — newly admitted requests are prefilled in one
+  batched prefill that stalls decoding (ORCA's prioritized prefill
+  iterations), or, with ``prefill_chunk_tokens``, in chunks interleaved
+  with decode;
 * **lockstep shards** — TP/PP shards advance together (collectives
   synchronize every layer or stage), so one clock drives all shards and
   communication time is part of each priced iteration.
@@ -538,18 +539,13 @@ class ContinuousBatchingEngine:
                                     max_output_len: int) -> int:
         """KV budget probed from length *bounds* instead of a request list.
 
-        The budget depends on the probe's maximum lengths (activation
-        bytes scale with the prompt length), so streams and event-driven
-        runs — which never materialize their request lists — probe with
-        the same bounds a list probe would reach.
+        The simulator's one-sequence budget at the longest prompt
+        (activation bytes scale with the prompt length; the output bound
+        sizes nothing), so streams and event-driven runs — which never
+        materialize their request lists — probe with the same bounds a
+        list probe would reach.
         """
-        probe = Workload(
-            batch_size=1,
-            input_len=max_input_len,
-            output_len=max_output_len,
-            name="serving-probe",
-        )
-        return self.simulator.gpu_kv_budget_tokens(probe)
+        return self.simulator.gpu_kv_budget_tokens(1, max_input_len)
 
     def shard_budgets(self, node_budget_tokens: int) -> list[int]:
         """Per-shard KV-token budgets (one shard per GPU).

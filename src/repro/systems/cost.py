@@ -50,6 +50,10 @@ from repro.model.config import ModelConfig
 #: Parallelism strategies understood by :class:`ParallelismSpec`.
 PARALLELISM_MODES = ("none", "tp", "pp")
 
+#: Share of node GPU memory kept free of weights, activations and KV
+#: tensors (allocator fragmentation and workspace head-room).
+KV_HEADROOM = 0.05
+
 
 @dataclass(frozen=True)
 class ParallelismSpec:
@@ -202,29 +206,27 @@ class LLMCostModel:
         """Aggregate host-link bandwidth (each GPU moves its own KV shard)."""
         return self.hardware.node_pcie_bandwidth
 
-    def kv_budget_bytes(self, batch_size: int, input_len: int,
-                        weights_on_gpu: bool = True,
-                        reserve_fraction: float = 0.05) -> float:
-        """Node GPU bytes left for KV tensors next to weights/activations.
+    def kv_budget_tokens(self, batch_size: int, input_len: int, kv_dtype: str,
+                         weights_on_gpu: bool = True) -> int:
+        """How many KV tokens of a ``(b, s)`` shape fit in node GPU memory.
 
-        The single source of the (sharded) memory-capacity accounting:
-        capacity aggregates over all GPUs of the node, weights are charged
-        once (TP shards them head-wise, PP stage-wise), and activations are
-        charged per GPU (every rank keeps a working copy at the TP/PP
-        boundaries).  Both the serving admission budget
-        (:meth:`repro.systems.simulator.InferenceSimulator.gpu_kv_budget_tokens`)
-        and the offline scheduler's capacity constraint
-        (:func:`repro.core.optimizer.gpu_kv_budget_tokens`) derive from
-        this, so they can never diverge.  May be negative when weights and
-        activations alone overflow the node.
+        The one capacity rule: every KV budget (ALISA's ``p1``, FlexGen's
+        static split, vLLM's waves, serving admission) is this number.
+        Capacity aggregates over all GPUs of the node less
+        :data:`KV_HEADROOM`, weights are charged once (TP shards them
+        head-wise, PP stage-wise) and activations per GPU (every rank
+        keeps a working copy at the TP/PP boundaries); what is left is
+        divided by :meth:`kv_bytes_per_token`.  At least 1, also when
+        weights and activations alone overflow the node.
         """
         gpu_count = self.hardware.gpu_count
         capacity = (self.hardware.gpu.memory_bytes * gpu_count
-                    * (1.0 - reserve_fraction))
+                    * (1.0 - KV_HEADROOM))
         if weights_on_gpu:
             capacity -= self._weight_bytes
         capacity -= gpu_count * self.activation_bytes(batch_size, input_len)
-        return capacity
+        return max(1, int(capacity // self.kv_bytes_per_token(batch_size,
+                                                               kv_dtype)))
 
     # ------------------------------------------------------------------ #
     # static sizes

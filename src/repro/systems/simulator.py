@@ -13,11 +13,11 @@ A concrete system implements two hooks:
 
 Both return a :class:`SystemStepPlan`; the base class turns plans into
 :class:`~repro.systems.trace.StepTiming` records and an
-:class:`~repro.systems.trace.InferenceTrace`.  The pricing helpers
-(:meth:`InferenceSimulator.prefill_timing`,
-:meth:`InferenceSimulator.step_timing`) are also driven step-by-step by the
-online serving engine (:mod:`repro.serving.engine`), which manages request
-admission and KV residency itself.
+:class:`~repro.systems.trace.InferenceTrace`.  The online serving
+engine (:mod:`repro.serving.engine`) manages request admission and KV
+residency itself and prices whole decode epochs
+(:meth:`InferenceSimulator.epoch_timings`) and prefill passes
+(:meth:`InferenceSimulator.prefill_timing`).
 """
 
 from __future__ import annotations
@@ -370,10 +370,10 @@ class InferenceSimulator(ABC):
         """Price one decode-step plan into a :class:`StepTiming`.
 
         Pure pricing: PCIe traffic is recorded on ``memory.link`` but no
-        capacity is allocated, so callers that manage residency themselves
-        (the continuous-batching serving engine) can reuse the exact
-        accounting of :meth:`run`.  ``gpu_used_bytes``/``cpu_used_bytes`` are
-        left zero; :meth:`run` fills them in after applying the plan.
+        capacity is allocated, and ``gpu_used_bytes``/``cpu_used_bytes``
+        are left zero.  It is the per-step reference that
+        :meth:`epoch_timings` must match; only the clock-stepped serve of
+        ``tests/clock_reference.py`` drives it step by step.
         """
         seq_len = workload.input_len + step + 1
         per_token = self.kv_token_bytes(workload)
@@ -593,24 +593,10 @@ class InferenceSimulator(ABC):
         return self.cost_model.parallel_comm_time(workload.batch_size,
                                                   query_len)
 
-    def gpu_kv_budget_tokens(self, workload: Workload,
-                             reserve_fraction: float = 0.05) -> int:
-        """KV tokens that fit in node GPU memory next to weights/activations.
-
-        The byte accounting (aggregate capacity, weights charged once,
-        activations per GPU) lives in
-        :meth:`~repro.systems.cost.LLMCostModel.kv_budget_bytes`, shared
-        with the offline scheduler's capacity constraint.
-        """
-        return self._kv_budget_tokens(workload.batch_size, workload.input_len,
-                                      reserve_fraction)
-
-    def _kv_budget_tokens(self, batch_size: int, input_len: int,
-                          reserve_fraction: float = 0.05) -> int:
-        """:meth:`gpu_kv_budget_tokens` of a ``(b, s)`` shape, without a
-        workload."""
-        cost = self.cost_model
-        capacity = cost.kv_budget_bytes(batch_size, input_len,
-                                        self.weights_on_gpu, reserve_fraction)
-        per_token = cost.kv_bytes_per_token(batch_size, self.kv_dtype)
-        return max(1, int(capacity // per_token)) if capacity > 0 else 1
+    def gpu_kv_budget_tokens(self, batch_size: int, input_len: int) -> int:
+        """KV tokens of a ``(b, s)`` shape that fit in node GPU memory next
+        to weights/activations: the cost model's
+        :meth:`~repro.systems.cost.LLMCostModel.kv_budget_tokens` for this
+        simulator's KV dtype and weight placement."""
+        return self.cost_model.kv_budget_tokens(
+            batch_size, input_len, self.kv_dtype, self.weights_on_gpu)

@@ -13,9 +13,8 @@ from repro.baselines import (
 )
 from repro.core.engine import AlisaSystem
 from repro.core.optimizer import (
-    CostParameters,
+    ProfileTable,
     SchedulerOptimizer,
-    gpu_kv_budget_tokens,
     phase1_end_step,
 )
 from repro.core.scheduler import (
@@ -235,18 +234,17 @@ class TestScheduler:
 
 
 class TestOptimizer:
-    def test_cost_parameters_transfer_time(self):
-        params = CostParameters(hidden_size=4096, num_layers=32, batch_size=8,
-                                input_len=128, output_len=512,
-                                caching_ratio=0.2, pcie_bandwidth=20e9)
-        per_token = params.kv_bytes_per_token
-        assert params.transfer_time(10) == pytest.approx(10 * per_token / 20e9)
+    def test_profile_transfer_time_is_equation_3(self, opt_cost_model):
+        profile = ProfileTable(opt_cost_model, Workload(8, 128, 512, "w"),
+                               SWAConfig.from_sparsity(0.8))
+        per_token = opt_cost_model.kv_bytes_per_token(8, "fp16")
+        bandwidth = opt_cost_model.effective_pcie_bandwidth
+        assert profile.transfer_time(10) == pytest.approx(
+            10 * per_token / bandwidth)
 
     def test_budget_tokens_smaller_for_larger_batch(self, opt_cost_model):
-        small = gpu_kv_budget_tokens(opt_cost_model,
-                                     Workload(4, 128, 512, "a"))
-        large = gpu_kv_budget_tokens(opt_cost_model,
-                                     Workload(64, 128, 512, "b"))
+        small = opt_cost_model.kv_budget_tokens(4, 128, "fp16")
+        large = opt_cost_model.kv_budget_tokens(64, 128, "fp16")
         assert large < small
 
     def test_phase1_end_step_clipped(self):
@@ -364,7 +362,8 @@ class TestCostAccountingRegressions:
         plain = AlisaSystem("opt-6.7b", V100_16GB_NODE, kv_sparsity=0.8,
                             use_dynamic_scheduling=use_dynamic_scheduling,
                             use_compression=False)
-        assert compressed.gpu_kv_budget_tokens(workload) < workload.max_seq_len
+        assert compressed.gpu_kv_budget_tokens(
+            workload.batch_size, workload.input_len) < workload.max_seq_len
         compressed_trace = compressed.run(workload)
         plain_trace = plain.run(workload)
         assert not compressed_trace.oom and not plain_trace.oom
@@ -375,7 +374,8 @@ class TestCostAccountingRegressions:
         system = AlisaSystem("opt-6.7b", V100_16GB_NODE, kv_sparsity=0.8,
                              use_dynamic_scheduling=False,
                              use_compression=False)
-        budget = system.gpu_kv_budget_tokens(workload)
+        budget = system.gpu_kv_budget_tokens(workload.batch_size,
+                                             workload.input_len)
         fraction = 1.0 - budget / workload.max_seq_len
         assert fraction > 0
         trace = system.run(workload)

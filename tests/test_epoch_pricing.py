@@ -140,7 +140,7 @@ class TestEpochTimingsMatchStepLoop:
         # With s + n == budget the epoch never leaves Phase I and its plan
         # carries no movement arrays; one more step leaves Phase I.
         simulator = build_system("alisa", shard, kv_dtype=kv_dtype)
-        budget = simulator.gpu_kv_budget_tokens(Workload(32, 100, 1, "b"))
+        budget = simulator.gpu_kv_budget_tokens(32, 100)
         for extra, phase1_only in ((0, True), (1, False)):
             workload = Workload(32, 100, budget - 100 + extra, "boundary")
             assert_epoch_matches_step_loop("alisa", shard, kv_dtype,
@@ -548,8 +548,7 @@ class TestStepTableEpochs:
     def budget_shapes(simulator, batch_size, input_len):
         """``(b, s, n)`` with ``s + n`` equal to the GPU KV budget, then one
         step more (none when the prompt alone fills the budget)."""
-        budget = simulator.gpu_kv_budget_tokens(
-            Workload(batch_size, input_len, 1, "budget"))
+        budget = simulator.gpu_kv_budget_tokens(batch_size, input_len)
         steps = budget - input_len
         if steps < 1:
             return []
@@ -600,8 +599,8 @@ class TestStepTableEpochs:
             if system == "vllm":
                 assert resident
             elif system in BUDGET_RESIDENT:
-                budget = reference.gpu_kv_budget_tokens(
-                    Workload(batch_size, input_len, steps, "budget"))
+                budget = reference.gpu_kv_budget_tokens(batch_size,
+                                                        input_len)
                 assert resident == (input_len + steps <= budget)
             else:
                 assert not resident

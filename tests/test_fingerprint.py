@@ -135,7 +135,6 @@ def test_epoch_section_builds_the_epoch_pricing_systems():
 
 
 def test_budget_shapes_straddle_the_gpu_budget():
-    from repro.workloads.descriptors import Workload
     from test_epoch_pricing import SHARD_SHAPES, build_system
 
     for shard in SHARD_SHAPES:
@@ -143,12 +142,11 @@ def test_budget_shapes_straddle_the_gpu_budget():
             system = build_system("alisa", shard, kv_dtype=kv_dtype)
             fits, overflows = fingerprint.budget_shapes(system)
             batch, prompt, steps = fits
-            budget = system.gpu_kv_budget_tokens(
-                Workload(batch, prompt, steps, "budget"))
+            budget = system.gpu_kv_budget_tokens(batch, prompt)
             assert prompt + steps == budget
             assert steps >= fingerprint.BUDGET_STEPS
             assert overflows == (batch, prompt, steps + 1)
             # The longest prompt: one more token leaves too little room.
-            assert system.gpu_kv_budget_tokens(
-                Workload(batch, prompt + 1, 1, "budget")) - (prompt + 1) \
+            assert system.gpu_kv_budget_tokens(batch, prompt + 1) \
+                - (prompt + 1) \
                 < fingerprint.BUDGET_STEPS

@@ -95,10 +95,10 @@ class TestConfig:
             config = get_config(name)
             assert config.hidden_size == config.head_dim * config.num_heads
 
-    def test_kv_bytes_per_token_matches_paper_formula(self):
-        config = get_config("opt-6.7b")
+    def test_kv_bytes_per_token_matches_paper_formula(self, opt_cost_model):
+        config = opt_cost_model.config
         # Paper: 4 * l * h bytes per token per batch element at FP16.
-        assert config.kv_bytes_per_token(2.0) == 4 * config.num_layers * config.hidden_size
+        assert opt_cost_model.kv_bytes_per_token(1, "fp16") == 4 * config.num_layers * config.hidden_size
 
     def test_parameter_count_scale(self):
         params = get_config("opt-6.7b").num_parameters()

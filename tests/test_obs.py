@@ -26,7 +26,6 @@ from repro.obs import (
     blame_table,
     format_blame_table,
     request_components,
-    validate_observers,
 )
 from repro.obs.attribution import COMPONENTS
 from repro.obs.report import main as report_main
@@ -181,8 +180,6 @@ class TestObserverValidation:
         assert check_observers([]) == ()
         tracer = SpanTracer()
         assert check_observers([tracer]) == (tracer,)
-        assert validate_observers(None) == []
-        assert validate_observers([tracer]) == [tracer]
 
 
     def test_dispatch_skips_inherited_no_op_callbacks(self):

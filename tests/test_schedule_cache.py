@@ -10,7 +10,9 @@ hit, canonical-bucket derivation, or warm-started solve — must cost within
 
 from __future__ import annotations
 
+import operator
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from repro._common import ConfigurationError
 from repro.core.engine import AlisaSystem
 from repro.core.optimizer import (
     SchedulerOptimizer,
-    gpu_kv_budget_tokens,
     phase1_end_step,
 )
 from repro.core.schedule_cache import (
@@ -58,7 +59,8 @@ class TestFastObjective:
                                                    shape):
         optimizer = make_optimizer(opt_cost_model, shape)
         workload = optimizer.workload
-        budget = gpu_kv_budget_tokens(opt_cost_model, workload, "int8")
+        budget = opt_cost_model.kv_budget_tokens(
+            workload.batch_size, workload.input_len, "int8")
         p1 = phase1_end_step(budget, workload)
         for alpha in optimizer.alpha_grid:
             for beta in optimizer.beta_grid:
@@ -414,7 +416,8 @@ class TestCacheCorrectnessInvariant:
     def _served_cost(opt_cost_model, system, workload) -> float:
         optimizer = SchedulerOptimizer(opt_cost_model, workload, SWA,
                                        kv_dtype="int8")
-        budget = gpu_kv_budget_tokens(opt_cost_model, workload, "int8")
+        budget = opt_cost_model.kv_budget_tokens(
+            workload.batch_size, workload.input_len, "int8")
         return optimizer.evaluate(system.schedule_solution.config, budget)
 
     @given(batch=st.integers(min_value=1, max_value=32),
@@ -590,8 +593,8 @@ class ReferenceObjective:
         self.min_cpu0 = np.maximum(0, seq - gpu_budget)
         self.non_local_total = np.maximum(1, seq - num_local)
         self.prefill_cpu = max(0, s - gpu_budget)
-        self.compute_total = sum(cost_model.decode_step_times(
-            workload.batch_size, s + 1, self.n, swa).tolist())
+        self.compute_total = reduce(operator.add, cost_model.decode_step_times(
+            workload.batch_size, s + 1, self.n, swa).tolist(), 0)
         per_token = cost_model.kv_bytes_per_token(workload.batch_size,
                                                   kv_dtype)
         self.transfer_per_token = \
@@ -759,7 +762,8 @@ class TestBatchedObjective:
                                        kv_dtype="int8")
         if not recompute:
             optimizer.beta_grid = (0.0,)
-        budget = gpu_kv_budget_tokens(cost_model, workload, "int8")
+        budget = cost_model.kv_budget_tokens(
+            workload.batch_size, workload.input_len, "int8")
         solution = optimizer.solve_incremental(seed=seed,
                                                max_rounds=max_rounds,
                                                gpu_budget=budget)
@@ -820,7 +824,8 @@ class TestPhase1OnlySolve:
     @pytest.mark.parametrize("kv_dtype", ["fp16", "int8"])
     def test_budget_boundary(self, opt_cost_model, kv_dtype, monkeypatch):
         probe = Workload(8, 128, 1, "t")
-        budget = gpu_kv_budget_tokens(opt_cost_model, probe, kv_dtype)
+        budget = opt_cost_model.kv_budget_tokens(
+            probe.batch_size, probe.input_len, kv_dtype)
         fits = Workload(8, 128, budget - 128, "t")
         overflows = Workload(8, 128, budget - 127, "t")
         built = []

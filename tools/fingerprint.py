@@ -307,8 +307,7 @@ def budget_shapes(system) -> list[tuple[int, int, int]]:
     on the GPU and the shortest that does not, for the longest prompt
     that leaves at least :data:`BUDGET_STEPS` steps of room."""
     def room(prompt: int) -> int:
-        workload = Workload(BUDGET_BATCH, prompt, 1, "budget")
-        return system.gpu_kv_budget_tokens(workload) - prompt
+        return system.gpu_kv_budget_tokens(BUDGET_BATCH, prompt) - prompt
 
     # The budget never grows with the prompt, so the room falls by at
     # least one token per prompt token: bisect for the longest prompt.
