@@ -7,6 +7,8 @@ sizes) live here.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -84,6 +86,20 @@ def validate_fraction(**kwargs: float) -> None:
     for name, value in kwargs.items():
         if value is None or not 0.0 <= value <= 1.0:
             raise ConfigurationError(f"{name} must lie in [0, 1], got {value!r}")
+
+
+def left_sum(values: Iterable[float], start: float = 0) -> float:
+    """``start`` plus ``values``, added one by one from the left.
+
+    The float reduction for everything the simulator reports: the same
+    IEEE adds in the same order on every Python.  The builtin ``sum()``
+    of floats compensates its rounding error from Python 3.12 on, so it
+    would move the last digit of a total between 3.11 and 3.12; this is
+    what 3.10/3.11 ``sum()`` computes.  Sums of ints may stay ``sum()``
+    (``tests/test_common.py`` lists every ``sum(`` call site allowed in
+    ``src``).
+    """
+    return reduce(add, values, start)
 
 
 def round_half_up(x: float) -> int:

@@ -307,7 +307,7 @@ class ReplicaGroup:
             # not shrink when a routing policy starves a replica (an empty
             # replica's view reports budget 0).
             metadata["kv_budget_tokens"] = sum(
-                engine.kv_budget_tokens_for_bounds(*source.length_bounds)
+                engine.kv_budget_tokens_for_bounds(source.length_bounds[0])
                 for engine in self.engines)
         if self.cluster is not None:
             metadata["cluster"] = {"name": self.cluster.name,

@@ -341,14 +341,16 @@ class AlisaSystem(InferenceSimulator):
         Vectorized equivalent of calling :meth:`plan_decode_step` once per
         step: the dynamic-scheduling path delegates to
         :meth:`~repro.core.scheduler.DynamicScheduler.plan_epoch` and the
-        static ablation evaluates its closed-form split elementwise.  Does
-        not consume scheduler steps, so it can be re-invoked after a fresh
-        ``prepare``/``plan_prefill`` like the step loop can.
+        static ablation evaluates its closed-form split elementwise.  It
+        needs only :meth:`prepare`: no :meth:`plan_prefill` has to run
+        first, and it consumes no scheduler steps, so it can be re-invoked
+        after one like the step loop can.
 
         The scheduler's phases run in order, so an epoch whose last step
         is in Phase I never leaves it: it moves, recomputes and quantizes
         nothing, and its plan carries no load, offload, recompute or
-        quantize arrays (an absent array prices as exactly 0.0).
+        quantize arrays (an absent array prices as exactly 0.0); one
+        without Phase III carries no recompute array.
         """
         num_steps = workload.output_len
         if self.use_dynamic_scheduling:
@@ -357,12 +359,12 @@ class AlisaSystem(InferenceSimulator):
             epoch = self._scheduler.plan_epoch(num_steps)
             movement = {}
             if epoch.phases[-1] != PHASE_GPU:
-                moved = epoch.load_tokens + epoch.offload_tokens
                 movement = dict(
                     load_kv_tokens=epoch.load_tokens,
                     offload_kv_tokens=epoch.offload_tokens,
-                    recompute_tokens=epoch.recompute_tokens,
-                    quantize_tokens=moved if self.use_compression else None)
+                    recompute_tokens=epoch.recomputed,
+                    quantize_tokens=(epoch.load_tokens + epoch.offload_tokens
+                                     if self.use_compression else None))
             return EpochPlan(
                 phases=epoch.phases,
                 kv_gpu_tokens=epoch.tokens_gpu,

@@ -34,13 +34,11 @@ uses it through :mod:`repro.core.schedule_cache`.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Callable
-from functools import reduce
 
 import numpy as np
 
-from repro._common import ConfigurationError
+from repro._common import ConfigurationError, left_sum
 from repro.core.scheduler import (
     DynamicScheduler,
     SchedulerConfig,
@@ -140,14 +138,13 @@ def _compute_total(cost_model: LLMCostModel, workload: Workload,
                    swa: SWAConfig) -> float:
     """GPU compute time of the whole decode, candidate-independent.
 
-    Left-to-right float adds over the cost model's step table in
-    ascending sequence-length order, the order every solve has always
-    used.  Not ``sum()``: it compensates on Python 3.12+ and would move
-    the last digit.
+    Left-to-right float adds (:func:`~repro._common.left_sum`) over the
+    cost model's step table in ascending sequence-length order, the order
+    every solve has always used.
     """
-    return reduce(operator.add, cost_model.decode_step_times(
+    return left_sum(cost_model.decode_step_times(
         workload.batch_size, workload.input_len + 1, workload.output_len,
-        swa).tolist(), 0)
+        swa).tolist())
 
 
 class _FastObjective:

@@ -94,28 +94,56 @@ class StepPlan:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EpochSchedule:
     """Array-of-structs view of ``num_steps`` consecutive step plans.
 
     Produced by :meth:`DynamicScheduler.plan_epoch`; entry ``j`` of every
     array equals the corresponding field of the :class:`StepPlan` that
-    ``plan_step(j)`` would return from the same post-prefill state.
+    ``plan_step(j)`` would return after :meth:`DynamicScheduler.plan_prefill`.
+    The fields are what pricing reads.  Steps before Phase III delete and
+    recompute nothing, so an epoch without Phase III has no ``deleted`` or
+    ``recomputed`` array (``None``); the step-plan views below are computed
+    on each read.  Not frozen, for the reason
+    :class:`~repro.systems.simulator.EpochPlan` is not.
     """
 
     phases: tuple[str, ...]
+    first_seq: int
     kept_local: np.ndarray
     kept_global: np.ndarray
-    tokens_gpu: np.ndarray
     tokens_cpu: np.ndarray
-    tokens_deleted: np.ndarray
     load_tokens: np.ndarray
     offload_tokens: np.ndarray
-    recompute_tokens: np.ndarray
+    deleted: np.ndarray | None = None
+    recomputed: np.ndarray | None = None
+
+    @property
+    def num_steps(self) -> int:
+        return len(self.phases)
 
     @property
     def kept_tokens(self) -> np.ndarray:
         return self.kept_local + self.kept_global
+
+    @property
+    def tokens_deleted(self) -> np.ndarray:
+        if self.deleted is None:
+            return np.zeros(self.num_steps, dtype=np.int64)
+        return self.deleted
+
+    @property
+    def recompute_tokens(self) -> np.ndarray:
+        if self.recomputed is None:
+            return np.zeros(self.num_steps)
+        return self.recomputed
+
+    @property
+    def tokens_gpu(self) -> np.ndarray:
+        """Each step's GPU-resident tokens: the rest of its sequence."""
+        seq = np.arange(self.first_seq, self.first_seq + self.num_steps)
+        gpu = seq - self.tokens_cpu
+        return gpu if self.deleted is None else gpu - self.deleted
 
 
 @dataclass
@@ -335,94 +363,94 @@ class DynamicScheduler:
     def plan_epoch(self, num_steps: int) -> EpochSchedule:
         """Plan steps ``0 .. num_steps - 1`` in one vectorized call.
 
-        Non-mutating equivalent of calling :meth:`plan_step` ``num_steps``
-        times from the post-prefill state: Phases I/II are closed-form in
-        the step index and evaluate array-wise; Phase III's deleted-token
-        count is an inherently sequential recurrence, so it runs as a
-        tight integer loop (:func:`phase3_placement`) — still orders of
-        magnitude cheaper than building and validating a
-        :class:`StepPlan` per step.  ``kept_local``/``kept_global`` are
-        read-only views of the SWA config's
-        :class:`~repro.core.swa.SequenceTable`.
+        Equivalent to :meth:`plan_prefill` followed by ``num_steps`` calls
+        of :meth:`plan_step` on a fresh scheduler, but it reads and changes
+        no scheduler state: the placement after the prefill is
+        :meth:`plan_prefill`'s integer arithmetic (the prompt tokens beyond
+        the GPU budget sit on the CPU), so no prefill has to be planned
+        first.  Phases I/II are closed-form in the step index and evaluate
+        array-wise; Phase III's deleted-token count is an inherently
+        sequential recurrence, so it runs as a tight integer loop
+        (:func:`phase3_placement`) — still orders of magnitude cheaper than
+        building and validating a :class:`StepPlan` per step.
+        ``kept_local``/``kept_global`` are read-only views of the SWA
+        config's :class:`~repro.core.swa.SequenceTable`.
         """
-        if not self._prefilled:
-            raise ConfigurationError("plan_prefill must run before plan_epoch")
         self._require_schedule()
-        if self._next_step != 0:
-            raise ConfigurationError(
-                "plan_epoch requires a fresh post-prefill scheduler (steps "
-                f"0..{self._next_step - 1} were already planned step-wise)"
-            )
         validate_positive(num_steps=num_steps)
-        alpha = self.config.offload_ratio
-        beta = self.config.recompute_ratio
+        config = self.config
         budget = self.gpu_budget_tokens
+        prompt = self.prompt_len
 
         # The phases are three contiguous runs of steps.  Phase III starts
         # at p2; Phase II at p1 or at the first step whose sequence
         # overflows the GPU budget (the sequence grows one token a step),
         # whichever comes first.
-        phase3_start = min(self.config.phase3_step, num_steps)
-        phase2_start = min(self.config.phase2_step,
-                           max(0, budget - self.prompt_len), phase3_start)
-
-        # Per-sequence-length counts are read-only slices of the SWA
-        # config's table.
-        first = self.prompt_len + 1
-        stop = first + num_steps
-        table = sequence_table(self.swa, stop - 1)
-        seq = np.arange(first, stop)
-        num_local = table.num_local[first:stop]
-        num_global = table.num_global[first:stop]
-        tokens_cpu = np.zeros(num_steps, dtype=np.int64)
-        tokens_deleted = np.zeros(num_steps, dtype=np.int64)
-
-        # Phase II: nothing has been deleted yet, so the CPU-resident target
-        # is a pure function of the step.
-        if phase2_start < phase3_start:
-            non_local = table.non_local[first + phase2_start:
-                                        first + phase3_start]
-            target_cpu = np.maximum(
-                np.floor(alpha * non_local + 0.5).astype(np.int64),
-                np.maximum(0, seq[phase2_start:phase3_start] - budget))
-            tokens_cpu[phase2_start:phase3_start] = np.minimum(target_cpu,
-                                                               non_local)
-
-        if phase3_start < num_steps:
-            cpu_run, deleted_run = phase3_placement(
-                table.local_list(), first + phase3_start, stop, alpha, beta,
-                budget)
-            tokens_cpu[phase3_start:] = cpu_run
-            tokens_deleted[phase3_start:] = deleted_run
-
-        # Nothing moves before Phase II, and nothing is recomputed before
-        # Phase III: those steps price exactly 0.0.
-        if phase2_start < num_steps:
-            # The step's offload is the growth of the CPU-resident share
-            # over the previous plan (the post-prefill placement for
-            # step 0).
-            previous_cpu = np.concatenate(([self.state.tokens_cpu],
-                                           tokens_cpu[:-1]))
-            offload = np.maximum(0.0, (tokens_cpu - previous_cpu)
-                                 .astype(np.float64))
-            non_local_total = table.non_local_total[first:stop]
-            load = num_global * (tokens_cpu / non_local_total)
-            recompute = (num_global * (tokens_deleted / non_local_total)
-                         if phase3_start < num_steps
-                         else np.zeros(num_steps))
-            for moved in (offload, load, recompute):
-                moved[:phase2_start] = 0.0
-        else:
-            offload, load, recompute = (np.zeros(num_steps)
-                                        for _ in range(3))
+        phase3_start = min(config.phase3_step, num_steps)
+        phase2_start = min(config.phase2_step, max(0, budget - prompt),
+                           phase3_start)
         phases = ((PHASE_GPU,) * phase2_start
                   + (PHASE_GPU_CPU,) * (phase3_start - phase2_start)
                   + (PHASE_RECOMPUTE,) * (num_steps - phase3_start))
+
+        # Per-sequence-length counts are read-only slices of the SWA
+        # config's table.
+        first = prompt + 1
+        stop = first + num_steps
+        table = sequence_table(self.swa, stop - 1)
+        num_local = table.num_local[first:stop]
+        num_global = table.num_global[first:stop]
+        if phase2_start == num_steps:
+            # Phase I throughout: every token stays on the GPU.
+            return EpochSchedule(
+                phases, first, num_local, num_global,
+                tokens_cpu=np.zeros(num_steps, dtype=np.int64),
+                load_tokens=np.zeros(num_steps),
+                offload_tokens=np.zeros(num_steps))
+
+        # Phase I keeps nothing on the CPU.
+        cpu_runs = [np.zeros(phase2_start, dtype=np.int64)] \
+            if phase2_start else []
+        if phase2_start < phase3_start:
+            # Phase II: nothing has been deleted yet, so the CPU-resident
+            # target is a pure function of the step: round_half_up of
+            # alpha times the non-local tokens (the sum is positive, so
+            # truncation is the floor), at least the tokens beyond the GPU
+            # budget and at most the non-local tokens.  The target is
+            # non-negative, so it needs no clamp of the overflow at 0.
+            non_local = table.non_local[first + phase2_start:
+                                        first + phase3_start]
+            target_cpu = (config.offload_ratio * non_local
+                          + 0.5).astype(np.int64)
+            overflow = np.arange(first + phase2_start - budget,
+                                 first + phase3_start - budget)
+            cpu_runs.append(np.minimum(np.maximum(target_cpu, overflow),
+                                       non_local))
+        deleted = recomputed = None
+        if phase3_start < num_steps:
+            cpu_run, deleted_run = phase3_placement(
+                table.local_list(), first + phase3_start, stop,
+                config.offload_ratio, config.recompute_ratio, budget)
+            cpu_runs.append(np.array(cpu_run, dtype=np.int64))
+            deleted = np.zeros(num_steps, dtype=np.int64)
+            deleted[phase3_start:] = deleted_run
+        tokens_cpu = (cpu_runs[0] if len(cpu_runs) == 1
+                      else np.concatenate(cpu_runs))
+
+        # The step's offload is the growth of the CPU-resident share over
+        # the previous plan; step 0 follows the prefill placement.  Before
+        # Phase II the prompt fits the budget, so every share is 0 and the
+        # steps move nothing.
+        prefill_cpu = prompt - min(prompt, budget)
+        previous_cpu = np.concatenate(([prefill_cpu], tokens_cpu[:-1]))
+        offload = np.maximum(0.0, tokens_cpu - previous_cpu)
+        # Global tokens on the CPU are reloaded and deleted ones
+        # recomputed, by their expected share of the non-local tokens.
+        non_local_total = table.non_local_total[first:stop]
+        load = num_global * (tokens_cpu / non_local_total)
+        if deleted is not None:
+            recomputed = num_global * (deleted / non_local_total)
         return EpochSchedule(
-            phases=phases,
-            kept_local=num_local, kept_global=num_global,
-            tokens_gpu=seq - tokens_cpu - tokens_deleted,
-            tokens_cpu=tokens_cpu, tokens_deleted=tokens_deleted,
-            load_tokens=load, offload_tokens=offload,
-            recompute_tokens=recompute,
-        )
+            phases, first, num_local, num_global, tokens_cpu=tokens_cpu,
+            load_tokens=load, offload_tokens=offload, deleted=deleted,
+            recomputed=recomputed)

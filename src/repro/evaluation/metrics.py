@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._common import ConfigurationError, log_softmax
+from repro._common import ConfigurationError, left_sum, log_softmax
 
 
 def token_log_likelihoods(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -130,7 +130,7 @@ def serving_goodput(records, duration_s: float, ttft_slo_s: float | None = None,
     """
     if duration_s <= 0:
         return 0.0
-    good_tokens = sum(
+    good_tokens = left_sum(
         record.output_len for record in records
         if (ttft_slo_s is None or record.ttft <= ttft_slo_s)
         and (tpot_slo_s is None or record.tpot <= tpot_slo_s)

@@ -13,6 +13,7 @@
 
 from __future__ import annotations
 
+from repro._common import left_sum
 from repro.baselines import BASELINE_SYSTEMS
 from repro.core.engine import AlisaSystem
 from repro.core.swa import SWAConfig
@@ -98,7 +99,7 @@ def fig11_attention_breakdown(models: tuple[str, ...] = ("opt-6.7b", "opt-13b",
             result.add(model=model, configuration=label,
                        kv_sparsity=kv_sparsity, op="total",
                        time_us=breakdown.total_time * 1e6,
-                       flops=sum(op.flops for op in breakdown.ops),
+                       flops=left_sum(op.flops for op in breakdown.ops),
                        achieved_gflops=0.0)
     return result
 

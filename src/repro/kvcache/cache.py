@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._common import ConfigurationError
+from repro._common import ConfigurationError, left_sum
 
 
 @dataclass
@@ -127,7 +127,7 @@ class ModelKVCache:
         return self.layers[0].seq_len
 
     def size_bytes(self, dtype_bytes: float = 2.0) -> float:
-        return sum(layer.size_bytes(dtype_bytes) for layer in self.layers)
+        return left_sum(layer.size_bytes(dtype_bytes) for layer in self.layers)
 
     def clone(self) -> "ModelKVCache":
         copy = ModelKVCache(

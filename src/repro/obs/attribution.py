@@ -27,6 +27,7 @@ queueing.
 
 from __future__ import annotations
 
+from repro._common import left_sum
 from repro.serving.trace import normalize_class_slos
 
 #: Component keys of one request's latency decomposition, in blame order.
@@ -43,10 +44,10 @@ def request_components(record, segments) -> dict:
     """
     return latency_components(
         record,
-        sum(end - start for category, start, end in segments
-            if category == "prefill"),
-        sum(end - start for category, start, end in segments
-            if category == "preempted"))
+        left_sum(end - start for category, start, end in segments
+                 if category == "prefill"),
+        left_sum(end - start for category, start, end in segments
+                 if category == "preempted"))
 
 
 def latency_components(record, prefill, preemption) -> dict:

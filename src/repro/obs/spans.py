@@ -57,7 +57,7 @@ import json
 import pathlib
 from bisect import bisect_left
 
-from repro._common import ConfigurationError
+from repro._common import ConfigurationError, left_sum
 from repro.obs.attribution import blame_table, latency_components, violations
 from repro.obs.observer import Observer
 from repro.serving.trace import normalize_class_slos
@@ -209,17 +209,17 @@ class _RequestSpans:
     def preemption_s(self):
         """Summed ``preempted`` wait time (waits coalesce at admission,
         so these are the ``preempted`` spans of :meth:`segments`)."""
-        return sum(end - start for category, start, end, *_ in self.stays
-                   if category == "preempted")
+        return left_sum(end - start for category, start, end, *_
+                        in self.stays if category == "preempted")
 
     def prefill_s(self, runs: dict):
         """Summed prefill span time from each track's
-        :class:`_PrefillRuns`: the same ``sum()`` over the same span
-        lengths, in the same order, as over :meth:`segments`."""
+        :class:`_PrefillRuns`: the same left-to-right sum over the same
+        span lengths, in the same order, as over :meth:`segments`."""
         parts: list[float] = []
         for track, first, stop in self.windows():
             runs[track].clip(first, stop, parts)
-        return sum(parts)
+        return left_sum(parts)
 
 
 class _PrefillRuns:

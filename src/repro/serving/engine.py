@@ -118,16 +118,14 @@ the paper's own cost model):
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import reduce
 from itertools import accumulate
 from time import perf_counter
 from typing import NamedTuple
 
-from repro._common import ConfigurationError, validate_positive
+from repro._common import ConfigurationError, left_sum, validate_positive
 from repro.serving.events import (ADMISSION, COMPLETION, EPOCH_BOUNDARY,
                                   PREEMPTION, PREFILL_CHUNK, arrival_source,
                                   check_observers, check_serve,
@@ -532,18 +530,16 @@ class ContinuousBatchingEngine:
                 "kv_budget_tokens needs at least one request to size its probe"
             )
         return self.kv_budget_tokens_for_bounds(
-            max(r.input_len for r in requests),
-            max(r.output_len for r in requests))
+            max(r.input_len for r in requests))
 
-    def kv_budget_tokens_for_bounds(self, max_input_len: int,
-                                    max_output_len: int) -> int:
-        """KV budget probed from length *bounds* instead of a request list.
+    def kv_budget_tokens_for_bounds(self, max_input_len: int) -> int:
+        """KV budget probed from the longest prompt instead of a request list.
 
         The simulator's one-sequence budget at the longest prompt
-        (activation bytes scale with the prompt length; the output bound
-        sizes nothing), so streams and event-driven runs — which never
-        materialize their request lists — probe with the same bounds a
-        list probe would reach.
+        (activation bytes scale with the prompt length; output lengths size
+        nothing), so streams and event-driven runs — which never
+        materialize their request lists — probe with the same bound a list
+        probe would reach.
         """
         return self.simulator.gpu_kv_budget_tokens(1, max_input_len)
 
@@ -720,10 +716,11 @@ class ContinuousBatchingEngine:
         :class:`~repro.cluster.trace.ReplicaTrace` view).
 
         ``max_input_len``/``max_output_len`` bound the lengths of every
-        request the run will be offered — they size the KV-budget probe
-        exactly like :meth:`kv_budget_tokens` does for a list.  ``None``
-        builds an idle run that may never be offered a request (a replica a
-        routing policy starved; it finalizes to the empty-trace metadata).
+        request the run will be offered; the prompt bound sizes the
+        KV-budget probe exactly like :meth:`kv_budget_tokens` does for a
+        list.  ``None`` builds an idle run that may never be offered a
+        request (a replica a routing policy starved; it finalizes to the
+        empty-trace metadata).
         ``observer`` is called with each completed record after the trace
         observes it: a closed-loop source's ``on_completion`` feedback.
         ``eager_epochs`` must be True for runs driven by a closed-loop
@@ -742,8 +739,7 @@ class ContinuousBatchingEngine:
         if max_input_len is None or max_output_len is None:
             budget = 0
         else:
-            budget = self.kv_budget_tokens_for_bounds(max_input_len,
-                                                      max_output_len)
+            budget = self.kv_budget_tokens_for_bounds(max_input_len)
         return EngineRun(self, trace, budget, observer=observer,
                          eager_epochs=eager_epochs, observers=observers,
                          replica=replica, fault_mode=fault_mode)
@@ -886,19 +882,16 @@ class ContinuousBatchingEngine:
             steps = bisect_left(clocks, cut_arrival, 1, num_steps)
         # Replay the steps' PCIe traffic onto the serve-level link ledger
         # with left-to-right float adds, the exact adds (in the same order)
-        # of per-step recording.  Not sum(): it compensates on Python 3.12+
-        # and would move fractional totals.  A direction that moves no
-        # bytes in the whole epoch is skipped: adding 0.0 to the
-        # non-negative ledger is an identity.
+        # of per-step recording.  A direction that moves no bytes in the
+        # whole epoch is skipped: adding 0.0 to the non-negative ledger is
+        # an identity.
         link = memory.link
         if priced.h2d_bytes is not None:
-            link.bytes_host_to_device = reduce(
-                operator.add, priced.h2d_bytes[:steps],
-                link.bytes_host_to_device)
+            link.bytes_host_to_device = left_sum(priced.h2d_bytes[:steps],
+                                                 link.bytes_host_to_device)
         if priced.d2h_bytes is not None:
-            link.bytes_device_to_host = reduce(
-                operator.add, priced.d2h_bytes[:steps],
-                link.bytes_device_to_host)
+            link.bytes_device_to_host = left_sum(priced.d2h_bytes[:steps],
+                                                 link.bytes_device_to_host)
         return clocks[steps], steps, clocks[1], priced.comm_per_step
 
     def _price_epoch(self, batch_size: int, context: int, num_steps: int,
@@ -912,13 +905,15 @@ class ContinuousBatchingEngine:
         ``[s + 1 : s + 1 + n]`` of the list view of the cost model's step
         table (:meth:`~repro.systems.cost.LLMCostModel.decode_step_list`)
         and ``cost_model.parallel_comm_time(b)`` — no workload, no
-        ``prepare``, no ``plan_prefill`` and no ``epoch_timings``,
-        bit-identical to them (pinned by ``tests/test_epoch_pricing.py``).
-        Only an epoch that plans builds a workload: the simulator's
-        ``prepare`` (for ALISA the offline schedule search),
-        ``plan_prefill`` to re-place the already-resident context (its
-        prefill was charged at admission), then ``epoch_timings`` against
-        ``link``'s bandwidth and latency.
+        ``prepare`` and no ``epoch_timings``, bit-identical to them (pinned
+        by ``tests/test_epoch_pricing.py``).  Only an epoch that plans
+        builds a workload: the simulator's ``prepare`` (for ALISA the
+        offline schedule search), then one ``epoch_timings`` pricing pass
+        against ``link``'s bandwidth and latency, which computes just the
+        step totals, the communication time and the PCIe bytes this memo
+        keeps.  No ``plan_prefill`` runs: the already-resident context was
+        placed (and its prefill charged) at admission, and decode planning
+        derives the post-prefill placement itself.
         """
         simulator = self.simulator
         if simulator.epoch_stays_resident(batch_size, context, num_steps):
@@ -931,12 +926,10 @@ class ContinuousBatchingEngine:
         workload = Workload(batch_size=batch_size, input_len=context,
                             output_len=num_steps, name="serving-decode")
         simulator.prepare(workload)
-        simulator.plan_prefill(workload)
         timings = simulator.epoch_timings(workload, link)
-        return _PricedEpoch(
-            timings.total_times.tolist(), float(timings.comm_times[0]),
-            timings.h2d_bytes.tolist() if timings.h2d_any else None,
-            timings.d2h_bytes.tolist() if timings.d2h_any else None)
+        return _PricedEpoch(timings.total_times.tolist(),
+                            timings.comm_per_step, timings.h2d_moved,
+                            timings.d2h_moved)
 
     def _finish_epoch(self, running: list[_RunningRequest],
                       sink, steps: int, first_clock: float,

@@ -43,7 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._common import ConfigurationError, dtype_bytes, validate_positive
+from repro._common import (ConfigurationError, dtype_bytes, left_sum,
+                           validate_positive)
 from repro.hardware.presets import HardwareSpec
 from repro.model.config import ModelConfig
 
@@ -147,7 +148,7 @@ class AttentionBreakdown:
 
     @property
     def total_time(self) -> float:
-        return sum(op.time_s for op in self.ops)
+        return left_sum(op.time_s for op in self.ops)
 
     def as_dict(self) -> dict[str, float]:
         return {op.name: op.time_s for op in self.ops}

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro._common import ConfigurationError, OutOfMemoryError, validate_positive
+from repro._common import (ConfigurationError, OutOfMemoryError, left_sum,
+                           validate_positive)
 
 
 @dataclass
@@ -34,7 +35,7 @@ class MemoryDevice:
 
     @property
     def used_bytes(self) -> float:
-        return sum(self._allocations.values())
+        return left_sum(self._allocations.values())
 
     @property
     def free_bytes(self) -> float:

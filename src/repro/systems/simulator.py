@@ -63,7 +63,7 @@ class SystemStepPlan:
     extra_overhead_s: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EpochPlan:
     """Vectorized decode-step plans for one fixed-composition epoch.
 
@@ -74,7 +74,9 @@ class EpochPlan:
     systems do not have to materialize zero arrays.  ``swa_split``, when
     set, declares that ``kept_kv``/``local_windows`` are exactly that SWA
     configuration's split of each step's sequence length, so the step
-    compute can be read from the cost model's step table.
+    compute can be read from the cost model's step table.  Not frozen: a
+    frozen dataclass sets each field through ``object.__setattr__``,
+    which is a measurable share of planning a short epoch.
     """
 
     phases: tuple[str, ...]
@@ -127,41 +129,137 @@ class EpochPlan:
         )
 
 
-@dataclass(frozen=True)
 class EpochTimings:
-    """Vectorized pricing of every decode step of one epoch.
+    """Priced decode steps of one epoch.
 
-    Produced by :meth:`InferenceSimulator.epoch_timings`; one array entry
-    per step, field-for-field identical to the :class:`StepTiming` records
-    the step loop would produce (``gpu_used_bytes``/``cpu_used_bytes`` are
-    filled in by :meth:`InferenceSimulator.run` after applying memory).
-    ``h2d_bytes``/``d2h_bytes`` are the per-step PCIe link traffic
-    (reloads plus any extra host-to-device bytes, and offloads) that the
-    step loop would have recorded on ``memory.link``; ``h2d_any``/
-    ``d2h_any`` say whether either moves any byte at all, so a caller
-    replaying the traffic onto a ledger can skip an all-zero direction.
+    Produced by :meth:`InferenceSimulator.epoch_timings` in one pricing
+    pass, which computes only what a serving memo keeps: ``total_times``
+    (each step's wall-clock time), ``comm_per_step`` (the interconnect
+    share of every step) and, as Python floats, the per-step PCIe bytes
+    of each direction that the step loop would have recorded on
+    ``memory.link``: ``h2d_moved`` (reloads plus any extra host-to-device
+    bytes) and ``d2h_moved`` (offloads).  A direction that moves no byte
+    in the whole epoch is ``None``, so a caller replaying the traffic
+    onto a ledger can skip it.
+
+    The other fields of :attr:`FIELDS` are report-only (read by
+    :meth:`InferenceSimulator.run` and the figures) and are computed from
+    the plan and the priced terms on each read, zeros for a term the plan
+    does not have.  Every field is identical, entry for entry, to the
+    :class:`StepTiming` records the step loop would produce
+    (``gpu_used_bytes``/``cpu_used_bytes`` are filled in by
+    :meth:`InferenceSimulator.run` after applying memory);
+    ``h2d_bytes``/``d2h_bytes`` are the byte arrays and
+    ``h2d_any``/``d2h_any`` whether they move any byte.
     """
 
-    sequence_lengths: np.ndarray
-    phases: tuple[str, ...]
-    compute_times: np.ndarray
-    transfer_times: np.ndarray
-    recompute_times: np.ndarray
-    overhead_times: np.ndarray
-    total_times: np.ndarray
-    comm_times: np.ndarray
-    gpu_kv_bytes: np.ndarray
-    cpu_kv_bytes: np.ndarray
-    bytes_offloaded: np.ndarray
-    bytes_reloaded: np.ndarray
-    h2d_bytes: np.ndarray
-    d2h_bytes: np.ndarray
-    h2d_any: bool
-    d2h_any: bool
+    #: Every per-step field, in report order.
+    FIELDS = ("sequence_lengths", "phases", "compute_times",
+              "transfer_times", "recompute_times", "overhead_times",
+              "total_times", "comm_times", "gpu_kv_bytes", "cpu_kv_bytes",
+              "bytes_offloaded", "bytes_reloaded", "h2d_bytes", "d2h_bytes",
+              "h2d_any", "d2h_any")
+
+    __slots__ = ("_plan", "_first_seq", "_per_token", "compute_times",
+                 "_transfer", "_recompute", "_overhead", "total_times",
+                 "comm_per_step", "_reloaded", "_offloaded", "_h2d",
+                 "h2d_moved", "d2h_moved")
+
+    def __init__(self, plan: EpochPlan, first_seq: int, per_token: float, *,
+                 compute: np.ndarray, transfer: np.ndarray | None,
+                 recompute: np.ndarray | None, overhead: np.ndarray | None,
+                 total: np.ndarray, comm_per_step: float,
+                 reloaded: np.ndarray | None, offloaded: np.ndarray | None,
+                 h2d: np.ndarray | None, h2d_moved: list[float] | None,
+                 d2h_moved: list[float] | None) -> None:
+        self._plan = plan
+        self._first_seq = first_seq
+        self._per_token = per_token
+        self.compute_times = compute
+        self._transfer = transfer
+        self._recompute = recompute
+        self._overhead = overhead
+        self.total_times = total
+        self.comm_per_step = comm_per_step
+        self._reloaded = reloaded
+        self._offloaded = offloaded
+        self._h2d = h2d
+        self.h2d_moved = h2d_moved
+        self.d2h_moved = d2h_moved
 
     @property
     def num_steps(self) -> int:
-        return len(self.phases)
+        return self._plan.num_steps
+
+    @property
+    def phases(self) -> tuple[str, ...]:
+        return self._plan.phases
+
+    def _or_zeros(self, values: np.ndarray | None) -> np.ndarray:
+        return np.zeros(self.num_steps) if values is None else values
+
+    @property
+    def sequence_lengths(self) -> np.ndarray:
+        return np.arange(self._first_seq, self._first_seq + self.num_steps)
+
+    @property
+    def transfer_times(self) -> np.ndarray:
+        return self._or_zeros(self._transfer)
+
+    @property
+    def recompute_times(self) -> np.ndarray:
+        return self._or_zeros(self._recompute)
+
+    @property
+    def overhead_times(self) -> np.ndarray:
+        return self._or_zeros(self._overhead)
+
+    @property
+    def comm_times(self) -> np.ndarray:
+        return np.full(self.num_steps, self.comm_per_step)
+
+    @property
+    def gpu_kv_bytes(self) -> np.ndarray:
+        return self._plan.kv_gpu_tokens * self._per_token
+
+    @property
+    def cpu_kv_bytes(self) -> np.ndarray:
+        return self._plan.kv_cpu_tokens * self._per_token
+
+    @property
+    def bytes_offloaded(self) -> np.ndarray:
+        return self._or_zeros(self._offloaded)
+
+    @property
+    def bytes_reloaded(self) -> np.ndarray:
+        return self._or_zeros(self._reloaded)
+
+    @property
+    def h2d_bytes(self) -> np.ndarray:
+        return self._or_zeros(self._h2d)
+
+    @property
+    def d2h_bytes(self) -> np.ndarray:
+        return self._or_zeros(self._offloaded)
+
+    @property
+    def h2d_any(self) -> bool:
+        return self.h2d_moved is not None
+
+    @property
+    def d2h_any(self) -> bool:
+        return self.d2h_moved is not None
+
+
+def _moved_bytes(moved: np.ndarray | None) -> list[float] | None:
+    """Per-step transfer sizes as Python floats, or ``None`` when no step
+    moves a byte; a negative size is a planning error."""
+    if moved is None:
+        return None
+    values = moved.tolist()
+    if min(values) < 0:
+        raise ConfigurationError("transfer size must be non-negative")
+    return values if any(values) else None
 
 
 class InferenceSimulator(ABC):
@@ -277,7 +375,10 @@ class InferenceSimulator(ABC):
         their per-step formula; this generic fallback loops
         :meth:`plan_decode_step` so third-party simulators keep working
         unchanged (they still get vectorized *pricing* via
-        :meth:`epoch_timings`, just not vectorized planning).
+        :meth:`epoch_timings`, just not vectorized planning).  It runs
+        after :meth:`prepare` alone: the serving engine plans no prefill
+        before pricing a decode epoch, so the steps' plans may not depend
+        on :meth:`plan_prefill` having run.
         """
         plans = [self.plan_decode_step(step, workload)
                  for step in range(workload.output_len)]
@@ -417,51 +518,50 @@ class InferenceSimulator(ABC):
         :meth:`step_timing` once per step: every per-step formula is
         applied array-wise in the same operation order, so the resulting
         arrays are bit-identical to the step loop's values (pinned by
-        ``tests/test_epoch_pricing.py``).  Pure pricing — no memory is
-        allocated and no traffic is recorded; ``link`` only supplies the
-        PCIe latency/bandwidth (defaults to the node's own link).
+        ``tests/test_epoch_pricing.py``).  It follows :meth:`prepare`
+        alone: :meth:`plan_decode_epoch` needs no :meth:`plan_prefill`.
+        Pure pricing — no memory is allocated and no traffic is recorded;
+        ``link`` only supplies the PCIe latency/bandwidth (defaults to the
+        node's own link).  The pass computes the step totals, the
+        communication time and the PCIe bytes; the report-only fields of
+        :class:`EpochTimings` wait until they are read.
         """
         plan = self.plan_decode_epoch(workload)
-        num_steps = plan.num_steps
         if link is None:
             link = PCIeLink(self.hardware.node_pcie_bandwidth)
         cost = self.cost_model
         batch = workload.batch_size
+        first_seq = workload.input_len + 1
         # Only the terms the plan has are priced.  An absent (``None``) or
         # all-zero token array prices to exactly 0.0 at every step in each
         # formula below, and adding 0.0 to a non-negative term is an
-        # identity, so skipping it leaves every array bit-identical.
-        # Reported fields of skipped terms share one zeros array.
-        zeros = np.zeros(num_steps)
-
-        seq_lens = workload.input_len + np.arange(num_steps) + 1
+        # identity, so skipping it leaves every value bit-identical.
         per_token = self.kv_token_bytes(workload)
         load, offload = plan.load_kv_tokens, plan.offload_kv_tokens
         extra_h2d = plan.extra_h2d_bytes
-        reloaded = zeros if load is None else load * per_token
-        offloaded = zeros if offload is None else offload * per_token
-        h2d_bytes = reloaded if extra_h2d is None else reloaded + extra_h2d
-        h2d_any = d2h_any = False
-        if load is not None or extra_h2d is not None:
-            if (h2d_bytes < 0).any():
-                raise ConfigurationError("transfer size must be non-negative")
-            h2d_any = bool(h2d_bytes.any())
-        if offload is not None:
-            if (offloaded < 0).any():
-                raise ConfigurationError("transfer size must be non-negative")
-            d2h_any = bool(offloaded.any())
+        reloaded = None if load is None else load * per_token
+        offloaded = None if offload is None else offload * per_token
+        if extra_h2d is None:
+            h2d_bytes = reloaded
+        else:
+            # The step loop adds the extra bytes to the reload bytes, which
+            # are 0.0 when the plan reloads nothing.
+            h2d_bytes = (0.0 if reloaded is None else reloaded) + extra_h2d
+        h2d_moved = _moved_bytes(h2d_bytes)
+        d2h_moved = _moved_bytes(offloaded)
 
         if plan.swa_split is not None or (plan.kept_kv is None
                                           and plan.local_windows is None):
             # Dense (split None) or the declared SWA split: a table slice.
-            compute = cost.decode_step_times(batch, workload.input_len + 1,
-                                             num_steps, plan.swa_split)
+            compute = cost.decode_step_times(batch, first_seq,
+                                             plan.num_steps, plan.swa_split)
         else:
             compute = cost.decode_step_time_batch(
-                batch, seq_lens, plan.kept_kv, plan.local_windows)
+                batch, first_seq + np.arange(plan.num_steps), plan.kept_kv,
+                plan.local_windows)
         transfer = None
-        for moved, active in ((h2d_bytes, h2d_any), (offloaded, d2h_any)):
-            if active:
+        for moved, listed in ((h2d_bytes, h2d_moved), (offloaded, d2h_moved)):
+            if listed is not None:
                 term = np.where(
                     moved > 0,
                     link.latency_s + moved / link.bandwidth_bytes_per_s, 0.0)
@@ -469,7 +569,7 @@ class InferenceSimulator(ABC):
         recompute = None
         if plan.recompute_tokens is not None:
             recompute_tokens = np.rint(plan.recompute_tokens)
-            if recompute_tokens.any():
+            if np.count_nonzero(recompute_tokens):
                 recompute = cost.recompute_time_batch(batch, recompute_tokens)
         if self.overlap_io and transfer is not None:
             # An absent transfer term stays 0.0: compute is always positive.
@@ -478,41 +578,28 @@ class InferenceSimulator(ABC):
                 transfer = transfer - recompute
             transfer = np.maximum(0.0, transfer)
         cpu_tokens = plan.cpu_attention_tokens
-        if cpu_tokens is not None and cpu_tokens.any():
+        if cpu_tokens is not None and np.count_nonzero(cpu_tokens):
             term = cost.cpu_attention_time_batch(batch, cpu_tokens,
                                                  self.kv_dtype)
             transfer = term if transfer is None else transfer + term
         overhead = plan.extra_overhead_s
         quantized = plan.quantize_tokens
-        if quantized is not None and quantized.any():
-            term = np.where(quantized > 0,
-                            cost.quantize_time_batch(batch,
-                                                     np.rint(quantized)),
-                            0.0)
+        if quantized is not None and np.count_nonzero(quantized):
+            # quantize_time_batch prices a step whose rounded count is not
+            # positive at 0.0, as the step loop's ``quantize_tokens > 0``
+            # test does.
+            term = cost.quantize_time_batch(batch, np.rint(quantized))
             overhead = term if overhead is None else overhead + term
         total = compute
         for term in (transfer, recompute, overhead):
             if term is not None:
                 total = total + term
-        comm = self.parallel_comm_time(workload)
         return EpochTimings(
-            sequence_lengths=seq_lens,
-            phases=plan.phases,
-            compute_times=compute,
-            transfer_times=zeros if transfer is None else transfer,
-            recompute_times=zeros if recompute is None else recompute,
-            overhead_times=zeros if overhead is None else overhead,
-            total_times=total,
-            comm_times=zeros if comm == 0.0 else np.full(num_steps, comm),
-            gpu_kv_bytes=plan.kv_gpu_tokens * per_token,
-            cpu_kv_bytes=plan.kv_cpu_tokens * per_token,
-            bytes_offloaded=offloaded,
-            bytes_reloaded=reloaded,
-            h2d_bytes=h2d_bytes,
-            d2h_bytes=offloaded,
-            h2d_any=h2d_any,
-            d2h_any=d2h_any,
-        )
+            plan, first_seq, per_token, compute=compute, transfer=transfer,
+            recompute=recompute, overhead=overhead, total=total,
+            comm_per_step=self.parallel_comm_time(workload),
+            reloaded=reloaded, offloaded=offloaded, h2d=h2d_bytes,
+            h2d_moved=h2d_moved, d2h_moved=d2h_moved)
 
     def run(self, workload: Workload) -> InferenceTrace:
         """Simulate one end-to-end inference run of ``workload``.
@@ -552,23 +639,27 @@ class InferenceSimulator(ABC):
         and the trace records remain per step.
         """
         epoch = self.epoch_timings(workload, memory.link)
-        for step in range(epoch.num_steps):
-            memory.gpu.resize(KV_GPU, float(epoch.gpu_kv_bytes[step]))
-            memory.cpu.resize(KV_CPU, float(epoch.cpu_kv_bytes[step]))
+        columns = zip(epoch.sequence_lengths.tolist(), epoch.phases,
+                      epoch.compute_times.tolist(),
+                      epoch.transfer_times.tolist(),
+                      epoch.recompute_times.tolist(),
+                      epoch.overhead_times.tolist(),
+                      epoch.gpu_kv_bytes.tolist(),
+                      epoch.cpu_kv_bytes.tolist(),
+                      epoch.bytes_offloaded.tolist(),
+                      epoch.bytes_reloaded.tolist())
+        for step, (seq_len, phase, compute, transfer, recompute, overhead,
+                   gpu_kv, cpu_kv, offloaded, reloaded) in enumerate(columns):
+            memory.gpu.resize(KV_GPU, gpu_kv)
+            memory.cpu.resize(KV_CPU, cpu_kv)
             trace.add_step(StepTiming(
-                step=step,
-                sequence_length=int(epoch.sequence_lengths[step]),
-                phase=epoch.phases[step],
-                compute_time=float(epoch.compute_times[step]),
-                transfer_time=float(epoch.transfer_times[step]),
-                recompute_time=float(epoch.recompute_times[step]),
-                overhead_time=float(epoch.overhead_times[step]),
-                gpu_kv_bytes=float(epoch.gpu_kv_bytes[step]),
-                cpu_kv_bytes=float(epoch.cpu_kv_bytes[step]),
+                step=step, sequence_length=seq_len, phase=phase,
+                compute_time=compute, transfer_time=transfer,
+                recompute_time=recompute, overhead_time=overhead,
+                gpu_kv_bytes=gpu_kv, cpu_kv_bytes=cpu_kv,
                 gpu_used_bytes=memory.gpu.used_bytes,
                 cpu_used_bytes=memory.cpu.used_bytes,
-                bytes_offloaded=float(epoch.bytes_offloaded[step]),
-                bytes_reloaded=float(epoch.bytes_reloaded[step]),
+                bytes_offloaded=offloaded, bytes_reloaded=reloaded,
             ))
 
     # ------------------------------------------------------------------ #

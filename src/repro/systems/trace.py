@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro._common import ConfigurationError
+from repro._common import ConfigurationError, left_sum
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class InferenceTrace:
     # ------------------------------------------------------------------ #
     @property
     def decode_time(self) -> float:
-        return sum(step.total_time for step in self.steps)
+        return left_sum(step.total_time for step in self.steps)
 
     @property
     def total_time(self) -> float:
@@ -95,10 +95,10 @@ class InferenceTrace:
         """Total time split into compute / transfer / recompute / overhead."""
         return {
             "prefill": self.prefill_time,
-            "compute": sum(s.compute_time for s in self.steps),
-            "transfer": sum(s.transfer_time for s in self.steps),
-            "recompute": sum(s.recompute_time for s in self.steps),
-            "overhead": sum(s.overhead_time for s in self.steps),
+            "compute": left_sum(s.compute_time for s in self.steps),
+            "transfer": left_sum(s.transfer_time for s in self.steps),
+            "recompute": left_sum(s.recompute_time for s in self.steps),
+            "overhead": left_sum(s.overhead_time for s in self.steps),
         }
 
     def time_by_phase(self) -> dict[str, float]:

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clock_reference import decode_stepped, price_epoch_stepwise, serve_stepped
-from repro._common import ConfigurationError
+from repro._common import ConfigurationError, left_sum
 from repro.baselines import (
     AccelerateSystem,
     DeepSpeedZeroSystem,
@@ -36,7 +36,7 @@ from repro.serving.engine import _PricedEpoch
 from repro.systems.cost import ParallelismSpec
 from repro.systems.memory import MemoryHierarchy, PCIeLink
 from repro.systems.pricing import PricingStore
-from repro.workloads.arrivals import generate_requests
+from repro.workloads.arrivals import Request, generate_requests
 from repro.workloads.descriptors import Workload
 
 MODEL = "opt-6.7b"
@@ -1203,3 +1203,166 @@ class TestStepTable:
         engines = flexgen.engines
         assert engines[0].pricing is engines[1].pricing is flexgen.pricing
         assert engines[0]._epoch_cache is not engines[1]._epoch_cache
+
+
+def spilled_workload(system, shard, kv_dtype, batch_size, extra,
+                     output_len):
+    """A ``(b, s, n)`` workload whose prompt alone exceeds the system's
+    GPU KV budget: the budget never grows with the prompt, so a prompt
+    ``extra`` tokens past the one-token prompt's budget spills, and ALISA
+    starts in Phase II (``p1 = 0``) with the surplus already on the CPU."""
+    simulator = build_system(system, shard, kv_dtype=kv_dtype)
+    input_len = simulator.gpu_kv_budget_tokens(batch_size, 1) + extra
+    return Workload(batch_size, input_len, output_len, "spilled")
+
+
+class TestSpilledPrompts:
+    """Decode epochs whose prompt already spills past the GPU KV budget.
+
+    The shapes most serving misses plan (a long resident context, a
+    batch too large for the GPU) are pinned like the random ones: the
+    engine's priced epoch equals ``epoch_timings`` on a fresh system and
+    the step loop, bit for bit, and its miss path plans no prefill.
+    """
+
+    @staticmethod
+    def priced_miss(system, shard, kv_dtype, workload):
+        """The engine's memo entry for ``workload``, priced on a fresh
+        system whose ``plan_prefill`` raises."""
+        simulator = build_system(system, shard, kv_dtype=kv_dtype)
+
+        def no_prefill(*args, **kwargs):
+            raise AssertionError("a decode-epoch miss planned a prefill")
+
+        simulator.plan_prefill = no_prefill
+        engine = ContinuousBatchingEngine(simulator)
+        return engine._price_epoch(
+            workload.batch_size, workload.input_len, workload.output_len,
+            PCIeLink(simulator.hardware.node_pcie_bandwidth))
+
+    @settings(max_examples=5, deadline=None)
+    @given(batch_size=st.integers(1, 8), extra=st.integers(1, 300),
+           output_len=st.integers(1, 48))
+    @pytest.mark.parametrize("kv_dtype", ["fp16", "int8"])
+    @pytest.mark.parametrize("shard", sorted(SHARD_SHAPES))
+    @pytest.mark.parametrize("system", sorted(SYSTEM_BUILDERS))
+    def test_property_priced_like_epoch_timings_and_step_loop(
+            self, system, shard, kv_dtype, batch_size, extra, output_len):
+        workload = spilled_workload(system, shard, kv_dtype, batch_size,
+                                    extra, output_len)
+        assert_epoch_matches_step_loop(system, shard, kv_dtype, workload)
+
+        priced = self.priced_miss(system, shard, kv_dtype, workload)
+        fresh = build_system(system, shard, kv_dtype=kv_dtype)
+        fresh.prepare(workload)
+        epoch = fresh.epoch_timings(workload)
+        assert priced.step_times == epoch.total_times.tolist()
+        assert priced.comm_per_step == epoch.comm_per_step \
+            == fresh.parallel_comm_time(workload)
+        assert priced.h2d_bytes == (epoch.h2d_bytes.tolist()
+                                    if epoch.h2d_any else None)
+        assert priced.d2h_bytes == (epoch.d2h_bytes.tolist()
+                                    if epoch.d2h_any else None)
+
+        steps, link = stepwise_reference(
+            build_system(system, shard, kv_dtype=kv_dtype), workload)
+        assert priced.step_times == [step.total_time for step in steps]
+        # Replayed onto an empty ledger, the memo's bytes add up to what
+        # the step loop recorded, add for add.
+        assert left_sum(priced.h2d_bytes or (), 0.0) \
+            == link.bytes_host_to_device
+        assert left_sum(priced.d2h_bytes or (), 0.0) \
+            == link.bytes_device_to_host
+
+    @pytest.mark.parametrize("kv_dtype", ["fp16", "int8"])
+    @pytest.mark.parametrize("shard", sorted(SHARD_SHAPES))
+    @pytest.mark.parametrize("system", ["alisa", "alisa-recompute",
+                                        "alisa-static"])
+    def test_alisa_starts_past_phase_one(self, system, shard, kv_dtype):
+        # The spilled shapes do reach the planning the property test is
+        # about: the prompt's surplus is on the CPU before step 0.
+        workload = spilled_workload(system, shard, kv_dtype, 4, 1, 16)
+        simulator = build_system(system, shard, kv_dtype=kv_dtype)
+        assert not simulator.epoch_stays_resident(
+            workload.batch_size, workload.input_len, workload.output_len)
+        simulator.prepare(workload)
+        plan = simulator.plan_decode_epoch(workload)
+        assert PHASE_GPU not in plan.phases
+        assert plan.kv_cpu_tokens[0] > 0
+
+    def test_plan_epoch_needs_no_prefill(self):
+        # The scheduler starts from plan_prefill's placement without
+        # running it, and a prefill planned first changes nothing.
+        config = SchedulerConfig(0.5, 0.4, 0, 3)
+        swa = SWAConfig.from_sparsity(0.8)
+        alone = DynamicScheduler(config, swa, gpu_budget_tokens=200,
+                                 prompt_len=500).plan_epoch(8)
+        prefilled = DynamicScheduler(config, swa, gpu_budget_tokens=200,
+                                     prompt_len=500)
+        assert prefilled.plan_prefill().tokens_cpu == 300
+        after = prefilled.plan_epoch(8)
+        assert alone.phases == after.phases
+        for field in ("tokens_gpu", "tokens_cpu", "tokens_deleted",
+                      "load_tokens", "offload_tokens", "recompute_tokens"):
+            assert np.array_equal(getattr(alone, field),
+                                  getattr(after, field)), field
+        # Step 0 offloads only its growth over the 300 prompt tokens
+        # already on the CPU.
+        assert alone.offload_tokens[0] == alone.tokens_cpu[0] - 300
+
+    @pytest.mark.parametrize("system,shard", [
+        ("alisa", "none"), ("alisa-recompute", "none"),
+        ("alisa-static", "none"), ("flexgen", "none"), ("accelerate", "none"),
+        ("alisa", "tp-2"), ("alisa", "pp-2"),
+    ])
+    def test_serve_bit_identical_and_plans_no_decode_prefill(
+            self, system, shard, monkeypatch):
+        # One long prompt decoding beside short ones: the epoch's longest
+        # context is more than the batch's share of the GPU budget, so
+        # its misses plan spilled prompts, and none of them may plan a
+        # prefill.
+        long_prompt = 3000 * SHARD_SHAPES[shard][0]
+        requests = [Request(0, 0.0, long_prompt, 40)] + [
+            Request(i, 0.01 * i, 200 + 50 * i, 24 + 4 * i)
+            for i in range(1, 10)]
+        exact = serve_stepped(
+            ContinuousBatchingEngine(build_system(system, shard)), requests)
+        engine = ContinuousBatchingEngine(build_system(system, shard))
+        simulator_type = type(engine.simulator)
+        price_epoch = ContinuousBatchingEngine._price_epoch
+        prepare = simulator_type.prepare
+        plan_prefill = simulator_type.plan_prefill
+        in_epoch_miss = []
+        planned_epochs = []
+
+        def tracked_epoch(self, *args):
+            in_epoch_miss.append(True)
+            try:
+                return price_epoch(self, *args)
+            finally:
+                in_epoch_miss.pop()
+
+        def tracked_prepare(self, workload, decode=True):
+            if in_epoch_miss:
+                planned_epochs.append(workload)
+            return prepare(self, workload, decode)
+
+        def guarded_prefill(self, workload):
+            assert not in_epoch_miss, "a decode-epoch miss planned a prefill"
+            return plan_prefill(self, workload)
+
+        monkeypatch.setattr(ContinuousBatchingEngine, "_price_epoch",
+                            tracked_epoch)
+        monkeypatch.setattr(simulator_type, "prepare", tracked_prepare)
+        monkeypatch.setattr(simulator_type, "plan_prefill", guarded_prefill)
+        fast = engine.serve(requests)
+        assert fast.records == exact.records
+        assert fast.summary() == exact.summary()
+        for key in ("pcie_bytes", "comm_time_s", "num_epochs",
+                    "num_decode_steps"):
+            assert fast.metadata[key] == exact.metadata[key], key
+        spilled = [workload for workload in planned_epochs
+                   if workload.input_len > engine.simulator
+                   .gpu_kv_budget_tokens(workload.batch_size,
+                                         workload.input_len)]
+        assert spilled

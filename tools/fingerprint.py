@@ -68,6 +68,7 @@ from repro.hardware.presets import V100_16GB_NODE, multi_gpu  # noqa: E402
 from repro.obs import Observer, SpanTracer  # noqa: E402
 from repro.serving import ContinuousBatchingEngine  # noqa: E402
 from repro.systems.cost import ParallelismSpec  # noqa: E402
+from repro.systems.simulator import EpochTimings  # noqa: E402
 from repro.workloads.arrivals import (  # noqa: E402
     RequestStream,
     generate_requests,
@@ -344,15 +345,15 @@ def _epoch_timings(system, shape: tuple[int, int, int]) -> dict:
     system.plan_prefill(workload)
     timings = system.epoch_timings(workload)
     case = {}
-    for field in dataclasses.fields(timings):
-        value = getattr(timings, field.name)
-        if field.name == "sequence_lengths":
+    for name in EpochTimings.FIELDS:
+        if name == "sequence_lengths":
             continue
-        if field.name == "phases":
+        value = getattr(timings, name)
+        if name == "phases":
             value = runs(value)
         elif isinstance(value, np.ndarray):
             value = runs(value.tolist())
-        case[field.name] = value
+        case[name] = value
     solution = getattr(system, "schedule_solution", None)
     if solution is not None:
         case["schedule"] = {"config": solution.config,
