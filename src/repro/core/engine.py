@@ -64,6 +64,34 @@ from repro.systems.simulator import (
 from repro.workloads.descriptors import Workload
 
 
+def _schedule_view(field: str, view: str) -> property:
+    """The :class:`EpochPlan` ``field``, read from the plan's schedule
+    view ``view`` while the field holds ``None``."""
+    slot = getattr(EpochPlan, field)
+
+    def read(plan: EpochPlan):
+        value = slot.__get__(plan)
+        return getattr(plan.schedule, view) if value is None else value
+
+    return property(read, slot.__set__)
+
+
+class _ScheduledEpochPlan(EpochPlan):
+    """A dynamic-scheduling :class:`EpochPlan` over its
+    :class:`~repro.core.scheduler.EpochSchedule` (``schedule``).
+
+    ``kv_gpu_tokens`` and ``kept_kv`` are the schedule's ``tokens_gpu``
+    and ``kept_tokens``, computed when read: pricing a declared
+    ``swa_split`` reads neither, so a planned epoch never builds them.
+    A value assigned to either (as :func:`dataclasses.replace` does) is
+    kept as given.
+    """
+
+    __slots__ = ("schedule",)
+    kv_gpu_tokens = _schedule_view("kv_gpu_tokens", "tokens_gpu")
+    kept_kv = _schedule_view("kept_kv", "kept_tokens")
+
+
 class AlisaSystem(InferenceSimulator):
     """ALISA inference simulator for a GPU-CPU node (single- or multi-GPU).
 
@@ -350,7 +378,9 @@ class AlisaSystem(InferenceSimulator):
         is in Phase I never leaves it: it moves, recomputes and quantizes
         nothing, and its plan carries no load, offload, recompute or
         quantize arrays (an absent array prices as exactly 0.0); one
-        without Phase III carries no recompute array.
+        without Phase III carries no recompute array.  Its
+        ``kv_gpu_tokens`` and ``kept_kv`` are computed only when read
+        (:class:`_ScheduledEpochPlan`).
         """
         num_steps = workload.output_len
         if self.use_dynamic_scheduling:
@@ -365,15 +395,17 @@ class AlisaSystem(InferenceSimulator):
                     recompute_tokens=epoch.recomputed,
                     quantize_tokens=(epoch.load_tokens + epoch.offload_tokens
                                      if self.use_compression else None))
-            return EpochPlan(
+            plan = _ScheduledEpochPlan(
                 phases=epoch.phases,
-                kv_gpu_tokens=epoch.tokens_gpu,
+                kv_gpu_tokens=None,
                 kv_cpu_tokens=epoch.tokens_cpu,
-                kept_kv=epoch.kept_tokens,
+                kept_kv=None,
                 local_windows=epoch.kept_local,
                 swa_split=self.swa,
                 **movement,
             )
+            plan.schedule = epoch
+            return plan
 
         # Static ablation: fixed split, sparse attention, no recomputation
         # (the closed form of plan_decode_step, elementwise over steps).

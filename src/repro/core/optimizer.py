@@ -139,12 +139,32 @@ def _compute_total(cost_model: LLMCostModel, workload: Workload,
     """GPU compute time of the whole decode, candidate-independent.
 
     Left-to-right float adds (:func:`~repro._common.left_sum`) over the
-    cost model's step table in ascending sequence-length order, the order
-    every solve has always used.
+    list view of the cost model's step table
+    (:meth:`~repro.systems.cost.LLMCostModel.decode_step_list`) in
+    ascending sequence-length order, the order every solve has always
+    used.
     """
-    return left_sum(cost_model.decode_step_times(
+    return left_sum(cost_model.decode_step_list(
         workload.batch_size, workload.input_len + 1, workload.output_len,
-        swa).tolist())
+        swa))
+
+
+def _linspace_ints(start: int, stop: int, count: int) -> list[int]:
+    """``sorted({int(p) for p in np.linspace(start, stop, count)})``.
+
+    The same float arithmetic as NumPy's ``linspace`` in Python floats:
+    point ``i`` is ``i * ((stop - start) / (count - 1)) + start`` and the
+    last point is ``stop`` itself (one point is ``start``), so the
+    truncated ints are the ones ``np.linspace`` gives, without its
+    per-call overhead.
+    """
+    if count < 2:
+        points = [start] * count
+    else:
+        step = (stop - start) / (count - 1)
+        points = [i * step + start for i in range(count - 1)]
+        points.append(stop)
+    return sorted({int(p) for p in points})
 
 
 class _FastObjective:
@@ -362,11 +382,7 @@ class SchedulerOptimizer:
         key = (p1, self.workload.output_len, self.num_p2_candidates)
         candidates = self._p2_candidate_cache.get(key)
         if candidates is None:
-            candidates = self._p2_candidate_cache[key] = sorted({
-                int(p)
-                for p in np.linspace(p1, self.workload.output_len,
-                                     self.num_p2_candidates)
-            })
+            candidates = self._p2_candidate_cache[key] = _linspace_ints(*key)
         return candidates
 
     def _make_objective(self, gpu_budget: int, p1: int) -> _FastObjective:
@@ -392,8 +408,7 @@ class SchedulerOptimizer:
         shape — it snaps the seed onto the candidate grids and refines by
         coordinate descent, evaluating one axis at a time until a sweep
         stops improving, which visits a small neighborhood instead of the
-        full grid.  The cold grid, and each axis of a descent round (whose
-        other two coordinates are fixed while it runs), is priced in one
+        full grid (see :meth:`_descend`).  The cold grid is priced in one
         :meth:`_FastObjective.costs` batch before its candidates are
         compared in order, so the search visits and picks exactly what a
         candidate-at-a-time loop would.
@@ -410,27 +425,15 @@ class SchedulerOptimizer:
         if p1 == self.workload.output_len:
             return self._solve_phase1_only(gpu_budget, seed)
         p2_candidates = self._p2_candidates(p1)
-        last_p2 = p2_candidates[-1]
         objective = self._make_objective(gpu_budget, p1)
-
-        costs: dict[tuple[float, float, int], float] = {}
-
-        def key(alpha: float, beta: float, p2: int) -> tuple[float, float, int]:
-            # beta == 0 makes p2 irrelevant; collapse to one representative.
-            return (alpha, beta, last_p2 if beta == 0.0 else p2)
-
-        def price(keys: list[tuple[float, float, int]]) -> None:
-            fresh = [k for k in keys if k not in costs]
-            if fresh:
-                costs.update(zip(fresh, objective.costs(fresh)))
-
         if seed is None:
+            last_p2 = p2_candidates[-1]
             grid = [(alpha, beta, p2)
                     for alpha in self.alpha_grid
                     for beta in self.beta_grid
                     for p2 in p2_candidates
                     if beta != 0.0 or p2 == last_p2]
-            price(grid)
+            costs = dict(zip(grid, objective.costs(grid)))
             best: tuple[float, float, int] | None = None
             best_time = float("inf")
             for candidate in grid:
@@ -438,33 +441,10 @@ class SchedulerOptimizer:
                 if elapsed < best_time:
                     best_time = elapsed
                     best = candidate
+            evaluated = len(costs)
         else:
-            alpha, beta, fraction = seed
-            alpha = min(self.alpha_grid, key=lambda g: abs(g - alpha))
-            beta = min(self.beta_grid, key=lambda g: abs(g - beta))
-            p2_target = p1 + fraction * (self.workload.output_len - p1)
-            p2 = min(p2_candidates, key=lambda c: abs(c - p2_target))
-            point = [alpha, beta, p2]
-            grids = (self.alpha_grid, self.beta_grid, p2_candidates)
-            # The seed is priced with the first round's alpha axis, which
-            # holds it.
-            first_axis = ([key(value, beta, p2) for value in self.alpha_grid]
-                          if max_rounds > 0 else [])
-            price([key(*point)] + first_axis)
-            best_time = costs[key(*point)]
-            for _ in range(max_rounds):
-                improved = False
-                for axis, values in enumerate(grids):
-                    keys = [key(*point[:axis], value, *point[axis + 1:])
-                            for value in values]
-                    price(keys)
-                    for value, k in zip(values, keys):
-                        if costs[k] < best_time:
-                            best_time, point[axis], improved = \
-                                costs[k], value, True
-                if not improved:
-                    break
-            best = tuple(point)
+            best, best_time, evaluated = self._descend(
+                objective, p1, p2_candidates, seed, max_rounds)
 
         if best is None:
             raise ConfigurationError("scheduler search evaluated no candidates")
@@ -473,7 +453,71 @@ class SchedulerOptimizer:
                                  phase2_step=p1, phase3_step=max(p1, p2))
         return ScheduleSolution(config=config, estimated_time=best_time,
                                 gpu_budget_tokens=gpu_budget,
-                                evaluated_candidates=len(costs))
+                                evaluated_candidates=evaluated)
+
+    def _descend(self, objective: _FastObjective, p1: int,
+                 p2_candidates: list[int],
+                 seed: tuple[float, float, float], max_rounds: int
+                 ) -> tuple[tuple[float, float, int], float, int]:
+        """Coordinate descent of :meth:`solve_incremental` from ``seed``.
+
+        Returns the best ``(alpha, beta, p2)``, its cost and the number of
+        distinct candidates visited.  A candidate is keyed with ``p2``
+        collapsed to the last grid point when ``beta == 0`` (``p2`` is
+        then irrelevant).  Every ``alpha``'s plain row (no Phase III
+        suffix: ``beta == 0`` or ``p2 == n``) is priced up front in one
+        batch, since every axis reads plain costs; Phase III candidates
+        are priced when an axis first reaches them, one batch per axis.
+        Costs do not depend on the batch they are priced in, so the
+        descent visits and picks exactly what a candidate-at-a-time loop
+        would.
+        """
+        n = self.workload.output_len
+        last_p2 = p2_candidates[-1]
+        alpha, beta, fraction = seed
+        alpha = min(self.alpha_grid, key=lambda g: abs(g - alpha))
+        beta = min(self.beta_grid, key=lambda g: abs(g - beta))
+        p2_target = p1 + fraction * (n - p1)
+        p2 = min(p2_candidates, key=lambda c: abs(c - p2_target))
+        plain = dict(zip(self.alpha_grid, objective.costs(
+            [(value, 0.0, n) for value in self.alpha_grid])))
+        phase3: dict[tuple[float, float, int], float] = {}
+
+        def costs(keys: list[tuple[float, float, int]]) -> list[float]:
+            fresh = [k for k in keys
+                     if k[1] > 0.0 and k[2] < n and k not in phase3]
+            if fresh:
+                phase3.update(zip(fresh, objective.costs(fresh)))
+            return [phase3[k] if k in phase3 else plain[k[0]] for k in keys]
+
+        seed_key = (alpha, beta, last_p2 if beta == 0.0 else p2)
+        visited = {seed_key}
+        best_time = costs([seed_key])[0]
+        point = [alpha, beta, p2]
+        grids = (self.alpha_grid, self.beta_grid, p2_candidates)
+        for _ in range(max_rounds):
+            improved = False
+            for axis, values in enumerate(grids):
+                alpha, beta, p2 = point
+                if axis == 0:
+                    p2 = last_p2 if beta == 0.0 else p2
+                    keys = [(value, beta, p2) for value in values]
+                elif axis == 1:
+                    keys = [(alpha, value, last_p2 if value == 0.0 else p2)
+                            for value in values]
+                elif beta == 0.0:
+                    # Every p2 collapses onto the point's own key, whose
+                    # cost is best_time: nothing to visit or compare.
+                    continue
+                else:
+                    keys = [(alpha, beta, value) for value in values]
+                visited.update(keys)
+                for value, elapsed in zip(values, costs(keys)):
+                    if elapsed < best_time:
+                        best_time, point[axis], improved = elapsed, value, True
+            if not improved:
+                break
+        return tuple(point), best_time, len(visited)
 
     def _solve_phase1_only(self, gpu_budget: int,
                            seed: tuple[float, float, float] | None

@@ -716,9 +716,12 @@ class ContinuousBatchingEngine:
         :class:`~repro.cluster.trace.ReplicaTrace` view).
 
         ``max_input_len``/``max_output_len`` bound the lengths of every
-        request the run will be offered; the prompt bound sizes the
+        request the run will be offered.  The prompt bound sizes the
         KV-budget probe exactly like :meth:`kv_budget_tokens` does for a
-        list.  ``None`` builds an idle run that may never be offered a
+        list; their sum, the run's longest context, sizes the cost
+        model's decode-step tables, so each is built once per run
+        (:meth:`~repro.systems.cost.LLMCostModel.reserve_step_tables`).
+        ``None`` builds an idle run that may never be offered a
         request (a replica a routing policy starved; it finalizes to the
         empty-trace metadata).
         ``observer`` is called with each completed record after the trace
@@ -740,6 +743,8 @@ class ContinuousBatchingEngine:
             budget = 0
         else:
             budget = self.kv_budget_tokens_for_bounds(max_input_len)
+            self.simulator.cost_model.reserve_step_tables(
+                max_input_len + max_output_len)
         return EngineRun(self, trace, budget, observer=observer,
                          eager_epochs=eager_epochs, observers=observers,
                          replica=replica, fault_mode=fault_mode)

@@ -192,6 +192,9 @@ class LLMCostModel:
         self._step_tables: dict[tuple, np.ndarray] = {}
         self._step_lists: dict[tuple, list[float]] = {}
         self._prefill_times: dict[tuple[int, int], float] = {}
+        # Longest sequence length the latest serving run will price (see
+        # reserve_step_tables); 0 until a run reserves one.
+        self._reserved_seq_len = 0
 
     @property
     def identity(self) -> tuple:
@@ -547,7 +550,8 @@ class LLMCostModel:
         :meth:`decode_step_time_batch`, which is elementwise, so a slice
         is bit-identical to pricing the same lengths directly.  The table
         at least doubles when it grows, so a run of increasing lengths
-        re-prices only logarithmically often.
+        re-prices only logarithmically often, and a serving run sizes it
+        to its longest context up front (:meth:`reserve_step_tables`).
         """
         end = first_seq + num_steps
         table = self._step_tables.get((batch_size, split))
@@ -570,16 +574,29 @@ class LLMCostModel:
             values = self._step_lists[(batch_size, split)]
         return values[first_seq:end]
 
+    def reserve_step_tables(self, max_seq_len: int) -> None:
+        """Size every step table made or grown from now on to hold
+        sequence lengths up to ``max_seq_len``.
+
+        A serving run passes its longest context (prompt bound plus output
+        bound), so each ``(batch_size, split)`` table is built once instead
+        of doubling as contexts lengthen.  Entries are elementwise, so a
+        table's values do not depend on when or how large it was built.
+        """
+        self._reserved_seq_len = max_seq_len
+
     def _grow_step_table(self, batch_size: int, split, first_seq: int,
                          end: int) -> np.ndarray:
         """Grow the ``(batch_size, split)`` table to hold lengths below
-        ``end``, and remake its list view."""
+        ``end`` (and up to the reserved length), and remake its list
+        view."""
         if first_seq <= 0:
             raise ConfigurationError("sequence lengths must be positive")
         key = (batch_size, split)
         table = self._step_tables.get(key)
         start = 1 if table is None else table.size
-        size = max(end, 256 if table is None else 2 * table.size)
+        size = max(end, self._reserved_seq_len + 1,
+                   256 if table is None else 2 * table.size)
         seq = np.arange(start, size)
         grown = np.empty(size)
         if table is None:

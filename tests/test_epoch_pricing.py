@@ -1125,6 +1125,67 @@ class TestStepTable:
         with pytest.raises(ConfigurationError):
             cost.decode_step_times(1, 0, 4)
 
+    @settings(max_examples=60, deadline=None)
+    @given(batch_size=st.integers(1, 64),
+           split=st.sampled_from([None, SWAConfig.from_sparsity(0.8),
+                                  SWAConfig(0.37, local_fraction=0.3)]),
+           bound=st.integers(1, 3000), data=st.data())
+    def test_reserved_table_equals_doubled_one(self, batch_size, split,
+                                               bound, data):
+        reserved = build_system("alisa").cost_model
+        doubled = build_system("alisa").cost_model
+        reserved.reserve_step_tables(bound)
+        first = data.draw(st.integers(1, bound), label="first")
+        count = data.draw(st.integers(1, bound - first + 1), label="count")
+        values = reserved.decode_step_list(batch_size, first, count, split)
+        table = reserved._step_tables[(batch_size, split)]
+        assert table.size >= bound + 1
+        # Reach the bound from the 256-entry start, doubling on the way.
+        for end in range(64, bound + 64, 64):
+            doubled.decode_step_times(batch_size, 1, min(end, bound), split)
+        grown = doubled._step_tables[(batch_size, split)]
+        common = min(table.size, grown.size)
+        assert table[1:common].tobytes() == grown[1:common].tobytes()
+        # The reserved table was built once, by the first read.
+        assert reserved._step_tables[(batch_size, split)] is table
+        for cost in (reserved, doubled):
+            times = cost.decode_step_times(batch_size, first, count, split)
+            assert cost.decode_step_list(batch_size, first, count, split) \
+                == times.tolist() == values
+
+    def test_session_serve_builds_each_table_once(self, monkeypatch):
+        from repro.cluster import ReplicaGroup
+        from repro.systems.cost import LLMCostModel
+        from repro.workloads.sessions import sessions
+
+        grown = []
+        grow = LLMCostModel._grow_step_table
+
+        def counting(self, batch_size, split, first_seq, end):
+            grown.append((batch_size, split))
+            return grow(self, batch_size, split, first_seq, end)
+
+        monkeypatch.setattr(LLMCostModel, "_grow_step_table", counting)
+
+        def factory(node, parallelism):
+            return AlisaSystem(MODEL, node, kv_sparsity=0.8,
+                               parallelism=parallelism)
+
+        group = ReplicaGroup.from_layout(factory, "2x(none)", V100_16GB_NODE,
+                                         policy="jsq", preemption="retain",
+                                         prefill_chunk_tokens=256)
+        requests = sessions(40, rate=4.0, seed=3,
+                            interactive_fraction=0.5).requests()
+        group.serve(requests)
+        # Dense and SWA tables of several batch sizes, each sized once to
+        # the run's longest context although contexts grow over the serve.
+        assert {split for _, split in grown} == {None, group.engines[0]
+                                                 .simulator.swa}
+        assert len(grown) == len(set(grown)) > 4
+        longest = max(r.input_len + r.output_len for r in requests)
+        tables = group.engines[0].simulator.cost_model._step_tables
+        assert min(table.size for table in tables.values()) > longest
+
     @pytest.mark.parametrize("system", ["alisa", "alisa-static", "vllm",
                                         "flexgen"])
     def test_epoch_compute_is_gathered(self, system):

@@ -470,6 +470,23 @@ class TestResolveHelpers:
                 assert again._p2_candidates(p1) is candidates
         assert (0, 300, 5) in system._p2_candidate_cache
 
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4096), count=st.integers(1, 9))
+    @example(data=None, n=4096, count=9)
+    @example(data=None, n=1, count=1)
+    def test_p2_candidates_equal_linspace_property(self, opt_cost_model,
+                                                   data, n, count):
+        # The grid is linspace's float arithmetic in Python floats; NumPy
+        # is only the oracle here.  ``data=None`` pins p1 == n.
+        p1 = n if data is None else data.draw(st.integers(0, n), label="p1")
+        optimizer = SchedulerOptimizer(opt_cost_model,
+                                       Workload(1, 64, n, "p2"), SWA,
+                                       num_p2_candidates=count)
+        expected = sorted({int(p) for p in np.linspace(p1, n, count)})
+        candidates = optimizer._p2_candidates(p1)
+        assert candidates == expected
+        assert all(type(p2) is int for p2 in candidates)
+
     @settings(max_examples=80, deadline=None)
     @given(prompt=st.integers(1, 300), budget=st.integers(1, 600),
            num_steps=st.integers(1, 200), p1=st.integers(0, 220),
