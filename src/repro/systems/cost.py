@@ -45,6 +45,7 @@ import numpy as np
 
 from repro._common import (ConfigurationError, dtype_bytes, left_sum,
                            validate_positive)
+from repro.core.swa import sequence_table
 from repro.hardware.presets import HardwareSpec
 from repro.model.config import ModelConfig
 
@@ -54,6 +55,18 @@ PARALLELISM_MODES = ("none", "tp", "pp")
 #: Share of node GPU memory kept free of weights, activations and KV
 #: tensors (allocator fragmentation and workspace head-room).
 KV_HEADROOM = 0.05
+
+#: Sequence-length entries one step-table pass prices: a pass builds
+#: ``max(1, STEP_PASS_ENTRIES // row_length)`` consecutive batch sizes
+#: (see :meth:`LLMCostModel._grow_step_table`).  A short pass costs mostly
+#: per-call NumPy overhead, so short rows share one; past about 9,000
+#: entries its temporaries outgrow the cache and a row costs more than
+#: in a pass of its own.  Per dense row, alone -> in a block (best of 40,
+#: 2 vCPUs, NumPy 2.4): 256 entries 42 -> 12 µs in 16 rows; 512: 46 -> 22
+#: in 4; 1,024: 51 -> 37 in 2, 31 in 4; 1,694: 58 -> 48 in 2, 65 in 8;
+#: 2,988: 77 -> 69 in 2, 91 in 3.  4,096 stays well below the crossover,
+#: which leaves room for the rows of a block that a run never reads.
+STEP_PASS_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -487,13 +500,27 @@ class LLMCostModel:
         kv_len = np.asarray(kv_lens, dtype=np.float64)
         kept = (kv_len if kept_kv is None
                 else np.minimum(np.asarray(kept_kv, dtype=np.float64), kv_len))
+        qkv, out, _ = self._decode_constants(batch_size)
+        qk, soft, av = self._kept_token_times(batch_size, kept)
+        dense_total = qkv + qk + soft + av + out
+        if local_windows is None:
+            return dense_total
+
+        window = np.asarray(local_windows, dtype=np.float64)
+        local, gather = self._swa_operator_times(batch_size, kv_len, kept,
+                                                 window)
+        swa_total = qkv + local + gather + qk + soft + av + out
+        return np.where(window > 0, swa_total, dense_total)
+
+    def _kept_token_times(self, b, kept: np.ndarray) -> tuple:
+        """``(qk, soft, av)`` times of one decode step (q = 1) over
+        ``kept`` tokens at batch size ``b``, an int or a column of batch
+        sizes that broadcasts against ``kept``."""
         h = self.config.hidden_size
         heads = self.config.num_heads
         width = self.bytes_per_element
         gpu = self.hardware.gpu
-        b, q = batch_size, 1
-
-        qkv, out, _ = self._decode_constants(batch_size)
+        q = 1
         # QK^T and AV share their FLOP count and the K/V + query byte
         # prefix; QK^T also reads the attention weights.
         matmul_flop_time = (2.0 * b * q * kept * h) / gpu.effective_flops
@@ -509,11 +536,15 @@ class LLMCostModel:
         av = np.maximum(np.maximum(
             matmul_flop_time, kv_query_bytes * width / gpu.hbm_bandwidth),
             2e-6)
-        dense_total = qkv + qk + soft + av + out
-        if local_windows is None:
-            return dense_total
+        return qk, soft, av
 
-        window = np.asarray(local_windows, dtype=np.float64)
+    def _swa_operator_times(self, b, kv_len: np.ndarray, kept: np.ndarray,
+                            window: np.ndarray) -> tuple:
+        """``(local, gather)`` times of SWA's two extra operators, with
+        ``b`` as in :meth:`_kept_token_times`."""
+        h = self.config.hidden_size
+        heads = self.config.num_heads
+        width = self.bytes_per_element
         local = self._roofline_time_batch(
             1.0 * b * heads * window * kv_len,
             b * heads * window * kv_len * width,
@@ -522,9 +553,9 @@ class LLMCostModel:
         # A FLOP-free gather: its compute-time term is 0.0, which never
         # wins the roofline maximum over a non-negative memory time.
         gather = np.maximum(
-            2.0 * 2.0 * b * kept * h * width / gpu.hbm_bandwidth, 10e-6)
-        swa_total = qkv + local + gather + qk + soft + av + out
-        return np.where(window > 0, swa_total, dense_total)
+            2.0 * 2.0 * b * kept * h * width / self.hardware.gpu.hbm_bandwidth,
+            10e-6)
+        return local, gather
 
     def decode_step_time_batch(self, batch_size: int, kv_lens: np.ndarray,
                                kept_kv: np.ndarray | None = None,
@@ -541,17 +572,18 @@ class LLMCostModel:
         """Decode-step times at sequence lengths ``first_seq`` onwards.
 
         Returns ``num_steps`` entries, one per consecutive sequence length,
-        as a read-only slice of a table kept per ``(batch_size, split)``
-        and indexed by sequence length.  ``split`` is ``None`` for dense
-        attention, or the :class:`~repro.core.swa.SWAConfig` (the hashable
-        ``(caching_ratio, local_fraction)`` pair) whose split of each
-        sequence length gives ``kept_kv = local + global`` and
-        ``local_windows = local``.  Entries are priced by
-        :meth:`decode_step_time_batch`, which is elementwise, so a slice
-        is bit-identical to pricing the same lengths directly.  The table
-        at least doubles when it grows, so a run of increasing lengths
-        re-prices only logarithmically often, and a serving run sizes it
-        to its longest context up front (:meth:`reserve_step_tables`).
+        as a read-only slice of a table row kept per ``(batch_size,
+        split)`` and indexed by sequence length.  ``split`` is ``None`` for
+        dense attention, or the :class:`~repro.core.swa.SWAConfig` (the
+        hashable ``(caching_ratio, local_fraction)`` pair) whose split of
+        each sequence length gives ``kept_kv = local + global`` and
+        ``local_windows = local``.  Entries equal
+        :meth:`decode_step_time_batch` at the same lengths bit for bit.
+        A missing or short row is priced with its neighbouring batch sizes
+        in one pass (:meth:`_grow_step_table`); a row that a read outgrows
+        at least doubles, so a run of increasing lengths re-prices only
+        logarithmically often, and a serving run sizes rows to its longest
+        context up front (:meth:`reserve_step_tables`).
         """
         end = first_seq + num_steps
         table = self._step_tables.get((batch_size, split))
@@ -563,9 +595,9 @@ class LLMCostModel:
                          num_steps: int, split=None) -> list[float]:
         """:meth:`decode_step_times` as a list of Python floats.
 
-        A slice of the table's list view, made once each time the table
-        grows, so a read costs no NumPy call.  The same table entries,
-        so ``decode_step_list(...) == decode_step_times(...).tolist()``.
+        A slice of the row's list view, made by the pass that built the
+        row, so a read costs no NumPy call.  The same table entries, so
+        ``decode_step_list(...) == decode_step_times(...).tolist()``.
         """
         end = first_seq + num_steps
         values = self._step_lists.get((batch_size, split))
@@ -575,45 +607,83 @@ class LLMCostModel:
         return values[first_seq:end]
 
     def reserve_step_tables(self, max_seq_len: int) -> None:
-        """Size every step table made or grown from now on to hold
-        sequence lengths up to ``max_seq_len``.
+        """Size every step-table row built from now on to hold sequence
+        lengths up to ``max_seq_len``.
 
         A serving run passes its longest context (prompt bound plus output
-        bound), so each ``(batch_size, split)`` table is built once instead
-        of doubling as contexts lengthen.  Entries are elementwise, so a
-        table's values do not depend on when or how large it was built.
+        bound), so each ``(batch_size, split)`` row is built once, in one
+        block pass with its neighbours, instead of doubling as contexts
+        lengthen; the row length also fixes how many rows share a pass
+        (:data:`STEP_PASS_ENTRIES`).  Entries are elementwise, so a row's
+        values do not depend on when, how large or beside which rows it
+        was built.
         """
         self._reserved_seq_len = max_seq_len
 
     def _grow_step_table(self, batch_size: int, split, first_seq: int,
                          end: int) -> np.ndarray:
-        """Grow the ``(batch_size, split)`` table to hold lengths below
-        ``end`` (and up to the reserved length), and remake its list
-        view."""
+        """Build the ``(batch_size, split)`` row to hold lengths below
+        ``end`` (and up to the reserved length) in one pass with the other
+        rows of its block, and return it.
+
+        The row length ``size`` is at least 256 and at least double the
+        old row.  A block is the aligned run of ``max(1,
+        STEP_PASS_ENTRIES // size)`` consecutive batch sizes holding
+        ``batch_size``; the pass prices every row of it that is missing or
+        shorter than ``size`` (:meth:`_price_step_rows`) and stores each
+        row, with its list view, under its own key.
+        """
         if first_seq <= 0:
             raise ConfigurationError("sequence lengths must be positive")
-        key = (batch_size, split)
-        table = self._step_tables.get(key)
-        start = 1 if table is None else table.size
+        tables = self._step_tables
+        table = tables.get((batch_size, split))
         size = max(end, self._reserved_seq_len + 1,
                    256 if table is None else 2 * table.size)
-        seq = np.arange(start, size)
-        grown = np.empty(size)
-        if table is None:
-            grown[0] = np.nan  # no sequence has length 0
-        else:
-            grown[:start] = table
+        rows = max(1, STEP_PASS_ENTRIES // size)
+        low = (batch_size - 1) // rows * rows + 1
+        batches = [b for b in range(low, low + rows)
+                   if (b, split) not in tables
+                   or tables[(b, split)].size < size]
+        block = self._price_step_rows(batches, split, size)
+        block[:, 0] = np.nan  # no sequence has length 0
+        block.flags.writeable = False
+        for b, row, values in zip(batches, block, block.tolist()):
+            tables[(b, split)] = row
+            self._step_lists[(b, split)] = values
+        return tables[(batch_size, split)]
+
+    def _price_step_rows(self, batches: list[int], split,
+                         size: int) -> np.ndarray:
+        """Decode-step times of sequence lengths ``0 .. size - 1`` (entry
+        0 is filler) for each batch size of ``batches``, one row each.
+
+        The formula of :meth:`decode_step_time_batch` with the batch size
+        as a column that broadcasts against the sequence lengths, and the
+        per-batch constants (:meth:`_decode_constants`) stacked the same
+        way.  Only what a row keeps is priced: an SWA row reads its split
+        as slices of the config's :class:`~repro.core.swa.SequenceTable`
+        and, its local window being at least one token at every length,
+        needs neither the dense total nor the choice between the two.
+        """
+        b = np.array(batches)[:, None]
+        qkv, out, ffn = np.array(
+            [self._decode_constants(batch) for batch in batches]).T[:, :, None]
+        kv_len = np.arange(size, dtype=np.float64)
         if split is None:
-            grown[start:] = self.decode_step_time_batch(batch_size, seq)
+            qk, soft, av = self._kept_token_times(b, kv_len)
+            attention = qkv + qk + soft + av + out
         else:
-            local, global_ = split.split_budget_batch(seq)
-            grown[start:] = self.decode_step_time_batch(
-                batch_size, seq, kept_kv=local + global_,
-                local_windows=local)
-        grown.flags.writeable = False
-        self._step_tables[key] = grown
-        self._step_lists[key] = grown.tolist()
-        return grown
+            table = sequence_table(split, size - 1)
+            window = table.num_local[:size]
+            # split_budget keeps at most seq_len tokens, so the clamp of
+            # attention_time_batch (kept <= kv_len) is a no-op here.
+            kept = (window + table.num_global[:size]).astype(np.float64)
+            qk, soft, av = self._kept_token_times(b, kept)
+            local, gather = self._swa_operator_times(
+                b, kv_len, kept, window.astype(np.float64))
+            attention = qkv + local + gather + qk + soft + av + out
+        base = self.config.num_layers * (attention + ffn)
+        return self._parallel_forward_time(base, b, query_len=1)
 
     def quantize_time_batch(self, batch_size: int,
                             num_tokens: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from repro.core.swa import SWAConfig, sequence_table
 from repro.hardware.presets import V100_16GB_NODE, multi_gpu
 from repro.serving import ContinuousBatchingEngine
 from repro.serving.engine import _PricedEpoch
-from repro.systems.cost import ParallelismSpec
+from repro.systems.cost import STEP_PASS_ENTRIES, ParallelismSpec
 from repro.systems.memory import MemoryHierarchy, PCIeLink
 from repro.systems.pricing import PricingStore
 from repro.workloads.arrivals import Request, generate_requests
@@ -1037,39 +1037,105 @@ class TestStepTable:
         adopter.decode_step_list(3, 9000, 5)  # grows the shared table
         assert cost._step_tables[(3, None)].size >= 9005
         assert_views(cost)
-        assert store.stats()["step_tables"] == {"entries": 1}
+        # The first read built the whole 256-entry block holding batch
+        # size 3, one row per batch size; the growth rebuilt row 3 alone.
+        block = {(b, None) for b in range(1, 1 + STEP_PASS_ENTRIES // 256)}
+        assert set(cost._step_tables) == block
+        assert store.stats()["step_tables"] == {"entries": len(block)}
+
+    @staticmethod
+    def record_passes(monkeypatch):
+        """Record every step-table pass as ``(identity, split, batch
+        sizes, row length)``, the batch sizes being the rows the pass
+        stored."""
+        from repro.systems.cost import LLMCostModel
+
+        passes = []
+        grow = LLMCostModel._grow_step_table
+
+        def recording(self, batch_size, split, first_seq, end):
+            before = dict(self._step_tables)
+            row = grow(self, batch_size, split, first_seq, end)
+            built = tuple(sorted(b for (b, key_split), table
+                                 in self._step_tables.items()
+                                 if key_split == split
+                                 and table is not before.get((b, key_split))))
+            passes.append((self.identity, split, built, row.size))
+            return row
+
+        monkeypatch.setattr(LLMCostModel, "_grow_step_table", recording)
+        return passes
+
+    @staticmethod
+    def assert_whole_blocks(passes):
+        """Each pass stored every row of one aligned block, and no row of
+        a split was built twice under one identity."""
+        for _, _, batches, size in passes:
+            rows = max(1, STEP_PASS_ENTRIES // size)
+            low = (batches[0] - 1) // rows * rows + 1
+            assert batches == tuple(range(low, low + rows)), (batches, size)
+        rows = [(identity, split, b)
+                for identity, split, batches, _ in passes for b in batches]
+        assert len(rows) == len(set(rows)), "a table row was rebuilt"
 
     def test_sweep_builds_each_table_once_per_identity(self, monkeypatch):
         from repro.experiments.serving import serving_rate_sweep
-        from repro.systems.cost import LLMCostModel
 
-        built = []
-        price = LLMCostModel.decode_step_time_batch
-
-        def counting(self, batch_size, kv_lens, kept_kv=None,
-                     local_windows=None):
-            built.append((self.identity, batch_size, local_windows is None,
-                          int(kv_lens[0]), int(kv_lens[-1])))
-            return price(self, batch_size, kv_lens, kept_kv, local_windows)
-
-        monkeypatch.setattr(LLMCostModel, "decode_step_time_batch",
-                            counting)
+        passes = self.record_passes(monkeypatch)
 
         def sweep():
-            built.clear()
+            passes.clear()
             serving_rate_sweep(rates=(2.0, 8.0), num_requests=12,
                                cluster=("2x(none)",))
-            return sorted(built, key=repr)
+            return sorted(passes, key=repr)
 
         first = sweep()
         # vLLM, FlexGen and ALISA replicas all have one cost-model
         # identity; ALISA's SWA tables are kept under their own key.
         assert len({entry[0] for entry in first}) == 1
-        assert {entry[2] for entry in first} == {True, False}
-        ranges = [entry[1:] for entry in first]
-        assert len(ranges) == len(set(ranges)), "a table range was rebuilt"
-        # Nothing outlives a sweep: the next one builds the same tables.
+        assert {entry[1] is None for entry in first} == {True, False}
+        self.assert_whole_blocks(first)
+        # Nothing outlives a sweep: the next one builds the same blocks.
         assert sweep() == first
+
+    def test_stream_sweep_prices_tables_in_few_passes(self, monkeypatch):
+        from repro.experiments.serving import serving_rate_sweep
+
+        passes = self.record_passes(monkeypatch)
+        # The perfbench ``stream`` sweep shape: batch sizes 1-14 reach
+        # dense and SWA rows of 256 entries, 28 rows in all.
+        serving_rate_sweep(rates=(8.0, 16.0), num_requests=40,
+                           input_len=128, output_len=64,
+                           record_mode="streaming", cluster=("2x(none)",),
+                           routing="round-robin")
+        self.assert_whole_blocks(passes)
+        assert sum(len(batches) for _, _, batches, _ in passes) >= 28
+        assert len(passes) <= 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(shard=st.sampled_from(sorted(SHARD_SHAPES)),
+           split=st.sampled_from([None, SWAConfig.from_sparsity(0.8),
+                                  SWAConfig(0.37, local_fraction=0.3)]),
+           bound=st.sampled_from([100, 600, 1023, STEP_PASS_ENTRIES // 2 - 1,
+                                  STEP_PASS_ENTRIES // 2,
+                                  STEP_PASS_ENTRIES + 500]),
+           order=st.permutations(range(1, 65)), count=st.integers(1, 64))
+    def test_block_rows_equal_rows_priced_alone(self, shard, split, bound,
+                                                order, count):
+        cost = build_system("alisa", shard).cost_model
+        cost.reserve_step_tables(bound)
+        # Rows of 256 to STEP_PASS_ENTRIES // 2 entries share passes (16
+        # down to 2 rows); longer ones take a pass each.
+        for batch_size in order[:count]:
+            cost.decode_step_list(batch_size, 1, 1, split)
+        tables = cost._step_tables
+        assert set(order[:count]) <= {b for b, _ in tables}
+        for (batch_size, key_split), row in tables.items():
+            assert key_split == split
+            seq = np.arange(1, row.size)
+            alone = self.direct(cost, batch_size, seq, split)
+            assert row[1:].tobytes() == alone.tobytes(), batch_size
+            assert cost._step_lists[(batch_size, split)][1:] == alone.tolist()
 
     def test_sweep_prices_each_prefill_once_per_identity(self,
                                                          monkeypatch):
@@ -1155,17 +1221,9 @@ class TestStepTable:
 
     def test_session_serve_builds_each_table_once(self, monkeypatch):
         from repro.cluster import ReplicaGroup
-        from repro.systems.cost import LLMCostModel
         from repro.workloads.sessions import sessions
 
-        grown = []
-        grow = LLMCostModel._grow_step_table
-
-        def counting(self, batch_size, split, first_seq, end):
-            grown.append((batch_size, split))
-            return grow(self, batch_size, split, first_seq, end)
-
-        monkeypatch.setattr(LLMCostModel, "_grow_step_table", counting)
+        passes = self.record_passes(monkeypatch)
 
         def factory(node, parallelism):
             return AlisaSystem(MODEL, node, kv_sparsity=0.8,
@@ -1177,13 +1235,17 @@ class TestStepTable:
         requests = sessions(40, rate=4.0, seed=3,
                             interactive_fraction=0.5).requests()
         group.serve(requests)
-        # Dense and SWA tables of several batch sizes, each sized once to
-        # the run's longest context although contexts grow over the serve.
-        assert {split for _, split in grown} == {None, group.engines[0]
-                                                 .simulator.swa}
-        assert len(grown) == len(set(grown)) > 4
-        longest = max(r.input_len + r.output_len for r in requests)
+        # Dense and SWA rows of several batch sizes, each built once in a
+        # whole block and sized once to the run's longest context although
+        # contexts grow over the serve.
+        assert {split for _, split, _, _ in passes} == {None, group.engines[0]
+                                                       .simulator.swa}
+        self.assert_whole_blocks(passes)
+        built = {(b, split) for _, split, batches, _ in passes
+                 for b in batches}
         tables = group.engines[0].simulator.cost_model._step_tables
+        assert set(tables) == built and len(built) > 4
+        longest = max(r.input_len + r.output_len for r in requests)
         assert min(table.size for table in tables.values()) > longest
 
     @pytest.mark.parametrize("system", ["alisa", "alisa-static", "vllm",
